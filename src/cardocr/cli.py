@@ -5,8 +5,8 @@ suite), store-build (build the template store from the bundled font), eval
 (score a pipeline run against a suite), bench (per-stage timing and peak
 buffer report).
 
-Exit codes: 0 ok, 2 unreadable input, 3 invalid template store, 4 no text
-found, 5 bad configuration.
+Exit codes: 0 ok, 2 unreadable input or an image smaller than one block,
+3 invalid template store, 4 no text found, 5 bad configuration.
 """
 
 import argparse
@@ -20,6 +20,7 @@ from . import synth
 from .config import ConfigError, PipelineConfig, format_config, load_config
 from .imaging import PnmError
 from .recognize import StoreError
+from .regions import ImageTooSmallError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -210,7 +211,7 @@ def main(argv=None):
     except StoreError as exc:
         print(f"template store error: {exc}", file=sys.stderr)
         return EXIT_STORE
-    except (PnmError, FileNotFoundError) as exc:
+    except (PnmError, FileNotFoundError, ImageTooSmallError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -60,27 +60,38 @@ def is_color(img):
     return img.ndim == 3
 
 
+# Bytes of one uint32 plane per grayscale strip; two such planes are live
+# at a time, however large the image.
+GRAY_STRIP_BYTES = 1 << 20
+
+
 def to_grayscale(img):
     """Convert an RGB image to gray with the 0.299/0.587/0.114 weighting.
 
     Computed in integer arithmetic as (299r + 587g + 114b + 500) // 1000,
-    i.e. rounding half up, so (v, v, v) maps to exactly v.
+    i.e. rounding half up, so (v, v, v) maps to exactly v.  The image is
+    processed in row strips into one preallocated output, so the uint32
+    intermediates stay small on multi-megapixel inputs.
     """
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected an RGB array of shape (h, w, 3), got {img.shape}")
-    # two uint32 planes total; the green/blue plane is reused in place to
-    # keep the transient footprint small on multi-megapixel inputs
-    acc = img[:, :, 0].astype(np.uint32)
-    acc *= 299
-    tmp = img[:, :, 1].astype(np.uint32)
-    tmp *= 587
-    acc += tmp
-    tmp[:] = img[:, :, 2]
-    tmp *= 114
-    acc += tmp
-    acc += 500
-    acc //= 1000
-    return acc.astype(np.uint8)
+    h, w = img.shape[:2]
+    out = np.empty((h, w), dtype=np.uint8)
+    step = max(1, GRAY_STRIP_BYTES // (4 * w))
+    for y in range(0, h, step):
+        strip = img[y : y + step]
+        acc = strip[:, :, 0].astype(np.uint32)
+        acc *= 299
+        tmp = strip[:, :, 1].astype(np.uint32)
+        tmp *= 587
+        acc += tmp
+        tmp[:] = strip[:, :, 2]
+        tmp *= 114
+        acc += tmp
+        acc += 500
+        acc //= 1000
+        out[y : y + step] = acc
+    return out
 
 
 def _parse_header_tokens(data, count):
@@ -127,12 +138,11 @@ def load_pnm(data):
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval} (only 255 is handled)")
     expected = width * height * channels
-    payload = data[offset : offset + expected]
-    if len(payload) < expected:
-        raise PnmError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}"
-        )
-    arr = np.frombuffer(payload, dtype=np.uint8, count=expected)
+    available = len(data) - offset
+    if available < expected:
+        raise PnmError(f"truncated payload: expected {expected} bytes, got {available}")
+    # read the payload in place: slicing `data` would copy it once more
+    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
     if channels == 1:
         return arr.reshape(height, width).copy()
     return arr.reshape(height, width, 3).copy()
@@ -220,11 +230,30 @@ def rotate(img, angle_deg, fill=255):
     fx = xs - x0
     fy = ys - y0
 
-    p00 = padded[y0, x0]
-    p01 = padded[y0, x0 + 1]
-    p10 = padded[y0 + 1, x0]
-    p11 = padded[y0 + 1, x0 + 1]
-    top = p00 + (p01 - p00) * fx
-    bot = p10 + (p11 - p10) * fx
-    out = top + (bot - top) * fy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    # Gather the four taps through one flat index array stepped in place,
+    # cheaper than 2-D fancy indexing, then blend in place.  fx and fy are
+    # float64, so this is top = p00 + (p01 - p00) * fx, bot likewise, and
+    # top + (bot - top) * fy, all in float64.
+    flat = padded.ravel()
+    idx = y0.astype(np.intp)
+    idx *= w + 2
+    idx += x0
+    p00 = flat.take(idx)
+    idx += 1
+    p01 = flat.take(idx)
+    idx += w + 1
+    p10 = flat.take(idx)
+    idx += 1
+    p11 = flat.take(idx)
+    p01 -= p00
+    top = p01 * fx
+    top += p00
+    p11 -= p10
+    out = p11 * fx
+    out += p10
+    out -= top
+    out *= fy
+    out += top
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)

@@ -2,13 +2,14 @@
 
 Glyphs are normalized to 48x48 binary patterns (tight bounding box, nearest
 neighbor, aspect ratio not preserved) and compared against a store of
-labeled templates by cell-wise absolute difference; the smallest count wins.
+labeled templates by Hamming distance, computed as the popcount of the XOR
+of bit-packed patterns; the smallest count wins.
 The 73-character alphabet can optionally be quotiented by merging visually
 symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +73,6 @@ class Template:
 class Classification:
     label: str          # scheme-mapped winner
     score: int          # dissimilarity of the winning template
-    runner_up: tuple = None  # (scheme-mapped label, score) of the second best
 
 
 def normalize_pattern(mask):
@@ -102,8 +102,28 @@ def dissimilarity(a, b):
     return int(np.count_nonzero(a != b))
 
 
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _popcount_rows_table(bits):
+    """Set bits per row of a uint8 matrix, by 256-entry lookup table."""
+    return _POPCOUNT8[bits].sum(axis=1)
+
+
+def _popcount_rows_native(bits):
+    """Set bits per row of a uint8 matrix whose rows are whole uint64 words."""
+    return np.bitwise_count(bits.view(np.uint64)).sum(axis=1)
+
+
+# np.bitwise_count exists from numpy 2.0 on; older numpy uses the table.
+_popcount_rows = (
+    _popcount_rows_native if hasattr(np, "bitwise_count") else _popcount_rows_table
+)
+
+
 class TemplateStore:
-    """Immutable collection of labeled templates with a flat match matrix."""
+    """Immutable collection of labeled templates with a bit-packed match
+    matrix: one row of 48*48/8 = 288 bytes per template."""
 
     def __init__(self, templates):
         if not templates:
@@ -114,9 +134,9 @@ class TemplateStore:
                 raise StoreError(f"template {t.source_id!r} is not 48x48")
             if t.label not in CLASS_INDEX:
                 raise StoreError(f"template label {t.label!r} outside the alphabet")
-        self._matrix = np.stack(
-            [t.pattern.reshape(-1) for t in self.templates]
-        ).astype(np.uint8)
+        self._packed = np.packbits(
+            np.stack([t.pattern.reshape(-1) for t in self.templates]), axis=1
+        )
         self._labels = [t.label for t in self.templates]
 
     def __len__(self):
@@ -127,8 +147,7 @@ class TemplateStore:
 
     def distances(self, pattern):
         """Dissimilarity against every template, in store order."""
-        flat = pattern.reshape(-1).astype(np.uint8)
-        return np.count_nonzero(self._matrix != flat, axis=1)
+        return _popcount_rows(self._packed ^ np.packbits(pattern.reshape(-1)))
 
 
 def classify(pattern, store, scheme=MERGED):
@@ -137,16 +156,7 @@ def classify(pattern, store, scheme=MERGED):
         raise ValueError("pattern must be 48x48")
     dists = store.distances(pattern)
     best = int(np.argmin(dists))
-    runner_up = None
-    if len(dists) > 1:
-        order = np.lexsort((np.arange(len(dists)), dists))
-        second = int(order[1])
-        runner_up = (scheme.apply(store.labels()[second]), int(dists[second]))
-    return Classification(
-        label=scheme.apply(store.labels()[best]),
-        score=int(dists[best]),
-        runner_up=runner_up,
-    )
+    return Classification(label=scheme.apply(store._labels[best]), score=int(dists[best]))
 
 
 def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):

@@ -68,13 +68,17 @@ class Region:
     features: RegionFeatures = field(default=None)
 
 
+class ImageTooSmallError(ValueError):
+    """The image cannot hold a single block of the grid."""
+
+
 def partition_blocks(img, block_h, block_w):
     """Lay out the block grid for an image (no classification yet)."""
     if block_h < 4 or block_w < 4:
         raise ValueError(f"block size must be at least 4, got {block_h}x{block_w}")
     h, w = img.shape[:2]
     if block_h > h or block_w > w:
-        raise ValueError(f"block {block_h}x{block_w} larger than image {h}x{w}")
+        raise ImageTooSmallError(f"block {block_h}x{block_w} larger than image {h}x{w}")
     rows = -(-h // block_h)
     cols = -(-w // block_w)
     return BlockGrid(block_h, block_w, rows, cols, h, w)
@@ -88,11 +92,20 @@ def classify_block(pixels, t_var):
 
 
 def classify_grid(img, grid, t_var):
-    """Label every block of the grid in one vectorized pass."""
-    row_starts = np.arange(0, grid.image_h, grid.block_h)
-    col_starts = np.arange(0, grid.image_w, grid.block_w)
-    mx = np.maximum.reduceat(np.maximum.reduceat(img, row_starts, axis=0), col_starts, axis=1)
-    mn = np.minimum.reduceat(np.minimum.reduceat(img, row_starts, axis=0), col_starts, axis=1)
+    """Label every block of the grid in one vectorized pass.
+
+    A ragged image is edge-padded to whole blocks first; repeating an edge
+    pixel leaves every tile's max and min unchanged.
+    """
+    bh, bw = grid.block_h, grid.block_w
+    pad_h = grid.rows * bh - grid.image_h
+    pad_w = grid.cols * bw - grid.image_w
+    if pad_h or pad_w:
+        img = np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
+    tiles = img.reshape(grid.rows, bh, grid.cols, bw)
+    # reducing the row axis first keeps the inner loop on contiguous memory
+    mx = tiles.max(axis=1).max(axis=2)
+    mn = tiles.min(axis=1).min(axis=2)
     grid.labels = (mx.astype(np.int16) - mn.astype(np.int16)) >= t_var
     return grid
 

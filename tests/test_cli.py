@@ -47,6 +47,13 @@ class TestRun:
         bad.write_bytes(b"JFIF not a pnm")
         assert cli.main(["run", str(bad), "--templates", store_dir]) == 2
 
+    def test_image_smaller_than_block_exit_2(self, store_dir, tmp_path, capsys):
+        tiny = tmp_path / "tiny.pgm"
+        imaging.save_pnm_file(tiny, np.full((8, 8), 200, np.uint8))
+        assert cli.main(["run", str(tiny), "--templates", store_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_missing_store_exit_3(self, tmp_path):
         card = tmp_path / "card.ppm"
         write_card(card)

@@ -67,8 +67,15 @@ class TestGrayscale:
         assert (gb >= ga).all()
 
     def test_shape_preserved(self):
-        img = np.zeros((5, 9, 3), dtype=np.uint8)
-        assert imaging.to_grayscale(img).shape == (5, 9)
+        rng = np.random.default_rng(3)
+        strip_rows = lambda w: imaging.GRAY_STRIP_BYTES // (4 * w)
+        # one strip; two whole strips plus a partial one, also a single column
+        for h, w in [(5, 9), (2 * strip_rows(2048) + 5, 2048), (2 * strip_rows(1) + 5, 1)]:
+            img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            r, g, b = (img[:, :, k].astype(np.int64) for k in range(3))
+            got = imaging.to_grayscale(img)
+            assert got.shape == (h, w) and got.dtype == np.uint8
+            assert np.array_equal(got, (299 * r + 587 * g + 114 * b + 500) // 1000)
 
     def test_rejects_gray_input(self):
         with pytest.raises(ValueError):

@@ -146,14 +146,24 @@ class TestClassify:
         )
         assert rec.classify(shared, store, FULL).label == "X"
 
-    def test_runner_up(self):
+    def test_table_popcount_matches_dissimilarity(self, monkeypatch):
+        # the lookup-table path used on numpy < 2, forced on any numpy
+        monkeypatch.setattr(rec, "_popcount_rows", rec._popcount_rows_table)
         rng = np.random.default_rng(11)
-        a, b = random_pattern(rng), random_pattern(rng)
+        for _ in range(20):
+            a, b = random_pattern(rng), random_pattern(rng)
+            store = TemplateStore(
+                [Template(pattern=a, label="A"), Template(pattern=b, label="B")]
+            )
+            assert list(store.distances(b)) == [rec.dissimilarity(a, b), 0]
+        shared = random_pattern(rng)
         store = TemplateStore(
-            [Template(pattern=a, label="A"), Template(pattern=b, label="B")]
+            [Template(pattern=shared, label="Y"), Template(pattern=shared, label="X")]
         )
-        c = rec.classify(a, store, FULL)
-        assert c.runner_up == ("B", rec.dissimilarity(a, b))
+        probe = shared.copy()
+        probe[0, 0] = not probe[0, 0]
+        got = rec.classify(probe, store, FULL)
+        assert (got.label, got.score) == ("Y", 1)
 
     def test_empty_store(self):
         with pytest.raises(StoreError):

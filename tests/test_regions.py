@@ -107,14 +107,17 @@ class TestClassifyBlock:
 
     def test_classify_grid_matches_per_block(self):
         rng = np.random.default_rng(4)
-        img = rng.integers(0, 256, size=(37, 51), dtype=np.uint8)
-        grid = rg.partition_blocks(img, 16, 16)
-        rg.classify_grid(img, grid, 40)
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                rect = grid.block_rect(r, c)
-                window = img[rect.y : rect.y2, rect.x : rect.x2]
-                assert grid.labels[r, c] == (rg.classify_block(window, 40) == rg.IB)
+        # a ragged edge, exact block multiples, a 1-pixel remainder on each axis
+        for shape in [(37, 51), (32, 48), (16, 16), (33, 49), (17, 32)]:
+            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            grid = rg.partition_blocks(img, 16, 16)
+            rg.classify_grid(img, grid, 40)
+            assert grid.labels.shape == (grid.rows, grid.cols)
+            for r in range(grid.rows):
+                for c in range(grid.cols):
+                    rect = grid.block_rect(r, c)
+                    window = img[rect.y : rect.y2, rect.x : rect.x2]
+                    assert grid.labels[r, c] == (rg.classify_block(window, 40) == rg.IB)
 
 
 class TestAssemble:
