@@ -92,9 +92,3 @@ def binarize_region(region, cfg=None):
         fg = fg | promoted
     return fg
 
-
-def foreground_ratio(binary):
-    """Fraction of foreground pixels."""
-    if binary.size == 0:
-        raise ValueError("empty image")
-    return float(np.count_nonzero(binary)) / binary.size

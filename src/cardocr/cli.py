@@ -6,7 +6,9 @@ suite), store-build (build the template store from the bundled font), eval
 buffer report).
 
 Exit codes: 0 ok, 2 unreadable input or an image smaller than one block,
-3 invalid template store, 4 no text found, 5 bad configuration.
+3 invalid template store, 4 no text found (for eval: no text region of the
+suite matched, so region recall and precision are undefined), 5 bad
+configuration.
 """
 
 import argparse
@@ -110,7 +112,11 @@ def cmd_eval(args):
                 scheme.apply(p) == scheme.apply(t)
                 for p, t in zip(predicted, truth_labels)
             )
-    metrics = ev.metrics_from_counts(counts)
+    try:
+        metrics = ev.metrics_from_counts(counts)
+    except ev.MetricUndefinedError as exc:
+        print(f"no text found: {exc}", file=sys.stderr)
+        return EXIT_NO_TEXT
     accuracy = 100.0 * chars_correct / chars_total if chars_total else 0.0
     sys.stdout.write(
         ev.format_report(

@@ -12,6 +12,7 @@ which round-trip bit-exactly without any third-party decoder.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,6 @@ class Rect:
     def y2(self):
         """One past the bottom row."""
         return self.y + self.h
-
-    def contains(self, other):
-        return (
-            self.x <= other.x
-            and self.y <= other.y
-            and other.x2 <= self.x2
-            and other.y2 <= self.y2
-        )
 
 
 def is_color(img):
@@ -112,16 +105,16 @@ def _parse_header_tokens(data, count):
             i += 1
         if i == start:
             raise PnmError("malformed header: ran out of data while reading dimensions")
-        tokens.append(data[start:i])
+        tokens.append(bytes(data[start:i]))
     if i >= n:
         raise PnmError("malformed header: missing payload")
     i += 1  # single whitespace byte after maxval
     return tokens, i
 
 
-def load_pnm(data):
-    """Decode binary PGM/PPM bytes into a gray or color array."""
-    magic = data[:2]
+def _pnm_pixels(data):
+    """View the pixels of binary PGM/PPM data (bytes or bytearray) in place."""
+    magic = bytes(data[:2])
     if magic == b"P5":
         channels = 1
     elif magic == b"P6":
@@ -144,8 +137,13 @@ def load_pnm(data):
     # read the payload in place: slicing `data` would copy it once more
     arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
     if channels == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, 3).copy()
+        return arr.reshape(height, width)
+    return arr.reshape(height, width, 3)
+
+
+def load_pnm(data):
+    """Decode binary PGM/PPM bytes into a gray or color array."""
+    return _pnm_pixels(data).copy()
 
 
 def save_pnm(img):
@@ -169,21 +167,17 @@ def save_pnm(img):
 
 
 def load_pnm_file(path):
+    """Decode a PGM/PPM file.  The pixels are a writable view of the file's
+    bytes, so the image is held in memory once, not twice."""
     with open(path, "rb") as fh:
-        return load_pnm(fh.read())
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    return _pnm_pixels(data)
 
 
 def save_pnm_file(path, img):
     with open(path, "wb") as fh:
         fh.write(save_pnm(img))
-
-
-def crop(img, rect):
-    """Return a copy of the pixels inside `rect`."""
-    h, w = img.shape[:2]
-    if not Rect(0, 0, w, h).contains(rect):
-        raise ValueError(f"crop rectangle {rect} exceeds image bounds {w}x{h}")
-    return img[rect.y : rect.y2, rect.x : rect.x2].copy()
 
 
 def rotate(img, angle_deg, fill=255):

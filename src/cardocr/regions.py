@@ -6,15 +6,12 @@ information blocks become regions, and every region is classified as text
 (TR) or non-text (NR) from cheap geometric features.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .imaging import Rect
 
-IB = "IB"  # information block
-BB = "BB"  # background block
 TR = "TR"  # text region
 NR = "NR"  # non-text region
 
@@ -42,7 +39,12 @@ class BlockGrid:
     cols: int
     image_h: int
     image_w: int
-    labels: np.ndarray = None  # bool (rows, cols), True = IB
+    labels: np.ndarray = None  # bool (rows, cols), True = information block (IB)
+    block_max: np.ndarray = None  # uint8 (rows, cols), brightest pixel per block
+    block_min: np.ndarray = None  # uint8 (rows, cols), darkest pixel per block
+    # intp (rows, cols): index of the block's region in the list
+    # assemble_regions returned, -1 for a background block
+    region_index: np.ndarray = None
 
     def block_rect(self, r, c):
         y = r * self.block_h
@@ -84,96 +86,164 @@ def partition_blocks(img, block_h, block_w):
     return BlockGrid(block_h, block_w, rows, cols, h, w)
 
 
-def classify_block(pixels, t_var):
-    """IB iff the intensity spread inside the block reaches t_var."""
-    if pixels.size == 0:
-        raise ValueError("empty block window")
-    return IB if int(pixels.max()) - int(pixels.min()) >= t_var else BB
+def _tiles(img, grid, **pad):
+    """View the image as (rows, block_h, cols, block_w) tiles.  A ragged
+    image is first padded to whole blocks by np.pad with `pad`."""
+    pad_h = grid.rows * grid.block_h - grid.image_h
+    pad_w = grid.cols * grid.block_w - grid.image_w
+    if pad_h or pad_w:
+        img = np.pad(img, ((0, pad_h), (0, pad_w)), **pad)
+    return img.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
 
 
 def classify_grid(img, grid, t_var):
     """Label every block of the grid in one vectorized pass.
 
     A ragged image is edge-padded to whole blocks first; repeating an edge
-    pixel leaves every tile's max and min unchanged.
+    pixel leaves every tile's max and min unchanged.  The per-block max and
+    min stay on the grid for compute_features.
     """
-    bh, bw = grid.block_h, grid.block_w
-    pad_h = grid.rows * bh - grid.image_h
-    pad_w = grid.cols * bw - grid.image_w
-    if pad_h or pad_w:
-        img = np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
-    tiles = img.reshape(grid.rows, bh, grid.cols, bw)
+    tiles = _tiles(img, grid, mode="edge")
     # reducing the row axis first keeps the inner loop on contiguous memory
-    mx = tiles.max(axis=1).max(axis=2)
-    mn = tiles.min(axis=1).min(axis=2)
-    grid.labels = (mx.astype(np.int16) - mn.astype(np.int16)) >= t_var
+    grid.block_max = tiles.max(axis=1).max(axis=2)
+    grid.block_min = tiles.min(axis=1).min(axis=2)
+    grid.labels = (grid.block_max.astype(np.int16) - grid.block_min) >= t_var
     return grid
 
 
-_NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+def _component_roots(n, a, b):
+    """Union-find over nodes 0..n-1 joined by the edges (a[i], b[i]).
+
+    Every round points each node at its root, then hooks the larger root of
+    every edge whose ends still differ under the smaller one.  Roots only
+    ever move down, so each node ends at the smallest node of its component.
+    """
+    parent = np.arange(n)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return parent
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
 def assemble_regions(grid):
-    """Group 8-connected information blocks into regions (unclassified)."""
-    labels = grid.labels
-    seen = np.zeros_like(labels, dtype=bool)
+    """Group 8-connected information blocks into regions (unclassified).
+
+    Components are labelled over horizontal runs of IB blocks rather than
+    blocks: a run [s, e) in row r touches a run [s2, e2) in row r + 1 iff
+    s2 <= e and s <= e2 (ends exclusive, diagonals included).  Regions are
+    numbered by their first block in raster order, then stably sorted by
+    bounding-box origin (y, x).  Each block's region index is recorded in
+    grid.region_index.
+    """
+    rows, cols = grid.rows, grid.cols
+    padded = np.zeros((rows, cols + 2), dtype=np.int8)
+    padded[:, 1:-1] = grid.labels
+    step = np.diff(padded, axis=1)
+    run_row, run_start = np.nonzero(step == 1)
+    run_end = np.nonzero(step == -1)[1]
+
+    # Raster keys row * width + column are sorted over all runs, so one
+    # searchsorted per side finds, for every run, the contiguous range
+    # [lo, hi) of runs in the next row that touch it.
+    width = cols + 1
+    key_start = run_row * width + run_start
+    key_end = run_row * width + run_end
+    lo = np.searchsorted(key_end, key_start + width, side="left")
+    hi = np.searchsorted(key_start, key_end + width, side="right")
+    fan = np.maximum(hi - lo, 0)
+    first = np.cumsum(fan) - fan
+    a = np.repeat(np.arange(len(fan)), fan)
+    b = np.repeat(lo - first, fan) + np.arange(fan.sum())
+    roots, comp = np.unique(_component_roots(len(fan), a, b), return_inverse=True)
+
+    # The root is the component's first run, which holds its first block
+    # and its top row.
+    m = len(roots)
+    top = run_row[roots]
+    bottom = np.zeros(m, dtype=np.intp)
+    left = np.full(m, cols, dtype=np.intp)
+    right = np.zeros(m, dtype=np.intp)
+    np.maximum.at(bottom, comp, run_row)
+    np.minimum.at(left, comp, run_start)
+    np.maximum.at(right, comp, run_end)
+    order = np.lexsort((np.arange(m), left, top))
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+    run_region = rank[comp]
+
+    # Expand the runs, grouped by region and in raster order within one,
+    # into blocks, so each region's blocks come out sorted.
+    by_region = np.argsort(run_region, kind="stable")
+    length = (run_end - run_start)[by_region]
+    offset = np.cumsum(length) - length
+    block_row = np.repeat(run_row[by_region], length)
+    block_col = np.repeat(run_start[by_region] - offset, length) + np.arange(length.sum())
+    block_region = np.repeat(run_region[by_region], length)
+    grid.region_index = np.full((rows, cols), -1, dtype=np.intp)
+    grid.region_index[block_row, block_col] = block_region
+
+    bh, bw = grid.block_h, grid.block_w
+    x1 = left[order] * bw
+    y1 = top[order] * bh
+    x2 = np.minimum(right[order] * bw, grid.image_w)
+    y2 = np.minimum((bottom[order] + 1) * bh, grid.image_h)
+    blocks = list(zip(block_row.tolist(), block_col.tolist()))
+    ends = np.cumsum(np.bincount(block_region, minlength=m)).tolist()
     regions = []
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            if not labels[r, c] or seen[r, c]:
-                continue
-            queue = deque([(r, c)])
-            seen[r, c] = True
-            blocks = []
-            while queue:
-                br, bc = queue.popleft()
-                blocks.append((br, bc))
-                for dr, dc in _NEIGHBORS8:
-                    nr_, nc_ = br + dr, bc + dc
-                    if 0 <= nr_ < grid.rows and 0 <= nc_ < grid.cols:
-                        if labels[nr_, nc_] and not seen[nr_, nc_]:
-                            seen[nr_, nc_] = True
-                            queue.append((nr_, nc_))
-            blocks.sort()
-            regions.append(Region(blocks=blocks, bbox=_blocks_bbox(grid, blocks)))
-    regions.sort(key=lambda reg: (reg.bbox.y, reg.bbox.x))
+    begin = 0
+    for end, x, y, xe, ye in zip(ends, x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()):
+        regions.append(Region(blocks=blocks[begin:end], bbox=Rect(x, y, xe - x, ye - y)))
+        begin = end
     return regions
 
 
-def _blocks_bbox(grid, blocks):
-    rects = [grid.block_rect(r, c) for r, c in blocks]
-    x1 = min(r.x for r in rects)
-    y1 = min(r.y for r in rects)
-    x2 = max(r.x2 for r in rects)
-    y2 = max(r.y2 for r in rects)
-    return Rect(x1, y1, x2 - x1, y2 - y1)
+def compute_features(img, grid, regions):
+    """Geometric and intensity features of every region, in one pass.
 
+    `regions` is the list assemble_regions returned for `grid`.  A pixel is
+    dark when it is below the midpoint of its region's extremes,
+    (vmin + vmax) / 2; for integer pixels that is p < (vmin + vmax + 1) >> 1.
+    """
+    m = len(regions)
+    br, bc = np.nonzero(grid.labels)
+    region = grid.region_index[br, bc]
+    vmin = np.full(m, 255, dtype=np.int16)
+    vmax = np.zeros(m, dtype=np.int16)
+    np.minimum.at(vmin, region, grid.block_min[br, bc])
+    np.maximum.at(vmax, region, grid.block_max[br, bc])
+    threshold = (vmin + vmax + 1) >> 1
 
-def compute_features(img, grid, region):
-    """Geometric and intensity features over the region's member blocks."""
-    bbox = region.bbox
-    member_pixels = 0
-    vmin, vmax = 255, 0
-    for r, c in region.blocks:
-        rect = grid.block_rect(r, c)
-        window = img[rect.y : rect.y2, rect.x : rect.x2]
-        member_pixels += window.size
-        vmin = min(vmin, int(window.min()))
-        vmax = max(vmax, int(window.max()))
-    midpoint = (vmin + vmax) / 2.0
-    dark = 0
-    for r, c in region.blocks:
-        rect = grid.block_rect(r, c)
-        window = img[rect.y : rect.y2, rect.x : rect.x2]
-        dark += int(np.count_nonzero(window < midpoint))
-    return RegionFeatures(
-        width=bbox.w,
-        height=bbox.h,
-        aspect_ratio=bbox.w / bbox.h,
-        info_pixel_density=dark / member_pixels,
-        area=len(region.blocks),
-        coverage_ratio=member_pixels / (bbox.w * bbox.h),
-    )
+    # 255 is never below a midpoint, so padding is never dark
+    tiles = _tiles(img, grid, constant_values=255)[br, :, bc, :]
+    dark_per_block = np.count_nonzero(tiles < threshold[region][:, None, None], axis=(1, 2))
+    dark = np.bincount(region, weights=dark_per_block, minlength=m)
+    bh, bw = grid.block_h, grid.block_w
+    block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
+    block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
+    pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)
+
+    features = []
+    for reg, n_dark, n_pixels in zip(regions, dark.tolist(), pixels.tolist()):
+        w, h = reg.bbox.w, reg.bbox.h
+        features.append(
+            RegionFeatures(
+                width=w,
+                height=h,
+                aspect_ratio=w / h,
+                info_pixel_density=n_dark / n_pixels,
+                area=len(reg.blocks),
+                coverage_ratio=n_pixels / (w * h),
+            )
+        )
+    return features
 
 
 def classify_region(features, cfg):
@@ -193,20 +263,10 @@ def extract_regions(img, cfg):
     grid = partition_blocks(img, cfg.block_h, cfg.block_w)
     classify_grid(img, grid, cfg.t_var)
     regions = assemble_regions(grid)
-    for region in regions:
-        region.features = compute_features(img, grid, region)
-        region.kind = classify_region(region.features, cfg)
+    for region, features in zip(regions, compute_features(img, grid, regions)):
+        region.features = features
+        region.kind = classify_region(features, cfg)
     return regions
-
-
-def extract_text_regions(img, cfg):
-    """Return (region, gray crop) pairs for the text regions only."""
-    out = []
-    for region in extract_regions(img, cfg):
-        if region.kind == TR:
-            crop = img[region.bbox.y : region.bbox.y2, region.bbox.x : region.bbox.x2].copy()
-            out.append((region, crop))
-    return out
 
 
 def format_region_dump(regions):

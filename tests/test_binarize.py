@@ -177,19 +177,3 @@ class TestConfig:
         with pytest.raises(ValueError):
             bz.binarize_region(np.zeros((0, 3), dtype=np.uint8))
 
-
-class TestForegroundRatio:
-    def test_all_background(self):
-        assert bz.foreground_ratio(np.zeros((3, 4), dtype=bool)) == 0.0
-
-    def test_all_foreground(self):
-        assert bz.foreground_ratio(np.ones((3, 4), dtype=bool)) == 1.0
-
-    def test_quarter(self):
-        mask = np.zeros((3, 4), dtype=bool)
-        mask[0, :3] = True
-        assert bz.foreground_ratio(mask) == 0.25
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            bz.foreground_ratio(np.zeros((0, 0), dtype=bool))

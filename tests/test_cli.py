@@ -146,6 +146,18 @@ class TestEval:
         assert float(values["accuracy"]) >= 95.0
         assert values["chars_aligned"] == values["chars_total"]
 
+    def test_no_text_found_exit_4(self, store_dir, tmp_path, capsys):
+        # 0.2% salt-and-pepper breaks every region up, so no text region
+        # matches and region recall and precision are undefined
+        suite = tmp_path / "suite"
+        assert cli.main(["synth", str(suite), "--count", "2", "--seed", "1",
+                         "--salt-pepper", "0.002"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", str(suite), "--templates", store_dir]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("no text found:") and captured.err.count("\n") == 1
+
     def test_empty_suite_exit_2(self, store_dir, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

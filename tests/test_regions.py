@@ -1,7 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from cardocr import regions as rg
+from cardocr import imaging, regions as rg, synth
 from cardocr.imaging import Rect
 
 
@@ -32,6 +34,57 @@ def flood_fill_oracle(labels):
                                 stack.append((nr, nc))
             comps.append(frozenset(comp))
     return set(comps)
+
+
+def reference_extract(img, cfg):
+    """Per-block reference for extract_regions: a BFS over blocks, then two
+    slicing passes over each region's blocks for its features."""
+    grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
+    labels = rg.classify_grid(img, grid, cfg.t_var).labels
+    seen = np.zeros_like(labels)
+    regions = []
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            if not labels[r, c] or seen[r, c]:
+                continue
+            queue = deque([(r, c)])
+            seen[r, c] = True
+            blocks = []
+            while queue:
+                br, bc = queue.popleft()
+                blocks.append((br, bc))
+                for nr in range(max(br - 1, 0), min(br + 2, grid.rows)):
+                    for nc in range(max(bc - 1, 0), min(bc + 2, grid.cols)):
+                        if labels[nr, nc] and not seen[nr, nc]:
+                            seen[nr, nc] = True
+                            queue.append((nr, nc))
+            blocks.sort()
+            rects = [grid.block_rect(br, bc) for br, bc in blocks]
+            x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
+            x2, y2 = max(b.x2 for b in rects), max(b.y2 for b in rects)
+            regions.append(rg.Region(blocks=blocks, bbox=Rect(x1, y1, x2 - x1, y2 - y1)))
+    regions.sort(key=lambda reg: (reg.bbox.y, reg.bbox.x))
+    for region in regions:
+        windows = []
+        for br, bc in region.blocks:
+            rect = grid.block_rect(br, bc)
+            windows.append(img[rect.y : rect.y2, rect.x : rect.x2])
+        member_pixels = sum(w.size for w in windows)
+        vmin = min(int(w.min()) for w in windows)
+        vmax = max(int(w.max()) for w in windows)
+        midpoint = (vmin + vmax) / 2.0
+        dark = sum(int(np.count_nonzero(w < midpoint)) for w in windows)
+        bbox = region.bbox
+        region.features = rg.RegionFeatures(
+            width=bbox.w,
+            height=bbox.h,
+            aspect_ratio=bbox.w / bbox.h,
+            info_pixel_density=dark / member_pixels,
+            area=len(region.blocks),
+            coverage_ratio=member_pixels / (bbox.w * bbox.h),
+        )
+        region.kind = rg.classify_region(region.features, cfg)
+    return regions
 
 
 def make_grid(labels):
@@ -82,28 +135,34 @@ class TestPartition:
         assert (hits == 1).all()
 
 
+def block_is_information(pixels, t_var):
+    """classify_grid's label for an image that is exactly one block."""
+    grid = rg.partition_blocks(pixels, *pixels.shape)
+    return bool(rg.classify_grid(pixels, grid, t_var).labels[0, 0])
+
+
 class TestClassifyBlock:
     def test_constant_block_is_background(self):
-        assert rg.classify_block(np.full((4, 4), 9, np.uint8), 40) == rg.BB
+        assert not block_is_information(np.full((4, 4), 9, np.uint8), 40)
 
     def test_full_range_block_is_information(self):
         block = np.zeros((4, 4), np.uint8)
         block[0, 0] = 255
-        assert rg.classify_block(block, 255) == rg.IB
+        assert block_is_information(block, 255)
 
     def test_spread_below_threshold(self):
         block = np.full((4, 4), 100, np.uint8)
         block[1, 1] = 135  # spread 35 < 40
-        assert rg.classify_block(block, 40) == rg.BB
+        assert not block_is_information(block, 40)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             block = rng.integers(0, 256, size=(5, 5), dtype=np.uint8)
-            labels = [rg.classify_block(block, t) for t in range(0, 260, 20)]
+            labels = [block_is_information(block, t) for t in range(0, 260, 20)]
             # once BB, raising the threshold can never flip back to IB
-            first_bb = next((i for i, v in enumerate(labels) if v == rg.BB), len(labels))
-            assert all(v == rg.BB for v in labels[first_bb:])
+            first_bb = labels.index(False) if False in labels else len(labels)
+            assert not any(labels[first_bb:])
 
     def test_classify_grid_matches_per_block(self):
         rng = np.random.default_rng(4)
@@ -117,7 +176,10 @@ class TestClassifyBlock:
                 for c in range(grid.cols):
                     rect = grid.block_rect(r, c)
                     window = img[rect.y : rect.y2, rect.x : rect.x2]
-                    assert grid.labels[r, c] == (rg.classify_block(window, 40) == rg.IB)
+                    assert grid.block_max[r, c] == window.max()
+                    assert grid.block_min[r, c] == window.min()
+                    spread = int(window.max()) - int(window.min())
+                    assert grid.labels[r, c] == (spread >= 40)
 
 
 class TestAssemble:
@@ -181,10 +243,14 @@ class TestClassifyRegion:
         assert rg.classify_region(f, rg.RegionConfig()) == rg.NR
 
 
+def text_regions(img, cfg):
+    return [r for r in rg.extract_regions(img, cfg) if r.kind == rg.TR]
+
+
 class TestExtract:
     def test_blank_image(self):
         img = np.full((128, 256), 200, np.uint8)
-        assert rg.extract_text_regions(img, rg.RegionConfig()) == []
+        assert text_regions(img, rg.RegionConfig()) == []
 
     def test_two_bands_and_decoy(self):
         rng = np.random.default_rng(21)
@@ -214,13 +280,11 @@ class TestExtract:
         speckle_band(img, Rect(16, 32, 200, 32), rng)
         speckle_band(img, Rect(16, 120, 280, 32), rng)
         cfg = rg.RegionConfig()
-        first = rg.extract_text_regions(img, cfg)
-        second = rg.extract_text_regions(img, cfg)
-        origins = [(r.bbox.y, r.bbox.x) for r, _ in first]
+        first = text_regions(img, cfg)
+        second = text_regions(img, cfg)
+        origins = [(r.bbox.y, r.bbox.x) for r in first]
         assert origins == sorted(origins)
-        assert [(r.bbox, r.kind) for r, _ in first] == [(r.bbox, r.kind) for r, _ in second]
-        for (region, crop) in first:
-            assert crop.shape == (region.bbox.h, region.bbox.w)
+        assert [(r.bbox, r.kind) for r in first] == [(r.bbox, r.kind) for r in second]
 
     def test_interior_region_area_is_block_multiple(self):
         rng = np.random.default_rng(23)
@@ -239,6 +303,51 @@ class TestExtract:
                     for r, c in region.blocks
                 )
                 assert pixels % (cfg.block_h * cfg.block_w) == 0
+
+
+class TestMatchesReference:
+    def assert_matches(self, img, cfg=None):
+        cfg = cfg or rg.RegionConfig()
+        got = rg.extract_regions(img, cfg)
+        want = reference_extract(img, cfg)
+        assert rg.format_region_dump(got) == rg.format_region_dump(want)
+        assert [r.blocks for r in got] == [r.blocks for r in want]
+        return got
+
+    def test_random_images(self):
+        rng = np.random.default_rng(31)
+        shapes = [(37, 51), (33, 49), (17, 32), (64, 64), (96, 160), (130, 75)]
+        for i in range(60):
+            img = np.full(shapes[i % len(shapes)], 220, np.uint8)
+            mask = rng.random(img.shape) < rng.uniform(0.0, 0.05)
+            img[mask] = rng.integers(0, 256, size=int(mask.sum()))
+            # small blocks give many regions with ragged edge tiles
+            block = int(rng.integers(4, 17))
+            self.assert_matches(img, rg.RegionConfig(block_h=block, block_w=block))
+            self.assert_matches(img)
+
+    def test_all_background(self):
+        assert self.assert_matches(np.full((96, 128), 220, np.uint8)) == []
+
+    def test_salt_and_pepper_card(self):
+        spec = synth.CardSpec(
+            width=1024, height=768, salt_pepper=0.002,
+            bands=[synth.Band(text="Center for Microprocessor", x=60, y=80, scale=3)],
+        )
+        color, _ = synth.render_card(spec, seed=5)
+        regions = self.assert_matches(imaging.to_grayscale(color))
+        assert len(regions) > 50
+
+    def test_shared_origin_keeps_raster_order(self):
+        # {(0, 0)} and {(0, 2), (1, 2), (2, 1), (2, 0)} are not 8-connected
+        # but both have their bbox origin at block (0, 0)
+        img = np.full((64, 64), 220, np.uint8)
+        for r, c in [(0, 0), (0, 2), (1, 2), (2, 1), (2, 0)]:
+            img[16 * r + 5, 16 * c + 5] = 0
+        regions = self.assert_matches(img)
+        assert [r.blocks for r in regions] == [[(0, 0)], [(0, 2), (1, 2), (2, 0), (2, 1)]]
+        assert regions[0].bbox.x == regions[1].bbox.x == 0
+        assert regions[0].bbox.y == regions[1].bbox.y == 0
 
 
 class TestDump:
