@@ -8,27 +8,12 @@ immutable labels, so the result is independent of scan order.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
+
 log = logging.getLogger(__name__)
-
-GLOBAL = "global"
-LOCAL = "local"
-
-
-@dataclass
-class BinarizeConfig:
-    mode: str = GLOBAL
-    window: int = 31  # local mode only; odd, >= 3
-    neighbor_promotion: bool = True
-
-    def __post_init__(self):
-        if self.mode not in (GLOBAL, LOCAL):
-            raise ValueError(f"unknown binarize mode {self.mode!r}")
-        if self.mode == LOCAL and (self.window < 3 or self.window % 2 == 0):
-            raise ValueError("local window must be odd and >= 3")
 
 
 def _sliding_extrema(img, window):
@@ -67,28 +52,26 @@ def neighbor_counts(mask):
     return counts
 
 
-def binarize_region(region, cfg=None):
-    """Two-pass binarization; returns a bool image (True = foreground)."""
+def threshold_region(region, cfg=None):
+    """Pass 1: foreground where a pixel is below the midpoint of the
+    region's extremes (cfg.binarize_mode "global") or of its
+    cfg.binarize_window neighborhood ("local").  Returns a bool image."""
     if cfg is None:
-        cfg = BinarizeConfig()
+        cfg = PipelineConfig()
     if region.size == 0:
         raise ValueError("empty region")
-    if cfg.mode == GLOBAL:
-        g_min, g_max = int(region.min()), int(region.max())
-        if g_min == g_max:
-            log.warning("constant region (gray %d): binarized to all background", g_min)
-            return np.zeros(region.shape, dtype=bool)
-        threshold = (g_min + g_max) / 2.0
-        fg = region < threshold
-    else:
-        mn, mx = _sliding_extrema(region, cfg.window)
-        threshold = (mn.astype(np.float32) + mx.astype(np.float32)) / 2.0
-        fg = region < threshold
-        if int(region.min()) == int(region.max()):
-            log.warning("constant region: binarized to all background")
-            return np.zeros(region.shape, dtype=bool)
-    if cfg.neighbor_promotion:
-        promoted = ~fg & (neighbor_counts(fg) > 4)
-        fg = fg | promoted
-    return fg
+    g_min, g_max = int(region.min()), int(region.max())
+    if g_min == g_max:
+        log.warning("constant region (gray %d): binarized to all background", g_min)
+        return np.zeros(region.shape, dtype=bool)
+    if cfg.binarize_mode == "global":
+        return region < (g_min + g_max) / 2.0
+    mn, mx = _sliding_extrema(region, cfg.binarize_window)
+    return region < (mn.astype(np.float32) + mx.astype(np.float32)) / 2.0
 
+
+def binarize_region(region, cfg=None):
+    """Pass 1, then pass 2: promote every background pixel with more than
+    four foreground neighbors.  Returns a bool image (True = foreground)."""
+    fg = threshold_region(region, cfg)
+    return fg | (neighbor_counts(fg) > 4)

@@ -1,10 +1,13 @@
 """Pipeline configuration: one flat key=value file, every tunable validated.
 
-Flags given on the command line override file values; unknown keys are
-rejected so typos fail loudly.
+PipelineConfig is the only place a stage default is declared; every stage
+function takes it and reads its own fields.  A config validates itself when
+it is built, so an out-of-range value fails before any stage runs.  Flags
+given on the command line override file values; unknown keys are rejected
+so typos fail loudly.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -37,6 +40,9 @@ class PipelineConfig:
     scheme: str = "merged"
     templates: str = ""
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if self.block_h < 4 or self.block_w < 4:
             raise ConfigError("block_h and block_w must be >= 4")
@@ -67,29 +73,6 @@ class PipelineConfig:
         if self.scheme not in ("merged", "full"):
             raise ConfigError("scheme must be 'merged' or 'full'")
         return self
-
-    def region_config(self):
-        from .regions import RegionConfig
-
-        return RegionConfig(
-            block_h=self.block_h, block_w=self.block_w, t_var=self.t_var,
-            min_area_blocks=self.min_area_blocks, ar_min=self.ar_min,
-            ar_max=self.ar_max, dens_min=self.dens_min, dens_max=self.dens_max,
-            cov_min=self.cov_min,
-        )
-
-    def binarize_config(self):
-        from .binarize import BinarizeConfig
-
-        return BinarizeConfig(mode=self.binarize_mode, window=self.binarize_window)
-
-    def segment_config(self):
-        from .segment import SegmentConfig
-
-        return SegmentConfig(
-            line_threshold=self.line_threshold, r_min=self.r_min,
-            word_gap_factor=self.word_gap_factor,
-        )
 
     def class_scheme(self):
         from .recognize import ClassScheme

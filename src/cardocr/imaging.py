@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GRAY_LEVELS = 256
 MAX_ROTATION_DEG = 45.0
 
 

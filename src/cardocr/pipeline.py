@@ -43,9 +43,6 @@ class RunResult:
     regions: list = field(default_factory=list)      # RegionResult per TR
     transcript: str = ""
 
-    def glyph_count(self):
-        return sum(len(line.glyphs) for r in self.regions for line in r.lines)
-
     def flat_labels(self, scheme):
         out = []
         for region in self.regions:
@@ -55,7 +52,7 @@ class RunResult:
 
 
 def _stage_extract(gray, cfg):
-    all_regions = rg.extract_regions(gray, cfg.region_config())
+    all_regions = rg.extract_regions(gray, cfg)
     results = []
     for region in all_regions:
         if region.kind != rg.TR:
@@ -68,28 +65,24 @@ def _stage_extract(gray, cfg):
 
 def _stage_skew(results, cfg):
     for r in results:
-        r.deskewed, r.angle = skew.deskew(
-            r.crop, clamp_deg=cfg.skew_clamp, passes=cfg.skew_passes
-        )
+        r.deskewed, r.angle = skew.deskew(r.crop, cfg)
 
 
 def _stage_binarize(results, cfg):
-    bcfg = cfg.binarize_config()
     for r in results:
-        r.binary = bz.binarize_region(r.deskewed, bcfg)
+        r.binary = bz.binarize_region(r.deskewed, cfg)
 
 
 def _stage_segment(results, cfg):
-    scfg = cfg.segment_config()
     for r in results:
         r.lines = []
         try:
-            bands = sg.segment_lines(r.binary, scfg)
+            bands = sg.segment_lines(r.binary, cfg)
         except sg.EmptyRegionError:
             continue
         for band, crop in bands:
             try:
-                glyphs = sg.segment_characters(crop, scfg)
+                glyphs = sg.segment_characters(crop, cfg)
             except sg.EmptyRegionError:
                 continue
             r.lines.append(LineResult(band=band, glyphs=glyphs, labels=[]))

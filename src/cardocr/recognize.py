@@ -51,12 +51,6 @@ class ClassScheme:
             return MERGE_MAP.get(label, label)
         return label
 
-    @property
-    def class_count(self):
-        if self.mode == "merged":
-            return len({self.apply(ch) for ch in ALPHABET})
-        return len(ALPHABET)
-
 
 MERGED = ClassScheme("merged")
 FULL = ClassScheme("full")
@@ -141,9 +135,6 @@ class TemplateStore:
 
     def __len__(self):
         return len(self.templates)
-
-    def labels(self):
-        return list(self._labels)
 
     def distances(self, pattern):
         """Dissimilarity against every template, in store order."""

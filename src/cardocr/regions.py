@@ -17,19 +17,6 @@ NR = "NR"  # non-text region
 
 
 @dataclass
-class RegionConfig:
-    block_h: int = 16
-    block_w: int = 16
-    t_var: int = 40
-    min_area_blocks: int = 4
-    ar_min: float = 1.2
-    ar_max: float = 40.0
-    dens_min: float = 0.03
-    dens_max: float = 0.6
-    cov_min: float = 0.5
-
-
-@dataclass
 class BlockGrid:
     """Disjoint tiling of an image; edge tiles shrink to the image bounds."""
 
@@ -45,11 +32,6 @@ class BlockGrid:
     # intp (rows, cols): index of the block's region in the list
     # assemble_regions returned, -1 for a background block
     region_index: np.ndarray = None
-
-    def block_rect(self, r, c):
-        y = r * self.block_h
-        x = c * self.block_w
-        return Rect(x, y, min(self.block_w, self.image_w - x), min(self.block_h, self.image_h - y))
 
 
 @dataclass
@@ -247,7 +229,7 @@ def compute_features(img, grid, regions):
 
 
 def classify_region(features, cfg):
-    """TR iff every geometric gate passes, NR otherwise."""
+    """TR iff every geometric gate of the PipelineConfig passes, NR otherwise."""
     ok = (
         features.area >= cfg.min_area_blocks
         and cfg.ar_min <= features.aspect_ratio <= cfg.ar_max
@@ -258,8 +240,9 @@ def classify_region(features, cfg):
 
 
 def extract_regions(img, cfg):
-    """Full block pipeline; returns every region (TR and NR), ordered
-    top-to-bottom then left-to-right by bounding box origin."""
+    """Full block pipeline under a PipelineConfig; returns every region (TR
+    and NR), ordered top-to-bottom then left-to-right by bounding box
+    origin."""
     grid = partition_blocks(img, cfg.block_h, cfg.block_w)
     classify_grid(img, grid, cfg.t_var)
     regions = assemble_regions(grid)

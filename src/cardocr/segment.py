@@ -12,18 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .imaging import Rect
 
 
 class EmptyRegionError(ValueError):
     """Region or line contains no usable foreground."""
-
-
-@dataclass
-class SegmentConfig:
-    line_threshold: int = 0     # rows with count <= this are separators
-    r_min: float = 0.5          # min band height as a fraction of the median
-    word_gap_factor: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ def find_separators(counts, threshold):
     return [Separator(s, e) for s, e in _runs(counts <= threshold)]
 
 
-def reject_false_separators(separators, counts, r_min=0.5):
+def reject_false_separators(separators, counts, r_min):
     """Turn separator runs into line bands, merging implausibly thin bands.
 
     Candidate bands are the row intervals between consecutive separators.
@@ -130,11 +124,13 @@ def reject_false_separators(separators, counts, r_min=0.5):
 def segment_lines(region, cfg=None):
     """Split a binarized region into text lines.
 
-    Returns (LineBand, crop) pairs; band coordinates are rows of the region
-    and crops are tightened to rows that actually hold foreground.
+    Rows with at most cfg.line_threshold foreground pixels separate lines,
+    and bands thinner than cfg.r_min times the median are merged.  Returns
+    (LineBand, crop) pairs; band coordinates are rows of the region and
+    crops are tightened to rows that actually hold foreground.
     """
     if cfg is None:
-        cfg = SegmentConfig()
+        cfg = PipelineConfig()
     counts = horizontal_histogram(region)
     separators = find_separators(counts, cfg.line_threshold)
     bands = reject_false_separators(separators, counts, cfg.r_min)
@@ -156,10 +152,10 @@ def segment_characters(line, cfg=None):
     """Split one line into glyphs with word/character indices.
 
     Characters are separated by zero-count column runs; a gap at least
-    word_gap_factor times the median interior gap width is a word break.
+    cfg.word_gap_factor times the median interior gap width is a word break.
     """
     if cfg is None:
-        cfg = SegmentConfig()
+        cfg = PipelineConfig()
     counts = vertical_histogram(line)
     spans = _runs(counts > 0)
     if not spans:

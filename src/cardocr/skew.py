@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imaging
+from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
-
-DEFAULT_CLAMP_DEG = 20.0
 
 
 class NoTextError(ValueError):
@@ -135,25 +134,27 @@ def background_fill(region):
     return int(round(float(light.mean())))
 
 
-DEFAULT_PASSES = 3
 CONVERGENCE_DEG = 0.05
 
 
-def deskew(region, clamp_deg=DEFAULT_CLAMP_DEG, passes=DEFAULT_PASSES):
+def deskew(region, cfg=None):
     """Rotate the region upright.  Returns (corrected image, estimated angle).
 
     The three-anchor estimator underestimates large angles (the mu +/- tau
     band flattens steep profiles), so the estimate is refined by re-running
-    it on the provisionally corrected region, up to `passes` times.  The
-    returned image is always a single rotation of the original by the total.
+    it on the provisionally corrected region, up to cfg.skew_passes times.
+    The returned image is always a single rotation of the original by the
+    total.
 
     Degenerate regions (no dark pixels, too-flat profiles, estimates beyond
-    the clamp) pass through unchanged with angle 0.
+    cfg.skew_clamp degrees) pass through unchanged with angle 0.
     """
+    if cfg is None:
+        cfg = PipelineConfig()
     fill = None
     total = 0.0
     corrected = region  # corrected at the current total
-    for _ in range(max(1, passes)):
+    for _ in range(cfg.skew_passes):
         try:
             estimate = estimate_region_skew(corrected)
         except (NoTextError, DegenerateProfileError) as exc:
@@ -161,11 +162,11 @@ def deskew(region, clamp_deg=DEFAULT_CLAMP_DEG, passes=DEFAULT_PASSES):
                 log.debug("skew estimation degenerate, passing region through: %s", exc)
                 return region, 0.0
             break
-        if abs(total + estimate.angle) > clamp_deg:
+        if abs(total + estimate.angle) > cfg.skew_clamp:
             if total == 0.0:
                 log.debug(
                     "skew estimate %.2f beyond +/-%.1f clamp, passing region through",
-                    estimate.angle, clamp_deg,
+                    estimate.angle, cfg.skew_clamp,
                 )
                 return region, 0.0
             break

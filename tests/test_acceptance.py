@@ -54,8 +54,7 @@ def test_c02_skew_accuracy():
         text = card_line(rng, n_words=5)
         render = synth.render_region([text], 3, skew_deg=true_deg,
                                      sigma=sigma, seed=1000 + i)
-        _, estimate = skew.deskew(render.image, clamp_deg=CFG.skew_clamp,
-                                  passes=CFG.skew_passes)
+        _, estimate = skew.deskew(render.image, CFG)
         errors.append(abs(estimate - true_deg))
     elapsed = time.time() - t0
     within = float(np.mean(np.array(errors) <= 3.0))
@@ -87,7 +86,7 @@ def test_c03_region_extraction(tmp_path):
         color, truth_regions, _, _ = synth.load_suite_card(base)
         gray = imaging.to_grayscale(color)
         predicted = [
-            r for r in rg.extract_regions(gray, CFG.region_config()) if r.kind == rg.TR
+            r for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR
         ]
         counts = counts + ev.region_eval(predicted, truth_regions)
         decoys = [r for r in truth_regions if r.kind == "NR"]
@@ -120,16 +119,15 @@ def test_c04_binarization():
         scale = int(rng.integers(3, 6))
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
         render = synth.render_region(lines, scale, sigma=10.0, seed=900 + i)
-        binary = bz.binarize_region(render.image, CFG.binarize_config())
+        binary = bz.binarize_region(render.image, CFG)
         counts = counts + ev.pixel_eval(binary, render.mask)
     metrics = ev.metrics_from_counts(counts)
 
     # promotion superset property, exhaustively over 10^4 random patches
     rng2 = np.random.default_rng(51)
-    base_cfg = bz.BinarizeConfig(neighbor_promotion=False)
     for _ in range(10_000):
         patch = rng2.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        pass1 = bz.binarize_region(patch, base_cfg)
+        pass1 = bz.threshold_region(patch, CFG)
         full = bz.binarize_region(patch)
         assert bool(np.all(full[pass1])), "promotion shrank the foreground"
 
@@ -148,9 +146,9 @@ def _line_count_run(sigma, count, seed):
         scale = int(rng.integers(3, 6))
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
         render = synth.render_region(lines, scale, sigma=sigma, seed=seed * 100 + i)
-        binary = bz.binarize_region(render.image, CFG.binarize_config())
+        binary = bz.binarize_region(render.image, CFG)
         try:
-            bands = sg.segment_lines(binary, CFG.segment_config())
+            bands = sg.segment_lines(binary, CFG)
         except sg.EmptyRegionError:
             continue
         if len(bands) != n_lines:
@@ -189,9 +187,9 @@ def test_c06_character_segmentation():
         scale = int(rng.integers(4, 6))  # 3 MP-equivalent glyph size
         text = card_line(rng, n_words=int(rng.integers(1, 4)))
         render = synth.render_region([text], scale, sigma=10.0, seed=500 + i)
-        binary = bz.binarize_region(render.image, CFG.binarize_config())
-        bands = sg.segment_lines(binary, CFG.segment_config())
-        glyphs = sg.segment_characters(bands[0][1], CFG.segment_config())
+        binary = bz.binarize_region(render.image, CFG)
+        bands = sg.segment_lines(binary, CFG)
+        glyphs = sg.segment_characters(bands[0][1], CFG)
         if len(glyphs) == render.glyph_counts[0]:
             correct += 1
     rate = correct / total

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cardocr import binarize as bz
-from cardocr.binarize import BinarizeConfig
+from cardocr.config import ConfigError, PipelineConfig
 
 
 def reference_binarize(region, mode="global", window=31, promotion=True):
@@ -42,12 +42,12 @@ class TestPassOne:
     def test_global_threshold_rule(self):
         region = np.array([[50, 80, 120, 150]], dtype=np.uint8)
         # G_min=50, G_max=150 -> threshold 100
-        fg = bz.binarize_region(region, BinarizeConfig(neighbor_promotion=False))
+        fg = bz.threshold_region(region)
         assert list(fg[0]) == [True, True, False, False]
 
     def test_strict_less_than(self):
         region = np.array([[0, 100, 200]], dtype=np.uint8)
-        fg = bz.binarize_region(region, BinarizeConfig(neighbor_promotion=False))
+        fg = bz.threshold_region(region)
         assert list(fg[0]) == [True, False, False]  # 100 is not < 100
 
     def test_constant_region_all_background(self, caplog):
@@ -60,9 +60,8 @@ class TestPassOne:
     def test_inversion_symmetry_global(self):
         rng = np.random.default_rng(5)
         region = rng.integers(0, 256, size=(12, 9), dtype=np.uint8)
-        cfg = BinarizeConfig(neighbor_promotion=False)
-        fg = bz.binarize_region(region, cfg)
-        inv = bz.binarize_region((255 - region).astype(np.uint8), cfg)
+        fg = bz.threshold_region(region)
+        inv = bz.threshold_region((255 - region).astype(np.uint8))
         g_min, g_max = int(region.min()), int(region.max())
         t = (g_min + g_max) / 2.0
         inv_t = ((255 - g_max) + (255 - g_min)) / 2.0
@@ -99,7 +98,7 @@ class TestPromotion:
         rng = np.random.default_rng(8)
         for _ in range(50):
             region = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-            base = bz.binarize_region(region, BinarizeConfig(neighbor_promotion=False))
+            base = bz.threshold_region(region)
             full = bz.binarize_region(region)
             assert (full | base).sum() == full.sum()
             assert (full & base).sum() == base.sum()
@@ -124,7 +123,7 @@ class TestAgainstReference:
     def test_local_matches_oracle(self, seed):
         rng = np.random.default_rng(100 + seed)
         region = rng.integers(0, 256, size=(12, 15), dtype=np.uint8)
-        cfg = BinarizeConfig(mode="local", window=5)
+        cfg = PipelineConfig(binarize_mode="local", binarize_window=5)
         got = bz.binarize_region(region, cfg)
         assert np.array_equal(got, reference_binarize(region, mode="local", window=5))
 
@@ -133,7 +132,7 @@ class TestAgainstReference:
         rng = np.random.default_rng(42)
         mask = rng.random((9, 9)) < 0.4
         region = np.where(mask, 0, 255).astype(np.uint8)
-        fg = bz.binarize_region(region, BinarizeConfig(neighbor_promotion=False))
+        fg = bz.threshold_region(region)
         assert np.array_equal(fg, mask)
 
     def test_rerendered_output_pass_one_stable(self):
@@ -143,7 +142,7 @@ class TestAgainstReference:
         region = rng.integers(0, 256, size=(10, 10), dtype=np.uint8)
         first = bz.binarize_region(region)
         rendered = np.where(first, 0, 255).astype(np.uint8)
-        second_p1 = bz.binarize_region(rendered, BinarizeConfig(neighbor_promotion=False))
+        second_p1 = bz.threshold_region(rendered)
         assert np.array_equal(second_p1, first)
 
     def test_idempotent_on_stable_patterns(self):
@@ -166,12 +165,12 @@ class TestAgainstReference:
 
 class TestConfig:
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            BinarizeConfig(mode="otsu")
+        with pytest.raises(ConfigError):
+            PipelineConfig(binarize_mode="otsu")
 
     def test_bad_window(self):
-        with pytest.raises(ValueError):
-            BinarizeConfig(mode="local", window=4)
+        with pytest.raises(ConfigError):
+            PipelineConfig(binarize_mode="local", binarize_window=4)
 
     def test_empty_region(self):
         with pytest.raises(ValueError):

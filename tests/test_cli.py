@@ -188,3 +188,26 @@ class TestConfigCommand:
         out = capsys.readouterr().out
         assert "block_h = 16" in out
         assert "scheme = merged" in out
+
+    def test_default_output_golden(self, capsys):
+        assert cli.main(["config"]) == 0
+        assert capsys.readouterr().out == (
+            "block_h = 16\n"
+            "block_w = 16\n"
+            "t_var = 40\n"
+            "min_area_blocks = 4\n"
+            "ar_min = 1.2\n"
+            "ar_max = 40.0\n"
+            "dens_min = 0.03\n"
+            "dens_max = 0.6\n"
+            "cov_min = 0.5\n"
+            "skew_clamp = 20.0\n"
+            "skew_passes = 3\n"
+            "binarize_mode = global\n"
+            "binarize_window = 31\n"
+            "line_threshold = 0\n"
+            "r_min = 0.5\n"
+            "word_gap_factor = 2.0\n"
+            "scheme = merged\n"
+            "templates = \n"
+        )

@@ -1,3 +1,7 @@
+import os
+import re
+from dataclasses import fields
+
 import pytest
 
 from cardocr.config import ConfigError, PipelineConfig, format_config, load_config, parse_config_text
@@ -20,11 +24,28 @@ class TestDefaults:
         assert cfg.word_gap_factor == 2.0
         assert cfg.scheme == "merged"
 
+    def test_readme_documents_every_field(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                keys.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+        assert {f.name for f in fields(PipelineConfig)} <= keys
+
     def test_format_parses_back(self):
         cfg = PipelineConfig()
         text = format_config(cfg)
         again = parse_config_text(text)
         assert again == cfg
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("kwargs", [{"binarize_mode": "otsu"}, {"block_h": 2}])
+    def test_invalid_value_fails_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**kwargs)
 
 
 class TestParsing:

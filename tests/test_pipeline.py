@@ -74,7 +74,7 @@ class TestRunPipeline:
     def test_glyph_count_and_flat_labels(self, cfg, store):
         color, _ = simple_card()
         result = pipeline.run_pipeline(color, cfg, store)
-        assert result.glyph_count() == 7
+        assert sum(len(line.glyphs) for r in result.regions for line in r.lines) == 7
         assert result.flat_labels(cfg.class_scheme()) == list("OCR2OIO")
 
 

@@ -102,8 +102,9 @@ class TestScheme:
             assert MERGED.apply(MERGED.apply(ch)) == MERGED.apply(ch)
 
     def test_class_counts(self):
-        assert FULL.class_count == 73
-        assert MERGED.class_count == 63  # 73 minus the ten merged-away labels
+        assert len({FULL.apply(ch) for ch in rec.ALPHABET}) == 73
+        # 73 minus the ten labels MERGE_MAP sends to another
+        assert len({rec.MERGE_MAP.get(ch, ch) for ch in rec.ALPHABET}) == 63
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -218,7 +219,7 @@ class TestBuildStore:
 
     def test_full_font_store(self, font_store):
         assert len(font_store) == 730  # 73 classes x 10 samples
-        labels = font_store.labels()
+        labels = [t.label for t in font_store.templates]
         assert len(set(labels)) == 73
         assert all(labels.count(ch) == 10 for ch in set(labels))
 
@@ -231,7 +232,7 @@ class TestStoreIO:
         assert len(list(directory.glob("*.pgm"))) == 730
         back = rec.load_store(directory)
         assert len(back) == len(font_store)
-        assert back.labels() == font_store.labels()
+        assert [t.label for t in back.templates] == [t.label for t in font_store.templates]
         for a, b in zip(back.templates, font_store.templates):
             assert np.array_equal(a.pattern, b.pattern)
 

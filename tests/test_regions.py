@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cardocr import imaging, regions as rg, synth
+from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
+
+
+def tile_rect(grid, r, c):
+    """Pixel rectangle of block (r, c); edge tiles shrink to the image."""
+    y, x = r * grid.block_h, c * grid.block_w
+    return Rect(x, y, min(grid.block_w, grid.image_w - x), min(grid.block_h, grid.image_h - y))
 
 
 def flood_fill_oracle(labels):
@@ -59,7 +66,7 @@ def reference_extract(img, cfg):
                             seen[nr, nc] = True
                             queue.append((nr, nc))
             blocks.sort()
-            rects = [grid.block_rect(br, bc) for br, bc in blocks]
+            rects = [tile_rect(grid, br, bc) for br, bc in blocks]
             x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
             x2, y2 = max(b.x2 for b in rects), max(b.y2 for b in rects)
             regions.append(rg.Region(blocks=blocks, bbox=Rect(x1, y1, x2 - x1, y2 - y1)))
@@ -67,7 +74,7 @@ def reference_extract(img, cfg):
     for region in regions:
         windows = []
         for br, bc in region.blocks:
-            rect = grid.block_rect(br, bc)
+            rect = tile_rect(grid, br, bc)
             windows.append(img[rect.y : rect.y2, rect.x : rect.x2])
         member_pixels = sum(w.size for w in windows)
         vmin = min(int(w.min()) for w in windows)
@@ -110,7 +117,7 @@ class TestPartition:
     def test_ragged_tiling(self):
         grid = rg.partition_blocks(np.zeros((32, 33), np.uint8), 16, 16)
         assert (grid.rows, grid.cols) == (2, 3)
-        assert grid.block_rect(0, 2).w == 1
+        assert tile_rect(grid, 0, 2).w == 1
 
     def test_block_too_large(self):
         with pytest.raises(ValueError, match="larger"):
@@ -128,7 +135,7 @@ class TestPartition:
         hits = np.zeros((h, w), dtype=int)
         for r in range(grid.rows):
             for c in range(grid.cols):
-                rect = grid.block_rect(r, c)
+                rect = tile_rect(grid, r, c)
                 total += rect.w * rect.h
                 hits[rect.y : rect.y2, rect.x : rect.x2] += 1
         assert total == h * w
@@ -174,7 +181,7 @@ class TestClassifyBlock:
             assert grid.labels.shape == (grid.rows, grid.cols)
             for r in range(grid.rows):
                 for c in range(grid.cols):
-                    rect = grid.block_rect(r, c)
+                    rect = tile_rect(grid, r, c)
                     window = img[rect.y : rect.y2, rect.x : rect.x2]
                     assert grid.block_max[r, c] == window.max()
                     assert grid.block_min[r, c] == window.min()
@@ -227,20 +234,20 @@ class TestClassifyRegion:
 
     def test_small_region_rejected(self):
         f = self.features(area=1)
-        assert rg.classify_region(f, rg.RegionConfig()) == rg.NR
+        assert rg.classify_region(f, PipelineConfig()) == rg.NR
 
     def test_elongated_text_band_accepted(self):
         f = self.features(aspect_ratio=6.0, info_pixel_density=0.15,
                           coverage_ratio=0.9, area=12)
-        assert rg.classify_region(f, rg.RegionConfig()) == rg.TR
+        assert rg.classify_region(f, PipelineConfig()) == rg.TR
 
     def test_square_dense_blob_rejected(self):
         f = self.features(aspect_ratio=1.0, info_pixel_density=0.85)
-        assert rg.classify_region(f, rg.RegionConfig()) == rg.NR
+        assert rg.classify_region(f, PipelineConfig()) == rg.NR
 
     def test_low_coverage_ring_rejected(self):
         f = self.features(coverage_ratio=0.3)
-        assert rg.classify_region(f, rg.RegionConfig()) == rg.NR
+        assert rg.classify_region(f, PipelineConfig()) == rg.NR
 
 
 def text_regions(img, cfg):
@@ -250,7 +257,7 @@ def text_regions(img, cfg):
 class TestExtract:
     def test_blank_image(self):
         img = np.full((128, 256), 200, np.uint8)
-        assert text_regions(img, rg.RegionConfig()) == []
+        assert text_regions(img, PipelineConfig()) == []
 
     def test_two_bands_and_decoy(self):
         rng = np.random.default_rng(21)
@@ -261,7 +268,7 @@ class TestExtract:
         speckle_band(img, band2, rng)
         # big filled square: only its boundary blocks carry variation
         img[240:312, 320:392] = 60
-        cfg = rg.RegionConfig()
+        cfg = PipelineConfig()
         all_regions = rg.extract_regions(img, cfg)
         trs = [r for r in all_regions if r.kind == rg.TR]
         nrs = [r for r in all_regions if r.kind == rg.NR]
@@ -279,7 +286,7 @@ class TestExtract:
         speckle_band(img, Rect(200, 220, 200, 32), rng)
         speckle_band(img, Rect(16, 32, 200, 32), rng)
         speckle_band(img, Rect(16, 120, 280, 32), rng)
-        cfg = rg.RegionConfig()
+        cfg = PipelineConfig()
         first = text_regions(img, cfg)
         second = text_regions(img, cfg)
         origins = [(r.bbox.y, r.bbox.x) for r in first]
@@ -290,7 +297,7 @@ class TestExtract:
         rng = np.random.default_rng(23)
         img = np.full((320, 480), 220, np.uint8)
         speckle_band(img, Rect(32, 64, 320, 32), rng)
-        cfg = rg.RegionConfig()
+        cfg = PipelineConfig()
         grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
         rg.classify_grid(img, grid, cfg.t_var)
         for region in rg.assemble_regions(grid):
@@ -299,7 +306,7 @@ class TestExtract:
             )
             if interior:
                 pixels = sum(
-                    grid.block_rect(r, c).w * grid.block_rect(r, c).h
+                    tile_rect(grid, r, c).w * tile_rect(grid, r, c).h
                     for r, c in region.blocks
                 )
                 assert pixels % (cfg.block_h * cfg.block_w) == 0
@@ -307,7 +314,7 @@ class TestExtract:
 
 class TestMatchesReference:
     def assert_matches(self, img, cfg=None):
-        cfg = cfg or rg.RegionConfig()
+        cfg = cfg or PipelineConfig()
         got = rg.extract_regions(img, cfg)
         want = reference_extract(img, cfg)
         assert rg.format_region_dump(got) == rg.format_region_dump(want)
@@ -323,7 +330,7 @@ class TestMatchesReference:
             img[mask] = rng.integers(0, 256, size=int(mask.sum()))
             # small blocks give many regions with ragged edge tiles
             block = int(rng.integers(4, 17))
-            self.assert_matches(img, rg.RegionConfig(block_h=block, block_w=block))
+            self.assert_matches(img, PipelineConfig(block_h=block, block_w=block))
             self.assert_matches(img)
 
     def test_all_background(self):

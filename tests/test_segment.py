@@ -3,7 +3,8 @@ import pytest
 
 from cardocr import segment as sg
 from cardocr import synth
-from cardocr.segment import EmptyRegionError, LineBand, SegmentConfig, Separator
+from cardocr.config import PipelineConfig
+from cardocr.segment import EmptyRegionError, LineBand, Separator
 
 
 def region_from_row_counts(counts, width=20):
@@ -163,6 +164,10 @@ class TestSegmentCharacters:
         glyphs = sg.segment_characters(line_from_spans(spans))
         assert [g.word_index for g in glyphs] == [0, 0, 0, 1]
         assert [g.char_index for g in glyphs] == [0, 1, 2, 0]
+        # 8 < 5 * 2: a larger word_gap_factor keeps one word
+        wide = PipelineConfig(word_gap_factor=5.0)
+        glyphs = sg.segment_characters(line_from_spans(spans), wide)
+        assert [g.word_index for g in glyphs] == [0, 0, 0, 0]
 
     def test_single_blob(self):
         glyphs = sg.segment_characters(line_from_spans([(2, 6)]))

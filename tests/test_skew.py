@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cardocr import skew, synth
+from cardocr.config import PipelineConfig
 from cardocr.skew import DegenerateProfileError, NoTextError, Profile
 
 
@@ -245,13 +246,13 @@ class TestDeskew:
     def test_beyond_clamp_passthrough(self):
         heights = [round(i * math.tan(math.radians(30))) for i in range(80)]
         img = region_from_heights(heights, height=60)
-        out, angle = skew.deskew(img, clamp_deg=20.0, passes=1)
+        out, angle = skew.deskew(img, PipelineConfig(skew_clamp=20.0, skew_passes=1))
         assert angle == 0.0
         assert out is img
 
     def test_single_pass_mode(self):
         img = self.band("Business Card Reader 2010", skew_deg=3.0, seed=6)
-        _, angle = skew.deskew(img, passes=1)
+        _, angle = skew.deskew(img, PipelineConfig(skew_passes=1))
         assert angle == pytest.approx(3.0, abs=3.0)
 
 
