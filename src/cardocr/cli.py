@@ -13,6 +13,7 @@ configuration.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import evaluate as ev
 from . import imaging
@@ -32,21 +33,20 @@ EXIT_CONFIG = 5
 
 
 def _build_config(args):
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    if getattr(args, "templates", None):
-        cfg.templates = args.templates
-    if getattr(args, "scheme", None):
-        cfg.scheme = args.scheme
-    return cfg.validate()
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    flags = {"templates": args.templates, "scheme": args.scheme}
+    return replace(cfg, **{key: value for key, value in flags.items() if value})
+
+
+def _load_store(cfg):
+    if not cfg.templates:
+        raise StoreError("no template store given (use --templates or the config)")
+    return rec.load_store(cfg.templates)
 
 
 def _load_inputs(args):
     cfg = _build_config(args)
-    if not cfg.templates:
-        raise StoreError("no template store given (use --templates or the config)")
-    store = rec.load_store(cfg.templates)
+    store = _load_store(cfg)
     try:
         image = imaging.load_pnm_file(args.input)
     except OSError as exc:
@@ -86,58 +86,23 @@ def cmd_store_build(args):
 
 def cmd_eval(args):
     cfg = _build_config(args)
-    if not cfg.templates:
-        raise StoreError("no template store given (use --templates or the config)")
-    store = rec.load_store(cfg.templates)
+    store = _load_store(cfg)
     paths = synth.suite_card_paths(args.suite_dir)
     if not paths:
         raise PnmError(f"no cards found in {args.suite_dir}")
-    scheme = cfg.class_scheme()
-    counts = ev.EvalCounts()
-    chars_total = 0
-    chars_aligned = 0
-    chars_correct = 0
-    for base in paths:
-        color, truth_regions, _, transcript = synth.load_suite_card(base)
-        result = pipeline.run_pipeline(color, cfg, store)
-        counts = counts + ev.region_eval(
-            [r.region for r in result.regions], truth_regions
-        )
-        truth_labels = [ch for ch in transcript if not ch.isspace()]
-        predicted = result.flat_labels(scheme)
-        chars_total += len(truth_labels)
-        if len(predicted) == len(truth_labels):
-            chars_aligned += len(truth_labels)
-            chars_correct += sum(
-                scheme.apply(p) == scheme.apply(t)
-                for p, t in zip(predicted, truth_labels)
-            )
     try:
-        metrics = ev.metrics_from_counts(counts)
+        pairs = ev.evaluate_suite(paths, cfg, store)
     except ev.MetricUndefinedError as exc:
         print(f"no text found: {exc}", file=sys.stderr)
         return EXIT_NO_TEXT
-    accuracy = 100.0 * chars_correct / chars_total if chars_total else 0.0
-    sys.stdout.write(
-        ev.format_report(
-            [
-                ("recall", metrics.recall),
-                ("precision", metrics.precision),
-                ("f_measure", metrics.f_measure),
-                ("accuracy", accuracy),
-                ("cards", len(paths)),
-                ("chars_total", chars_total),
-                ("chars_aligned", chars_aligned),
-            ]
-        )
-    )
+    sys.stdout.write(ev.format_report(pairs))
     return EXIT_OK
 
 
 def cmd_bench(args):
     cfg, store, image = _load_inputs(args)
-    timings, _ = pipeline.time_pipeline(image, cfg, store, runs=args.runs)
-    sys.stdout.write(ev.format_report(ev.timing_report_pairs(timings)))
+    timer, _ = pipeline.time_pipeline(image, cfg, store, runs=args.runs)
+    sys.stdout.write(ev.format_report(timer.report_pairs()))
     return EXIT_OK
 
 

@@ -1,20 +1,21 @@
 """Pipeline configuration: one flat key=value file, every tunable validated.
 
 PipelineConfig is the only place a stage default is declared; every stage
-function takes it and reads its own fields.  A config validates itself when
-it is built, so an out-of-range value fails before any stage runs.  Flags
-given on the command line override file values; unknown keys are rejected
-so typos fail loudly.
+function takes it and reads its own fields.  A config is frozen and
+validates itself when it is built, so an out-of-range value fails before
+any stage runs; a changed config is a new one, made with
+dataclasses.replace.  Flags given on the command line override file values;
+unknown keys are rejected so typos fail loudly.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
     """Bad config file, unknown key or out-of-range value."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # region extraction
     block_h: int = 16
@@ -84,8 +85,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def parse_config_text(text, base=None):
-    """Parse 'key = value' lines into a PipelineConfig."""
-    cfg = base if base is not None else PipelineConfig()
+    """Parse 'key = value' lines into a PipelineConfig; keys not given keep
+    their value in `base` (default PipelineConfig())."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,8 +107,8 @@ def parse_config_text(text, base=None):
                 parsed = value
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-        setattr(cfg, key, parsed)
-    return cfg.validate()
+        values[key] = parsed
+    return replace(base or PipelineConfig(), **values)
 
 
 def load_config(path, base=None):

@@ -1,16 +1,17 @@
-"""Stage scoring against ground truth and pipeline timing.
+"""Scoring against ground truth: stage metrics and whole suites.
 
 Region-level matching uses bounding-box overlap over union at 0.5 with
 greedy one-to-one assignment; pixel-level scoring is a straight confusion
 count with foreground as the positive class; character accuracy compares
-pre-aligned label sequences under a class scheme.  Timing instruments each
-pipeline stage with wall time and the tracemalloc peak above the stage's
-starting allocation.
+pre-aligned label sequences under a class scheme.  evaluate_suite runs the
+pipeline on every card of a synthetic suite and scores it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import pipeline, synth
 
 
 class MetricUndefinedError(ValueError):
@@ -140,59 +141,42 @@ def char_accuracy(predicted, truth, scheme):
     return 100.0 * correct / len(truth)
 
 
-# ---------------------------------------------------------------------------
-# timing
+def evaluate_suite(paths, cfg, store):
+    """Run the pipeline on the suite cards at `paths` and score it.
 
-STAGES = ("extraction", "skew", "binarize", "segment", "recognize")
-
-
-@dataclass
-class StageTimings:
-    times_ms: dict = field(default_factory=dict)
-    peak_bytes: dict = field(default_factory=dict)
-    input_bytes: int = 0
-    runs: int = 1
-
-    @property
-    def total_ms(self):
-        return sum(self.times_ms.get(s, 0.0) for s in STAGES)
-
-    @property
-    def max_peak_bytes(self):
-        return max((self.peak_bytes.get(s, 0) for s in STAGES), default=0)
-
-
-class StageTimer:
-    """Wall time and tracemalloc transient-peak accounting per stage."""
-
-    def __init__(self):
-        import tracemalloc
-
-        self._tracemalloc = tracemalloc
-        self.timings = StageTimings()
-        self._owns_trace = not tracemalloc.is_tracing()
-        if self._owns_trace:
-            tracemalloc.start()
-
-    def run(self, stage, fn):
-        import time
-
-        tm = self._tracemalloc
-        tm.reset_peak()
-        start_current, _ = tm.get_traced_memory()
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        _, peak = tm.get_traced_memory()
-        self.timings.times_ms[stage] = self.timings.times_ms.get(stage, 0.0) + elapsed
-        self.timings.peak_bytes[stage] = max(
-            self.timings.peak_bytes.get(stage, 0), max(0, peak - start_current)
+    Returns the `eval` report pairs: region recall, precision and F-measure
+    over counts pooled across cards, character accuracy, and the card and
+    character counts.  Accuracy compares scheme-mapped labels position by
+    position on cards whose glyph count equals the truth's; every character
+    of a misaligned card counts as wrong.  Raises MetricUndefinedError when
+    no text region of the suite matched.
+    """
+    scheme = cfg.class_scheme()
+    counts = EvalCounts()
+    chars_total = chars_aligned = chars_correct = 0
+    for base in paths:
+        color, truth_regions, _, transcript = synth.load_suite_card(base)
+        result = pipeline.run_pipeline(color, cfg, store)
+        counts = counts + region_eval(
+            [r.region for r in result.regions], truth_regions
         )
-        return result
-
-    def close(self):
-        if self._owns_trace:
-            self._tracemalloc.stop()
+        truth = [scheme.apply(ch) for ch in transcript if not ch.isspace()]
+        predicted = result.flat_labels(scheme)
+        chars_total += len(truth)
+        if len(predicted) == len(truth):
+            chars_aligned += len(truth)
+            chars_correct += sum(p == t for p, t in zip(predicted, truth))
+    metrics = metrics_from_counts(counts)
+    accuracy = 100.0 * chars_correct / chars_total if chars_total else 0.0
+    return [
+        ("recall", metrics.recall),
+        ("precision", metrics.precision),
+        ("f_measure", metrics.f_measure),
+        ("accuracy", accuracy),
+        ("cards", len(paths)),
+        ("chars_total", chars_total),
+        ("chars_aligned", chars_aligned),
+    ]
 
 
 def format_report(pairs):
@@ -206,15 +190,3 @@ def format_report(pairs):
             lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
-
-def timing_report_pairs(timings):
-    pairs = []
-    for stage in STAGES:
-        pairs.append((f"{stage}_ms", float(timings.times_ms.get(stage, 0.0))))
-    pairs.append(("total_ms", float(timings.total_ms)))
-    for stage in STAGES:
-        pairs.append((f"{stage}_peak_bytes", int(timings.peak_bytes.get(stage, 0))))
-    pairs.append(("max_peak_bytes", int(timings.max_peak_bytes)))
-    pairs.append(("input_bytes", int(timings.input_bytes)))
-    pairs.append(("runs", int(timings.runs)))
-    return pairs

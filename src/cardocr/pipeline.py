@@ -2,17 +2,19 @@
 into lines and characters, classify, and assemble the transcript.
 
 Every stage is a pure function of its inputs, so repeated runs on the same
-image and config are byte-identical.  The same stage breakdown drives both
-the normal run path and the benchmark instrumentation.
+image and config are byte-identical.  The pipeline times its own stages:
+the same stage breakdown drives both the normal run path and the benchmark,
+which records each stage's wall time and tracemalloc peak.
 """
 
 import os
+import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import binarize as bz
-from . import evaluate as ev
 from . import imaging
 from . import recognize as rec
 from . import regions as rg
@@ -49,6 +51,54 @@ class RunResult:
             for line in region.lines:
                 out.extend(scheme.apply(lb) for lb in line.labels)
         return out
+
+
+STAGES = ("extraction", "skew", "binarize", "segment", "recognize")
+
+
+@dataclass
+class StageTimer:
+    """Wall time and tracemalloc transient-peak accounting per stage.
+
+    Every run() of a stage adds its time and keeps the largest peak above
+    the stage's starting allocation.  Peaks read 0 unless tracemalloc is
+    tracing.
+    """
+
+    input_bytes: int = 0
+    runs: int = 1
+    times_ms: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    peak_bytes: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0))
+
+    def run(self, stage, fn):
+        tracemalloc.reset_peak()
+        start_current, _ = tracemalloc.get_traced_memory()
+        t0 = time.perf_counter()
+        result = fn()
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        _, peak = tracemalloc.get_traced_memory()
+        self.times_ms[stage] += elapsed
+        self.peak_bytes[stage] = max(self.peak_bytes[stage], peak - start_current)
+        return result
+
+    @property
+    def total_ms(self):
+        return sum(self.times_ms.values())
+
+    @property
+    def max_peak_bytes(self):
+        return max(self.peak_bytes.values())
+
+    def report_pairs(self):
+        """The `bench` report as ordered (key, value) pairs."""
+        return (
+            [(f"{stage}_ms", self.times_ms[stage]) for stage in STAGES]
+            + [("total_ms", self.total_ms)]
+            + [(f"{stage}_peak_bytes", self.peak_bytes[stage]) for stage in STAGES]
+            + [("max_peak_bytes", self.max_peak_bytes),
+               ("input_bytes", self.input_bytes),
+               ("runs", self.runs)]
+        )
 
 
 def _stage_extract(gray, cfg):
@@ -113,7 +163,7 @@ def _stage_recognize(results, store, scheme):
 def run_pipeline(image, cfg, store, timer=None):
     """Run the full pipeline on a color or gray image.
 
-    `timer` is an optional evaluate.StageTimer; when given, each stage is
+    `timer` is an optional StageTimer; when given, each stage is
     timed and memory-profiled.
     """
     def timed(stage, fn):
@@ -134,34 +184,28 @@ def run_pipeline(image, cfg, store, timer=None):
 
 
 def time_pipeline(image, cfg, store, runs=1):
-    """Benchmark the pipeline; averages stage times over `runs` passes."""
+    """Benchmark the pipeline; averages stage times over `runs` passes and
+    keeps each stage's largest peak.  Returns the StageTimer and the last
+    RunResult.
+
+    tracemalloc is started for the passes unless it is already tracing, and
+    stopped again only if it was started here.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    accumulated = None
-    result = None
-    for _ in range(runs):
-        timer = ev.StageTimer()
-        try:
+    timer = StageTimer(input_bytes=int(image.nbytes), runs=runs)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for _ in range(runs):
             result = run_pipeline(image, cfg, store, timer=timer)
-        except Exception as exc:
-            timer.close()
-            exc.partial_timings = timer.timings
-            raise
-        timer.close()
-        if accumulated is None:
-            accumulated = timer.timings
-        else:
-            for stage in ev.STAGES:
-                accumulated.times_ms[stage] += timer.timings.times_ms.get(stage, 0.0)
-                accumulated.peak_bytes[stage] = max(
-                    accumulated.peak_bytes.get(stage, 0),
-                    timer.timings.peak_bytes.get(stage, 0),
-                )
-    for stage in ev.STAGES:
-        accumulated.times_ms[stage] /= runs
-    accumulated.runs = runs
-    accumulated.input_bytes = int(image.nbytes)
-    return accumulated, result
+    finally:
+        if started:
+            tracemalloc.stop()
+    for stage in STAGES:
+        timer.times_ms[stage] /= runs
+    return timer, result
 
 
 def dump_stages(result, directory):

@@ -146,6 +146,24 @@ class TestEval:
         assert float(values["accuracy"]) >= 95.0
         assert values["chars_aligned"] == values["chars_total"]
 
+    def test_misaligned_suite_golden(self, store_dir, tmp_path, capsys):
+        # with +/-2 degree skew some cards come out with a glyph count off
+        # the truth's; every character of such a card counts as wrong
+        suite = tmp_path / "suite"
+        assert cli.main(["synth", str(suite), "--count", "4", "--seed", "3",
+                         "--skew-min", "-2", "--skew-max", "2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", str(suite), "--templates", store_dir]) == 0
+        assert capsys.readouterr().out == (
+            "recall=100.00\n"
+            "precision=100.00\n"
+            "f_measure=100.00\n"
+            "accuracy=76.58\n"
+            "cards=4\n"
+            "chars_total=111\n"
+            "chars_aligned=85\n"
+        )
+
     def test_no_text_found_exit_4(self, store_dir, tmp_path, capsys):
         # 0.2% salt-and-pepper breaks every region up, so no text region
         # matches and region recall and precision are undefined

@@ -1,6 +1,6 @@
 import os
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -47,6 +47,12 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
 
+    def test_fields_cannot_be_assigned(self):
+        cfg = PipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.skew_passes = 0
+        assert cfg.skew_passes == 3
+
 
 class TestParsing:
     def test_overrides_and_comments(self):
@@ -90,6 +96,14 @@ class TestParsing:
         path.write_text("block_h = 32\nblock_w = 32\n")
         cfg = load_config(path)
         assert (cfg.block_h, cfg.block_w) == (32, 32)
+
+    def test_load_file_leaves_base_unchanged(self, tmp_path):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("t_var = 55\n")
+        base = PipelineConfig(scheme="full")
+        cfg = load_config(path, base)
+        assert (cfg.t_var, cfg.scheme) == (55, "full")
+        assert base == PipelineConfig(scheme="full")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -174,32 +174,6 @@ class TestCounts:
         assert (total.tp, total.fp, total.tn, total.fn) == (11, 22, 33, 44)
 
 
-class TestTimer:
-    def test_stage_accounting(self):
-        timer = ev.StageTimer()
-        try:
-            out = timer.run("extraction", lambda: np.zeros(300_000, dtype=np.uint8))
-            assert out.size == 300_000
-            timer.run("skew", lambda: None)
-        finally:
-            timer.close()
-        t = timer.timings
-        assert t.times_ms["extraction"] >= 0.0
-        assert t.peak_bytes["extraction"] >= 300_000
-        assert t.total_ms >= t.times_ms["extraction"]
-        assert t.max_peak_bytes == max(t.peak_bytes.values())
-
-    def test_report_format_and_order(self):
-        t = ev.StageTimings(times_ms={s: 1.0 for s in ev.STAGES},
-                            peak_bytes={s: 10 for s in ev.STAGES},
-                            input_bytes=99)
-        text = ev.format_report(ev.timing_report_pairs(t))
-        lines = text.strip().splitlines()
-        assert lines[0] == "extraction_ms=1.00"
-        assert lines[5] == "total_ms=5.00"
-        assert lines[6] == "extraction_peak_bytes=10"
-        assert lines[-2] == "input_bytes=99"
-        assert lines[-1] == "runs=1"
-
+class TestFormatReport:
     def test_format_report_floats(self):
         assert ev.format_report([("recall", 93.5234)]) == "recall=93.52\n"

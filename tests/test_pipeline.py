@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestTimePipeline:
         color, _ = simple_card()
         timings, result = pipeline.time_pipeline(color, cfg, store, runs=2)
         assert result.transcript == "OCR 2OIO"
-        assert set(timings.times_ms) == set(ev.STAGES)
+        assert set(timings.times_ms) == set(pipeline.STAGES)
         assert timings.total_ms > 0
         assert timings.runs == 2
         assert timings.input_bytes == color.nbytes
@@ -93,6 +95,58 @@ class TestTimePipeline:
         color, _ = simple_card()
         with pytest.raises(ValueError):
             pipeline.time_pipeline(color, cfg, store, runs=0)
+
+    def test_leaves_tracemalloc_off(self, cfg, store, monkeypatch):
+        color, _ = simple_card()
+        assert not tracemalloc.is_tracing()
+        pipeline.time_pipeline(color, cfg, store)
+        assert not tracemalloc.is_tracing()
+
+        def fail(pattern):
+            raise RuntimeError("matcher failed")
+
+        monkeypatch.setattr(store, "distances", fail)
+        with pytest.raises(RuntimeError, match="matcher failed"):
+            pipeline.time_pipeline(color, cfg, store)
+        assert not tracemalloc.is_tracing()
+
+    def test_leaves_tracemalloc_on(self, cfg, store):
+        color, _ = simple_card()
+        tracemalloc.start()
+        try:
+            timer, _ = pipeline.time_pipeline(color, cfg, store)
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert timer.max_peak_bytes > 0
+
+
+class TestTimer:
+    def test_stage_accounting(self):
+        timer = pipeline.StageTimer()
+        tracemalloc.start()
+        try:
+            out = timer.run("extraction", lambda: np.zeros(300_000, dtype=np.uint8))
+            assert out.size == 300_000
+            timer.run("skew", lambda: None)
+        finally:
+            tracemalloc.stop()
+        assert timer.times_ms["extraction"] >= 0.0
+        assert timer.peak_bytes["extraction"] >= 300_000
+        assert timer.total_ms >= timer.times_ms["extraction"]
+        assert timer.max_peak_bytes == max(timer.peak_bytes.values())
+
+    def test_report_format_and_order(self):
+        timer = pipeline.StageTimer(input_bytes=99)
+        timer.times_ms = {s: 1.0 for s in pipeline.STAGES}
+        timer.peak_bytes = {s: 10 for s in pipeline.STAGES}
+        text = ev.format_report(timer.report_pairs())
+        lines = text.strip().splitlines()
+        assert lines[0] == "extraction_ms=1.00"
+        assert lines[5] == "total_ms=5.00"
+        assert lines[6] == "extraction_peak_bytes=10"
+        assert lines[-2] == "input_bytes=99"
+        assert lines[-1] == "runs=1"
 
 
 class TestDumps:
