@@ -119,12 +119,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, templates=True):
+    def add_common(p):
         p.add_argument("--config", help="path to a key = value config file")
-        if templates:
-            p.add_argument("--templates", help="template store directory")
-            p.add_argument("--scheme", choices=["merged", "full"],
-                           help="class scheme (default merged)")
+        p.add_argument("--templates", help="template store directory")
+        p.add_argument("--scheme", choices=["merged", "full"],
+                       help="class scheme (default merged)")
 
     p_run = sub.add_parser("run", help="recognize one PGM/PPM image")
     p_run.add_argument("input")

@@ -8,7 +8,7 @@ dataclasses.replace.  Flags given on the command line override file values;
 unknown keys are rejected so typos fail loudly.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -84,9 +84,9 @@ class PipelineConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
-def parse_config_text(text, base=None):
+def parse_config_text(text):
     """Parse 'key = value' lines into a PipelineConfig; keys not given keep
-    their value in `base` (default PipelineConfig())."""
+    their default."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -108,16 +108,16 @@ def parse_config_text(text, base=None):
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
         values[key] = parsed
-    return replace(base or PipelineConfig(), **values)
+    return PipelineConfig(**values)
 
 
-def load_config(path, base=None):
+def load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, base)
+    return parse_config_text(text)
 
 
 def format_config(cfg):

@@ -1,15 +1,12 @@
 """Scoring against ground truth: stage metrics and whole suites.
 
 Region-level matching uses bounding-box overlap over union at 0.5 with
-greedy one-to-one assignment; pixel-level scoring is a straight confusion
-count with foreground as the positive class; character accuracy compares
-pre-aligned label sequences under a class scheme.  evaluate_suite runs the
-pipeline on every card of a synthetic suite and scores it.
+greedy one-to-one assignment.  evaluate_suite runs the pipeline on every
+card of a synthetic suite and scores it: region counts pooled over the
+suite, and character accuracy over scheme-mapped labels.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import pipeline, synth
 
@@ -114,33 +111,6 @@ def region_eval(predicted, truth, threshold=MATCH_THRESHOLD):
     return EvalCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def pixel_eval(predicted, truth):
-    """Per-pixel confusion counts; foreground (True) is the positive class."""
-    if predicted.shape != truth.shape:
-        raise ValueError(
-            f"dimension mismatch: {predicted.shape} vs {truth.shape}"
-        )
-    tp = int(np.count_nonzero(predicted & truth))
-    fp = int(np.count_nonzero(predicted & ~truth))
-    fn = int(np.count_nonzero(~predicted & truth))
-    tn = int(np.count_nonzero(~predicted & ~truth))
-    return EvalCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def char_accuracy(predicted, truth, scheme):
-    """Percent of aligned positions whose scheme-mapped labels agree."""
-    if len(predicted) != len(truth):
-        raise ValueError(
-            f"length mismatch: {len(predicted)} predicted vs {len(truth)} truth"
-        )
-    if not truth:
-        raise ValueError("empty sequences")
-    correct = sum(
-        1 for p, t in zip(predicted, truth) if scheme.apply(p) == scheme.apply(t)
-    )
-    return 100.0 * correct / len(truth)
-
-
 def evaluate_suite(paths, cfg, store):
     """Run the pipeline on the suite cards at `paths` and score it.
 
@@ -155,7 +125,7 @@ def evaluate_suite(paths, cfg, store):
     counts = EvalCounts()
     chars_total = chars_aligned = chars_correct = 0
     for base in paths:
-        color, truth_regions, _, transcript = synth.load_suite_card(base)
+        color, truth_regions, transcript = synth.load_suite_card(base)
         result = pipeline.run_pipeline(color, cfg, store)
         counts = counts + region_eval(
             [r.region for r in result.regions], truth_regions

@@ -140,11 +140,6 @@ def _pnm_pixels(data):
     return arr.reshape(height, width, 3)
 
 
-def load_pnm(data):
-    """Decode binary PGM/PPM bytes into a gray or color array."""
-    return _pnm_pixels(data).copy()
-
-
 def save_pnm(img):
     """Encode a gray, color or binary array as binary PGM/PPM bytes.
 

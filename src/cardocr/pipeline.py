@@ -4,7 +4,8 @@ into lines and characters, classify, and assemble the transcript.
 Every stage is a pure function of its inputs, so repeated runs on the same
 image and config are byte-identical.  The pipeline times its own stages:
 the same stage breakdown drives both the normal run path and the benchmark,
-which records each stage's wall time and tracemalloc peak.
+which records each stage's wall time with tracing off and its tracemalloc
+peak in a separate pass.
 """
 
 import os
@@ -184,27 +185,31 @@ def run_pipeline(image, cfg, store, timer=None):
 
 
 def time_pipeline(image, cfg, store, runs=1):
-    """Benchmark the pipeline; averages stage times over `runs` passes and
-    keeps each stage's largest peak.  Returns the StageTimer and the last
-    RunResult.
+    """Benchmark the pipeline.  Stage times are the mean of `runs` passes
+    timed without tracemalloc (unless the caller is already tracing); stage
+    peaks come from one more pass under tracemalloc.  Returns the StageTimer
+    and the last RunResult.
 
-    tracemalloc is started for the passes unless it is already tracing, and
-    stopped again only if it was started here.
+    tracemalloc is started for the peak pass unless it is already tracing,
+    and stopped again only if it was started here.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     timer = StageTimer(input_bytes=int(image.nbytes), runs=runs)
+    for _ in range(runs):
+        run_pipeline(image, cfg, store, timer=timer)
+    for stage in STAGES:
+        timer.times_ms[stage] /= runs
+    peaks = StageTimer()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        for _ in range(runs):
-            result = run_pipeline(image, cfg, store, timer=timer)
+        result = run_pipeline(image, cfg, store, timer=peaks)
     finally:
         if started:
             tracemalloc.stop()
-    for stage in STAGES:
-        timer.times_ms[stage] /= runs
+    timer.peak_bytes = peaks.peak_bytes
     return timer, result
 
 

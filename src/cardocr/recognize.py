@@ -89,13 +89,6 @@ def normalize_glyph(glyph_box):
     return normalize_pattern(glyph_box.pixels)
 
 
-def dissimilarity(a, b):
-    """Cell-wise absolute difference count (Hamming distance)."""
-    if a.shape != (PATTERN_SIZE, PATTERN_SIZE) or b.shape != (PATTERN_SIZE, PATTERN_SIZE):
-        raise ValueError("patterns must be 48x48")
-    return int(np.count_nonzero(a != b))
-
-
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 

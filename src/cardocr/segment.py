@@ -1,7 +1,7 @@
 """Line, word and character segmentation of binarized text regions.
 
-Lines come from the horizontal projection profile: rows at or below a low
-threshold are separator candidates (deliberately over-segmenting), and
+Lines come from the horizontal projection profile: candidate bands are the
+runs of rows above a low threshold (deliberately over-segmenting), and
 implausibly thin bands are merged back into a neighbor.  Words and
 characters come from the vertical profile of each line: zero-count column
 runs split characters, and gaps much wider than the median split words.
@@ -18,20 +18,6 @@ from .imaging import Rect
 
 class EmptyRegionError(ValueError):
     """Region or line contains no usable foreground."""
-
-
-@dataclass(frozen=True)
-class Separator:
-    start: int  # first row of the run (inclusive)
-    end: int    # last row of the run (inclusive)
-
-    @property
-    def center(self):
-        return (self.start + self.end) // 2
-
-    @property
-    def extent(self):
-        return self.end - self.start + 1
 
 
 @dataclass(frozen=True)
@@ -73,29 +59,21 @@ def _runs(mask):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def find_separators(counts, threshold):
-    """Maximal runs of rows with count <= threshold, including any runs that
-    touch the top or bottom edge."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    counts = np.asarray(counts)
-    return [Separator(s, e) for s, e in _runs(counts <= threshold)]
+def candidate_bands(counts, threshold):
+    """Maximal runs of rows with count > threshold as line bands, including
+    any runs that touch the top or bottom edge."""
+    return [LineBand(s, e) for s, e in _runs(np.asarray(counts) > threshold)]
 
 
-def reject_false_separators(separators, counts, r_min):
-    """Turn separator runs into line bands, merging implausibly thin bands.
+def reject_false_separators(bands, r_min):
+    """Merge implausibly thin candidate bands into a neighbor.
 
-    Candidate bands are the row intervals between consecutive separators.
     While any band is thinner than r_min times the median band height, the
     thinnest one is merged across the narrower of its two adjacent gaps.
     """
-    n = len(counts)
-    covered = np.zeros(n, dtype=bool)
-    for sep in separators:
-        covered[sep.start : sep.end + 1] = True
-    bands = [LineBand(s, e) for s, e in _runs(~covered)]
     if not bands:
         raise EmptyRegionError("no rows above the line threshold")
+    bands = list(bands)
 
     def gap_between(a, b):
         return b.top - a.bottom - 1
@@ -124,28 +102,19 @@ def reject_false_separators(separators, counts, r_min):
 def segment_lines(region, cfg=None):
     """Split a binarized region into text lines.
 
-    Rows with at most cfg.line_threshold foreground pixels separate lines,
-    and bands thinner than cfg.r_min times the median are merged.  Returns
-    (LineBand, crop) pairs; band coordinates are rows of the region and
-    crops are tightened to rows that actually hold foreground.
+    Runs of rows with more than cfg.line_threshold foreground pixels are
+    candidate lines, and bands thinner than cfg.r_min times the median are
+    merged.  Returns (LineBand, crop) pairs; band coordinates are rows of
+    the region.  Every band starts and ends on a row above the threshold,
+    so each crop is tight to rows that hold foreground.
     """
     if cfg is None:
         cfg = PipelineConfig()
-    counts = horizontal_histogram(region)
-    separators = find_separators(counts, cfg.line_threshold)
-    bands = reject_false_separators(separators, counts, cfg.r_min)
-    out = []
-    for band in bands:
-        rows = np.flatnonzero(counts[band.top : band.bottom + 1] > 0)
-        if len(rows) == 0:
-            continue
-        top = band.top + int(rows[0])
-        bottom = band.top + int(rows[-1])
-        tight = LineBand(top, bottom)
-        out.append((tight, region[top : bottom + 1].copy()))
-    if not out:
-        raise EmptyRegionError("region has no foreground rows")
-    return out
+    bands = candidate_bands(horizontal_histogram(region), cfg.line_threshold)
+    return [
+        (band, region[band.top : band.bottom + 1].copy())
+        for band in reject_false_separators(bands, cfg.r_min)
+    ]
 
 
 def segment_characters(line, cfg=None):

@@ -269,18 +269,6 @@ def render_card(spec, seed=0):
 # ---------------------------------------------------------------------------
 # glyph samples for template stores and recognition experiments
 
-def resample_mask(mask, fy, fx=None):
-    """Nearest-neighbor rescale of a bool mask by (fy, fx) factors."""
-    if fx is None:
-        fx = fy
-    h, w = mask.shape
-    nh = max(1, int(round(h * fy)))
-    nw = max(1, int(round(w * fx)))
-    yy = np.minimum((np.arange(nh) * h) // nh, h - 1)
-    xx = np.minimum((np.arange(nw) * w) // nw, w - 1)
-    return mask[np.ix_(yy, xx)]
-
-
 def rotate_mask(mask, angle_deg):
     """Rotate a bool mask via the gray-image path and re-threshold."""
     if angle_deg == 0.0:
@@ -499,17 +487,17 @@ def truth_transcript(truth):
 def load_suite_card(base_path):
     """Load one card by its path prefix (without extension).
 
-    Returns (color image, truth regions, mask, transcript text).
+    Returns (color image, truth regions, transcript text); the card's ink
+    mask stays on disk as `<base>.mask.pgm`.
     """
     from .regions import parse_region_dump
 
     color = imaging.load_pnm_file(base_path + ".ppm")
-    mask = imaging.load_pnm_file(base_path + ".mask.pgm") == 0
     with open(base_path + ".regions.txt") as fh:
         regions = parse_region_dump(fh.read())
     with open(base_path + ".truth.txt") as fh:
         transcript = fh.read()
-    return color, regions, mask, transcript
+    return color, regions, transcript
 
 
 def suite_card_paths(suite_dir):

@@ -20,6 +20,8 @@ from cardocr import synth
 from cardocr.config import PipelineConfig
 from cardocr.synth import Band, CardSpec, SuiteParams
 
+from reference import char_accuracy, dissimilarity, pixel_eval, resample_mask
+
 CFG = PipelineConfig().validate()
 
 CAPS = [c for c in rec.ALPHABET if c.isupper() or c.isdigit()]
@@ -45,7 +47,8 @@ def test_c01_f_measure_oracle():
 
 
 def test_c02_skew_accuracy():
-    t0 = time.time()
+    # CPU time of this process, so a busy shared host does not count
+    t0 = time.process_time()
     rng = np.random.default_rng(42)
     errors = []
     for i in range(200):
@@ -56,7 +59,7 @@ def test_c02_skew_accuracy():
                                      sigma=sigma, seed=1000 + i)
         _, estimate = skew.deskew(render.image, CFG)
         errors.append(abs(estimate - true_deg))
-    elapsed = time.time() - t0
+    elapsed = time.process_time() - t0
     within = float(np.mean(np.array(errors) <= 3.0))
 
     # flat profile: exactly zero
@@ -83,7 +86,7 @@ def test_c03_region_extraction(tmp_path):
     decoy_clean_cards = 0
     decoy_cards = 0
     for base in synth.suite_card_paths(str(suite_dir)):
-        color, truth_regions, _, _ = synth.load_suite_card(base)
+        color, truth_regions, _ = synth.load_suite_card(base)
         gray = imaging.to_grayscale(color)
         predicted = [
             r for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR
@@ -120,7 +123,7 @@ def test_c04_binarization():
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
         render = synth.render_region(lines, scale, sigma=10.0, seed=900 + i)
         binary = bz.binarize_region(render.image, CFG)
-        counts = counts + ev.pixel_eval(binary, render.mask)
+        counts = counts + pixel_eval(binary, render.mask)
     metrics = ev.metrics_from_counts(counts)
 
     # promotion superset property, exhaustively over 10^4 random patches
@@ -225,9 +228,9 @@ def test_c07_recognition_properties(store):
         triples += 2000
     a0 = a[0].reshape(48, 48)
     b0 = b[0].reshape(48, 48)
-    assert rec.dissimilarity(a0, b0) == int(dab[0])
-    assert rec.dissimilarity(a0, b0) == rec.dissimilarity(b0, a0)
-    assert rec.dissimilarity(a0, a0) == 0
+    assert dissimilarity(a0, b0) == int(dab[0])
+    assert dissimilarity(a0, b0) == dissimilarity(b0, a0)
+    assert dissimilarity(a0, a0) == 0
 
     print(
         f"PASS criterion 7: 730/730 template self-consistency at score 0, "
@@ -242,7 +245,7 @@ def _perturbed_eval(store, count, seed):
     for _ in range(count):
         ch = rec.ALPHABET[int(rng.integers(0, len(rec.ALPHABET)))]
         mask = synth.render_glyph(ch, int(rng.integers(4, 7)))
-        mask = synth.resample_mask(
+        mask = resample_mask(
             mask, float(rng.uniform(0.8, 1.2)), float(rng.uniform(0.8, 1.2))
         )
         mask = synth.rotate_mask(mask, float(rng.uniform(-2.0, 2.0)))
@@ -252,8 +255,8 @@ def _perturbed_eval(store, count, seed):
         pattern = pattern ^ (rng.random(pattern.shape) < 0.02)
         raw_predictions.append(rec.classify(pattern, store, rec.FULL).label)
         truth.append(ch)
-    merged_acc = ev.char_accuracy(raw_predictions, truth, rec.MERGED)
-    full_acc = ev.char_accuracy(raw_predictions, truth, rec.FULL)
+    merged_acc = char_accuracy(raw_predictions, truth, rec.MERGED)
+    full_acc = char_accuracy(raw_predictions, truth, rec.FULL)
     return merged_acc, full_acc, len(truth)
 
 

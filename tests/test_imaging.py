@@ -5,6 +5,8 @@ from cardocr import imaging
 from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
+from reference import load_pnm
+
 
 def box_blur(img, passes):
     """3x3 box blur with clipped borders, used to soften glyph edges the way
@@ -82,36 +84,43 @@ class TestGrayscale:
             imaging.to_grayscale(np.zeros((4, 4), dtype=np.uint8))
 
 
+def decode(tmp_path, data):
+    """Decode PNM bytes through the file loader, as the CLI does."""
+    path = tmp_path / "img.pnm"
+    path.write_bytes(data)
+    return imaging.load_pnm_file(path)
+
+
 class TestPnm:
-    def test_load_p5_minimal(self):
-        img = imaging.load_pnm(b"P5 2 1 255 " + bytes([0, 255]))
+    def test_load_p5_minimal(self, tmp_path):
+        img = decode(tmp_path, b"P5 2 1 255 " + bytes([0, 255]))
         assert img.shape == (1, 2)
         assert list(img[0]) == [0, 255]
 
-    def test_load_p6_single_pixel(self):
-        img = imaging.load_pnm(b"P6 1 1 255 " + bytes([10, 20, 30]))
+    def test_load_p6_single_pixel(self, tmp_path):
+        img = decode(tmp_path, b"P6 1 1 255 " + bytes([10, 20, 30]))
         assert img.shape == (1, 1, 3)
         assert tuple(img[0, 0]) == (10, 20, 30)
 
-    def test_load_honors_comments(self):
-        img = imaging.load_pnm(b"P5\n# a comment\n2 2\n255\n" + bytes(4))
+    def test_load_honors_comments(self, tmp_path):
+        img = decode(tmp_path, b"P5\n# a comment\n2 2\n255\n" + bytes(4))
         assert img.shape == (2, 2)
 
-    def test_truncated_payload(self):
+    def test_truncated_payload(self, tmp_path):
         with pytest.raises(PnmError, match="truncated"):
-            imaging.load_pnm(b"P5 2 2 255 " + bytes(3))
+            decode(tmp_path, b"P5 2 2 255 " + bytes(3))
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(PnmError, match="magic"):
-            imaging.load_pnm(b"P3 1 1 255 0")
+            decode(tmp_path, b"P3 1 1 255 0")
 
-    def test_unsupported_maxval(self):
+    def test_unsupported_maxval(self, tmp_path):
         with pytest.raises(PnmError, match="maxval"):
-            imaging.load_pnm(b"P5 1 1 65535 \0\0")
+            decode(tmp_path, b"P5 1 1 65535 \0\0")
 
-    def test_non_numeric_header(self):
+    def test_non_numeric_header(self, tmp_path):
         with pytest.raises(PnmError, match="header"):
-            imaging.load_pnm(b"P5 x 1 255 \0")
+            decode(tmp_path, b"P5 x 1 255 \0")
 
     def test_save_gray_payload(self):
         data = imaging.save_pnm(np.array([[128]], dtype=np.uint8))
@@ -123,15 +132,15 @@ class TestPnm:
         assert data.endswith(bytes([0, 255]))
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3)])
-    def test_round_trip(self, shape):
+    def test_round_trip(self, shape, tmp_path):
         rng = np.random.default_rng(11)
         img = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        assert np.array_equal(imaging.load_pnm(imaging.save_pnm(img)), img)
+        assert np.array_equal(decode(tmp_path, imaging.save_pnm(img)), img)
 
-    def test_binary_round_trip(self):
+    def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         mask = rng.random((4, 5)) < 0.5
-        back = imaging.load_pnm(imaging.save_pnm(mask))
+        back = decode(tmp_path, imaging.save_pnm(mask))
         assert np.array_equal(back == 0, mask)
 
     def test_file_round_trip(self, tmp_path):
@@ -147,7 +156,7 @@ class TestPnm:
             data = imaging.save_pnm(img)
             (tmp_path / name).write_bytes(b"P" + data[1:2] + b" # comment\n" + data[3:])
             loaded = imaging.load_pnm_file(tmp_path / name)
-            assert np.array_equal(loaded, imaging.load_pnm((tmp_path / name).read_bytes()))
+            assert np.array_equal(loaded, load_pnm((tmp_path / name).read_bytes()))
             assert np.array_equal(loaded, img)
             assert loaded.flags.writeable
             loaded[0, 0] = 0  # writing is allowed and leaves the file alone

@@ -110,6 +110,23 @@ class TestTimePipeline:
             pipeline.time_pipeline(color, cfg, store)
         assert not tracemalloc.is_tracing()
 
+    def test_times_with_tracing_off(self, cfg, store, monkeypatch):
+        # the timed passes run untraced; only one extra pass traces the peaks
+        color, _ = simple_card()
+        traced = []
+        stage = pipeline._stage_segment
+
+        def recording(results, stage_cfg):
+            traced.append(tracemalloc.is_tracing())
+            return stage(results, stage_cfg)
+
+        monkeypatch.setattr(pipeline, "_stage_segment", recording)
+        timer, result = pipeline.time_pipeline(color, cfg, store, runs=3)
+        assert traced == [False, False, False, True]
+        assert result.transcript == "OCR 2OIO"
+        assert timer.times_ms["segment"] > 0
+        assert timer.max_peak_bytes > 0
+
     def test_leaves_tracemalloc_on(self, cfg, store):
         color, _ = simple_card()
         tracemalloc.start()

