@@ -5,10 +5,10 @@ suite), store-build (build the template store from the bundled font), eval
 (score a pipeline run against a suite), bench (per-stage timing and peak
 buffer report).
 
-Exit codes: 0 ok, 2 unreadable input or an image smaller than one block,
-3 invalid template store, 4 no text found (for eval: no text region of the
-suite matched, so region recall and precision are undefined), 5 bad
-configuration.
+Exit codes: 0 ok, 2 unreadable input, an image smaller than one block or
+a synth/bench argument out of range, 3 invalid template store, 4 no text
+found (for eval: no text region of the suite matched, so region recall and
+precision are undefined), 5 bad configuration.
 """
 
 import argparse
@@ -30,6 +30,10 @@ EXIT_INPUT = 2
 EXIT_STORE = 3
 EXIT_NO_TEXT = 4
 EXIT_CONFIG = 5
+
+
+class ArgumentRangeError(ValueError):
+    """A synth or bench argument outside the range the command accepts."""
 
 
 def _build_config(args):
@@ -66,12 +70,15 @@ def cmd_run(args):
 
 
 def cmd_synth(args):
-    params = synth.SuiteParams(
-        count=args.count, seed=args.seed, width=args.width, height=args.height,
-        skew_min=args.skew_min, skew_max=args.skew_max,
-        sigma_min=args.sigma_min, sigma_max=args.sigma_max,
-        salt_pepper_min=args.salt_pepper, salt_pepper_max=args.salt_pepper,
-    )
+    try:
+        params = synth.SuiteParams(
+            count=args.count, seed=args.seed, width=args.width, height=args.height,
+            skew_min=args.skew_min, skew_max=args.skew_max,
+            sigma_min=args.sigma_min, sigma_max=args.sigma_max,
+            salt_pepper_min=args.salt_pepper, salt_pepper_max=args.salt_pepper,
+        )
+    except ValueError as exc:
+        raise ArgumentRangeError(exc) from None
     manifest = synth.generate_suite(args.out_dir, params)
     sys.stdout.write(ev.format_report(sorted(manifest.items())))
     return EXIT_OK
@@ -100,6 +107,8 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
+    if args.runs < 1:
+        raise ArgumentRangeError("--runs must be >= 1")
     cfg, store, image = _load_inputs(args)
     timer, _ = pipeline.time_pipeline(image, cfg, store, runs=args.runs)
     sys.stdout.write(ev.format_report(timer.report_pairs()))
@@ -181,7 +190,7 @@ def main(argv=None):
     except StoreError as exc:
         print(f"template store error: {exc}", file=sys.stderr)
         return EXIT_STORE
-    except (PnmError, FileNotFoundError, ImageTooSmallError) as exc:
+    except (PnmError, FileNotFoundError, ImageTooSmallError, ArgumentRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

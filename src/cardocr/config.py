@@ -1,14 +1,16 @@
 """Pipeline configuration: one flat key=value file, every tunable validated.
 
 PipelineConfig is the only place a stage default is declared; every stage
-function takes it and reads its own fields.  A config is frozen and
-validates itself when it is built, so an out-of-range value fails before
-any stage runs; a changed config is a new one, made with
+function that has a setting takes it and reads its own fields.  A config
+is frozen and validates itself when it is built, so an out-of-range value
+fails before any stage runs; a changed config is a new one, made with
 dataclasses.replace.  Flags given on the command line override file values;
 unknown keys are rejected so typos fail loudly.
 """
 
 from dataclasses import dataclass, fields
+
+from .recognize import FULL, MERGED
 
 
 class ConfigError(ValueError):
@@ -30,9 +32,6 @@ class PipelineConfig:
     # skew
     skew_clamp: float = 20.0
     skew_passes: int = 3
-    # binarization
-    binarize_mode: str = "global"
-    binarize_window: int = 31
     # segmentation
     line_threshold: int = 0
     r_min: float = 0.5
@@ -61,10 +60,6 @@ class PipelineConfig:
             raise ConfigError("skew_clamp must be in (0, 45]")
         if self.skew_passes < 1:
             raise ConfigError("skew_passes must be >= 1")
-        if self.binarize_mode not in ("global", "local"):
-            raise ConfigError("binarize_mode must be 'global' or 'local'")
-        if self.binarize_window < 3 or self.binarize_window % 2 == 0:
-            raise ConfigError("binarize_window must be odd and >= 3")
         if self.line_threshold < 0:
             raise ConfigError("line_threshold must be >= 0")
         if not 0.0 <= self.r_min <= 1.0:
@@ -76,9 +71,7 @@ class PipelineConfig:
         return self
 
     def class_scheme(self):
-        from .recognize import ClassScheme
-
-        return ClassScheme(self.scheme)
+        return FULL if self.scheme == "full" else MERGED
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

@@ -70,17 +70,14 @@ MATCH_THRESHOLD = 0.5
 def region_eval(predicted, truth, threshold=MATCH_THRESHOLD):
     """Region-level confusion counts.
 
-    `predicted` and `truth` are Region-like objects with .bbox/.rect and
-    .kind.  A predicted TR matches a truth TR at overlap/union >= threshold,
+    `predicted` and `truth` are Region-like objects with .bbox and .kind.
+    A predicted TR matches a truth TR at overlap/union >= threshold,
     assigned greedily one-to-one by overlap.  Truth NRs count as TN when no
     predicted TR claims them.
     """
-    def box(r):
-        return r.bbox if hasattr(r, "bbox") else r.rect
-
-    pred_tr = [box(r) for r in predicted if r.kind == "TR"]
-    truth_tr = [box(r) for r in truth if r.kind == "TR"]
-    truth_nr = [box(r) for r in truth if r.kind == "NR"]
+    pred_tr = [r.bbox for r in predicted if r.kind == "TR"]
+    truth_tr = [r.bbox for r in truth if r.kind == "TR"]
+    truth_nr = [r.bbox for r in truth if r.kind == "NR"]
 
     pairs = []
     for i, p in enumerate(pred_tr):
@@ -131,7 +128,7 @@ def evaluate_suite(paths, cfg, store):
             [r.region for r in result.regions], truth_regions
         )
         truth = [scheme.apply(ch) for ch in transcript if not ch.isspace()]
-        predicted = result.flat_labels(scheme)
+        predicted = [lb for r in result.regions for line in r.lines for lb in line.labels]
         chars_total += len(truth)
         if len(predicted) == len(truth):
             chars_aligned += len(truth)

@@ -1,5 +1,6 @@
 """End-to-end pipeline: extract text regions, de-skew, binarize, segment
-into lines and characters, classify, and assemble the transcript.
+into lines and characters, classify each glyph under the config's class
+scheme, and join the labels into the transcript.
 
 Every stage is a pure function of its inputs, so repeated runs on the same
 image and config are byte-identical.  The pipeline times its own stages:
@@ -27,7 +28,7 @@ from . import skew
 class LineResult:
     band: sg.LineBand
     glyphs: list
-    labels: list  # raw (pre-scheme) template labels per glyph
+    labels: list  # scheme-mapped template label per glyph
 
 
 @dataclass
@@ -45,13 +46,6 @@ class RunResult:
     all_regions: list = field(default_factory=list)  # every region, TR and NR
     regions: list = field(default_factory=list)      # RegionResult per TR
     transcript: str = ""
-
-    def flat_labels(self, scheme):
-        out = []
-        for region in self.regions:
-            for line in region.lines:
-                out.extend(scheme.apply(lb) for lb in line.labels)
-        return out
 
 
 STAGES = ("extraction", "skew", "binarize", "segment", "recognize")
@@ -119,9 +113,9 @@ def _stage_skew(results, cfg):
         r.deskewed, r.angle = skew.deskew(r.crop, cfg)
 
 
-def _stage_binarize(results, cfg):
+def _stage_binarize(results):
     for r in results:
-        r.binary = bz.binarize_region(r.deskewed, cfg)
+        r.binary = bz.binarize_region(r.deskewed)
 
 
 def _stage_segment(results, cfg):
@@ -140,25 +134,24 @@ def _stage_segment(results, cfg):
 
 
 def _stage_recognize(results, store, scheme):
+    """Classify every glyph and return the transcript: a space before each
+    word's first glyph but a line's first, a newline between lines, and a
+    blank line between regions that kept a line."""
+    blocks = []
     for r in results:
+        lines = []
         for line in r.lines:
             line.labels = [
-                rec.classify(rec.normalize_glyph(g), store, rec.FULL).label
+                rec.classify(rec.normalize_glyph(g), store, scheme).label
                 for g in line.glyphs
             ]
-    region_labels = []
-    for r in results:
-        lines_out = []
-        for line in r.lines:
-            words = []
-            for glyph, label in zip(line.glyphs, line.labels):
-                if glyph.word_index == len(words):
-                    words.append([])
-                words[glyph.word_index].append(scheme.apply(label))
-            lines_out.append(words)
-        region_labels.append(lines_out)
-    region_labels = [lines for lines in region_labels if lines]
-    return rec.transcribe(region_labels)
+            lines.append("".join(
+                (" " if g.char_index == 0 and i else "") + label
+                for i, (g, label) in enumerate(zip(line.glyphs, line.labels))
+            ))
+        if lines:
+            blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
 
 
 def run_pipeline(image, cfg, store, timer=None):
@@ -176,7 +169,7 @@ def run_pipeline(image, cfg, store, timer=None):
 
     all_regions, results = timed("extraction", extract)
     timed("skew", lambda: _stage_skew(results, cfg))
-    timed("binarize", lambda: _stage_binarize(results, cfg))
+    timed("binarize", lambda: _stage_binarize(results))
     timed("segment", lambda: _stage_segment(results, cfg))
     transcript = timed(
         "recognize", lambda: _stage_recognize(results, store, cfg.class_scheme())

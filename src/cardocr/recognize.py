@@ -268,18 +268,3 @@ def load_store(directory):
         )
     return TemplateStore(templates)
 
-
-def transcribe(region_labels):
-    """Assemble classified glyph labels into text.
-
-    `region_labels` is a list of regions; each region a list of lines; each
-    line a list of words; each word a list of labels.  Words join with a
-    space, lines with a newline, regions with a blank line.
-    """
-    blocks = []
-    for region in region_labels:
-        lines = []
-        for line in region:
-            lines.append(" ".join("".join(word) for word in line))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)

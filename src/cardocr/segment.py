@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
 from .imaging import Rect
 
 
@@ -99,7 +98,7 @@ def reject_false_separators(bands, r_min):
     return bands
 
 
-def segment_lines(region, cfg=None):
+def segment_lines(region, cfg):
     """Split a binarized region into text lines.
 
     Runs of rows with more than cfg.line_threshold foreground pixels are
@@ -108,8 +107,6 @@ def segment_lines(region, cfg=None):
     the region.  Every band starts and ends on a row above the threshold,
     so each crop is tight to rows that hold foreground.
     """
-    if cfg is None:
-        cfg = PipelineConfig()
     bands = candidate_bands(horizontal_histogram(region), cfg.line_threshold)
     return [
         (band, region[band.top : band.bottom + 1].copy())
@@ -117,14 +114,12 @@ def segment_lines(region, cfg=None):
     ]
 
 
-def segment_characters(line, cfg=None):
+def segment_characters(line, cfg):
     """Split one line into glyphs with word/character indices.
 
     Characters are separated by zero-count column runs; a gap at least
     cfg.word_gap_factor times the median interior gap width is a word break.
     """
-    if cfg is None:
-        cfg = PipelineConfig()
     counts = vertical_histogram(line)
     spans = _runs(counts > 0)
     if not spans:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imaging
-from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -137,7 +136,7 @@ def background_fill(region):
 CONVERGENCE_DEG = 0.05
 
 
-def deskew(region, cfg=None):
+def deskew(region, cfg):
     """Rotate the region upright.  Returns (corrected image, estimated angle).
 
     The three-anchor estimator underestimates large angles (the mu +/- tau
@@ -149,8 +148,6 @@ def deskew(region, cfg=None):
     Degenerate regions (no dark pixels, too-flat profiles, estimates beyond
     cfg.skew_clamp degrees) pass through unchanged with angle 0.
     """
-    if cfg is None:
-        cfg = PipelineConfig()
     fill = None
     total = 0.0
     corrected = region  # corrected at the current total

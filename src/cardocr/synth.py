@@ -21,6 +21,8 @@ GENERATOR_ID = "numpy-pcg64"
 CHAR_GAP_CELLS = 1
 WORD_GAP_CELLS = 3
 LINE_GAP_CELLS = 2
+MAX_SKEW_DEG = 20
+CARD_MARGIN = 48  # px kept clear around generated bands and decoys
 
 
 @dataclass
@@ -51,8 +53,8 @@ class CardSpec:
     foreground: int = 30
 
     def __post_init__(self):
-        if abs(self.skew_deg) > 20:
-            raise ValueError("card skew is limited to +/-20 degrees")
+        if abs(self.skew_deg) > MAX_SKEW_DEG:
+            raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
         if not 0.0 <= self.salt_pepper <= 1.0:
             raise ValueError("salt_pepper must be a probability")
         if self.foreground >= self.background:
@@ -65,7 +67,7 @@ class CardSpec:
 
 @dataclass
 class TruthRegion:
-    rect: Rect
+    bbox: Rect
     kind: str  # "TR" or "NR"
     skew_deg: float = 0.0
     lines: list = field(default_factory=list)  # list of word lists
@@ -239,7 +241,7 @@ def render_card(spec, seed=0):
         x2 = min(spec.width, band.x + tight.x + tight.w + pad)
         y2 = min(spec.height, band.y + tight.y + tight.h + pad)
         rect = Rect(x1, y1, x2 - x1, y2 - y1)
-        truth.regions.append(TruthRegion(rect=rect, kind="TR",
+        truth.regions.append(TruthRegion(bbox=rect, kind="TR",
                                          skew_deg=spec.skew_deg,
                                          lines=render.words_per_line))
 
@@ -256,7 +258,7 @@ def render_card(spec, seed=0):
             canvas[r.y : r.y2, r.x : r.x2][inside] = decoy.intensity
         else:
             raise ValueError(f"unknown decoy shape {decoy.shape!r}")
-        truth.regions.append(TruthRegion(rect=r, kind="NR"))
+        truth.regions.append(TruthRegion(bbox=r, kind="NR"))
 
     truth.mask = mask
     if spec.noise_sigma > 0 or spec.salt_pepper > 0:
@@ -323,7 +325,7 @@ def build_font_store(seed=7, samples_per_class=12):
 # ---------------------------------------------------------------------------
 # random specs and suite generation
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteParams:
     count: int = 100
     width: int = 1024
@@ -340,6 +342,25 @@ class SuiteParams:
     salt_pepper_min: float = 0.0
     salt_pepper_max: float = 0.0
     seed: int = 1
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("suite needs at least one card")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        scale = max(self.scales)
+        widest = max(measure_line(ch, scale) for ch in GLYPHS)
+        if _text_width(self.width, scale) < widest:
+            raise ValueError(f"card width {self.width} cannot hold a glyph at scale {scale}")
+        if max(abs(self.skew_min), abs(self.skew_max)) > MAX_SKEW_DEG:
+            raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
+        if not (0.0 <= self.salt_pepper_min <= 1.0 and 0.0 <= self.salt_pepper_max <= 1.0):
+            raise ValueError("salt-and-pepper fractions must be in [0, 1]")
+
+
+def _text_width(card_width, scale):
+    """Widest line of text a generated band at `scale` may hold."""
+    return int((card_width - 2 * CARD_MARGIN - 2 * scale) * 0.8)
 
 
 _WORD_CHARS = sorted(GLYPHS)
@@ -358,13 +379,13 @@ def random_line_text(rng, max_width, scale, max_words=3):
     if not any(ch in TALL_CHARS for w in words for ch in w):
         words[0] = _TALL_LIST[int(rng.integers(0, len(_TALL_LIST)))] + words[0][1:]
     text = " ".join(words)
-    while words and measure_line(text, scale) > max_width:
+    while words[0] and measure_line(text, scale) > max_width:
         if len(words) > 1:
             words.pop()
         else:
             words[0] = words[0][:-1]
         text = " ".join(words)
-    if not words or not words[0]:
+    if not words[0]:
         text = _TALL_LIST[int(rng.integers(0, len(_TALL_LIST)))]
     return text
 
@@ -381,13 +402,12 @@ def random_card_spec(rng, params):
     )
     n_bands = int(rng.integers(params.bands_min, params.bands_max + 1))
     n_decoys = int(rng.integers(params.decoys_min, params.decoys_max + 1))
-    margin = 48
+    margin = CARD_MARGIN
     y = margin
     gap = 40
     for _ in range(n_bands):
         scale = int(params.scales[int(rng.integers(0, len(params.scales)))])
-        usable = params.width - 2 * margin - 2 * scale
-        text = random_line_text(rng, int(usable * 0.8), scale)
+        text = random_line_text(rng, _text_width(params.width, scale), scale)
         w_px = measure_line(text, scale) + 2 * scale
         h_px = (GLYPH_ROWS + 2) * scale
         # crude bound for the rotated stamp footprint
@@ -421,8 +441,6 @@ def generate_suite(out_dir, params):
     """Write a deterministic card suite: same seed, byte-identical files."""
     import os
 
-    if params.count < 1:
-        raise ValueError("suite needs at least one card")
     os.makedirs(out_dir, exist_ok=True)
     seeds = np.random.SeedSequence(params.seed).spawn(params.count)
     for k in range(params.count):
@@ -461,7 +479,7 @@ def format_truth_regions(truth):
     density/coverage fields are informational."""
     lines = []
     for region in truth.regions:
-        r = region.rect
+        r = region.bbox
         blocks = -(-r.w // 16) * (-(-r.h // 16))
         if truth.mask is not None:
             window = truth.mask[r.y : r.y2, r.x : r.x2]

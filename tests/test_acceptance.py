@@ -65,7 +65,7 @@ def test_c02_skew_accuracy():
     # flat profile: exactly zero
     flat = np.full((12, 40), 220, np.uint8)
     flat[8, :] = 30
-    _, angle = skew.deskew(flat)
+    _, angle = skew.deskew(flat, CFG)
 
     assert within >= 0.95
     assert angle == 0.0
@@ -122,7 +122,7 @@ def test_c04_binarization():
         scale = int(rng.integers(3, 6))
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
         render = synth.render_region(lines, scale, sigma=10.0, seed=900 + i)
-        binary = bz.binarize_region(render.image, CFG)
+        binary = bz.binarize_region(render.image)
         counts = counts + pixel_eval(binary, render.mask)
     metrics = ev.metrics_from_counts(counts)
 
@@ -130,7 +130,7 @@ def test_c04_binarization():
     rng2 = np.random.default_rng(51)
     for _ in range(10_000):
         patch = rng2.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        pass1 = bz.threshold_region(patch, CFG)
+        pass1 = bz.threshold_region(patch)
         full = bz.binarize_region(patch)
         assert bool(np.all(full[pass1])), "promotion shrank the foreground"
 
@@ -149,7 +149,7 @@ def _line_count_run(sigma, count, seed):
         scale = int(rng.integers(3, 6))
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
         render = synth.render_region(lines, scale, sigma=sigma, seed=seed * 100 + i)
-        binary = bz.binarize_region(render.image, CFG)
+        binary = bz.binarize_region(render.image)
         try:
             bands = sg.segment_lines(binary, CFG)
         except sg.EmptyRegionError:
@@ -190,7 +190,7 @@ def test_c06_character_segmentation():
         scale = int(rng.integers(4, 6))  # 3 MP-equivalent glyph size
         text = card_line(rng, n_words=int(rng.integers(1, 4)))
         render = synth.render_region([text], scale, sigma=10.0, seed=500 + i)
-        binary = bz.binarize_region(render.image, CFG)
+        binary = bz.binarize_region(render.image)
         bands = sg.segment_lines(binary, CFG)
         glyphs = sg.segment_characters(bands[0][1], CFG)
         if len(glyphs) == render.glyph_counts[0]:

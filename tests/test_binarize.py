@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 
 from cardocr import binarize as bz
-from cardocr.config import ConfigError, PipelineConfig
+from cardocr.config import ConfigError, PipelineConfig, parse_config_text
 
 
-def reference_binarize(region, mode="global", window=31, promotion=True):
+def reference_binarize(region, promotion=True):
     """Nested-loop reference implementation (the oracle)."""
     h, w = region.shape
     fg = np.zeros((h, w), dtype=bool)
+    g_min, g_max = int(region.min()), int(region.max())
     for y in range(h):
         for x in range(w):
-            if mode == "global":
-                g_min, g_max = int(region.min()), int(region.max())
-            else:
-                r = window // 2
-                win = region[max(0, y - r) : y + r + 1, max(0, x - r) : x + r + 1]
-                g_min, g_max = int(win.min()), int(win.max())
             fg[y, x] = region[y, x] < (g_min + g_max) / 2.0
     if not promotion:
         return fg
@@ -119,14 +114,6 @@ class TestAgainstReference:
         got = bz.binarize_region(region)
         assert np.array_equal(got, reference_binarize(region))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_local_matches_oracle(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        region = rng.integers(0, 256, size=(12, 15), dtype=np.uint8)
-        cfg = PipelineConfig(binarize_mode="local", binarize_window=5)
-        got = bz.binarize_region(region, cfg)
-        assert np.array_equal(got, reference_binarize(region, mode="local", window=5))
-
     def test_two_level_pass_one_is_exact(self):
         # on a {0, 255} image pass 1 recovers exactly the 0-pixels
         rng = np.random.default_rng(42)
@@ -164,13 +151,19 @@ class TestAgainstReference:
 
 
 class TestConfig:
+    # binarization has one method and no setting: the keys of the removed
+    # local-window mode are unknown keys now
     def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(binarize_mode="otsu")
+        with pytest.raises(ConfigError, match="unknown key 'binarize_mode'"):
+            parse_config_text("binarize_mode = local\n")
+        with pytest.raises(TypeError):
+            PipelineConfig(binarize_mode="local")
 
     def test_bad_window(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(binarize_mode="local", binarize_window=4)
+        with pytest.raises(ConfigError, match="unknown key 'binarize_window'"):
+            parse_config_text("binarize_window = 31\n")
+        with pytest.raises(TypeError):
+            PipelineConfig(binarize_window=31)
 
     def test_empty_region(self):
         with pytest.raises(ValueError):

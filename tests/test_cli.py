@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +118,48 @@ class TestSynthCommand:
         assert (out / "manifest.txt").exists()
 
 
+class TestArgumentErrors:
+    """Out-of-range synth and bench arguments exit 2 with one input error
+    line, before anything is written."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--count", "0"],
+        ["--salt-pepper", "2"],
+        ["--skew-min", "-30", "--skew-max", "-30"],
+    ])
+    def test_synth_argument_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "suite"
+        assert cli.main(["synth", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bench_zero_runs_exit_2(self, store_dir, tmp_path, capsys):
+        card = tmp_path / "card.ppm"
+        write_card(card)
+        code = cli.main(["bench", str(card), "--templates", store_dir, "--runs", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --runs must be >= 1\n"
+
+    def test_narrow_card_exit_2(self, tmp_path):
+        # a card too narrow for one glyph once made the text generator spin
+        # forever, so run it in a child process the test can time out
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "suite"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cardocr.cli", "synth", str(out),
+             "--count", "1", "--width", "10", "--height", "10"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+
 class TestStoreBuild:
     def test_builds_and_reports(self, tmp_path, capsys):
         out = tmp_path / "store"
@@ -221,8 +265,6 @@ class TestConfigCommand:
             "cov_min = 0.5\n"
             "skew_clamp = 20.0\n"
             "skew_passes = 3\n"
-            "binarize_mode = global\n"
-            "binarize_window = 31\n"
             "line_threshold = 0\n"
             "r_min = 0.5\n"
             "word_gap_factor = 2.0\n"

@@ -17,8 +17,6 @@ class TestDefaults:
         assert (cfg.dens_min, cfg.dens_max) == (0.03, 0.6)
         assert cfg.cov_min == 0.5
         assert cfg.skew_clamp == 20.0
-        assert cfg.binarize_mode == "global"
-        assert cfg.binarize_window == 31
         assert cfg.line_threshold == 0
         assert cfg.r_min == 0.5
         assert cfg.word_gap_factor == 2.0
@@ -42,7 +40,7 @@ class TestDefaults:
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("kwargs", [{"binarize_mode": "otsu"}, {"block_h": 2}])
+    @pytest.mark.parametrize("kwargs", [{"scheme": "otsu"}, {"block_h": 2}])
     def test_invalid_value_fails_at_construction(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
@@ -79,8 +77,8 @@ class TestParsing:
             "t_var = 300",
             "ar_min = 0",
             "dens_min = 0.9\ndens_max = 0.5",
-            "binarize_mode = otsu",
-            "binarize_window = 10",
+            "line_threshold = -1",
+            "skew_clamp = 50",
             "r_min = 1.5",
             "word_gap_factor = 0.5",
             "scheme = fuzzy",

@@ -77,7 +77,21 @@ class TestRunPipeline:
         color, _ = simple_card()
         result = pipeline.run_pipeline(color, cfg, store)
         assert sum(len(line.glyphs) for r in result.regions for line in r.lines) == 7
-        assert result.flat_labels(cfg.class_scheme()) == list("OCR2OIO")
+        flat = [lb for r in result.regions for line in r.lines for lb in line.labels]
+        assert flat == list("OCR2OIO")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: at small card skew the bottom-profile estimate of a "
+        "two-line region is far off (-0.63 and -8.04 deg here for +1.5), so "
+        "its two lines merge into one band"))
+    def test_two_line_regions_keep_both_bands(self, cfg, store):
+        spec = CardSpec(width=1000, height=600, skew_deg=1.5, noise_sigma=2.0, bands=[
+            Band("Ayatullah Faruk Mollah\nSchool of Mobile Computing", 60, 80, 4),
+            Band("Phone: +91 33 2414 6666\nwww.jaduniv.edu.in", 80, 330, 4),
+        ])
+        color, _ = synth.render_card(spec, seed=5)
+        result = pipeline.run_pipeline(color, cfg, store)
+        assert [len(r.lines) for r in result.regions] == [2, 2]
 
 
 class TestTimePipeline:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from cardocr import pipeline, synth
 from cardocr import recognize as rec
-from cardocr import synth
 from cardocr.recognize import (
     FULL,
     MERGED,
@@ -11,6 +11,7 @@ from cardocr.recognize import (
     Template,
     TemplateStore,
 )
+from cardocr.segment import GlyphBox
 
 from reference import dissimilarity
 
@@ -261,22 +262,43 @@ class TestStoreIO:
             rec.load_store(tmp_path)
 
 
+def recognize_stage(regions, store, scheme=FULL):
+    """Run the pipeline's recognize stage on clean font glyphs laid out as
+    `regions`: each region a list of lines, each line a list of words.
+    Returns (transcript, the stage's region results)."""
+    results = []
+    for region in regions:
+        lines = []
+        for words in region:
+            glyphs = [
+                GlyphBox(rect=None, pixels=synth.render_glyph(ch, 4),
+                         word_index=wi, char_index=ci)
+                for wi, word in enumerate(words)
+                for ci, ch in enumerate(word)
+            ]
+            lines.append(pipeline.LineResult(band=None, glyphs=glyphs, labels=[]))
+        results.append(pipeline.RegionResult(region=None, lines=lines))
+    return pipeline._stage_recognize(results, store, scheme), results
+
+
 class TestTranscribe:
-    def test_single_glyph(self):
-        assert rec.transcribe([[[["A"]]]]) == "A"
+    def test_single_glyph(self, store):
+        assert recognize_stage([[["A"]]], store)[0] == "A"
 
-    def test_words_and_digits(self):
-        line = [["J", "U"], ["2", "0", "1", "0"]]
-        assert rec.transcribe([[line]]) == "JU 2010"
+    def test_words_and_digits(self, store):
+        assert recognize_stage([[["JU", "2010"]]], store)[0] == "JU 2010"
+        # labels are classified under the given scheme, once
+        transcript, results = recognize_stage([[["JU", "2010"]]], store, MERGED)
+        assert transcript == "JU 2OIO"
+        assert results[0].lines[0].labels == list("JU2OIO")
 
-    def test_two_lines(self):
-        region = [[["H", "i"]], [["B", "y", "e"]]]
-        assert rec.transcribe([region]) == "Hi\nBye"
+    def test_two_lines(self, store):
+        assert recognize_stage([[["Hi"], ["Bye"]]], store)[0] == "Hi\nBye"
 
-    def test_two_regions_blank_line(self):
-        r1 = [[["A"]]]
-        r2 = [[["B"]]]
-        assert rec.transcribe([r1, r2]) == "A\n\nB"
+    def test_two_regions_blank_line(self, store):
+        assert recognize_stage([[["A"]], [["B"]]], store)[0] == "A\n\nB"
+        # a region that kept no line adds no block
+        assert recognize_stage([[["A"]], [], [["B"]]], store)[0] == "A\n\nB"
 
 
 class TestMergeDominance:

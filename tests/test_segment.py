@@ -6,6 +6,8 @@ from cardocr import synth
 from cardocr.config import ConfigError, PipelineConfig
 from cardocr.segment import EmptyRegionError, LineBand
 
+CFG = PipelineConfig()
+
 
 def region_from_row_counts(counts, width=20):
     """Binary region whose horizontal histogram equals `counts`."""
@@ -115,7 +117,7 @@ class TestSegmentLines:
         render = synth.render_region(
             ["Ayatullah Faruk", "Jadavpur University", "Kolkata 700032"], 4
         )
-        lines = sg.segment_lines(render.mask)
+        lines = sg.segment_lines(render.mask, CFG)
         assert len(lines) == 3
         for (band, crop), (top, bottom) in zip(lines, render.line_spans):
             assert abs(band.top - top) <= 1
@@ -124,16 +126,16 @@ class TestSegmentLines:
 
     def test_single_line(self):
         render = synth.render_region(["Mobile: 9830098300"], 3)
-        lines = sg.segment_lines(render.mask)
+        lines = sg.segment_lines(render.mask, CFG)
         assert len(lines) == 1
 
     def test_blank_region(self):
         with pytest.raises(EmptyRegionError):
-            sg.segment_lines(np.zeros((10, 10), dtype=bool))
+            sg.segment_lines(np.zeros((10, 10), dtype=bool), CFG)
 
     def test_bands_disjoint_ordered_nonempty(self):
         render = synth.render_region(["First Line", "Second Line 22"], 5)
-        lines = sg.segment_lines(render.mask)
+        lines = sg.segment_lines(render.mask, CFG)
         counts = sg.horizontal_histogram(render.mask)
         previous_bottom = -1
         for band, _ in lines:
@@ -146,7 +148,7 @@ class TestSegmentCharacters:
     def test_two_blobs_one_word(self):
         # one 3-wide gap, no other gaps: not a word break (3 < 2 * 3)
         line = line_from_spans([(1, 5), (9, 13)])
-        glyphs = sg.segment_characters(line)
+        glyphs = sg.segment_characters(line, CFG)
         assert len(glyphs) == 2
         assert [g.word_index for g in glyphs] == [0, 0]
         assert [g.char_index for g in glyphs] == [0, 1]
@@ -154,7 +156,7 @@ class TestSegmentCharacters:
     def test_word_break_on_wide_gap(self):
         # gaps 2, 2, 8: median 2, 8 >= 2*2 -> word break at the wide gap
         spans = [(0, 3), (6, 9), (12, 15), (24, 27)]
-        glyphs = sg.segment_characters(line_from_spans(spans))
+        glyphs = sg.segment_characters(line_from_spans(spans), CFG)
         assert [g.word_index for g in glyphs] == [0, 0, 0, 1]
         assert [g.char_index for g in glyphs] == [0, 1, 2, 0]
         # 8 < 5 * 2: a larger word_gap_factor keeps one word
@@ -163,26 +165,26 @@ class TestSegmentCharacters:
         assert [g.word_index for g in glyphs] == [0, 0, 0, 0]
 
     def test_single_blob(self):
-        glyphs = sg.segment_characters(line_from_spans([(2, 6)]))
+        glyphs = sg.segment_characters(line_from_spans([(2, 6)]), CFG)
         assert len(glyphs) == 1
         assert (glyphs[0].word_index, glyphs[0].char_index) == (0, 0)
 
     def test_empty_line(self):
         with pytest.raises(EmptyRegionError):
-            sg.segment_characters(np.zeros((5, 9), dtype=bool))
+            sg.segment_characters(np.zeros((5, 9), dtype=bool), CFG)
 
     def test_glyphs_tightened_vertically(self):
         line = np.zeros((10, 6), dtype=bool)
         line[3:7, 1:4] = True
-        g = sg.segment_characters(line)[0]
+        g = sg.segment_characters(line, CFG)[0]
         assert (g.rect.y, g.rect.h) == (3, 4)
         assert g.pixels.shape == (4, 3)
 
     def test_cover_and_disjoint(self):
         render = synth.render_region(["Phone: +91-33 2414"], 4)
-        lines = sg.segment_lines(render.mask)
+        lines = sg.segment_lines(render.mask, CFG)
         for band, crop in lines:
-            glyphs = sg.segment_characters(crop)
+            glyphs = sg.segment_characters(crop, CFG)
             covered = np.zeros(crop.shape[1], dtype=int)
             for g in glyphs:
                 covered[g.rect.x : g.rect.x + g.rect.w] += 1
@@ -193,8 +195,8 @@ class TestSegmentCharacters:
     def test_rendered_text_counts(self):
         for text in ("OCR 2010", "Business Card Reader", "a1 b2 c3"):
             render = synth.render_region([text], 4)
-            lines = sg.segment_lines(render.mask)
-            glyphs = sg.segment_characters(lines[0][1])
+            lines = sg.segment_lines(render.mask, CFG)
+            glyphs = sg.segment_characters(lines[0][1], CFG)
             expected = len(text.replace(" ", ""))
             assert len(glyphs) == expected
             words = [w for w in text.split(" ") if w]
@@ -206,6 +208,6 @@ class TestDumps:
         assert sg.format_band_dump([LineBand(1, 4)]) == "band 1 4\n"
 
     def test_glyph_dump(self):
-        glyphs = sg.segment_characters(line_from_spans([(1, 3)]))
+        glyphs = sg.segment_characters(line_from_spans([(1, 3)]), CFG)
         dump = sg.format_glyph_dump(glyphs)
         assert dump == "glyph 1 2 3 4 0 0\n"

@@ -7,6 +7,8 @@ from cardocr import skew, synth
 from cardocr.config import PipelineConfig
 from cardocr.skew import DegenerateProfileError, NoTextError, Profile
 
+CFG = PipelineConfig()
+
 
 def region_from_heights(heights, height=40, present=None):
     """Build a gray region whose bottom profile equals `heights`.
@@ -207,39 +209,39 @@ class TestDeskew:
 
     def test_upright_band_near_zero(self):
         img = self.band("Jadavpur University Kolkata 700032")
-        _, angle = skew.deskew(img)
+        _, angle = skew.deskew(img, CFG)
         assert abs(angle) <= 0.5
 
     def test_flat_profile_exactly_zero(self):
         img = np.full((12, 30), 220, np.uint8)
         img[8, :] = 30
-        out, angle = skew.deskew(img)
+        out, angle = skew.deskew(img, CFG)
         assert angle == 0.0
         assert out is img
 
     def test_seven_degree_band(self):
         img = self.band("Center for Microprocessor Application 2010",
                         skew_deg=7.0, sigma=4.0, seed=3)
-        _, angle = skew.deskew(img)
+        _, angle = skew.deskew(img, CFG)
         assert angle == pytest.approx(7.0, abs=3.0)
 
     def test_negative_skew(self):
         img = self.band("School of Mobile Computing JU 2010",
                         skew_deg=-6.0, sigma=2.0, seed=4)
-        _, angle = skew.deskew(img)
+        _, angle = skew.deskew(img, CFG)
         assert angle == pytest.approx(-6.0, abs=3.0)
 
     def test_residual_smaller_after_correction(self):
         img = self.band("Department of Computer Science and Engineering",
                         skew_deg=8.0, seed=5)
-        corrected, angle = skew.deskew(img)
+        corrected, angle = skew.deskew(img, CFG)
         before = abs(skew.estimate_region_skew(img).angle)
         after = abs(skew.estimate_region_skew(corrected).angle)
         assert after < max(before, 1.0)
 
     def test_no_text_passthrough(self):
         img = np.full((20, 20), 130, np.uint8)
-        out, angle = skew.deskew(img)
+        out, angle = skew.deskew(img, CFG)
         assert angle == 0.0
         assert out is img
 

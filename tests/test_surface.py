@@ -1,10 +1,15 @@
-"""Surface guard: every top-level name defined in src/cardocr is used by the
-package itself or by the benchmark.  A helper that only tests call belongs
-with the tests (see tests/reference.py), not in the shipped package.
+"""Surface guards.  Every top-level name defined in src/cardocr is used by
+the package itself or by the benchmark: a helper that only tests call
+belongs with the tests (see tests/reference.py), not in the shipped package.
+Every PipelineConfig field is read by the package: a setting that nothing
+reads is a dead knob.
 """
 
 import ast
 import pathlib
+from dataclasses import fields
+
+from cardocr.config import PipelineConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "cardocr").glob("*.py"))
@@ -66,3 +71,33 @@ def test_scan_sees_the_package():
 
 def test_every_package_name_is_used_outside_tests():
     assert unreferenced() == []
+
+
+def attributes_read(tree):
+    """Attribute names loaded anywhere in a module, except inside
+    PipelineConfig.validate, which checks every field without using it."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "PipelineConfig":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "validate":
+                    skipped.update(id(sub) for sub in ast.walk(item))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in skipped
+    }
+
+
+def test_every_config_field_is_read():
+    tree = ast.parse(
+        "class PipelineConfig:\n"
+        "    def validate(self):\n        return self.checked\n"
+        "    def use(self):\n        return self.used\n"
+    )
+    assert attributes_read(tree) == {"used"}
+    reads = set()
+    for path in PACKAGE:
+        reads |= attributes_read(ast.parse(path.read_text(), str(path)))
+    assert [f.name for f in fields(PipelineConfig) if f.name not in reads] == []

@@ -102,7 +102,7 @@ class TestRenderCard:
         _, clean = synth.render_card(CardSpec(**base))
         _, noisy = synth.render_card(CardSpec(**base, noise_sigma=15.0), seed=3)
         assert np.array_equal(clean.mask, noisy.mask)
-        assert clean.regions[0].rect == noisy.regions[0].rect
+        assert clean.regions[0].bbox == noisy.regions[0].bbox
 
 
 class TestRegionRender:
