@@ -54,7 +54,7 @@ def is_color(img):
 
 # Bytes of one uint32 plane per grayscale strip; two such planes are live
 # at a time, however large the image.
-GRAY_STRIP_BYTES = 1 << 20
+GRAY_STRIP_BYTES = 1 << 18
 
 
 def to_grayscale(img):

@@ -134,17 +134,18 @@ def _stage_segment(results, cfg):
 
 
 def _stage_recognize(results, store, scheme):
-    """Classify every glyph and return the transcript: a space before each
-    word's first glyph but a line's first, a newline between lines, and a
-    blank line between regions that kept a line."""
+    """Classify every glyph of the card as one batch and return the
+    transcript: a space before each word's first glyph but a line's first,
+    a newline between lines, and a blank line between regions that kept a
+    line."""
+    glyphs = [g for r in results for line in r.lines for g in line.glyphs]
+    found = rec.classify(rec.normalize_glyph(glyphs), store, scheme)
+    labels = iter(c.label for c in found)
     blocks = []
     for r in results:
         lines = []
         for line in r.lines:
-            line.labels = [
-                rec.classify(rec.normalize_glyph(g), store, scheme).label
-                for g in line.glyphs
-            ]
+            line.labels = [next(labels) for _ in line.glyphs]
             lines.append("".join(
                 (" " if g.char_index == 0 and i else "") + label
                 for i, (g, label) in enumerate(zip(line.glyphs, line.labels))

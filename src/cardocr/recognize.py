@@ -3,7 +3,10 @@
 Glyphs are normalized to 48x48 binary patterns (tight bounding box, nearest
 neighbor, aspect ratio not preserved) and compared against a store of
 labeled templates by Hamming distance, computed as the popcount of the XOR
-of bit-packed patterns; the smallest count wins.
+of bit-packed patterns; the smallest count wins.  A card is one batch: its
+glyphs are resampled by one gather into an (n, 48, 48) stack, and one
+matcher compares the stack with every template word by word, one
+(glyphs, templates) XOR, popcount and add per 64-bit word.
 The 73-character alphabet can optionally be quotiented by merging visually
 symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
 """
@@ -84,33 +87,57 @@ def normalize_pattern(mask):
     return tight[np.ix_(yy, xx)]
 
 
-def normalize_glyph(glyph_box):
-    """Normalize a segmented GlyphBox to a 48x48 pattern."""
-    return normalize_pattern(glyph_box.pixels)
+def normalize_glyph(glyphs):
+    """Resample a card's segmented GlyphBoxes to one (n, 48, 48) stack.
+
+    Each GlyphBox.pixels crop is already tight (segment_characters cuts it
+    to foreground columns and to the rows between the first and last row
+    with foreground), so this is normalize_pattern without the crop search,
+    done as one gather over the concatenated pixels.
+    """
+    if not glyphs:
+        return np.zeros((0, PATTERN_SIZE, PATTERN_SIZE), dtype=bool)
+    shapes = np.array([g.pixels.shape for g in glyphs], dtype=np.intp)
+    h, w = shapes[:, :1], shapes[:, 1:]
+    sizes = shapes[:, 0] * shapes[:, 1]
+    offsets = np.cumsum(sizes) - sizes
+    steps = np.arange(PATTERN_SIZE)
+    rows = (steps * h) // PATTERN_SIZE * w + offsets[:, None]
+    cols = (steps * w) // PATTERN_SIZE
+    flat = np.concatenate([g.pixels.reshape(-1) for g in glyphs])
+    return flat[rows[:, :, None] + cols[:, None, :]]
 
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _popcount_rows_table(bits):
-    """Set bits per row of a uint8 matrix, by 256-entry lookup table."""
-    return _POPCOUNT8[bits].sum(axis=1)
-
-
-def _popcount_rows_native(bits):
-    """Set bits per row of a uint8 matrix whose rows are whole uint64 words."""
-    return np.bitwise_count(bits.view(np.uint64)).sum(axis=1)
+def _popcount_table(words):
+    """Set bits per element of a contiguous uint64 array, by 256-entry
+    lookup table over its bytes."""
+    counts = _POPCOUNT8[words.view(np.uint8)]
+    return counts.reshape(words.shape + (8,)).sum(axis=-1, dtype=np.uint8)
 
 
 # np.bitwise_count exists from numpy 2.0 on; older numpy uses the table.
-_popcount_rows = (
-    _popcount_rows_native if hasattr(np, "bitwise_count") else _popcount_rows_table
-)
+_popcount = np.bitwise_count if hasattr(np, "bitwise_count") else _popcount_table
+
+PATTERN_WORDS = PATTERN_SIZE * PATTERN_SIZE // 64
+
+# Bytes of the (glyphs, templates) uint64 XOR temporary of one matcher
+# batch; a card's glyphs are matched in batches that keep it under this.
+MATCH_BATCH_BYTES = 1 << 20
+
+
+def _pack_words(patterns):
+    """An (n, 48, 48) bool stack as (n, 36) uint64 words."""
+    flat = patterns.reshape(len(patterns), PATTERN_SIZE * PATTERN_SIZE)
+    return np.packbits(flat, axis=1).view(np.uint64)
 
 
 class TemplateStore:
     """Immutable collection of labeled templates with a bit-packed match
-    matrix: one row of 48*48/8 = 288 bytes per template."""
+    matrix: 48*48/64 = 36 uint64 words per template, stored word-major as
+    a (36, templates) array so each word of every template is contiguous."""
 
     def __init__(self, templates):
         if not templates:
@@ -121,26 +148,44 @@ class TemplateStore:
                 raise StoreError(f"template {t.source_id!r} is not 48x48")
             if t.label not in CLASS_INDEX:
                 raise StoreError(f"template label {t.label!r} outside the alphabet")
-        self._packed = np.packbits(
-            np.stack([t.pattern.reshape(-1) for t in self.templates]), axis=1
+        self._words = np.ascontiguousarray(
+            _pack_words(np.stack([t.pattern for t in self.templates])).T
         )
         self._labels = [t.label for t in self.templates]
 
     def __len__(self):
         return len(self.templates)
 
-    def distances(self, pattern):
-        """Dissimilarity against every template, in store order."""
-        return _popcount_rows(self._packed ^ np.packbits(pattern.reshape(-1)))
+    def distances(self, patterns):
+        """(n, templates) uint16 dissimilarities of an (n, 48, 48) stack
+        against every template, in store order.
+
+        Word by word, one (glyphs, templates) XOR, popcount and add, so the
+        sum runs along contiguous rows."""
+        words = _pack_words(patterns)
+        n, count = len(words), len(self.templates)
+        out = np.zeros((n, count), dtype=np.uint16)
+        step = max(1, MATCH_BATCH_BYTES // (8 * count))
+        for lo in range(0, n, step):
+            batch = words[lo : lo + step]
+            acc = out[lo : lo + step]
+            xor = np.empty((len(batch), count), dtype=np.uint64)
+            for k in range(PATTERN_WORDS):
+                np.bitwise_xor(batch[:, k, None], self._words[k], out=xor)
+                acc += _popcount(xor)
+        return out
 
 
-def classify(pattern, store, scheme=MERGED):
-    """Best template by smallest dissimilarity; ties go to store order."""
-    if pattern.shape != (PATTERN_SIZE, PATTERN_SIZE):
-        raise ValueError("pattern must be 48x48")
-    dists = store.distances(pattern)
-    best = int(np.argmin(dists))
-    return Classification(label=scheme.apply(store._labels[best]), score=int(dists[best]))
+def classify(patterns, store, scheme=MERGED):
+    """Best template per pattern of an (n, 48, 48) stack, by smallest
+    dissimilarity; ties go to store order.  One Classification per row."""
+    if patterns.ndim != 3 or patterns.shape[1:] != (PATTERN_SIZE, PATTERN_SIZE):
+        raise ValueError("patterns must be an (n, 48, 48) stack")
+    dists = store.distances(patterns)
+    return [
+        Classification(label=scheme.apply(store._labels[b]), score=s)
+        for b, s in zip(dists.argmin(axis=1).tolist(), dists.min(axis=1).tolist())
+    ]
 
 
 def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):

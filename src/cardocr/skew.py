@@ -167,6 +167,8 @@ def deskew(region, cfg):
                 )
                 return region, 0.0
             break
+        if total != 0.0 and total + estimate.angle == total:
+            break  # the same total again: the same rotation, and converged
         total += estimate.angle
         if total == 0.0:
             corrected = region

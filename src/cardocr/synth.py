@@ -352,6 +352,8 @@ class SuiteParams:
         widest = max(measure_line(ch, scale) for ch in GLYPHS)
         if _text_width(self.width, scale) < widest:
             raise ValueError(f"card width {self.width} cannot hold a glyph at scale {scale}")
+        if 2 * CARD_MARGIN + _band_footprint(0, scale, 0.0)[1] > self.height:
+            raise ValueError(f"card height {self.height} cannot hold a text band at scale {scale}")
         if max(abs(self.skew_min), abs(self.skew_max)) > MAX_SKEW_DEG:
             raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
         if not (0.0 <= self.salt_pepper_min <= 1.0 and 0.0 <= self.salt_pepper_max <= 1.0):
@@ -361,6 +363,17 @@ class SuiteParams:
 def _text_width(card_width, scale):
     """Widest line of text a generated band at `scale` may hold."""
     return int((card_width - 2 * CARD_MARGIN - 2 * scale) * 0.8)
+
+
+def _band_footprint(text_width, scale, skew_deg):
+    """(width, height) bound of a band's stamp of one text line
+    `text_width` px wide, rotated by `skew_deg`."""
+    w_px = text_width + 2 * scale
+    h_px = (GLYPH_ROWS + 2) * scale
+    rad = math.radians(abs(skew_deg))
+    w_rot = int(math.ceil(w_px * math.cos(rad) + h_px * math.sin(rad))) + 2
+    h_rot = int(math.ceil(w_px * math.sin(rad) + h_px * math.cos(rad))) + 2
+    return w_rot, h_rot
 
 
 _WORD_CHARS = sorted(GLYPHS)
@@ -408,12 +421,7 @@ def random_card_spec(rng, params):
     for _ in range(n_bands):
         scale = int(params.scales[int(rng.integers(0, len(params.scales)))])
         text = random_line_text(rng, _text_width(params.width, scale), scale)
-        w_px = measure_line(text, scale) + 2 * scale
-        h_px = (GLYPH_ROWS + 2) * scale
-        # crude bound for the rotated stamp footprint
-        rad = math.radians(abs(spec.skew_deg))
-        h_rot = int(math.ceil(w_px * math.sin(rad) + h_px * math.cos(rad))) + 2
-        w_rot = int(math.ceil(w_px * math.cos(rad) + h_px * math.sin(rad))) + 2
+        w_rot, h_rot = _band_footprint(measure_line(text, scale), scale, spec.skew_deg)
         if y + h_rot + margin > params.height:
             break
         x = margin + int(rng.integers(0, max(1, params.width - w_rot - 2 * margin)))

@@ -206,8 +206,8 @@ def test_c06_character_segmentation():
 def test_c07_recognition_properties(store):
     # every stored template matches itself with zero dissimilarity
     assert len(store) == 730
-    for template in store.templates:
-        got = rec.classify(template.pattern, store, rec.MERGED)
+    patterns = np.stack([t.pattern for t in store.templates])
+    for template, got in zip(store.templates, rec.classify(patterns, store, rec.MERGED)):
         assert got.score == 0
         assert got.label == rec.MERGED.apply(template.label)
 
@@ -253,7 +253,7 @@ def _perturbed_eval(store, count, seed):
             continue
         pattern = rec.normalize_pattern(mask)
         pattern = pattern ^ (rng.random(pattern.shape) < 0.02)
-        raw_predictions.append(rec.classify(pattern, store, rec.FULL).label)
+        raw_predictions.append(rec.classify(pattern[None], store, rec.FULL)[0].label)
         truth.append(ch)
     merged_acc = char_accuracy(raw_predictions, truth, rec.MERGED)
     full_acc = char_accuracy(raw_predictions, truth, rec.FULL)

@@ -126,6 +126,8 @@ class TestArgumentErrors:
         ["--count", "0"],
         ["--salt-pepper", "2"],
         ["--skew-min", "-30", "--skew-max", "-30"],
+        ["--height", "10"],
+        ["--height", "0"],
     ])
     def test_synth_argument_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "suite"

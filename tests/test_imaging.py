@@ -79,6 +79,17 @@ class TestGrayscale:
             assert got.shape == (h, w) and got.dtype == np.uint8
             assert np.array_equal(got, (299 * r + 587 * g + 114 * b + 500) // 1000)
 
+    def test_every_rgb_triple(self):
+        # all 2**24 triples: one (256, 256, 3) image per red value, green
+        # down the rows and blue across the columns
+        g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        img = np.empty((256, 256, 3), dtype=np.uint8)
+        img[:, :, 1], img[:, :, 2] = g, b
+        for r in range(256):
+            img[:, :, 0] = r
+            expected = (299 * r + 587 * g + 114 * b + 500) // 1000
+            assert np.array_equal(imaging.to_grayscale(img), expected)
+
     def test_rejects_gray_input(self):
         with pytest.raises(ValueError):
             imaging.to_grayscale(np.zeros((4, 4), dtype=np.uint8))

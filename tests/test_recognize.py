@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cardocr import pipeline, synth
+from cardocr.config import PipelineConfig
 from cardocr import recognize as rec
 from cardocr.recognize import (
     FULL,
@@ -122,23 +123,22 @@ class TestClassify:
 
     def test_self_match(self, font_store):
         t = font_store.templates[37]
-        c = rec.classify(t.pattern, font_store, FULL)
+        [c] = rec.classify(t.pattern[None], font_store, FULL)
         assert c.score == 0
         assert c.label == t.label
 
     def test_merged_label_for_small_l(self, font_store):
         sample = next(t for t in font_store.templates if t.label == "l")
-        c = rec.classify(sample.pattern, font_store, MERGED)
+        [c] = rec.classify(sample.pattern[None], font_store, MERGED)
         assert c.label == "I"
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         store = self.make_store(["A", "B", "C", "D", "E"], rng)
-        for _ in range(25):
-            probe = random_pattern(rng)
+        probes = np.stack([random_pattern(rng) for _ in range(25)])
+        for probe, got in zip(probes, rec.classify(probes, store, FULL)):
             dists = [dissimilarity(probe, t.pattern) for t in store.templates]
             best = min(range(5), key=lambda i: (dists[i], i))
-            got = rec.classify(probe, store, FULL)
             assert got.label == store.templates[best].label
             assert got.score == dists[best]
 
@@ -148,30 +148,89 @@ class TestClassify:
         store = TemplateStore(
             [Template(pattern=shared, label="X"), Template(pattern=shared, label="Y")]
         )
-        assert rec.classify(shared, store, FULL).label == "X"
+        assert rec.classify(shared[None], store, FULL)[0].label == "X"
+
+    def test_ties_in_a_batch_break_to_store_order(self):
+        rng = np.random.default_rng(15)
+        shared, other = random_pattern(rng), random_pattern(rng)
+        store = TemplateStore([
+            Template(pattern=shared, label="X"),
+            Template(pattern=other, label="Z"),
+            Template(pattern=shared, label="Y"),
+            Template(pattern=other, label="W"),
+        ])
+        got = rec.classify(np.stack([shared, other, shared]), store, FULL)
+        assert [(c.label, c.score) for c in got] == [("X", 0), ("Z", 0), ("X", 0)]
 
     def test_table_popcount_matches_dissimilarity(self, monkeypatch):
         # the lookup-table path used on numpy < 2, forced on any numpy
-        monkeypatch.setattr(rec, "_popcount_rows", rec._popcount_rows_table)
+        monkeypatch.setattr(rec, "_popcount", rec._popcount_table)
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b = random_pattern(rng), random_pattern(rng)
             store = TemplateStore(
                 [Template(pattern=a, label="A"), Template(pattern=b, label="B")]
             )
-            assert list(store.distances(b)) == [dissimilarity(a, b), 0]
+            assert store.distances(b[None]).tolist() == [[dissimilarity(a, b), 0]]
         shared = random_pattern(rng)
         store = TemplateStore(
             [Template(pattern=shared, label="Y"), Template(pattern=shared, label="X")]
         )
         probe = shared.copy()
         probe[0, 0] = not probe[0, 0]
-        got = rec.classify(probe, store, FULL)
+        [got] = rec.classify(probe[None], store, FULL)
         assert (got.label, got.score) == ("Y", 1)
 
     def test_empty_store(self):
         with pytest.raises(StoreError):
             TemplateStore([])
+
+    def test_rejects_a_single_pattern(self, font_store):
+        with pytest.raises(ValueError, match="stack"):
+            rec.classify(font_store.templates[0].pattern, font_store, FULL)
+
+
+POPCOUNTS = ["table"] + (["native"] if hasattr(np, "bitwise_count") else [])
+
+
+class TestBatch:
+    """The per-card batch against the per-glyph references."""
+
+    def test_normalize_glyph_matches_normalize_pattern(self, store):
+        spec = synth.CardSpec(width=1024, height=768, noise_sigma=3.0, bands=[
+            synth.Band(text="Ayatullah Faruk Mollah", x=60, y=80, scale=5),
+            synth.Band(text="Phone: +91 33 2414 6666", x=60, y=300, scale=4),
+            synth.Band(text="www.jaduniv.edu.in", x=60, y=500, scale=3),
+        ])
+        color, _ = synth.render_card(spec, seed=4)
+        result = pipeline.run_pipeline(color, PipelineConfig(), store)
+        glyphs = [g for r in result.regions for line in r.lines for g in line.glyphs]
+        assert len(glyphs) > 50
+        stack = rec.normalize_glyph(glyphs)
+        assert stack.shape == (len(glyphs), 48, 48) and stack.dtype == bool
+        for g, pattern in zip(glyphs, stack):
+            assert np.array_equal(pattern, rec.normalize_pattern(g.pixels))
+
+    @pytest.mark.parametrize("popcount", POPCOUNTS)
+    def test_distances_match_dissimilarity(self, monkeypatch, popcount):
+        if popcount == "table":
+            monkeypatch.setattr(rec, "_popcount", rec._popcount_table)
+        rng = np.random.default_rng(16)
+        templates = [random_pattern(rng) for _ in range(7)]
+        store = TemplateStore([Template(pattern=p, label="A") for p in templates])
+        # batches of three probes: the ten probes span four of them
+        monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", 3 * 8 * len(templates))
+        probes = np.stack([random_pattern(rng) for _ in range(10)])
+        probes[4] = templates[2]
+        probes[5] = ~templates[6]
+        got = store.distances(probes)
+        assert got.dtype == np.uint16
+        assert got.tolist() == [[dissimilarity(p, t) for t in templates] for p in probes]
+
+    def test_empty_batch(self, store):
+        stack = rec.normalize_glyph([])
+        assert stack.shape == (0, 48, 48) and stack.dtype == bool
+        assert rec.classify(stack, store, FULL) == []
 
 
 class TestBuildStore:
@@ -262,6 +321,14 @@ class TestStoreIO:
             rec.load_store(tmp_path)
 
 
+def tight_glyph(ch):
+    """A font glyph cropped to its bounding box, as segmentation cuts it."""
+    mask = synth.render_glyph(ch, 4)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
 def recognize_stage(regions, store, scheme=FULL):
     """Run the pipeline's recognize stage on clean font glyphs laid out as
     `regions`: each region a list of lines, each line a list of words.
@@ -271,7 +338,7 @@ def recognize_stage(regions, store, scheme=FULL):
         lines = []
         for words in region:
             glyphs = [
-                GlyphBox(rect=None, pixels=synth.render_glyph(ch, 4),
+                GlyphBox(rect=None, pixels=tight_glyph(ch),
                          word_index=wi, char_index=ci)
                 for wi, word in enumerate(words)
                 for ci, ch in enumerate(word)
@@ -305,14 +372,13 @@ class TestMergeDominance:
     def test_dominance_on_random_predictions(self, font_store):
         rng = np.random.default_rng(20)
         labels = []
-        predictions = []
+        patterns = []
         for _ in range(200):
             ch = rec.ALPHABET[int(rng.integers(0, 73))]
             mask = synth.perturbed_glyph_mask(ch, rng)
-            pattern = rec.normalize_pattern(mask)
-            raw = rec.classify(pattern, font_store, FULL)
+            patterns.append(rec.normalize_pattern(mask))
             labels.append(ch)
-            predictions.append(raw.label)
+        predictions = [c.label for c in rec.classify(np.stack(patterns), font_store, FULL)]
         full_correct = sum(p == t for p, t in zip(predictions, labels))
         merged_correct = sum(
             MERGED.apply(p) == MERGED.apply(t) for p, t in zip(predictions, labels)

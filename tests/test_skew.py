@@ -252,6 +252,22 @@ class TestDeskew:
         assert angle == 0.0
         assert out is img
 
+    def test_converged_total_is_not_rotated_again(self, monkeypatch):
+        # a second estimate that leaves the total unchanged ends the loop
+        # without a second, identical rotation
+        img = self.band("Business Card Reader 2010", seed=7)
+        angles = iter([-0.44, 0.0])
+        monkeypatch.setattr(skew, "estimate_region_skew",
+                            lambda region: skew.SkewEstimate(next(angles), ()))
+        rotations = []
+        rotate = skew.imaging.rotate
+        monkeypatch.setattr(skew.imaging, "rotate",
+                            lambda *a, **k: rotations.append(a) or rotate(*a, **k))
+        out, angle = skew.deskew(img, CFG)
+        assert angle == -0.44
+        assert len(rotations) == 1
+        assert np.array_equal(out, rotate(img, 0.44, fill=skew.background_fill(img)))
+
     def test_single_pass_mode(self):
         img = self.band("Business Card Reader 2010", skew_deg=3.0, seed=6)
         _, angle = skew.deskew(img, PipelineConfig(skew_passes=1))
