@@ -52,55 +52,62 @@ def is_color(img):
     return img.ndim == 3
 
 
-# Bytes of one uint32 plane per grayscale strip; two such planes are live
-# at a time, however large the image.
-GRAY_STRIP_BYTES = 1 << 18
+# Bytes of the float32 temporaries of one grayscale strip: the strip's
+# three channels (12 bytes a pixel) and their weighted sum (4 bytes a
+# pixel), however large the image.
+GRAY_STRIP_BYTES = 1 << 19
+_GRAY_WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
 
 
 def to_grayscale(img):
     """Convert an RGB image to gray with the 0.299/0.587/0.114 weighting.
 
-    Computed in integer arithmetic as (299r + 587g + 114b + 500) // 1000,
-    i.e. rounding half up, so (v, v, v) maps to exactly v.  The image is
-    processed in row strips into one preallocated output, so the uint32
-    intermediates stay small on multi-megapixel inputs.
+    Computes (299r + 587g + 114b + 500) // 1000, i.e. rounding half up, so
+    (v, v, v) maps to exactly v.  The weighted sum is an integer below 2**24,
+    so float32 holds it exactly; float32(1/1000) lies just above 1/1000, so
+    the product truncates to the same integer as the floor division.  The
+    image is processed in row strips through one preallocated float32
+    buffer into one preallocated output.
     """
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected an RGB array of shape (h, w, 3), got {img.shape}")
     h, w = img.shape[:2]
     out = np.empty((h, w), dtype=np.uint8)
-    step = max(1, GRAY_STRIP_BYTES // (4 * w))
-    for y in range(0, h, step):
-        strip = img[y : y + step]
-        acc = strip[:, :, 0].astype(np.uint32)
-        acc *= 299
-        tmp = strip[:, :, 1].astype(np.uint32)
-        tmp *= 587
-        acc += tmp
-        tmp[:] = strip[:, :, 2]
-        tmp *= 114
-        acc += tmp
-        acc += 500
-        acc //= 1000
-        out[y : y + step] = acc
+    if out.size == 0:
+        return out
+    rows = min(h, max(1, GRAY_STRIP_BYTES // (16 * w)))
+    buf = np.empty((rows, w, 3), dtype=np.float32)
+    acc = np.empty((rows, w), dtype=np.float32)
+    for y in range(0, h, rows):
+        strip = img[y : y + rows]
+        chans, total = buf[: len(strip)], acc[: len(strip)]
+        np.copyto(chans, strip, casting="unsafe")
+        np.matmul(chans, _GRAY_WEIGHTS, out=total)
+        total += 500
+        total *= np.float32(1 / 1000)
+        np.copyto(out[y : y + rows], total, casting="unsafe")
     return out
+
+
+_PNM_SPACE = frozenset(b" \t\n\r\v\f")  # the bytes bytes.isspace accepts
 
 
 def _parse_header_tokens(data, count):
     """Read `count` whitespace-separated tokens after the magic, honoring
     '#' comments.  Returns (tokens, offset of the payload)."""
+    data = memoryview(data)  # indexes to ints, not to numpy scalars
     tokens = []
     i = 2  # past the two magic bytes
     n = len(data)
     while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
+        while i < n and data[i] in _PNM_SPACE:
             i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] != ord("\n"):
                 i += 1
             continue
         start = i
-        while i < n and not data[i : i + 1].isspace():
+        while i < n and data[i] not in _PNM_SPACE:
             i += 1
         if i == start:
             raise PnmError("malformed header: ran out of data while reading dimensions")
@@ -112,7 +119,7 @@ def _parse_header_tokens(data, count):
 
 
 def _pnm_pixels(data):
-    """View the pixels of binary PGM/PPM data (bytes or bytearray) in place."""
+    """View the pixels of binary PGM/PPM data (bytes or a uint8 array) in place."""
     magic = bytes(data[:2])
     if magic == b"P5":
         channels = 1
@@ -162,10 +169,11 @@ def save_pnm(img):
 
 def load_pnm_file(path):
     """Decode a PGM/PPM file.  The pixels are a writable view of the file's
-    bytes, so the image is held in memory once, not twice."""
+    bytes, read into an unfilled buffer, so the image is held in memory once
+    and written once."""
     with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data):]
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        data = data[: fh.readinto(data)]
     return _pnm_pixels(data)
 
 
@@ -179,12 +187,15 @@ def rotate(img, angle_deg, fill=255):
 
     The canvas grows to hold the rotated bounding box.  Resampling is
     inverse-mapped bilinear; destination pixels that fall outside the source
-    take the fill intensity.  Angles beyond +/-45 degrees are rejected.
+    take the fill intensity, which must lie in 0..255.  Angles beyond +/-45
+    degrees are rejected.
     """
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
     if img.ndim != 2:
         raise ValueError("rotate expects a gray image of shape (h, w)")
+    if not 0 <= fill <= 255:
+        raise ValueError(f"fill intensity {fill} outside 0..255")
     h, w = img.shape
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
@@ -221,7 +232,9 @@ def rotate(img, angle_deg, fill=255):
     # Gather the four taps through one flat index array stepped in place,
     # cheaper than 2-D fancy indexing, then blend in place.  fx and fy are
     # float64, so this is top = p00 + (p01 - p00) * fx, bot likewise, and
-    # top + (bot - top) * fy, all in float64.
+    # top + (bot - top) * fy, all in float64.  The taps are exact and
+    # rounding is monotone, so each blend stays between its two ends: the
+    # result lies in 0..255 without a clip.
     flat = padded.ravel()
     idx = y0.astype(np.intp)
     idx *= w + 2
@@ -243,5 +256,4 @@ def rotate(img, angle_deg, fill=255):
     out *= fy
     out += top
     np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
     return out.astype(np.uint8)

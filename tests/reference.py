@@ -2,10 +2,12 @@
 that the acceptance criteria and unit tests check the package against.
 """
 
+import math
+
 import numpy as np
 
 from cardocr.evaluate import EvalCounts
-from cardocr.imaging import _pnm_pixels
+from cardocr.imaging import MAX_ROTATION_DEG, _pnm_pixels
 from cardocr.recognize import PATTERN_SIZE
 
 
@@ -58,3 +60,73 @@ def resample_mask(mask, fy, fx=None):
 def load_pnm(data):
     """Decode binary PGM/PPM bytes into a gray or color array."""
     return _pnm_pixels(data).copy()
+
+
+def rotate(img, angle_deg, fill=255):
+    """Bilinear rotation that clips the blend to 0..255 at the end.  For a
+    fill in 0..255 `imaging.rotate`, which has no clip, must match it byte
+    for byte."""
+    if abs(angle_deg) > MAX_ROTATION_DEG:
+        raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
+    if img.ndim != 2:
+        raise ValueError("rotate expects a gray image of shape (h, w)")
+    h, w = img.shape
+    theta = math.radians(angle_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    # Grow the canvas symmetrically so the source center stays on the same
+    # pixel parity; a rotate/unrotate pair then maps the original footprint
+    # back onto exact integer positions.
+    pad_x = max(0, int(math.ceil((w * abs(c) + h * abs(s) - w) / 2 - 1e-9)))
+    pad_y = max(0, int(math.ceil((w * abs(s) + h * abs(c) - h) / 2 - 1e-9)))
+    out_w = w + 2 * pad_x
+    out_h = h + 2 * pad_y
+
+    # Pad the source with one ring of fill so bilinear taps that straddle the
+    # border blend into fill and far-outside taps clamp onto pure fill.
+    padded = np.full((h + 2, w + 2), fill, dtype=np.float32)
+    padded[1:-1, 1:-1] = img
+
+    cx_d, cy_d = (out_w - 1) / 2.0, (out_h - 1) / 2.0
+    cx_s, cy_s = (w - 1) / 2.0, (h - 1) / 2.0
+    dx = np.arange(out_w, dtype=np.float32) - np.float32(cx_d)
+    dy = (np.arange(out_h, dtype=np.float32) - np.float32(cy_d))[:, None]
+    # Inverse of a counter-clockwise rotation in y-down pixel coordinates.
+    xs = np.float32(cx_s) + dx * np.float32(c) - dy * np.float32(s)
+    ys = np.float32(cy_s) + dx * np.float32(s) + dy * np.float32(c)
+
+    xs += 1.0  # shift into padded coordinates
+    ys += 1.0
+    np.clip(xs, 0.0, w + 1 - 1e-4, out=xs)
+    np.clip(ys, 0.0, h + 1 - 1e-4, out=ys)
+    x0 = xs.astype(np.int32)
+    y0 = ys.astype(np.int32)
+    fx = xs - x0
+    fy = ys - y0
+
+    # Gather the four taps through one flat index array stepped in place,
+    # cheaper than 2-D fancy indexing, then blend in place.  fx and fy are
+    # float64, so this is top = p00 + (p01 - p00) * fx, bot likewise, and
+    # top + (bot - top) * fy, all in float64.
+    flat = padded.ravel()
+    idx = y0.astype(np.intp)
+    idx *= w + 2
+    idx += x0
+    p00 = flat.take(idx)
+    idx += 1
+    p01 = flat.take(idx)
+    idx += w + 1
+    p10 = flat.take(idx)
+    idx += 1
+    p11 = flat.take(idx)
+    p01 -= p00
+    top = p01 * fx
+    top += p00
+    p11 -= p10
+    out = p11 * fx
+    out += p10
+    out -= top
+    out *= fy
+    out += top
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)

@@ -5,7 +5,7 @@ from cardocr import imaging
 from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
-from reference import load_pnm
+from reference import load_pnm, rotate as clipping_rotate
 
 
 def box_blur(img, passes):
@@ -68,16 +68,40 @@ class TestGrayscale:
         ga, gb = imaging.to_grayscale(a), imaging.to_grayscale(b)
         assert (gb >= ga).all()
 
+    @staticmethod
+    def expected(img):
+        r, g, b = (img[:, :, k].astype(np.int64) for k in range(3))
+        return (299 * r + 587 * g + 114 * b + 500) // 1000
+
     def test_shape_preserved(self):
         rng = np.random.default_rng(3)
-        strip_rows = lambda w: imaging.GRAY_STRIP_BYTES // (4 * w)
+        # a strip holds three float32 channels and their float32 sum per pixel
+        strip_rows = lambda w: imaging.GRAY_STRIP_BYTES // ((3 + 1) * 4 * w)
+        assert strip_rows(2048) > 1
         # one strip; two whole strips plus a partial one, also a single column
         for h, w in [(5, 9), (2 * strip_rows(2048) + 5, 2048), (2 * strip_rows(1) + 5, 1)]:
             img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-            r, g, b = (img[:, :, k].astype(np.int64) for k in range(3))
             got = imaging.to_grayscale(img)
             assert got.shape == (h, w) and got.dtype == np.uint8
-            assert np.array_equal(got, (299 * r + 587 * g + 114 * b + 500) // 1000)
+            assert np.array_equal(got, self.expected(img))
+
+    @pytest.mark.parametrize("shape", [(5, 0, 3), (0, 5, 3)])
+    def test_empty_image(self, shape):
+        got = imaging.to_grayscale(np.zeros(shape, dtype=np.uint8))
+        assert got.shape == shape[:2] and got.dtype == np.uint8
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(4)
+        img = rng.integers(0, 256, size=(40, 2 * 301, 3), dtype=np.uint8)[:, ::2]
+        assert not img.flags.c_contiguous
+        assert np.array_equal(imaging.to_grayscale(img), self.expected(img))
+
+    def test_read_only_input(self):
+        rng = np.random.default_rng(5)
+        raw = rng.integers(0, 256, size=33 * 47 * 3, dtype=np.uint8).tobytes()
+        img = np.frombuffer(raw, dtype=np.uint8).reshape(33, 47, 3)
+        assert not img.flags.writeable
+        assert np.array_equal(imaging.to_grayscale(img), self.expected(img))
 
     def test_every_rgb_triple(self):
         # all 2**24 triples: one (256, 256, 3) image per red value, green
@@ -173,6 +197,33 @@ class TestPnm:
             loaded[0, 0] = 0  # writing is allowed and leaves the file alone
             assert np.array_equal(imaging.load_pnm_file(tmp_path / name), img)
 
+    @pytest.mark.parametrize(
+        "data,expected",
+        [
+            (b"P5\t2\r3\v255\f" + bytes(range(6)), np.arange(6).reshape(3, 2)),
+            (b"P6\t\r\v\f1 \t1\r\n255\v" + bytes([7, 8, 9]), [[[7, 8, 9]]]),
+            (b"P5#comment right after the magic\n2 1 255\n" + bytes([4, 5]), [[4, 5]]),
+            (b"P5 2 1 255\n" + bytes([1, 2]) + b"trailing bytes", [[1, 2]]),
+            (b"P6\n2", "malformed header: ran out of data while reading dimensions"),
+            (b"P6\n2 1 255", "malformed header: missing payload"),
+        ],
+        ids=["p5-separators", "p6-separators", "comment-after-magic", "trailing-bytes",
+             "cut-in-header", "cut-before-payload"],
+    )
+    def test_file_load_agrees_with_reference(self, tmp_path, data, expected):
+        # the file loader reads into an unfilled numpy buffer, the reference
+        # decodes `bytes`: same pixels or the same error message
+        if isinstance(expected, str):
+            for load in (lambda d: decode(tmp_path, d), load_pnm):
+                with pytest.raises(PnmError) as exc:
+                    load(data)
+                assert str(exc.value) == expected
+        else:
+            loaded = decode(tmp_path, data)
+            assert np.array_equal(loaded, load_pnm(data))
+            assert np.array_equal(loaded, np.array(expected, dtype=np.uint8))
+            assert loaded.flags.writeable
+
 
 class TestCrop:
     """The crop rectangle type (the crop helper itself is gone)."""
@@ -251,3 +302,22 @@ class TestRotate:
         oy, ox = (bh - h) // 2, (bw - w) // 2
         diff = np.abs(back[oy : oy + h, ox : ox + w].astype(int) - img.astype(int))
         assert diff.mean() <= 8.0
+
+    @pytest.mark.parametrize("fill", [-1, 256, 300, float("nan")])
+    def test_fill_out_of_range(self, fill):
+        with pytest.raises(ValueError, match="fill"):
+            imaging.rotate(np.zeros((4, 4), dtype=np.uint8), 5.0, fill=fill)
+
+    def test_matches_clipping_reference(self):
+        # dropping the final clip changes no byte for an in-range fill
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            h, w = (int(v) for v in rng.integers(1, 60, size=2))
+            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            if rng.random() < 0.3:
+                img = np.where(rng.random((h, w)) < 0.5, 0, 255).astype(np.uint8)
+            angle = float(rng.uniform(-45, 45))
+            fill = int(rng.choice([0, 255, int(rng.integers(0, 256))]))
+            assert np.array_equal(
+                imaging.rotate(img, angle, fill), clipping_rotate(img, angle, fill)
+            )
