@@ -190,7 +190,8 @@ def main(argv=None):
     except StoreError as exc:
         print(f"template store error: {exc}", file=sys.stderr)
         return EXIT_STORE
-    except (PnmError, FileNotFoundError, ImageTooSmallError, ArgumentRangeError) as exc:
+    except (PnmError, FileNotFoundError, ImageTooSmallError, ArgumentRangeError,
+            synth.SuiteFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

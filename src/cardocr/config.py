@@ -64,7 +64,7 @@ class PipelineConfig:
             raise ConfigError("line_threshold must be >= 0")
         if not 0.0 <= self.r_min <= 1.0:
             raise ConfigError("r_min must be in [0, 1]")
-        if self.word_gap_factor < 1.0:
+        if not self.word_gap_factor >= 1.0:
             raise ConfigError("word_gap_factor must be >= 1")
         if self.scheme not in ("merged", "full"):
             raise ConfigError("scheme must be 'merged' or 'full'")
@@ -106,9 +106,9 @@ def parse_config_text(text):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)
 

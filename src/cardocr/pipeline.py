@@ -139,7 +139,7 @@ def _stage_recognize(results, store, scheme):
     a newline between lines, and a blank line between regions that kept a
     line."""
     glyphs = [g for r in results for line in r.lines for g in line.glyphs]
-    found = rec.classify(rec.normalize_glyph(glyphs), store, scheme)
+    found = rec.classify(rec.normalize_glyph([g.pixels for g in glyphs]), store, scheme)
     labels = iter(c.label for c in found)
     blocks = []
     for r in results:

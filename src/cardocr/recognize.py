@@ -9,6 +9,12 @@ matcher compares the stack with every template word by word, one
 (glyphs, templates) XOR, popcount and add per 64-bit word.
 The 73-character alphabet can optionally be quotiented by merging visually
 symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
+
+A store on disk is a directory of two files: templates.pgm, every template
+stacked vertically in store order (48n rows of 48 columns, foreground 0),
+and labels.txt, one label per line in the same order.  Store order is the
+tie-break order of the matcher, so it round-trips as written.  A store in
+an older layout is rebuilt with `cardocr store-build`.
 """
 
 import os
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import imaging
 from .fontdata import ALPHABET
 
 PATTERN_SIZE = 48
@@ -63,7 +70,6 @@ FULL = ClassScheme("full")
 class Template:
     pattern: np.ndarray  # bool (48, 48)
     label: str
-    source_id: str = ""
 
 
 @dataclass
@@ -80,31 +86,27 @@ def normalize_pattern(mask):
     cols = np.flatnonzero(mask.any(axis=0))
     if len(rows) == 0:
         raise ValueError("empty glyph: no foreground to normalize")
-    tight = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    h, w = tight.shape
-    yy = (np.arange(PATTERN_SIZE) * h) // PATTERN_SIZE
-    xx = (np.arange(PATTERN_SIZE) * w) // PATTERN_SIZE
-    return tight[np.ix_(yy, xx)]
+    return normalize_glyph([mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]])[0]
 
 
-def normalize_glyph(glyphs):
-    """Resample a card's segmented GlyphBoxes to one (n, 48, 48) stack.
+def normalize_glyph(crops):
+    """Resample tight bool crops to one (n, 48, 48) stack, nearest neighbor,
+    by one gather over the concatenated pixels.
 
-    Each GlyphBox.pixels crop is already tight (segment_characters cuts it
-    to foreground columns and to the rows between the first and last row
-    with foreground), so this is normalize_pattern without the crop search,
-    done as one gather over the concatenated pixels.
+    A segmented GlyphBox.pixels crop is already tight (segment_characters
+    cuts it to foreground columns and to the rows between the first and
+    last row with foreground), so a card's glyphs need no crop search.
     """
-    if not glyphs:
+    if not crops:
         return np.zeros((0, PATTERN_SIZE, PATTERN_SIZE), dtype=bool)
-    shapes = np.array([g.pixels.shape for g in glyphs], dtype=np.intp)
+    shapes = np.array([c.shape for c in crops], dtype=np.intp)
     h, w = shapes[:, :1], shapes[:, 1:]
     sizes = shapes[:, 0] * shapes[:, 1]
     offsets = np.cumsum(sizes) - sizes
     steps = np.arange(PATTERN_SIZE)
     rows = (steps * h) // PATTERN_SIZE * w + offsets[:, None]
     cols = (steps * w) // PATTERN_SIZE
-    flat = np.concatenate([g.pixels.reshape(-1) for g in glyphs])
+    flat = np.concatenate([c.reshape(-1) for c in crops])
     return flat[rows[:, :, None] + cols[:, None, :]]
 
 
@@ -140,14 +142,14 @@ class TemplateStore:
     a (36, templates) array so each word of every template is contiguous."""
 
     def __init__(self, templates):
-        if not templates:
-            raise StoreError("template store is empty")
         self.templates = list(templates)
-        for t in self.templates:
+        if not self.templates:
+            raise StoreError("template store is empty")
+        for i, t in enumerate(self.templates):
             if t.pattern.shape != (PATTERN_SIZE, PATTERN_SIZE):
-                raise StoreError(f"template {t.source_id!r} is not 48x48")
+                raise StoreError(f"template {i} is not 48x48")
             if t.label not in CLASS_INDEX:
-                raise StoreError(f"template label {t.label!r} outside the alphabet")
+                raise StoreError(f"template {i} label {t.label!r} outside the alphabet")
         self._words = np.ascontiguousarray(
             _pack_words(np.stack([t.pattern for t in self.templates])).T
         )
@@ -193,123 +195,69 @@ def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
 
     `labeled_samples` yields (label, binary mask) pairs; masks are
     normalized here.  Per class, the `samples_per_class` samples with the
-    smallest summed dissimilarity to their classmates are kept, preserving
-    input order.  Classes with fewer samples than that are an error.
+    smallest summed dissimilarity to their classmates, ranked by the
+    matcher, are kept, preserving input order.  Classes with fewer samples
+    than that are an error.
     """
     by_class = {}
     for label, mask in labeled_samples:
         if label not in CLASS_INDEX:
             raise StoreError(f"label {label!r} outside the alphabet")
-        by_class.setdefault(label, []).append(normalize_pattern(mask))
+        by_class.setdefault(label, []).append(Template(normalize_pattern(mask), label))
     templates = []
     for label in sorted(by_class, key=CLASS_INDEX.__getitem__):
-        patterns = by_class[label]
-        n = len(patterns)
-        if n < samples_per_class:
+        samples = by_class[label]
+        if len(samples) < samples_per_class:
             raise StoreError(
-                f"class {label!r} has {n} samples, needs {samples_per_class}"
+                f"class {label!r} has {len(samples)} samples, needs {samples_per_class}"
             )
-        if n == samples_per_class:
-            keep = range(n)
-        else:
-            flat = np.stack([p.reshape(-1) for p in patterns]).astype(np.uint8)
-            dist = np.count_nonzero(flat[:, None, :] != flat[None, :, :], axis=2)
-            scores = dist.sum(axis=1)
-            keep = sorted(np.argsort(scores, kind="stable")[:samples_per_class])
-        for rank, idx in enumerate(keep):
-            templates.append(
-                Template(
-                    pattern=patterns[idx],
-                    label=label,
-                    source_id=f"{CLASS_INDEX[label]:02d}_{rank}",
-                )
-            )
+        stack = np.stack([t.pattern for t in samples])
+        scores = TemplateStore(samples).distances(stack).sum(axis=1)
+        keep = sorted(np.argsort(scores, kind="stable")[:samples_per_class])
+        templates += [samples[i] for i in keep]
     # Identical patterns across different merged classes would make tie
     # breaking pick a wrong class, so refuse them; duplicates inside one
     # merged class are harmless.
     seen = {}
-    for t in templates:
-        key = t.pattern.tobytes()
+    for i, t in enumerate(templates):
         merged = MERGE_MAP.get(t.label, t.label)
-        if key in seen and seen[key][1] != merged:
+        first, first_merged = seen.setdefault(t.pattern.tobytes(), (i, merged))
+        if first_merged != merged:
             raise StoreError(
-                f"templates {seen[key][0]} and {t.source_id} are identical "
-                "patterns in different classes"
+                f"templates {first} and {i} are identical patterns in different classes"
             )
-        seen.setdefault(key, (t.source_id, merged))
     return TemplateStore(templates)
 
 
-MANIFEST_NAME = "manifest.txt"
+STORE_IMAGE = "templates.pgm"
+STORE_LABELS = "labels.txt"
 
 
 def save_store(store, directory):
-    """Write templates as PGM files plus an index->character manifest."""
-    from . import imaging
-
+    """Write the store as one stacked PGM plus its label list."""
     os.makedirs(directory, exist_ok=True)
-    counters = {}
-    used_classes = {}
-    for t in store.templates:
-        idx = CLASS_INDEX[t.label]
-        sample = counters.get(idx, 0)
-        counters[idx] = sample + 1
-        used_classes[idx] = t.label
-        imaging.save_pnm_file(
-            os.path.join(directory, f"{idx:02d}_{sample}.pgm"), t.pattern
-        )
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
-        for idx in sorted(used_classes):
-            fh.write(f"{idx:02d}\t{used_classes[idx]}\n")
+    stack = np.concatenate([t.pattern for t in store.templates])
+    imaging.save_pnm_file(os.path.join(directory, STORE_IMAGE), stack)
+    with open(os.path.join(directory, STORE_LABELS), "w", encoding="utf-8") as fh:
+        fh.writelines(t.label + "\n" for t in store.templates)
 
 
 def load_store(directory):
-    """Load a template store directory, validating shape and manifest."""
-    from . import imaging
-
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.isfile(manifest_path):
-        raise StoreError(f"missing manifest in {directory}")
-    index_to_char = {}
-    with open(manifest_path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                idx_text, ch = line.split("\t")
-                idx = int(idx_text)
-            except ValueError:
-                raise StoreError(f"malformed manifest line {line!r}") from None
-            if ch not in CLASS_INDEX or CLASS_INDEX[ch] != idx:
-                raise StoreError(f"manifest maps {idx} to unexpected {ch!r}")
-            index_to_char[idx] = ch
-    entries = []
-    for name in os.listdir(directory):
-        if not name.endswith(".pgm"):
-            continue
-        stem = name[:-4]
-        try:
-            idx_text, sample_text = stem.split("_")
-            idx, sample = int(idx_text), int(sample_text)
-        except ValueError:
-            raise StoreError(f"unexpected template file name {name!r}") from None
-        if idx not in index_to_char:
-            raise StoreError(f"template {name!r} has no manifest entry")
-        entries.append((idx, sample, name))
-    if not entries:
-        raise StoreError(f"no templates found in {directory}")
-    covered = {idx for idx, _, _ in entries}
-    missing = set(index_to_char) - covered
-    if missing:
-        raise StoreError(f"manifest classes without templates: {sorted(missing)}")
-    templates = []
-    for idx, sample, name in sorted(entries):
-        img = imaging.load_pnm_file(os.path.join(directory, name))
-        if img.ndim != 2 or img.shape != (PATTERN_SIZE, PATTERN_SIZE):
-            raise StoreError(f"template {name!r} is not 48x48")
-        templates.append(
-            Template(pattern=img == 0, label=index_to_char[idx], source_id=f"{idx:02d}_{sample}")
+    """Load a store directory written by save_store, in store order."""
+    try:
+        image = imaging.load_pnm_file(os.path.join(directory, STORE_IMAGE))
+        with open(os.path.join(directory, STORE_LABELS), encoding="utf-8") as fh:
+            labels = fh.read().splitlines()
+    except FileNotFoundError as exc:
+        raise StoreError(f"missing {os.path.basename(exc.filename)} in {directory}") from None
+    except (OSError, imaging.PnmError, UnicodeDecodeError) as exc:
+        raise StoreError(f"cannot read store {directory}: {exc}") from None
+    if image.ndim != 2 or image.shape[1] != PATTERN_SIZE:
+        raise StoreError(f"{STORE_IMAGE} is not a gray image 48 pixels wide")
+    if image.shape[0] != PATTERN_SIZE * len(labels):
+        raise StoreError(
+            f"{STORE_IMAGE} has {image.shape[0]} rows, {len(labels)} labels need "
+            f"{PATTERN_SIZE * len(labels)}"
         )
-    return TemplateStore(templates)
-
+    patterns = (image == 0).reshape(len(labels), PATTERN_SIZE, PATTERN_SIZE)
+    return TemplateStore(Template(p, lb) for p, lb in zip(patterns, labels))

@@ -281,6 +281,8 @@ def parse_region_dump(text):
         parts = line.split()
         if not parts:
             continue
+        if len(parts) < 5:
+            raise ValueError(f"region line needs x y w h kind: {line!r}")
         x, y, w, h = (int(p) for p in parts[:4])
         kind = parts[4]
         features = None

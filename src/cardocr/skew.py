@@ -155,19 +155,15 @@ def deskew(region, cfg):
         try:
             estimate = estimate_region_skew(corrected)
         except (NoTextError, DegenerateProfileError) as exc:
-            if total == 0.0:
-                log.debug("skew estimation degenerate, passing region through: %s", exc)
-                return region, 0.0
+            log.debug("skew estimation degenerate, stopping at %.2f: %s", total, exc)
             break
         if abs(total + estimate.angle) > cfg.skew_clamp:
-            if total == 0.0:
-                log.debug(
-                    "skew estimate %.2f beyond +/-%.1f clamp, passing region through",
-                    estimate.angle, cfg.skew_clamp,
-                )
-                return region, 0.0
+            log.debug(
+                "skew estimate %.2f beyond +/-%.1f clamp, stopping at %.2f",
+                estimate.angle, cfg.skew_clamp, total,
+            )
             break
-        if total != 0.0 and total + estimate.angle == total:
+        if total + estimate.angle == total:
             break  # the same total again: the same rotation, and converged
         total += estimate.angle
         if total == 0.0:
@@ -178,9 +174,7 @@ def deskew(region, cfg):
             corrected = imaging.rotate(region, -total, fill=fill)
         if abs(estimate.angle) < CONVERGENCE_DEG:
             break
-    if total == 0.0:
-        return region, 0.0
-    return corrected, total
+    return corrected, total  # a zero total leaves `corrected` the region itself
 
 
 def format_profile_dump(profile, retained_cols, stats, angle):

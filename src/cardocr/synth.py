@@ -8,13 +8,17 @@ before noise, so it is exact by construction.
 """
 
 import math
+import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import imaging
-from .fontdata import GLYPH_ROWS, GLYPHS, TALL_CHARS, glyph_mask
+from .fontdata import ALPHABET, GLYPH_ROWS, GLYPHS, TALL_CHARS, glyph_mask
 from .imaging import Rect
+from .recognize import build_store
+from .regions import parse_region_dump
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -23,6 +27,10 @@ WORD_GAP_CELLS = 3
 LINE_GAP_CELLS = 2
 MAX_SKEW_DEG = 20
 CARD_MARGIN = 48  # px kept clear around generated bands and decoys
+
+
+class SuiteFormatError(ValueError):
+    """A suite regions or truth file that cannot be read as the suite wrote it."""
 
 
 @dataclass
@@ -304,8 +312,6 @@ def perturbed_glyph_mask(ch, rng, scales=(4, 5, 6), rotate_range=1.5,
 
 def font_store_samples(samples_per_class=12, seed=7, scales=(4, 5, 6)):
     """Deterministic labeled samples for building the default template store."""
-    from .fontdata import ALPHABET
-
     seeds = np.random.SeedSequence(seed).spawn(len(ALPHABET))
     out = []
     for ch, ss in zip(ALPHABET, seeds):
@@ -317,8 +323,6 @@ def font_store_samples(samples_per_class=12, seed=7, scales=(4, 5, 6)):
 
 def build_font_store(seed=7, samples_per_class=12):
     """Build the default template store from the bundled font."""
-    from .recognize import build_store
-
     return build_store(font_store_samples(samples_per_class, seed))
 
 
@@ -447,8 +451,6 @@ def random_card_spec(rng, params):
 
 def generate_suite(out_dir, params):
     """Write a deterministic card suite: same seed, byte-identical files."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     seeds = np.random.SeedSequence(params.seed).spawn(params.count)
     for k in range(params.count):
@@ -514,22 +516,23 @@ def load_suite_card(base_path):
     """Load one card by its path prefix (without extension).
 
     Returns (color image, truth regions, transcript text); the card's ink
-    mask stays on disk as `<base>.mask.pgm`.
+    mask stays on disk as `<base>.mask.pgm`.  A regions or truth file that
+    is not UTF-8 or not in the suite format raises SuiteFormatError.
     """
-    from .regions import parse_region_dump
-
     color = imaging.load_pnm_file(base_path + ".ppm")
-    with open(base_path + ".regions.txt") as fh:
-        regions = parse_region_dump(fh.read())
-    with open(base_path + ".truth.txt") as fh:
-        transcript = fh.read()
+    path = base_path + ".regions.txt"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            regions = parse_region_dump(fh.read())
+        path = base_path + ".truth.txt"
+        with open(path, encoding="utf-8") as fh:
+            transcript = fh.read()
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise SuiteFormatError(f"malformed suite file {path}: {exc}") from None
     return color, regions, transcript
 
 
 def suite_card_paths(suite_dir):
-    import os
-    import re
-
     paths = []
     for name in os.listdir(suite_dir):
         m = re.fullmatch(r"card_(\d+)\.ppm", name)

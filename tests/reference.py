@@ -18,6 +18,15 @@ def dissimilarity(a, b):
     return int(np.count_nonzero(a != b))
 
 
+def resample_48(tight):
+    """Nearest-neighbor (anisotropic) resample of a tight crop to 48x48,
+    one crop at a time."""
+    h, w = tight.shape
+    yy = (np.arange(PATTERN_SIZE) * h) // PATTERN_SIZE
+    xx = (np.arange(PATTERN_SIZE) * w) // PATTERN_SIZE
+    return tight[np.ix_(yy, xx)]
+
+
 def char_accuracy(predicted, truth, scheme):
     """Percent of aligned positions whose scheme-mapped labels agree."""
     if len(predicted) != len(truth):

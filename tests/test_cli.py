@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -74,6 +75,17 @@ class TestRun:
         code = cli.main(["run", str(card), "--templates", store_dir,
                          "--config", str(cfg)])
         assert code == 5
+
+    def test_config_not_utf8_exit_5(self, store_dir, tmp_path, capsys):
+        card = tmp_path / "card.ppm"
+        write_card(card)
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"\xffblock_h = 32\n")
+        code = cli.main(["run", str(card), "--templates", store_dir,
+                         "--config", str(cfg)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_config_file_respected(self, store_dir, tmp_path, capsys):
         card = tmp_path / "card.ppm"
@@ -168,8 +180,58 @@ class TestStoreBuild:
         code = cli.main(["store-build", str(out), "--seed", "7"])
         assert code == 0
         assert capsys.readouterr().out == "templates=730\n"
-        assert (out / "manifest.txt").exists()
-        assert len(list(out.glob("*.pgm"))) == 730
+        assert sorted(p.name for p in out.iterdir()) == ["labels.txt", "templates.pgm"]
+        assert imaging.load_pnm_file(out / "templates.pgm").shape == (730 * 48, 48)
+        assert len((out / "labels.txt").read_text().splitlines()) == 730
+
+    def test_rebuild_is_byte_identical(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["store-build", str(first), "--seed", "7"]) == 0
+        assert cli.main(["store-build", str(second), "--seed", "7"]) == 0
+        for name in ("templates.pgm", "labels.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestStoreErrors:
+    """A store that cannot be read exits 3 with one error line."""
+
+    def run_with_store(self, tmp_path, capsys, store):
+        card = tmp_path / "card.ppm"
+        write_card(card)
+        code = cli.main(["run", str(card), "--templates", str(store)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("template store error:")
+        assert captured.err.count("\n") == 1
+        return code, captured.err
+
+    def copy_store(self, store_dir, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        for name in ("templates.pgm", "labels.txt"):
+            (store / name).write_bytes((pathlib.Path(store_dir) / name).read_bytes())
+        return store
+
+    def test_truncated_templates_exit_3(self, store_dir, tmp_path, capsys):
+        store = self.copy_store(store_dir, tmp_path)
+        image = store / "templates.pgm"
+        image.write_bytes(image.read_bytes()[:-100])
+        code, err = self.run_with_store(tmp_path, capsys, store)
+        assert code == 3 and "truncated" in err
+
+    def test_directory_in_place_of_templates_exit_3(self, store_dir, tmp_path, capsys):
+        store = self.copy_store(store_dir, tmp_path)
+        (store / "templates.pgm").unlink()
+        (store / "templates.pgm").mkdir()
+        assert self.run_with_store(tmp_path, capsys, store)[0] == 3
+
+    def test_older_layout_exit_3(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "manifest.txt").write_text("21\tA\n")
+        imaging.save_pnm_file(store / "21_0.pgm", np.zeros((48, 48), np.uint8))
+        code, err = self.run_with_store(tmp_path, capsys, store)
+        assert code == 3 and "missing templates.pgm" in err
 
 
 class TestEval:
@@ -221,6 +283,24 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("no text found:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("suffix, data", [
+        (".regions.txt", b"garbage line here x\n"),
+        (".regions.txt", b"1 2 3 4\n"),
+        (".truth.txt", b"\xff"),
+    ])
+    def test_malformed_suite_file_exit_2(self, store_dir, tmp_path, capsys, suffix, data):
+        suite = tmp_path / "suite"
+        assert cli.main(["synth", str(suite), "--count", "1", "--seed", "3"]) == 0
+        capsys.readouterr()
+        path = suite / ("card_0" + suffix)
+        with open(path, "ab") as fh:
+            fh.write(data)
+        assert cli.main(["eval", str(suite), "--templates", store_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: malformed suite file")
+        assert str(path) in captured.err and captured.err.count("\n") == 1
 
     def test_empty_suite_exit_2(self, store_dir, tmp_path):
         empty = tmp_path / "empty"

@@ -83,6 +83,7 @@ class TestParsing:
             "word_gap_factor = 0.5",
             "scheme = fuzzy",
             "skew_passes = 0",
+            "word_gap_factor = nan",
         ],
     )
     def test_range_validation(self, line):
@@ -100,3 +101,9 @@ class TestParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "pipeline.cfg"
+        path.write_bytes(b"\xffblock_h = 32\n")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(path)

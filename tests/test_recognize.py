@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardocr import pipeline, synth
+from cardocr import imaging, pipeline, synth
 from cardocr.config import PipelineConfig
 from cardocr import recognize as rec
 from cardocr.recognize import (
@@ -14,7 +14,7 @@ from cardocr.recognize import (
 )
 from cardocr.segment import GlyphBox
 
-from reference import dissimilarity
+from reference import dissimilarity, resample_48
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +206,10 @@ class TestBatch:
         result = pipeline.run_pipeline(color, PipelineConfig(), store)
         glyphs = [g for r in result.regions for line in r.lines for g in line.glyphs]
         assert len(glyphs) > 50
-        stack = rec.normalize_glyph(glyphs)
+        stack = rec.normalize_glyph([g.pixels for g in glyphs])
         assert stack.shape == (len(glyphs), 48, 48) and stack.dtype == bool
         for g, pattern in zip(glyphs, stack):
+            assert np.array_equal(pattern, resample_48(g.pixels))
             assert np.array_equal(pattern, rec.normalize_pattern(g.pixels))
 
     @pytest.mark.parametrize("popcount", POPCOUNTS)
@@ -264,6 +265,17 @@ class TestBuildStore:
         solid = rec.normalize_pattern(np.ones((40, 40), dtype=bool))
         assert all(dissimilarity(t.pattern, solid) > 0 for t in store.templates)
 
+    def test_medoids_match_reference_ranking(self):
+        rng = np.random.default_rng(15)
+        samples = [("E", synth.perturbed_glyph_mask("E", rng)) for _ in range(16)]
+        patterns = [rec.normalize_pattern(mask) for _, mask in samples]
+        scores = [sum(dissimilarity(p, q) for q in patterns) for p in patterns]
+        keep = sorted(np.argsort(scores, kind="stable")[:10])
+        store = rec.build_store(samples)
+        assert [t.pattern.tobytes() for t in store.templates] == [
+            patterns[i].tobytes() for i in keep
+        ]
+
     def test_too_few_samples(self):
         rng = np.random.default_rng(14)
         with pytest.raises(StoreError, match="needs"):
@@ -290,34 +302,78 @@ class TestStoreIO:
     def test_round_trip(self, font_store, tmp_path):
         directory = tmp_path / "store"
         rec.save_store(font_store, directory)
-        assert (directory / "manifest.txt").exists()
-        assert len(list(directory.glob("*.pgm"))) == 730
+        assert sorted(p.name for p in directory.iterdir()) == ["labels.txt", "templates.pgm"]
         back = rec.load_store(directory)
         assert len(back) == len(font_store)
         assert [t.label for t in back.templates] == [t.label for t in font_store.templates]
         for a, b in zip(back.templates, font_store.templates):
             assert np.array_equal(a.pattern, b.pattern)
 
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(StoreError, match="manifest"):
-            rec.load_store(tmp_path)
+    def test_round_trip_keeps_order_and_ties(self, tmp_path):
+        # store order is the tie-break order, so [B, A] must not come back
+        # sorted by class
+        shared = random_pattern(np.random.default_rng(21))
+        store = TemplateStore([Template(pattern=shared, label="B"),
+                               Template(pattern=shared, label="A")])
+        rec.save_store(store, tmp_path)
+        assert (tmp_path / "labels.txt").read_text() == "B\nA\n"
+        back = rec.load_store(tmp_path)
+        assert [t.label for t in back.templates] == ["B", "A"]
+        assert rec.classify(shared[None], back, FULL)[0].label == "B"
 
-    def test_malformed_manifest(self, tmp_path):
-        (tmp_path / "manifest.txt").write_text("not a manifest\n")
-        with pytest.raises(StoreError, match="malformed"):
-            rec.load_store(tmp_path)
+    def write_store(self, directory, image, labels):
+        imaging.save_pnm_file(directory / "templates.pgm", image)
+        (directory / "labels.txt").write_text("".join(lb + "\n" for lb in labels))
 
-    def test_manifest_class_without_templates(self, tmp_path):
+    def test_missing_templates_image(self, tmp_path):
+        # a store directory in the older one-file-per-template layout
         (tmp_path / "manifest.txt").write_text("21\tA\n")
-        with pytest.raises(StoreError):
+        imaging.save_pnm_file(tmp_path / "21_0.pgm", np.zeros((48, 48), np.uint8))
+        with pytest.raises(StoreError, match="missing templates.pgm"):
             rec.load_store(tmp_path)
 
-    def test_wrong_template_size(self, tmp_path):
-        from cardocr import imaging
+    def test_missing_labels(self, tmp_path):
+        imaging.save_pnm_file(tmp_path / "templates.pgm", np.zeros((48, 48), np.uint8))
+        with pytest.raises(StoreError, match="missing labels.txt"):
+            rec.load_store(tmp_path)
 
-        (tmp_path / "manifest.txt").write_text("21\tA\n")
-        imaging.save_pnm_file(tmp_path / "21_0.pgm", np.zeros((10, 10), np.uint8))
-        with pytest.raises(StoreError, match="48x48"):
+    def test_label_count_mismatch(self, tmp_path):
+        self.write_store(tmp_path, np.zeros((96, 48), np.uint8), ["A"])
+        with pytest.raises(StoreError, match="96 rows, 1 labels need 48"):
+            rec.load_store(tmp_path)
+
+    def test_wrong_image_width(self, tmp_path):
+        self.write_store(tmp_path, np.zeros((48, 10), np.uint8), ["A"])
+        with pytest.raises(StoreError, match="48 pixels wide"):
+            rec.load_store(tmp_path)
+
+    def test_color_image(self, tmp_path):
+        self.write_store(tmp_path, np.zeros((48, 48, 3), np.uint8), ["A"])
+        with pytest.raises(StoreError, match="gray"):
+            rec.load_store(tmp_path)
+
+    def test_label_outside_alphabet(self, tmp_path):
+        self.write_store(tmp_path, np.zeros((96, 48), np.uint8), ["A", "?"])
+        with pytest.raises(StoreError, match="template 1 label '\\?' outside the alphabet"):
+            rec.load_store(tmp_path)
+
+    def test_truncated_image(self, tmp_path):
+        self.write_store(tmp_path, np.zeros((48, 48), np.uint8), ["A"])
+        data = (tmp_path / "templates.pgm").read_bytes()
+        (tmp_path / "templates.pgm").write_bytes(data[:-1])
+        with pytest.raises(StoreError, match="truncated"):
+            rec.load_store(tmp_path)
+
+    def test_directory_in_place_of_image(self, tmp_path):
+        (tmp_path / "templates.pgm").mkdir()
+        (tmp_path / "labels.txt").write_text("A\n")
+        with pytest.raises(StoreError, match="cannot read store"):
+            rec.load_store(tmp_path)
+
+    def test_labels_not_utf8(self, tmp_path):
+        imaging.save_pnm_file(tmp_path / "templates.pgm", np.zeros((48, 48), np.uint8))
+        (tmp_path / "labels.txt").write_bytes(b"\xff\n")
+        with pytest.raises(StoreError, match="utf-8"):
             rec.load_store(tmp_path)
 
 

@@ -2,7 +2,8 @@
 the package itself or by the benchmark: a helper that only tests call
 belongs with the tests (see tests/reference.py), not in the shipped package.
 Every PipelineConfig field is read by the package: a setting that nothing
-reads is a dead knob.
+reads is a dead knob.  Imports sit at module level, never in a function
+body, so a module's dependencies are all in its header.
 """
 
 import ast
@@ -101,3 +102,25 @@ def test_every_config_field_is_read():
     for path in PACKAGE:
         reads |= attributes_read(ast.parse(path.read_text(), str(path)))
     assert [f.name for f in fields(PipelineConfig) if f.name not in reads] == []
+
+
+def local_imports(tree, name):
+    """'<module>.<function>' for each import statement inside a function."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                f"{name}.{node.name}"
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Import, ast.ImportFrom))
+            ]
+    return found
+
+
+def test_no_function_local_imports():
+    tree = ast.parse("import os\ndef f():\n    import re\n    from . import x\n")
+    assert local_imports(tree, "m") == ["m.f", "m.f"]
+    found = []
+    for path in PACKAGE:
+        found += local_imports(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == []
