@@ -5,10 +5,12 @@ suite), store-build (build the template store from the bundled font), eval
 (score a pipeline run against a suite), bench (per-stage timing and peak
 buffer report).
 
-Exit codes: 0 ok, 2 unreadable input, an image smaller than one block or
-a synth/bench argument out of range, 3 invalid template store, 4 no text
-found (for eval: no text region of the suite matched, so region recall and
-precision are undefined), 5 bad configuration.
+Exit codes: 0 ok, 2 unreadable input, any other filesystem error (a
+missing path, a file where a directory belongs), an image smaller than one
+block or a synth/bench argument out of range, 3 invalid or unreadable
+template store, 4 no text found (for eval: no text region of the suite
+matched, so region recall and precision are undefined), 5 bad or
+unreadable configuration.
 """
 
 import argparse
@@ -190,7 +192,7 @@ def main(argv=None):
     except StoreError as exc:
         print(f"template store error: {exc}", file=sys.stderr)
         return EXIT_STORE
-    except (PnmError, FileNotFoundError, ImageTooSmallError, ArgumentRangeError,
+    except (PnmError, OSError, ImageTooSmallError, ArgumentRangeError,
             synth.SuiteFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

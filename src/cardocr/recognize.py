@@ -10,11 +10,14 @@ matcher compares the stack with every template word by word, one
 The 73-character alphabet can optionally be quotiented by merging visually
 symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
 
-A store on disk is a directory of two files: templates.pgm, every template
-stacked vertically in store order (48n rows of 48 columns, foreground 0),
-and labels.txt, one label per line in the same order.  Store order is the
-tie-break order of the matcher, so it round-trips as written.  A store in
-an older layout is rebuilt with `cardocr store-build`.
+A store in memory is only the matcher's packed words, 36 uint64 per
+template, plus its label list; TemplateStore.patterns() unpacks the bool
+stack when it is written out.  A store on disk is a directory of two files:
+templates.pgm, every template stacked vertically in store order (48n rows
+of 48 columns, foreground 0), and labels.txt, one label per line in the
+same order.  Store order is the tie-break order of the matcher, so it
+round-trips as written.  A store in an older layout is rebuilt with
+`cardocr store-build`.
 """
 
 import os
@@ -67,12 +70,6 @@ FULL = ClassScheme("full")
 
 
 @dataclass
-class Template:
-    pattern: np.ndarray  # bool (48, 48)
-    label: str
-
-
-@dataclass
 class Classification:
     label: str          # scheme-mapped winner
     score: int          # dissimilarity of the winning template
@@ -110,19 +107,6 @@ def normalize_glyph(crops):
     return flat[rows[:, :, None] + cols[:, None, :]]
 
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount_table(words):
-    """Set bits per element of a contiguous uint64 array, by 256-entry
-    lookup table over its bytes."""
-    counts = _POPCOUNT8[words.view(np.uint8)]
-    return counts.reshape(words.shape + (8,)).sum(axis=-1, dtype=np.uint8)
-
-
-# np.bitwise_count exists from numpy 2.0 on; older numpy uses the table.
-_popcount = np.bitwise_count if hasattr(np, "bitwise_count") else _popcount_table
-
 PATTERN_WORDS = PATTERN_SIZE * PATTERN_SIZE // 64
 
 # Bytes of the (glyphs, templates) uint64 XOR temporary of one matcher
@@ -137,26 +121,32 @@ def _pack_words(patterns):
 
 
 class TemplateStore:
-    """Immutable collection of labeled templates with a bit-packed match
-    matrix: 48*48/64 = 36 uint64 words per template, stored word-major as
-    a (36, templates) array so each word of every template is contiguous."""
+    """Immutable labeled templates held only as a bit-packed match matrix:
+    48*48/64 = 36 uint64 words per template, stored word-major as a
+    (36, templates) array so each word of every template is contiguous,
+    plus the labels in store order."""
 
-    def __init__(self, templates):
-        self.templates = list(templates)
-        if not self.templates:
+    def __init__(self, patterns, labels):
+        self.labels = list(labels)
+        if not self.labels:
             raise StoreError("template store is empty")
-        for i, t in enumerate(self.templates):
-            if t.pattern.shape != (PATTERN_SIZE, PATTERN_SIZE):
-                raise StoreError(f"template {i} is not 48x48")
-            if t.label not in CLASS_INDEX:
-                raise StoreError(f"template {i} label {t.label!r} outside the alphabet")
-        self._words = np.ascontiguousarray(
-            _pack_words(np.stack([t.pattern for t in self.templates])).T
-        )
-        self._labels = [t.label for t in self.templates]
+        shape = (len(self.labels), PATTERN_SIZE, PATTERN_SIZE)
+        if patterns.shape != shape:
+            raise StoreError(
+                f"template stack is {patterns.shape}, {len(self.labels)} labels need {shape}"
+            )
+        for i, label in enumerate(self.labels):
+            if label not in CLASS_INDEX:
+                raise StoreError(f"template {i} label {label!r} outside the alphabet")
+        self._words = np.ascontiguousarray(_pack_words(patterns).T)
 
     def __len__(self):
-        return len(self.templates)
+        return len(self.labels)
+
+    def patterns(self):
+        """The (templates, 48, 48) bool stack, unpacked in store order."""
+        bits = np.unpackbits(np.ascontiguousarray(self._words.T).view(np.uint8), axis=1)
+        return bits.reshape(len(self), PATTERN_SIZE, PATTERN_SIZE).astype(bool)
 
     def distances(self, patterns):
         """(n, templates) uint16 dissimilarities of an (n, 48, 48) stack
@@ -165,7 +155,7 @@ class TemplateStore:
         Word by word, one (glyphs, templates) XOR, popcount and add, so the
         sum runs along contiguous rows."""
         words = _pack_words(patterns)
-        n, count = len(words), len(self.templates)
+        n, count = len(words), len(self)
         out = np.zeros((n, count), dtype=np.uint16)
         step = max(1, MATCH_BATCH_BYTES // (8 * count))
         for lo in range(0, n, step):
@@ -174,7 +164,7 @@ class TemplateStore:
             xor = np.empty((len(batch), count), dtype=np.uint64)
             for k in range(PATTERN_WORDS):
                 np.bitwise_xor(batch[:, k, None], self._words[k], out=xor)
-                acc += _popcount(xor)
+                acc += np.bitwise_count(xor)
         return out
 
 
@@ -185,7 +175,7 @@ def classify(patterns, store, scheme=MERGED):
         raise ValueError("patterns must be an (n, 48, 48) stack")
     dists = store.distances(patterns)
     return [
-        Classification(label=scheme.apply(store._labels[b]), score=s)
+        Classification(label=scheme.apply(store.labels[b]), score=s)
         for b, s in zip(dists.argmin(axis=1).tolist(), dists.min(axis=1).tolist())
     ]
 
@@ -203,30 +193,31 @@ def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
     for label, mask in labeled_samples:
         if label not in CLASS_INDEX:
             raise StoreError(f"label {label!r} outside the alphabet")
-        by_class.setdefault(label, []).append(Template(normalize_pattern(mask), label))
-    templates = []
+        by_class.setdefault(label, []).append(normalize_pattern(mask))
+    stacks, labels = [], []
     for label in sorted(by_class, key=CLASS_INDEX.__getitem__):
-        samples = by_class[label]
-        if len(samples) < samples_per_class:
+        stack = np.stack(by_class[label])
+        if len(stack) < samples_per_class:
             raise StoreError(
-                f"class {label!r} has {len(samples)} samples, needs {samples_per_class}"
+                f"class {label!r} has {len(stack)} samples, needs {samples_per_class}"
             )
-        stack = np.stack([t.pattern for t in samples])
-        scores = TemplateStore(samples).distances(stack).sum(axis=1)
+        scores = TemplateStore(stack, [label] * len(stack)).distances(stack).sum(axis=1)
         keep = sorted(np.argsort(scores, kind="stable")[:samples_per_class])
-        templates += [samples[i] for i in keep]
+        stacks.append(stack[keep])
+        labels += [label] * len(keep)
+    store = TemplateStore(np.concatenate(stacks), labels)
     # Identical patterns across different merged classes would make tie
     # breaking pick a wrong class, so refuse them; duplicates inside one
     # merged class are harmless.
     seen = {}
-    for i, t in enumerate(templates):
-        merged = MERGE_MAP.get(t.label, t.label)
-        first, first_merged = seen.setdefault(t.pattern.tobytes(), (i, merged))
+    for i, (row, label) in enumerate(zip(store._words.T, store.labels)):
+        merged = MERGE_MAP.get(label, label)
+        first, first_merged = seen.setdefault(row.tobytes(), (i, merged))
         if first_merged != merged:
             raise StoreError(
                 f"templates {first} and {i} are identical patterns in different classes"
             )
-    return TemplateStore(templates)
+    return store
 
 
 STORE_IMAGE = "templates.pgm"
@@ -236,10 +227,10 @@ STORE_LABELS = "labels.txt"
 def save_store(store, directory):
     """Write the store as one stacked PGM plus its label list."""
     os.makedirs(directory, exist_ok=True)
-    stack = np.concatenate([t.pattern for t in store.templates])
+    stack = store.patterns().reshape(-1, PATTERN_SIZE)
     imaging.save_pnm_file(os.path.join(directory, STORE_IMAGE), stack)
     with open(os.path.join(directory, STORE_LABELS), "w", encoding="utf-8") as fh:
-        fh.writelines(t.label + "\n" for t in store.templates)
+        fh.writelines(label + "\n" for label in store.labels)
 
 
 def load_store(directory):
@@ -259,5 +250,4 @@ def load_store(directory):
             f"{STORE_IMAGE} has {image.shape[0]} rows, {len(labels)} labels need "
             f"{PATTERN_SIZE * len(labels)}"
         )
-    patterns = (image == 0).reshape(len(labels), PATTERN_SIZE, PATTERN_SIZE)
-    return TemplateStore(Template(p, lb) for p, lb in zip(patterns, labels))
+    return TemplateStore((image == 0).reshape(len(labels), PATTERN_SIZE, PATTERN_SIZE), labels)

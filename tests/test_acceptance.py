@@ -206,10 +206,9 @@ def test_c06_character_segmentation():
 def test_c07_recognition_properties(store):
     # every stored template matches itself with zero dissimilarity
     assert len(store) == 730
-    patterns = np.stack([t.pattern for t in store.templates])
-    for template, got in zip(store.templates, rec.classify(patterns, store, rec.MERGED)):
+    for label, got in zip(store.labels, rec.classify(store.patterns(), store, rec.MERGED)):
         assert got.score == 0
-        assert got.label == rec.MERGED.apply(template.label)
+        assert got.label == rec.MERGED.apply(label)
 
     # metric axioms on 10^5 random triples, in batches; the batch distance
     # formula (ink-only/background-only disagreement split) independently

@@ -234,6 +234,75 @@ class TestStoreErrors:
         assert code == 3 and "missing templates.pgm" in err
 
 
+# argv with PATH as the path under test, the kind of path, the exit code
+FILESYSTEM_CASES = [
+    (["run", "PATH", "--templates", "STORE"], "missing", 2),
+    (["run", "PATH", "--templates", "STORE"], "dir", 2),
+    (["run", "CARD", "--templates", "PATH"], "missing", 3),
+    (["run", "CARD", "--templates", "PATH"], "file", 3),
+    (["run", "CARD", "--templates", "STORE", "--config", "PATH"], "missing", 5),
+    (["run", "CARD", "--templates", "STORE", "--config", "PATH"], "dir", 5),
+    (["run", "CARD", "--templates", "STORE", "--dump-stages", "PATH"], "missing", 0),
+    (["run", "CARD", "--templates", "STORE", "--dump-stages", "PATH"], "file", 2),
+    (["synth", "PATH", "--count", "1"], "missing", 0),
+    (["synth", "PATH", "--count", "1"], "file", 2),
+    (["store-build", "PATH", "--samples", "10"], "missing", 0),
+    (["store-build", "PATH"], "file", 2),
+    (["eval", "PATH", "--templates", "STORE"], "missing", 2),
+    (["eval", "PATH", "--templates", "STORE"], "file", 2),
+    (["eval", "DIR", "--templates", "PATH"], "missing", 3),
+    (["eval", "DIR", "--templates", "PATH"], "file", 3),
+    (["eval", "DIR", "--templates", "STORE", "--config", "PATH"], "missing", 5),
+    (["eval", "DIR", "--templates", "STORE", "--config", "PATH"], "dir", 5),
+    (["bench", "PATH", "--templates", "STORE"], "missing", 2),
+    (["bench", "PATH", "--templates", "STORE"], "dir", 2),
+    (["bench", "CARD", "--templates", "PATH"], "missing", 3),
+    (["bench", "CARD", "--templates", "PATH"], "file", 3),
+    (["bench", "CARD", "--templates", "STORE", "--config", "PATH"], "missing", 5),
+    (["bench", "CARD", "--templates", "STORE", "--config", "PATH"], "dir", 5),
+    (["config", "--config", "PATH"], "missing", 5),
+    (["config", "--config", "PATH"], "dir", 5),
+]
+
+
+def filesystem_case_id(argv, kind):
+    flag = argv[argv.index("PATH") - 1]
+    return "-".join([argv[0], flag[2:] if flag.startswith("--") else "arg", kind])
+
+
+class TestFilesystemContract:
+    """Every subcommand against a missing path, a regular file where a
+    directory is expected and a directory where a file is expected ends in
+    a documented exit code; a failure is one stderr line that names the
+    path.  Unreadable-permission cases are left out: they do not fail for
+    the root user."""
+
+    PREFIX = {2: "input error:", 3: "template store error:", 5: "config error:"}
+
+    @pytest.mark.parametrize(
+        "argv, kind, expected", FILESYSTEM_CASES,
+        ids=[filesystem_case_id(argv, kind) for argv, kind, _ in FILESYSTEM_CASES],
+    )
+    def test_exit_code(self, store_dir, tmp_path, capsys, argv, kind, expected):
+        path = tmp_path / kind
+        if kind == "file":
+            path.write_text("a regular file\n")
+        elif kind == "dir":
+            path.mkdir()
+        card, empty = tmp_path / "card.ppm", tmp_path / "empty"
+        write_card(card)
+        empty.mkdir()
+        slots = {"PATH": str(path), "CARD": str(card), "STORE": store_dir, "DIR": str(empty)}
+        code = cli.main([slots.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == expected
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith(self.PREFIX[code]) and err.count("\n") == 1
+            assert str(path) in err
+
+
 class TestEval:
     def test_perfect_suite_metrics(self, store_dir, tmp_path, capsys):
         # seed 3 is a suite this pipeline recognizes perfectly

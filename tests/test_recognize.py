@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,11 @@ from cardocr.recognize import (
     MERGED,
     ClassScheme,
     StoreError,
-    Template,
     TemplateStore,
 )
 from cardocr.segment import GlyphBox
 
 from reference import dissimilarity, resample_48
-
-
-@pytest.fixture(scope="module")
-def font_store():
-    return synth.build_font_store(seed=7)
 
 
 def pattern_from(mask_rows):
@@ -117,19 +113,16 @@ class TestScheme:
 
 class TestClassify:
     def make_store(self, labels, rng):
-        return TemplateStore(
-            [Template(pattern=random_pattern(rng), label=lb) for lb in labels]
-        )
+        return TemplateStore(np.stack([random_pattern(rng) for _ in labels]), labels)
 
-    def test_self_match(self, font_store):
-        t = font_store.templates[37]
-        [c] = rec.classify(t.pattern[None], font_store, FULL)
+    def test_self_match(self, store):
+        [c] = rec.classify(store.patterns()[37:38], store, FULL)
         assert c.score == 0
-        assert c.label == t.label
+        assert c.label == store.labels[37]
 
-    def test_merged_label_for_small_l(self, font_store):
-        sample = next(t for t in font_store.templates if t.label == "l")
-        [c] = rec.classify(sample.pattern[None], font_store, MERGED)
+    def test_merged_label_for_small_l(self, store):
+        i = store.labels.index("l")
+        [c] = rec.classify(store.patterns()[i : i + 1], store, MERGED)
         assert c.label == "I"
 
     def test_matches_brute_force(self):
@@ -137,60 +130,47 @@ class TestClassify:
         store = self.make_store(["A", "B", "C", "D", "E"], rng)
         probes = np.stack([random_pattern(rng) for _ in range(25)])
         for probe, got in zip(probes, rec.classify(probes, store, FULL)):
-            dists = [dissimilarity(probe, t.pattern) for t in store.templates]
+            dists = [dissimilarity(probe, t) for t in store.patterns()]
             best = min(range(5), key=lambda i: (dists[i], i))
-            assert got.label == store.templates[best].label
+            assert got.label == store.labels[best]
             assert got.score == dists[best]
 
     def test_tie_breaks_to_store_order(self):
         rng = np.random.default_rng(10)
         shared = random_pattern(rng)
-        store = TemplateStore(
-            [Template(pattern=shared, label="X"), Template(pattern=shared, label="Y")]
-        )
+        store = TemplateStore(np.stack([shared, shared]), ["X", "Y"])
         assert rec.classify(shared[None], store, FULL)[0].label == "X"
 
     def test_ties_in_a_batch_break_to_store_order(self):
         rng = np.random.default_rng(15)
         shared, other = random_pattern(rng), random_pattern(rng)
-        store = TemplateStore([
-            Template(pattern=shared, label="X"),
-            Template(pattern=other, label="Z"),
-            Template(pattern=shared, label="Y"),
-            Template(pattern=other, label="W"),
-        ])
+        store = TemplateStore(np.stack([shared, other, shared, other]), ["X", "Z", "Y", "W"])
         got = rec.classify(np.stack([shared, other, shared]), store, FULL)
         assert [(c.label, c.score) for c in got] == [("X", 0), ("Z", 0), ("X", 0)]
 
-    def test_table_popcount_matches_dissimilarity(self, monkeypatch):
-        # the lookup-table path used on numpy < 2, forced on any numpy
-        monkeypatch.setattr(rec, "_popcount", rec._popcount_table)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b = random_pattern(rng), random_pattern(rng)
-            store = TemplateStore(
-                [Template(pattern=a, label="A"), Template(pattern=b, label="B")]
-            )
-            assert store.distances(b[None]).tolist() == [[dissimilarity(a, b), 0]]
-        shared = random_pattern(rng)
-        store = TemplateStore(
-            [Template(pattern=shared, label="Y"), Template(pattern=shared, label="X")]
-        )
-        probe = shared.copy()
-        probe[0, 0] = not probe[0, 0]
-        [got] = rec.classify(probe[None], store, FULL)
-        assert (got.label, got.score) == ("Y", 1)
-
     def test_empty_store(self):
-        with pytest.raises(StoreError):
-            TemplateStore([])
+        with pytest.raises(StoreError, match="empty"):
+            TemplateStore(np.zeros((0, 48, 48), dtype=bool), [])
 
-    def test_rejects_a_single_pattern(self, font_store):
+    def test_patterns_and_labels_of_different_lengths(self):
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_pattern(rng) for _ in range(3)])
+        with pytest.raises(StoreError, match="3 labels need"):
+            TemplateStore(stack[:2], ["A", "B", "C"])
+        with pytest.raises(StoreError, match="2 labels need"):
+            TemplateStore(stack, ["A", "B"])
+        with pytest.raises(StoreError, match="1 labels need"):
+            TemplateStore(np.zeros((1, 48, 47), dtype=bool), ["A"])
+
+    def test_patterns_round_trip(self):
+        rng = np.random.default_rng(18)
+        stack = np.stack([random_pattern(rng) for _ in range(7)])
+        got = TemplateStore(stack, ["A"] * 7).patterns()
+        assert got.dtype == bool and np.array_equal(got, stack)
+
+    def test_rejects_a_single_pattern(self, store):
         with pytest.raises(ValueError, match="stack"):
-            rec.classify(font_store.templates[0].pattern, font_store, FULL)
-
-
-POPCOUNTS = ["table"] + (["native"] if hasattr(np, "bitwise_count") else [])
+            rec.classify(store.patterns()[0], store, FULL)
 
 
 class TestBatch:
@@ -212,13 +192,10 @@ class TestBatch:
             assert np.array_equal(pattern, resample_48(g.pixels))
             assert np.array_equal(pattern, rec.normalize_pattern(g.pixels))
 
-    @pytest.mark.parametrize("popcount", POPCOUNTS)
-    def test_distances_match_dissimilarity(self, monkeypatch, popcount):
-        if popcount == "table":
-            monkeypatch.setattr(rec, "_popcount", rec._popcount_table)
+    def test_distances_match_dissimilarity(self, monkeypatch):
         rng = np.random.default_rng(16)
         templates = [random_pattern(rng) for _ in range(7)]
-        store = TemplateStore([Template(pattern=p, label="A") for p in templates])
+        store = TemplateStore(np.stack(templates), ["A"] * len(templates))
         # batches of three probes: the ten probes span four of them
         monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", 3 * 8 * len(templates))
         probes = np.stack([random_pattern(rng) for _ in range(10)])
@@ -249,7 +226,7 @@ class TestBuildStore:
         rng = np.random.default_rng(12)
         store = rec.build_store(self.glyph_samples("A", 10, rng))
         assert len(store) == 10
-        assert all(t.label == "A" for t in store.templates)
+        assert store.labels == ["A"] * 10
 
     def test_identical_samples_keep_ten(self):
         samples = [("B", synth.render_glyph("B", 5))] * 12
@@ -263,7 +240,7 @@ class TestBuildStore:
         store = rec.build_store(samples)
         assert len(store) == 10
         solid = rec.normalize_pattern(np.ones((40, 40), dtype=bool))
-        assert all(dissimilarity(t.pattern, solid) > 0 for t in store.templates)
+        assert all(dissimilarity(p, solid) > 0 for p in store.patterns())
 
     def test_medoids_match_reference_ranking(self):
         rng = np.random.default_rng(15)
@@ -272,7 +249,7 @@ class TestBuildStore:
         scores = [sum(dissimilarity(p, q) for q in patterns) for p in patterns]
         keep = sorted(np.argsort(scores, kind="stable")[:10])
         store = rec.build_store(samples)
-        assert [t.pattern.tobytes() for t in store.templates] == [
+        assert [p.tobytes() for p in store.patterns()] == [
             patterns[i].tobytes() for i in keep
         ]
 
@@ -291,34 +268,44 @@ class TestBuildStore:
         with pytest.raises(StoreError, match="identical"):
             rec.build_store(samples)
 
-    def test_full_font_store(self, font_store):
-        assert len(font_store) == 730  # 73 classes x 10 samples
-        labels = [t.label for t in font_store.templates]
+    def test_full_font_store(self, store):
+        assert len(store) == 730  # 73 classes x 10 samples
+        labels = store.labels
         assert len(set(labels)) == 73
         assert all(labels.count(ch) == 10 for ch in set(labels))
 
 
 class TestStoreIO:
-    def test_round_trip(self, font_store, tmp_path):
+    def test_round_trip(self, store, tmp_path):
         directory = tmp_path / "store"
-        rec.save_store(font_store, directory)
+        rec.save_store(store, directory)
         assert sorted(p.name for p in directory.iterdir()) == ["labels.txt", "templates.pgm"]
         back = rec.load_store(directory)
-        assert len(back) == len(font_store)
-        assert [t.label for t in back.templates] == [t.label for t in font_store.templates]
-        for a, b in zip(back.templates, font_store.templates):
-            assert np.array_equal(a.pattern, b.pattern)
+        assert len(back) == len(store)
+        assert back.labels == store.labels
+        assert np.array_equal(back.patterns(), store.patterns())
+
+    def test_loaded_store_holds_only_packed_words(self, store_dir):
+        # 730 templates as 36 uint64 words each are 0.21 MB; a bool copy
+        # of the patterns would add 1.68 MB
+        tracemalloc.start()
+        try:
+            back = rec.load_store(store_dir)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 730
+        assert retained < 500_000
 
     def test_round_trip_keeps_order_and_ties(self, tmp_path):
         # store order is the tie-break order, so [B, A] must not come back
         # sorted by class
         shared = random_pattern(np.random.default_rng(21))
-        store = TemplateStore([Template(pattern=shared, label="B"),
-                               Template(pattern=shared, label="A")])
+        store = TemplateStore(np.stack([shared, shared]), ["B", "A"])
         rec.save_store(store, tmp_path)
         assert (tmp_path / "labels.txt").read_text() == "B\nA\n"
         back = rec.load_store(tmp_path)
-        assert [t.label for t in back.templates] == ["B", "A"]
+        assert back.labels == ["B", "A"]
         assert rec.classify(shared[None], back, FULL)[0].label == "B"
 
     def write_store(self, directory, image, labels):
@@ -425,7 +412,7 @@ class TestTranscribe:
 
 
 class TestMergeDominance:
-    def test_dominance_on_random_predictions(self, font_store):
+    def test_dominance_on_random_predictions(self, store):
         rng = np.random.default_rng(20)
         labels = []
         patterns = []
@@ -434,7 +421,7 @@ class TestMergeDominance:
             mask = synth.perturbed_glyph_mask(ch, rng)
             patterns.append(rec.normalize_pattern(mask))
             labels.append(ch)
-        predictions = [c.label for c in rec.classify(np.stack(patterns), font_store, FULL)]
+        predictions = [c.label for c in rec.classify(np.stack(patterns), store, FULL)]
         full_correct = sum(p == t for p, t in zip(predictions, labels))
         merged_correct = sum(
             MERGED.apply(p) == MERGED.apply(t) for p, t in zip(predictions, labels)
