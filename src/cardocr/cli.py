@@ -14,6 +14,7 @@ unreadable configuration.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -62,6 +63,8 @@ def _load_inputs(args):
 
 def cmd_run(args):
     cfg, store, image = _load_inputs(args)
+    if args.dump_stages:
+        os.makedirs(args.dump_stages, exist_ok=True)
     result = pipeline.run_pipeline(image, cfg, store)
     if args.dump_stages:
         pipeline.dump_stages(result, args.dump_stages)
@@ -87,6 +90,7 @@ def cmd_synth(args):
 
 
 def cmd_store_build(args):
+    os.makedirs(args.out_dir, exist_ok=True)
     store = synth.build_font_store(seed=args.seed, samples_per_class=args.samples)
     rec.save_store(store, args.out_dir)
     sys.stdout.write(ev.format_report([("templates", len(store))]))

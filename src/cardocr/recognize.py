@@ -5,8 +5,15 @@ neighbor, aspect ratio not preserved) and compared against a store of
 labeled templates by Hamming distance, computed as the popcount of the XOR
 of bit-packed patterns; the smallest count wins.  A card is one batch: its
 glyphs are resampled by one gather into an (n, 48, 48) stack, and one
-matcher compares the stack with every template word by word, one
-(glyphs, templates) XOR, popcount and add per 64-bit word.
+exact bound-then-verify search finds each glyph's nearest template
+(branch and bound, Fukunaga & Narendra 1975, over zoning features).  The
+ink counts of the 3x3 grid of 16x16 zones give a lower bound on the
+distance of every (glyph, template) pair, the summed zone-count
+differences; the exact distance to the template of smallest bound is an
+upper bound; the XOR-popcount runs only on the pairs whose lower bound
+does not exceed it, which always include every nearest template.
+TemplateStore.distances() scores a stack against every template; only
+build_store's medoid ranking needs those full rows.
 The 73-character alphabet can optionally be quotiented by merging visually
 symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
 
@@ -109,9 +116,14 @@ def normalize_glyph(crops):
 
 PATTERN_WORDS = PATTERN_SIZE * PATTERN_SIZE // 64
 
-# Bytes of the (glyphs, templates) uint64 XOR temporary of one matcher
-# batch; a card's glyphs are matched in batches that keep it under this.
+# Bytes of the uint64 XOR temporary of one matcher batch; exact distances
+# are computed in batches of glyphs or of (glyph, template) pairs that keep
+# it under this.
 MATCH_BATCH_BYTES = 1 << 20
+
+# A pattern is a ZONE_GRID x ZONE_GRID grid of 16x16 zones: a packed zone
+# row is one uint16.
+ZONE_GRID = PATTERN_SIZE // 16
 
 
 def _pack_words(patterns):
@@ -120,11 +132,20 @@ def _pack_words(patterns):
     return np.packbits(flat, axis=1).view(np.uint64)
 
 
+def _zone_counts(words):
+    """(n, 9) int16 set-pixel counts per zone, in raster order, of (n, 36)
+    packed words."""
+    n = len(words)
+    rows = np.bitwise_count(words.view(np.uint16)).reshape(n, ZONE_GRID, 16, ZONE_GRID)
+    return rows.sum(axis=2, dtype=np.int16).reshape(n, ZONE_GRID * ZONE_GRID)
+
+
 class TemplateStore:
     """Immutable labeled templates held only as a bit-packed match matrix:
     48*48/64 = 36 uint64 words per template, stored word-major as a
     (36, templates) array so each word of every template is contiguous,
-    plus the labels in store order."""
+    plus the labels in store order and the (9, templates) int16 zone
+    counts the matcher bounds distances with."""
 
     def __init__(self, patterns, labels):
         self.labels = list(labels)
@@ -138,7 +159,9 @@ class TemplateStore:
         for i, label in enumerate(self.labels):
             if label not in CLASS_INDEX:
                 raise StoreError(f"template {i} label {label!r} outside the alphabet")
-        self._words = np.ascontiguousarray(_pack_words(patterns).T)
+        words = _pack_words(patterns)
+        self._words = np.ascontiguousarray(words.T)
+        self._zones = np.ascontiguousarray(_zone_counts(words).T)
 
     def __len__(self):
         return len(self.labels)
@@ -170,13 +193,43 @@ class TemplateStore:
 
 def classify(patterns, store, scheme=MERGED):
     """Best template per pattern of an (n, 48, 48) stack, by smallest
-    dissimilarity; ties go to store order.  One Classification per row."""
+    dissimilarity; ties go to store order.  One Classification per row.
+
+    Per zone |a - b| <= popcount(a ^ b), so the summed zone-count
+    differences LB of a pair bound its distance from below, and the
+    distance UB to the template of smallest LB bounds the best one from
+    above.  Every nearest template has LB <= UB, so the exact distances of
+    only those pairs decide the same winner as all of them."""
     if patterns.ndim != 3 or patterns.shape[1:] != (PATTERN_SIZE, PATTERN_SIZE):
         raise ValueError("patterns must be an (n, 48, 48) stack")
-    dists = store.distances(patterns)
+    if not len(patterns):
+        return []
+    words = _pack_words(patterns)
+    zones = _zone_counts(words)
+    shape = (len(words), len(store))
+    bound, diff = np.zeros(shape, dtype=np.int16), np.empty(shape, dtype=np.int16)
+    for z in range(ZONE_GRID * ZONE_GRID):
+        np.subtract(zones[:, z, None], store._zones[z], out=diff)
+        bound += np.abs(diff, out=diff)
+    nearest = store._words[:, bound.argmin(axis=1)].T
+    upper = np.bitwise_count(words ^ nearest).sum(axis=1, dtype=np.int16)
+    rows, cols = np.nonzero(bound <= upper[:, None])
+    # The bounds are spent, and the exact distances reuse their scratch
+    # buffer; pairs left out score above any distance, so argmin picks a
+    # candidate.
+    del bound
+    exact = diff
+    exact.fill(PATTERN_SIZE * PATTERN_SIZE + 1)
+    step = max(1, MATCH_BATCH_BYTES // (8 * PATTERN_WORDS))
+    for lo in range(0, len(rows), step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        xor = words[r]
+        xor ^= store._words[:, c].T
+        exact[r, c] = np.bitwise_count(xor).sum(axis=1, dtype=np.int16)
+    best = exact.argmin(axis=1)
     return [
         Classification(label=scheme.apply(store.labels[b]), score=s)
-        for b, s in zip(dists.argmin(axis=1).tolist(), dists.min(axis=1).tolist())
+        for b, s in zip(best.tolist(), exact[np.arange(len(best)), best].tolist())
     ]
 
 

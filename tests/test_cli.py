@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cardocr import cli, imaging, synth
+from cardocr import cli, imaging, pipeline, synth
 from cardocr.synth import Band, CardSpec
 
 
@@ -283,7 +283,14 @@ class TestFilesystemContract:
         "argv, kind, expected", FILESYSTEM_CASES,
         ids=[filesystem_case_id(argv, kind) for argv, kind, _ in FILESYSTEM_CASES],
     )
-    def test_exit_code(self, store_dir, tmp_path, capsys, argv, kind, expected):
+    def test_exit_code(self, store_dir, tmp_path, capsys, monkeypatch, argv, kind, expected):
+        if expected != 0:
+            # a bad path fails before any card is recognized or store rendered
+            def fail(*args, **kwargs):
+                raise AssertionError("work started before the paths were checked")
+
+            monkeypatch.setattr(pipeline, "run_pipeline", fail)
+            monkeypatch.setattr(synth, "build_font_store", fail)
         path = tmp_path / kind
         if kind == "file":
             path.write_text("a regular file\n")

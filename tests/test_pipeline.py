@@ -93,6 +93,22 @@ class TestRunPipeline:
         result = pipeline.run_pipeline(color, cfg, store)
         assert [len(r.lines) for r in result.regions] == [2, 2]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the anisotropic 48x48 normalization turns '.' and '-' "
+        "into the same filled block, so the dots read as '-' "
+        "(WWW-jadUniV-edU-in)"))
+    def test_criterion_9_card_keeps_its_dots(self, cfg, store):
+        spec = CardSpec(width=2048, height=1536, noise_sigma=4.0, bands=[
+            Band("Ayatullah Faruk Mollah", 100, 150, 6),
+            Band("School of Mobile Computing", 100, 400, 5),
+            Band("Jadavpur University Kolkata", 100, 650, 5),
+            Band("Phone: +91 33 2414 6666", 100, 900, 5),
+            Band("www.jaduniv.edu.in", 100, 1150, 5),
+        ])
+        color, _ = synth.render_card(spec, seed=3)
+        result = pipeline.run_pipeline(color, cfg, store)
+        assert result.transcript.splitlines()[-1] == "WWW.jadUniV.edU.in"
+
 
 class TestTimePipeline:
     def test_timings_structure(self, cfg, store):
@@ -116,10 +132,10 @@ class TestTimePipeline:
         pipeline.time_pipeline(color, cfg, store)
         assert not tracemalloc.is_tracing()
 
-        def fail(pattern):
+        def fail(*args):
             raise RuntimeError("matcher failed")
 
-        monkeypatch.setattr(store, "distances", fail)
+        monkeypatch.setattr("cardocr.recognize.classify", fail)
         with pytest.raises(RuntimeError, match="matcher failed"):
             pipeline.time_pipeline(color, cfg, store)
         assert not tracemalloc.is_tracing()

@@ -173,22 +173,27 @@ class TestClassify:
             rec.classify(store.patterns()[0], store, FULL)
 
 
+@pytest.fixture(scope="module")
+def card_glyphs(store):
+    """The segmented glyphs of a three-band card."""
+    spec = synth.CardSpec(width=1024, height=768, noise_sigma=3.0, bands=[
+        synth.Band(text="Ayatullah Faruk Mollah", x=60, y=80, scale=5),
+        synth.Band(text="Phone: +91 33 2414 6666", x=60, y=300, scale=4),
+        synth.Band(text="www.jaduniv.edu.in", x=60, y=500, scale=3),
+    ])
+    color, _ = synth.render_card(spec, seed=4)
+    result = pipeline.run_pipeline(color, PipelineConfig(), store)
+    return [g for r in result.regions for line in r.lines for g in line.glyphs]
+
+
 class TestBatch:
     """The per-card batch against the per-glyph references."""
 
-    def test_normalize_glyph_matches_normalize_pattern(self, store):
-        spec = synth.CardSpec(width=1024, height=768, noise_sigma=3.0, bands=[
-            synth.Band(text="Ayatullah Faruk Mollah", x=60, y=80, scale=5),
-            synth.Band(text="Phone: +91 33 2414 6666", x=60, y=300, scale=4),
-            synth.Band(text="www.jaduniv.edu.in", x=60, y=500, scale=3),
-        ])
-        color, _ = synth.render_card(spec, seed=4)
-        result = pipeline.run_pipeline(color, PipelineConfig(), store)
-        glyphs = [g for r in result.regions for line in r.lines for g in line.glyphs]
-        assert len(glyphs) > 50
-        stack = rec.normalize_glyph([g.pixels for g in glyphs])
-        assert stack.shape == (len(glyphs), 48, 48) and stack.dtype == bool
-        for g, pattern in zip(glyphs, stack):
+    def test_normalize_glyph_matches_normalize_pattern(self, card_glyphs):
+        assert len(card_glyphs) > 50
+        stack = rec.normalize_glyph([g.pixels for g in card_glyphs])
+        assert stack.shape == (len(card_glyphs), 48, 48) and stack.dtype == bool
+        for g, pattern in zip(card_glyphs, stack):
             assert np.array_equal(pattern, resample_48(g.pixels))
             assert np.array_equal(pattern, rec.normalize_pattern(g.pixels))
 
@@ -205,10 +210,63 @@ class TestBatch:
         assert got.dtype == np.uint16
         assert got.tolist() == [[dissimilarity(p, t) for t in templates] for p in probes]
 
-    def test_empty_batch(self, store):
+    def test_empty_batch(self, store, monkeypatch):
+        def fail(*args):
+            raise AssertionError("bound computed for an empty stack")
+
         stack = rec.normalize_glyph([])
         assert stack.shape == (0, 48, 48) and stack.dtype == bool
+        monkeypatch.setattr(rec, "_zone_counts", fail)
         assert rec.classify(stack, store, FULL) == []
+
+
+def exhaustive(patterns, store):
+    """(label, score) per row by the argmin over every template distance."""
+    dists = store.distances(patterns)
+    return [
+        (store.labels[b], s)
+        for b, s in zip(dists.argmin(axis=1).tolist(), dists.min(axis=1).tolist())
+    ]
+
+
+def classified(patterns, store):
+    return [(c.label, c.score) for c in rec.classify(patterns, store, FULL)]
+
+
+class TestPrunedSearch:
+    """The bound-then-verify matcher returns the exhaustive argmin and
+    minimum distance, ties to store order."""
+
+    def test_card_glyphs(self, card_glyphs, store):
+        stack = rec.normalize_glyph([g.pixels for g in card_glyphs])
+        assert classified(stack, store) == exhaustive(stack, store)
+
+    def test_noisy_store_patterns(self, store):
+        rng = np.random.default_rng(22)
+        picks = rng.integers(0, len(store), 300)
+        noisy = store.patterns()[picks] ^ (rng.random((300, 48, 48)) < 0.08)
+        assert classified(noisy, store) == exhaustive(noisy, store)
+
+    def test_equal_zone_counts_prune_nothing(self, monkeypatch):
+        # every template shuffles the pixels of one pattern inside each
+        # 16x16 zone, so all lower bounds of a probe are equal and every
+        # pair is verified, seven pairs per exact batch
+        rng = np.random.default_rng(23)
+        base = random_pattern(rng).reshape(3, 16, 3, 16).transpose(0, 2, 1, 3).reshape(9, 256)
+        templates = []
+        for _ in range(24):
+            zones = np.stack([rng.permutation(zone) for zone in base])
+            templates.append(zones.reshape(3, 3, 16, 16).transpose(0, 2, 1, 3).reshape(48, 48))
+        templates[17] = templates[5]  # a tie the later label must lose
+        stack = np.stack(templates)
+        counts = stack.reshape(-1, 3, 16, 3, 16).sum(axis=(2, 4))
+        assert (counts == counts[0]).all()
+        store = TemplateStore(stack, list(rec.ALPHABET[:24]))
+        monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", 7 * 8 * rec.PATTERN_WORDS)
+        probes = np.concatenate([stack[[5, 17, 0]], stack[:10] ^ (rng.random((10, 48, 48)) < 0.1)])
+        got = classified(probes, store)
+        assert got[:3] == [(store.labels[5], 0), (store.labels[5], 0), (store.labels[0], 0)]
+        assert got == exhaustive(probes, store)
 
 
 class TestBuildStore:
