@@ -11,18 +11,18 @@ ink counts of the 3x3 grid of 16x16 zones give a lower bound on the
 distance of every (glyph, template) pair, the summed zone-count
 differences; the exact distance to the template of smallest bound is an
 upper bound; the XOR-popcount runs only on the pairs whose lower bound
-does not exceed it, which always include every nearest template.
-TemplateStore.distances() scores a stack against every template; only
-build_store's medoid ranking needs those full rows.
+does not exceed it, which always include every nearest template.  One
+kernel computes every exact distance, pair by pair: the matcher's upper
+bounds and candidates, and build_store's medoid ranking.
 The 73-character alphabet can optionally be quotiented by merging visually
 symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
 
-A store in memory is only the matcher's packed words, 36 uint64 per
-template, plus its label list; TemplateStore.patterns() unpacks the bool
-stack when it is written out.  A store on disk is a directory of two files:
-templates.pgm, every template stacked vertically in store order (48n rows
-of 48 columns, foreground 0), and labels.txt, one label per line in the
-same order.  Store order is the tie-break order of the matcher, so it
+A store in memory is only the matcher's packed words, a template-major
+(templates, 36) uint64 array, plus its label list; TemplateStore.patterns()
+unpacks the bool stack when it is written out.  A store on disk is a
+directory of two files: templates.pgm, every template stacked vertically
+in store order (48n rows of 48 columns, foreground 0), and labels.txt, one
+label per line in the same order.  Store order is the tie-break order of the matcher, so it
 round-trips as written.  A store in an older layout is rebuilt with
 `cardocr store-build`.
 """
@@ -117,8 +117,7 @@ def normalize_glyph(crops):
 PATTERN_WORDS = PATTERN_SIZE * PATTERN_SIZE // 64
 
 # Bytes of the uint64 XOR temporary of one matcher batch; exact distances
-# are computed in batches of glyphs or of (glyph, template) pairs that keep
-# it under this.
+# are computed in batches of pairs that keep it under this.
 MATCH_BATCH_BYTES = 1 << 20
 
 # A pattern is a ZONE_GRID x ZONE_GRID grid of 16x16 zones: a packed zone
@@ -140,12 +139,24 @@ def _zone_counts(words):
     return rows.sum(axis=2, dtype=np.int16).reshape(n, ZONE_GRID * ZONE_GRID)
 
 
+def _pair_distances(a, rows, b, cols):
+    """int16 Hamming distances of the packed words a[rows] against
+    b[cols], pair by pair, in batches whose uint64 XOR temporary stays
+    under MATCH_BATCH_BYTES."""
+    out = np.empty(len(rows), dtype=np.int16)
+    step = max(1, MATCH_BATCH_BYTES // (8 * PATTERN_WORDS))
+    for lo in range(0, len(rows), step):
+        xor = a[rows[lo : lo + step]]
+        xor ^= b[cols[lo : lo + step]]
+        out[lo : lo + step] = np.bitwise_count(xor).sum(axis=1, dtype=np.int16)
+    return out
+
+
 class TemplateStore:
-    """Immutable labeled templates held only as a bit-packed match matrix:
-    48*48/64 = 36 uint64 words per template, stored word-major as a
-    (36, templates) array so each word of every template is contiguous,
-    plus the labels in store order and the (9, templates) int16 zone
-    counts the matcher bounds distances with."""
+    """Immutable labeled templates held only as bit-packed words:
+    48*48/64 = 36 uint64 words per template, template-major as a
+    (templates, 36) array, plus the labels in store order and the
+    (9, templates) int16 zone counts the matcher bounds distances with."""
 
     def __init__(self, patterns, labels):
         self.labels = list(labels)
@@ -159,36 +170,16 @@ class TemplateStore:
         for i, label in enumerate(self.labels):
             if label not in CLASS_INDEX:
                 raise StoreError(f"template {i} label {label!r} outside the alphabet")
-        words = _pack_words(patterns)
-        self._words = np.ascontiguousarray(words.T)
-        self._zones = np.ascontiguousarray(_zone_counts(words).T)
+        self._words = _pack_words(patterns)
+        self._zones = np.ascontiguousarray(_zone_counts(self._words).T)
 
     def __len__(self):
         return len(self.labels)
 
     def patterns(self):
         """The (templates, 48, 48) bool stack, unpacked in store order."""
-        bits = np.unpackbits(np.ascontiguousarray(self._words.T).view(np.uint8), axis=1)
+        bits = np.unpackbits(self._words.view(np.uint8), axis=1)
         return bits.reshape(len(self), PATTERN_SIZE, PATTERN_SIZE).astype(bool)
-
-    def distances(self, patterns):
-        """(n, templates) uint16 dissimilarities of an (n, 48, 48) stack
-        against every template, in store order.
-
-        Word by word, one (glyphs, templates) XOR, popcount and add, so the
-        sum runs along contiguous rows."""
-        words = _pack_words(patterns)
-        n, count = len(words), len(self)
-        out = np.zeros((n, count), dtype=np.uint16)
-        step = max(1, MATCH_BATCH_BYTES // (8 * count))
-        for lo in range(0, n, step):
-            batch = words[lo : lo + step]
-            acc = out[lo : lo + step]
-            xor = np.empty((len(batch), count), dtype=np.uint64)
-            for k in range(PATTERN_WORDS):
-                np.bitwise_xor(batch[:, k, None], self._words[k], out=xor)
-                acc += np.bitwise_count(xor)
-        return out
 
 
 def classify(patterns, store, scheme=MERGED):
@@ -211,8 +202,7 @@ def classify(patterns, store, scheme=MERGED):
     for z in range(ZONE_GRID * ZONE_GRID):
         np.subtract(zones[:, z, None], store._zones[z], out=diff)
         bound += np.abs(diff, out=diff)
-    nearest = store._words[:, bound.argmin(axis=1)].T
-    upper = np.bitwise_count(words ^ nearest).sum(axis=1, dtype=np.int16)
+    upper = _pair_distances(words, np.arange(len(words)), store._words, bound.argmin(axis=1))
     rows, cols = np.nonzero(bound <= upper[:, None])
     # The bounds are spent, and the exact distances reuse their scratch
     # buffer; pairs left out score above any distance, so argmin picks a
@@ -220,12 +210,7 @@ def classify(patterns, store, scheme=MERGED):
     del bound
     exact = diff
     exact.fill(PATTERN_SIZE * PATTERN_SIZE + 1)
-    step = max(1, MATCH_BATCH_BYTES // (8 * PATTERN_WORDS))
-    for lo in range(0, len(rows), step):
-        r, c = rows[lo : lo + step], cols[lo : lo + step]
-        xor = words[r]
-        xor ^= store._words[:, c].T
-        exact[r, c] = np.bitwise_count(xor).sum(axis=1, dtype=np.int16)
+    exact[rows, cols] = _pair_distances(words, rows, store._words, cols)
     best = exact.argmin(axis=1)
     return [
         Classification(label=scheme.apply(store.labels[b]), score=s)
@@ -238,9 +223,9 @@ def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
 
     `labeled_samples` yields (label, binary mask) pairs; masks are
     normalized here.  Per class, the `samples_per_class` samples with the
-    smallest summed dissimilarity to their classmates, ranked by the
-    matcher, are kept, preserving input order.  Classes with fewer samples
-    than that are an error.
+    smallest summed dissimilarity to their classmates, each sample's row
+    computed by the matcher's kernel, are kept, preserving input order.
+    Classes with fewer samples than that are an error.
     """
     by_class = {}
     for label, mask in labeled_samples:
@@ -254,7 +239,10 @@ def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
             raise StoreError(
                 f"class {label!r} has {len(stack)} samples, needs {samples_per_class}"
             )
-        scores = TemplateStore(stack, [label] * len(stack)).distances(stack).sum(axis=1)
+        words, every = _pack_words(stack), np.arange(len(stack))
+        scores = [
+            _pair_distances(words, np.full_like(every, i), words, every).sum() for i in every
+        ]
         keep = sorted(np.argsort(scores, kind="stable")[:samples_per_class])
         stacks.append(stack[keep])
         labels += [label] * len(keep)
@@ -263,7 +251,7 @@ def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
     # breaking pick a wrong class, so refuse them; duplicates inside one
     # merged class are harmless.
     seen = {}
-    for i, (row, label) in enumerate(zip(store._words.T, store.labels)):
+    for i, (row, label) in enumerate(zip(store._words, store.labels)):
         merged = MERGE_MAP.get(label, label)
         first, first_merged = seen.setdefault(row.tobytes(), (i, merged))
         if first_merged != merged:

@@ -19,7 +19,7 @@ log = logging.getLogger(__name__)
 
 
 class NoTextError(ValueError):
-    """Region contains no dark pixel at all."""
+    """Region has one intensity, so no pixel is dark."""
 
 
 class DegenerateProfileError(ValueError):
@@ -32,8 +32,6 @@ class Profile:
 
     cols: np.ndarray     # int column indices of present entries
     heights: np.ndarray  # distance (px) from the bottom edge, same length
-    width: int
-    height: int
 
 
 @dataclass
@@ -42,31 +40,24 @@ class ProfileStats:
     tau: float  # first order moment: mean absolute deviation from mu
 
 
-@dataclass
-class SkewEstimate:
-    angle: float  # degrees; positive = baseline rising left to right
-    points: tuple  # three (col, height) anchors: leftmost, middle, rightmost
-
-
 def bottom_profile(region):
     """Per-column distance from the bottom edge to the first dark pixel.
 
     Dark means below the midpoint of the region's own min/max intensity
     (the region is not binarized yet at this stage).
     """
-    h, w = region.shape
+    h = region.shape[0]
     vmin, vmax = int(region.min()), int(region.max())
     if vmin == vmax:
         raise NoTextError("region has no intensity variation, nothing to profile")
+    # vmin < vmax, so the vmin pixel is dark and some column is present
     dark = region < (vmin + vmax) / 2.0
     present = dark.any(axis=0)
-    if not present.any():
-        raise NoTextError("region contains no dark pixel")
     # distance from the bottom: h-1 minus the last dark row per column
     last_dark = (h - 1) - np.argmax(dark[::-1, :], axis=0)
     cols = np.flatnonzero(present)
     heights = (h - 1) - last_dark[cols]
-    return Profile(cols=cols, heights=heights.astype(np.int64), width=w, height=h)
+    return Profile(cols=cols, heights=heights.astype(np.int64))
 
 
 def profile_stats(profile):
@@ -86,12 +77,7 @@ def filter_profile(profile, stats):
         raise DegenerateProfileError(
             f"only {int(keep.sum())} profile entries inside mu +/- tau"
         )
-    return Profile(
-        cols=profile.cols[keep],
-        heights=profile.heights[keep],
-        width=profile.width,
-        height=profile.height,
-    )
+    return Profile(cols=profile.cols[keep], heights=profile.heights[keep])
 
 
 def _pair_angle(col_a, h_a, col_b, h_b):
@@ -99,7 +85,8 @@ def _pair_angle(col_a, h_a, col_b, h_b):
 
 
 def estimate_skew(profile):
-    """Average the three pairwise angles of the left/middle/right anchors."""
+    """Skew in degrees, positive for a baseline rising left to right: the
+    average of the three pairwise angles of the left/middle/right anchors."""
     if len(profile.cols) < 3:
         raise DegenerateProfileError("need at least 3 retained profile entries")
     c1, h1 = int(profile.cols[0]), float(profile.heights[0])
@@ -109,12 +96,11 @@ def estimate_skew(profile):
     c3, h3 = int(profile.cols[i3]), float(profile.heights[i3])
     if len({c1, c2, c3}) != 3:
         raise DegenerateProfileError("anchor columns are not pairwise distinct")
-    angle = (
+    return (
         _pair_angle(c1, h1, c3, h3)
         + _pair_angle(c3, h3, c2, h2)
         + _pair_angle(c1, h1, c2, h2)
     ) / 3.0
-    return SkewEstimate(angle=angle, points=((c1, h1), (c3, h3), (c2, h2)))
 
 
 def estimate_region_skew(region):
@@ -153,26 +139,26 @@ def deskew(region, cfg):
     corrected = region  # corrected at the current total
     for _ in range(cfg.skew_passes):
         try:
-            estimate = estimate_region_skew(corrected)
+            angle = estimate_region_skew(corrected)
         except (NoTextError, DegenerateProfileError) as exc:
             log.debug("skew estimation degenerate, stopping at %.2f: %s", total, exc)
             break
-        if abs(total + estimate.angle) > cfg.skew_clamp:
+        if abs(total + angle) > cfg.skew_clamp:
             log.debug(
                 "skew estimate %.2f beyond +/-%.1f clamp, stopping at %.2f",
-                estimate.angle, cfg.skew_clamp, total,
+                angle, cfg.skew_clamp, total,
             )
             break
-        if total + estimate.angle == total:
+        if total + angle == total:
             break  # the same total again: the same rotation, and converged
-        total += estimate.angle
+        total += angle
         if total == 0.0:
             corrected = region
         else:
             if fill is None:
                 fill = background_fill(region)
             corrected = imaging.rotate(region, -total, fill=fill)
-        if abs(estimate.angle) < CONVERGENCE_DEG:
+        if abs(angle) < CONVERGENCE_DEG:
             break
     return corrected, total  # a zero total leaves `corrected` the region itself
 

@@ -63,6 +63,8 @@ class CardSpec:
     def __post_init__(self):
         if abs(self.skew_deg) > MAX_SKEW_DEG:
             raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
         if not 0.0 <= self.salt_pepper <= 1.0:
             raise ValueError("salt_pepper must be a probability")
         if self.foreground >= self.background:
@@ -360,6 +362,8 @@ class SuiteParams:
             raise ValueError(f"card height {self.height} cannot hold a text band at scale {scale}")
         if max(abs(self.skew_min), abs(self.skew_max)) > MAX_SKEW_DEG:
             raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
+        if min(self.sigma_min, self.sigma_max) < 0:
+            raise ValueError("noise sigma must be >= 0")
         if not (0.0 <= self.salt_pepper_min <= 1.0 and 0.0 <= self.salt_pepper_max <= 1.0):
             raise ValueError("salt-and-pepper fractions must be in [0, 1]")
 

@@ -18,6 +18,18 @@ def dissimilarity(a, b):
     return int(np.count_nonzero(a != b))
 
 
+def nearest_templates(patterns, store):
+    """(label, distance) per pattern of its nearest template by a full scan,
+    ties to store order, one pattern at a time."""
+    templates = store.patterns()
+    found = []
+    for p in patterns:
+        dists = np.count_nonzero(p != templates, axis=(1, 2))
+        best = int(dists.argmin())
+        found.append((store.labels[best], int(dists[best])))
+    return found
+
+
 def resample_48(tight):
     """Nearest-neighbor (anisotropic) resample of a tight crop to 48x48,
     one crop at a time."""

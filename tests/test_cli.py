@@ -140,6 +140,8 @@ class TestArgumentErrors:
         ["--skew-min", "-30", "--skew-max", "-30"],
         ["--height", "10"],
         ["--height", "0"],
+        ["--sigma-min", "-1"],
+        ["--sigma-max", "-1"],
     ])
     def test_synth_argument_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "suite"

@@ -15,7 +15,7 @@ from cardocr.recognize import (
 )
 from cardocr.segment import GlyphBox
 
-from reference import dissimilarity, resample_48
+from reference import dissimilarity, nearest_templates, resample_48
 
 
 def pattern_from(mask_rows):
@@ -197,19 +197,6 @@ class TestBatch:
             assert np.array_equal(pattern, resample_48(g.pixels))
             assert np.array_equal(pattern, rec.normalize_pattern(g.pixels))
 
-    def test_distances_match_dissimilarity(self, monkeypatch):
-        rng = np.random.default_rng(16)
-        templates = [random_pattern(rng) for _ in range(7)]
-        store = TemplateStore(np.stack(templates), ["A"] * len(templates))
-        # batches of three probes: the ten probes span four of them
-        monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", 3 * 8 * len(templates))
-        probes = np.stack([random_pattern(rng) for _ in range(10)])
-        probes[4] = templates[2]
-        probes[5] = ~templates[6]
-        got = store.distances(probes)
-        assert got.dtype == np.uint16
-        assert got.tolist() == [[dissimilarity(p, t) for t in templates] for p in probes]
-
     def test_empty_batch(self, store, monkeypatch):
         def fail(*args):
             raise AssertionError("bound computed for an empty stack")
@@ -218,15 +205,6 @@ class TestBatch:
         assert stack.shape == (0, 48, 48) and stack.dtype == bool
         monkeypatch.setattr(rec, "_zone_counts", fail)
         assert rec.classify(stack, store, FULL) == []
-
-
-def exhaustive(patterns, store):
-    """(label, score) per row by the argmin over every template distance."""
-    dists = store.distances(patterns)
-    return [
-        (store.labels[b], s)
-        for b, s in zip(dists.argmin(axis=1).tolist(), dists.min(axis=1).tolist())
-    ]
 
 
 def classified(patterns, store):
@@ -239,13 +217,13 @@ class TestPrunedSearch:
 
     def test_card_glyphs(self, card_glyphs, store):
         stack = rec.normalize_glyph([g.pixels for g in card_glyphs])
-        assert classified(stack, store) == exhaustive(stack, store)
+        assert classified(stack, store) == nearest_templates(stack, store)
 
     def test_noisy_store_patterns(self, store):
         rng = np.random.default_rng(22)
         picks = rng.integers(0, len(store), 300)
         noisy = store.patterns()[picks] ^ (rng.random((300, 48, 48)) < 0.08)
-        assert classified(noisy, store) == exhaustive(noisy, store)
+        assert classified(noisy, store) == nearest_templates(noisy, store)
 
     def test_equal_zone_counts_prune_nothing(self, monkeypatch):
         # every template shuffles the pixels of one pattern inside each
@@ -266,7 +244,7 @@ class TestPrunedSearch:
         probes = np.concatenate([stack[[5, 17, 0]], stack[:10] ^ (rng.random((10, 48, 48)) < 0.1)])
         got = classified(probes, store)
         assert got[:3] == [(store.labels[5], 0), (store.labels[5], 0), (store.labels[0], 0)]
-        assert got == exhaustive(probes, store)
+        assert got == nearest_templates(probes, store)
 
 
 class TestBuildStore:
@@ -300,7 +278,11 @@ class TestBuildStore:
         solid = rec.normalize_pattern(np.ones((40, 40), dtype=bool))
         assert all(dissimilarity(p, solid) > 0 for p in store.patterns())
 
-    def test_medoids_match_reference_ranking(self):
+    @pytest.mark.parametrize("batch_pairs", [None, 7], ids=["one-batch", "seven-pair-batches"])
+    def test_medoids_match_reference_ranking(self, monkeypatch, batch_pairs):
+        # with seven pairs per batch, each sample's 16 pairs span three
+        if batch_pairs:
+            monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", batch_pairs * 8 * rec.PATTERN_WORDS)
         rng = np.random.default_rng(15)
         samples = [("E", synth.perturbed_glyph_mask("E", rng)) for _ in range(16)]
         patterns = [rec.normalize_pattern(mask) for _, mask in samples]

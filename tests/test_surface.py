@@ -1,6 +1,7 @@
 """Surface guards.  Every top-level name defined in src/cardocr is used by
 the package itself or by the benchmark: a helper that only tests call
 belongs with the tests (see tests/reference.py), not in the shipped package.
+The same holds for every method of a class, other than dunder methods.
 Every PipelineConfig field is read by the package: a setting that nothing
 reads is a dead knob.  Imports sit at module level, never in a function
 body, so a module's dependencies are all in its header.
@@ -72,6 +73,50 @@ def test_scan_sees_the_package():
 
 def test_every_package_name_is_used_outside_tests():
     assert unreferenced() == []
+
+
+def defined_methods(tree):
+    """(class, method) for each non-dunder method of every class in a module."""
+    return [
+        (node.name, item.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
+    ]
+
+
+def unread_methods(users, package):
+    """'<module>.<class>.<method>' for each method of a `package` module
+    that no `users` module reads as an attribute; both map names to trees."""
+    reads = {
+        node.attr
+        for tree in users.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{name}.{cls}.{method}"
+        for name, tree in package.items()
+        for cls, method in defined_methods(tree)
+        if method not in reads
+    ]
+
+
+def test_every_method_is_read_outside_tests():
+    tree = ast.parse(
+        "class C:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        pass\n"
+        "    def dead(self):\n        pass\n"
+        "C().used()\n"
+    )
+    assert defined_methods(tree) == [("C", "used"), ("C", "helper"), ("C", "dead")]
+    assert unread_methods({"m": tree}, {"m": tree}) == ["m.C.dead"]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in USERS}
+    package = {path.stem: trees[path] for path in PACKAGE}
+    assert unread_methods(trees, package) == []
 
 
 def attributes_read(tree):

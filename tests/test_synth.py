@@ -77,6 +77,10 @@ class TestRenderCard:
             CardSpec(width=100, height=100,
                      bands=[Band(text="nope!", x=0, y=0, scale=2)])
 
+    def test_negative_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            CardSpec(width=100, height=100, noise_sigma=-1.0)
+
     def test_decoys_recorded_as_nr(self):
         spec = CardSpec(width=300, height=300,
                         decoys=[Decoy(shape="rect", rect=Rect(40, 40, 100, 100)),
