@@ -54,11 +54,7 @@ def _load_store(cfg):
 def _load_inputs(args):
     cfg = _build_config(args)
     store = _load_store(cfg)
-    try:
-        image = imaging.load_pnm_file(args.input)
-    except OSError as exc:
-        raise PnmError(f"cannot read {args.input}: {exc}") from None
-    return cfg, store, image
+    return cfg, store, imaging.load_pnm_file(args.input)
 
 
 def cmd_run(args):

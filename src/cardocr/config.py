@@ -90,17 +90,10 @@ def parse_config_text(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = _FIELD_TYPES[key]
         try:
-            if kind in (int, "int"):
-                parsed = int(value)
-            elif kind in (float, "float"):
-                parsed = float(value)
-            else:
-                parsed = value
+            values[key] = _FIELD_TYPES[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-        values[key] = parsed
     return PipelineConfig(**values)
 
 

@@ -6,7 +6,7 @@ information blocks become regions, and every region is classified as text
 (TR) or non-text (NR) from cheap geometric features.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,14 @@ class BlockGrid:
     labels: np.ndarray = None  # bool (rows, cols), True = information block (IB)
     block_max: np.ndarray = None  # uint8 (rows, cols), brightest pixel per block
     block_min: np.ndarray = None  # uint8 (rows, cols), darkest pixel per block
-    # intp (rows, cols): index of the block's region in the list
-    # assemble_regions returned, -1 for a background block
-    region_index: np.ndarray = None
+    # intp, one per IB in raster order (the order np.nonzero(labels) lists
+    # them in): index of the block's region in the list assemble_regions
+    # returned
+    block_region: np.ndarray = None
 
 
 @dataclass
 class RegionFeatures:
-    width: int
-    height: int
     aspect_ratio: float
     info_pixel_density: float
     area: int  # member block count
@@ -46,10 +45,9 @@ class RegionFeatures:
 
 @dataclass
 class Region:
-    blocks: list  # (row, col) grid coordinates
     bbox: Rect
     kind: str = NR
-    features: RegionFeatures = field(default=None)
+    features: RegionFeatures = None
 
 
 class ImageTooSmallError(ValueError):
@@ -122,8 +120,8 @@ def assemble_regions(grid):
     blocks: a run [s, e) in row r touches a run [s2, e2) in row r + 1 iff
     s2 <= e and s <= e2 (ends exclusive, diagonals included).  Regions are
     numbered by their first block in raster order, then stably sorted by
-    bounding-box origin (y, x).  Each block's region index is recorded in
-    grid.region_index.
+    bounding-box origin (y, x).  The region of every IB, in raster order, is
+    recorded in grid.block_region.
     """
     rows, cols = grid.rows, grid.cols
     padded = np.zeros((rows, cols + 2), dtype=np.int8)
@@ -159,32 +157,19 @@ def assemble_regions(grid):
     order = np.lexsort((np.arange(m), left, top))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
-    run_region = rank[comp]
-
-    # Expand the runs, grouped by region and in raster order within one,
-    # into blocks, so each region's blocks come out sorted.
-    by_region = np.argsort(run_region, kind="stable")
-    length = (run_end - run_start)[by_region]
-    offset = np.cumsum(length) - length
-    block_row = np.repeat(run_row[by_region], length)
-    block_col = np.repeat(run_start[by_region] - offset, length) + np.arange(length.sum())
-    block_region = np.repeat(run_region[by_region], length)
-    grid.region_index = np.full((rows, cols), -1, dtype=np.intp)
-    grid.region_index[block_row, block_col] = block_region
+    # The runs are in raster order, so each run's region repeated over its
+    # length is the region of every IB in raster order.
+    grid.block_region = np.repeat(rank[comp], run_end - run_start)
 
     bh, bw = grid.block_h, grid.block_w
     x1 = left[order] * bw
     y1 = top[order] * bh
     x2 = np.minimum(right[order] * bw, grid.image_w)
     y2 = np.minimum((bottom[order] + 1) * bh, grid.image_h)
-    blocks = list(zip(block_row.tolist(), block_col.tolist()))
-    ends = np.cumsum(np.bincount(block_region, minlength=m)).tolist()
-    regions = []
-    begin = 0
-    for end, x, y, xe, ye in zip(ends, x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()):
-        regions.append(Region(blocks=blocks[begin:end], bbox=Rect(x, y, xe - x, ye - y)))
-        begin = end
-    return regions
+    return [
+        Region(bbox=Rect(x, y, xe - x, ye - y))
+        for x, y, xe, ye in zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
+    ]
 
 
 def compute_features(img, grid, regions):
@@ -196,7 +181,7 @@ def compute_features(img, grid, regions):
     """
     m = len(regions)
     br, bc = np.nonzero(grid.labels)
-    region = grid.region_index[br, bc]
+    region = grid.block_region
     vmin = np.full(m, 255, dtype=np.int16)
     vmax = np.zeros(m, dtype=np.int16)
     np.minimum.at(vmin, region, grid.block_min[br, bc])
@@ -211,17 +196,18 @@ def compute_features(img, grid, regions):
     block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
     block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
     pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)
+    area = np.bincount(region, minlength=m)
 
     features = []
-    for reg, n_dark, n_pixels in zip(regions, dark.tolist(), pixels.tolist()):
+    for reg, n_dark, n_pixels, n_blocks in zip(
+        regions, dark.tolist(), pixels.tolist(), area.tolist()
+    ):
         w, h = reg.bbox.w, reg.bbox.h
         features.append(
             RegionFeatures(
-                width=w,
-                height=h,
                 aspect_ratio=w / h,
                 info_pixel_density=n_dark / n_pixels,
-                area=len(reg.blocks),
+                area=n_blocks,
                 coverage_ratio=n_pixels / (w * h),
             )
         )
@@ -288,12 +274,10 @@ def parse_region_dump(text):
         features = None
         if len(parts) >= 9:
             features = RegionFeatures(
-                width=w,
-                height=h,
                 area=int(parts[5]),
                 aspect_ratio=float(parts[6]),
                 info_pixel_density=float(parts[7]),
                 coverage_ratio=float(parts[8]),
             )
-        regions.append(Region(blocks=[], bbox=Rect(x, y, w, h), kind=kind, features=features))
+        regions.append(Region(bbox=Rect(x, y, w, h), kind=kind, features=features))
     return regions

@@ -114,8 +114,6 @@ def background_fill(region):
     """Mean intensity of the light (non-dark) pixels, used as rotation fill."""
     vmin, vmax = int(region.min()), int(region.max())
     light = region[region >= (vmin + vmax) / 2.0]
-    if light.size == 0:
-        return int(region.mean())
     return int(round(float(light.mean())))
 
 

@@ -18,7 +18,7 @@ from . import imaging
 from .fontdata import ALPHABET, GLYPH_ROWS, GLYPHS, TALL_CHARS, glyph_mask
 from .imaging import Rect
 from .recognize import build_store
-from .regions import parse_region_dump
+from .regions import Region, RegionFeatures, format_region_dump, parse_region_dump
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -61,10 +61,10 @@ class CardSpec:
     foreground: int = 30
 
     def __post_init__(self):
-        if abs(self.skew_deg) > MAX_SKEW_DEG:
+        if not abs(self.skew_deg) <= MAX_SKEW_DEG:
             raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.salt_pepper <= 1.0:
             raise ValueError("salt_pepper must be a probability")
         if self.foreground >= self.background:
@@ -360,10 +360,10 @@ class SuiteParams:
             raise ValueError(f"card width {self.width} cannot hold a glyph at scale {scale}")
         if 2 * CARD_MARGIN + _band_footprint(0, scale, 0.0)[1] > self.height:
             raise ValueError(f"card height {self.height} cannot hold a text band at scale {scale}")
-        if max(abs(self.skew_min), abs(self.skew_max)) > MAX_SKEW_DEG:
+        if not (abs(self.skew_min) <= MAX_SKEW_DEG and abs(self.skew_max) <= MAX_SKEW_DEG):
             raise ValueError(f"card skew is limited to +/-{MAX_SKEW_DEG} degrees")
-        if min(self.sigma_min, self.sigma_max) < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not all(math.isfinite(s) and s >= 0 for s in (self.sigma_min, self.sigma_max)):
+            raise ValueError("noise sigma must be finite and >= 0")
         if not (0.0 <= self.salt_pepper_min <= 1.0 and 0.0 <= self.salt_pepper_max <= 1.0):
             raise ValueError("salt-and-pepper fractions must be in [0, 1]")
 
@@ -491,20 +491,18 @@ def generate_suite(out_dir, params):
 def format_truth_regions(truth):
     """Ground-truth regions in the region dump format.  The area/aspect/
     density/coverage fields are informational."""
-    lines = []
+    regions = []
     for region in truth.regions:
         r = region.bbox
-        blocks = -(-r.w // 16) * (-(-r.h // 16))
-        if truth.mask is not None:
-            window = truth.mask[r.y : r.y2, r.x : r.x2]
-            density = float(window.mean()) if window.size else 0.0
-        else:
-            density = 0.0
-        lines.append(
-            "%d %d %d %d %s %d %.4f %.4f %.4f"
-            % (r.x, r.y, r.w, r.h, region.kind, blocks, r.w / r.h, density, 1.0)
+        window = truth.mask[r.y : r.y2, r.x : r.x2]
+        features = RegionFeatures(
+            aspect_ratio=r.w / r.h,
+            info_pixel_density=float(window.mean()) if window.size else 0.0,
+            area=-(-r.w // 16) * (-(-r.h // 16)),
+            coverage_ratio=1.0,
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+        regions.append(Region(bbox=r, kind=region.kind, features=features))
+    return format_region_dump(regions)
 
 
 def truth_transcript(truth):

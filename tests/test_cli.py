@@ -142,6 +142,12 @@ class TestArgumentErrors:
         ["--height", "0"],
         ["--sigma-min", "-1"],
         ["--sigma-max", "-1"],
+        # NaN fails no `<` check, and inf is no usable sigma
+        ["--count", "1", "--sigma-min", "nan"],
+        ["--count", "1", "--sigma-max", "nan"],
+        ["--count", "1", "--sigma-max", "inf"],
+        ["--count", "1", "--skew-min", "nan"],
+        ["--count", "1", "--skew-max", "nan"],
     ])
     def test_synth_argument_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "suite"

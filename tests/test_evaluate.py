@@ -11,11 +11,11 @@ from reference import char_accuracy, pixel_eval
 
 
 def tr(x, y, w, h):
-    return Region(blocks=[], bbox=Rect(x, y, w, h), kind="TR")
+    return Region(bbox=Rect(x, y, w, h), kind="TR")
 
 
 def nr(x, y, w, h):
-    return Region(blocks=[], bbox=Rect(x, y, w, h), kind="NR")
+    return Region(bbox=Rect(x, y, w, h), kind="NR")
 
 
 class TestFMeasure:

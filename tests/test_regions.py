@@ -45,11 +45,12 @@ def flood_fill_oracle(labels):
 
 def reference_extract(img, cfg):
     """Per-block reference for extract_regions: a BFS over blocks, then two
-    slicing passes over each region's blocks for its features."""
+    slicing passes over each region's blocks for its features.  Returns the
+    regions and, for each, its member blocks as a sorted (row, col) list."""
     grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
     labels = rg.classify_grid(img, grid, cfg.t_var).labels
     seen = np.zeros_like(labels)
-    regions = []
+    found = []
     for r in range(grid.rows):
         for c in range(grid.cols):
             if not labels[r, c] or seen[r, c]:
@@ -69,11 +70,11 @@ def reference_extract(img, cfg):
             rects = [tile_rect(grid, br, bc) for br, bc in blocks]
             x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
             x2, y2 = max(b.x2 for b in rects), max(b.y2 for b in rects)
-            regions.append(rg.Region(blocks=blocks, bbox=Rect(x1, y1, x2 - x1, y2 - y1)))
-    regions.sort(key=lambda reg: (reg.bbox.y, reg.bbox.x))
-    for region in regions:
+            found.append((blocks, rg.Region(bbox=Rect(x1, y1, x2 - x1, y2 - y1))))
+    found.sort(key=lambda pair: (pair[1].bbox.y, pair[1].bbox.x))
+    for blocks, region in found:
         windows = []
-        for br, bc in region.blocks:
+        for br, bc in blocks:
             rect = tile_rect(grid, br, bc)
             windows.append(img[rect.y : rect.y2, rect.x : rect.x2])
         member_pixels = sum(w.size for w in windows)
@@ -83,15 +84,24 @@ def reference_extract(img, cfg):
         dark = sum(int(np.count_nonzero(w < midpoint)) for w in windows)
         bbox = region.bbox
         region.features = rg.RegionFeatures(
-            width=bbox.w,
-            height=bbox.h,
             aspect_ratio=bbox.w / bbox.h,
             info_pixel_density=dark / member_pixels,
-            area=len(region.blocks),
+            area=len(blocks),
             coverage_ratio=member_pixels / (bbox.w * bbox.h),
         )
         region.kind = rg.classify_region(region.features, cfg)
-    return regions
+    return [region for _, region in found], [blocks for blocks, _ in found]
+
+
+def assemble(grid):
+    """assemble_regions on a labelled grid.  Returns the regions and, for
+    each, its member blocks as a sorted (row, col) list, read back from
+    grid.block_region and the raster order of np.nonzero(grid.labels)."""
+    regions = rg.assemble_regions(grid)
+    members = [[] for _ in regions]
+    for r, c, k in zip(*np.nonzero(grid.labels), grid.block_region, strict=True):
+        members[k].append((int(r), int(c)))
+    return regions, members
 
 
 def make_grid(labels):
@@ -194,41 +204,40 @@ class TestAssemble:
         assert rg.assemble_regions(make_grid(np.zeros((3, 3)))) == []
 
     def test_single_block(self):
-        regs = rg.assemble_regions(make_grid([[0, 0], [0, 1]]))
-        assert len(regs) == 1
-        assert regs[0].blocks == [(1, 1)]
+        _, members = assemble(make_grid([[0, 0], [0, 1]]))
+        assert members == [[(1, 1)]]
 
     def test_diagonal_blocks_connect(self):
-        regs = rg.assemble_regions(make_grid([[1, 0], [0, 1]]))
-        assert len(regs) == 1
-        assert sorted(regs[0].blocks) == [(0, 0), (1, 1)]
+        _, members = assemble(make_grid([[1, 0], [0, 1]]))
+        assert members == [[(0, 0), (1, 1)]]
 
     def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             labels = rng.random((6, 8)) < 0.4
-            got = {frozenset(r.blocks) for r in rg.assemble_regions(make_grid(labels))}
+            _, members = assemble(make_grid(labels))
+            got = {frozenset(blocks) for blocks in members}
+            assert len(got) == len(members)
             assert got == flood_fill_oracle(labels)
 
     def test_regions_disjoint_and_exclude_background(self):
         rng = np.random.default_rng(10)
         labels = rng.random((8, 8)) < 0.5
-        regs = rg.assemble_regions(make_grid(labels))
-        seen = set()
-        for r in regs:
-            for b in r.blocks:
-                assert b not in seen
-                assert labels[b]
-                seen.add(b)
-        assert len(seen) == int(labels.sum())
+        grid = make_grid(labels)
+        regs, members = assemble(grid)
+        # one region id per IB, and every region holds a block
+        assert grid.block_region.shape == (int(labels.sum()),)
+        assert sorted(set(grid.block_region.tolist())) == list(range(len(regs)))
+        for region, blocks in zip(regs, members):
+            rects = [tile_rect(grid, r, c) for r, c in blocks]
+            x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
+            x2, y2 = max(b.x2 for b in rects), max(b.y2 for b in rects)
+            assert region.bbox == Rect(x1, y1, x2 - x1, y2 - y1)
 
 
 class TestClassifyRegion:
     def features(self, **kw):
-        base = dict(
-            width=160, height=32, aspect_ratio=5.0, info_pixel_density=0.2,
-            area=10, coverage_ratio=1.0,
-        )
+        base = dict(aspect_ratio=5.0, info_pixel_density=0.2, area=10, coverage_ratio=1.0)
         base.update(kw)
         return rg.RegionFeatures(**base)
 
@@ -300,26 +309,29 @@ class TestExtract:
         cfg = PipelineConfig()
         grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
         rg.classify_grid(img, grid, cfg.t_var)
-        for region in rg.assemble_regions(grid):
-            interior = all(
-                r < grid.rows - 1 and c < grid.cols - 1 for r, c in region.blocks
-            )
+        for blocks in assemble(grid)[1]:
+            interior = all(r < grid.rows - 1 and c < grid.cols - 1 for r, c in blocks)
             if interior:
                 pixels = sum(
-                    tile_rect(grid, r, c).w * tile_rect(grid, r, c).h
-                    for r, c in region.blocks
+                    tile_rect(grid, r, c).w * tile_rect(grid, r, c).h for r, c in blocks
                 )
                 assert pixels % (cfg.block_h * cfg.block_w) == 0
 
 
 class TestMatchesReference:
     def assert_matches(self, img, cfg=None):
+        """extract_regions against the reference: the same dump, and the same
+        member blocks per region.  Returns the regions and their blocks."""
         cfg = cfg or PipelineConfig()
         got = rg.extract_regions(img, cfg)
-        want = reference_extract(img, cfg)
+        want, want_blocks = reference_extract(img, cfg)
         assert rg.format_region_dump(got) == rg.format_region_dump(want)
-        assert [r.blocks for r in got] == [r.blocks for r in want]
-        return got
+        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
+        rg.classify_grid(img, grid, cfg.t_var)
+        regions, blocks = assemble(grid)
+        assert [r.bbox for r in regions] == [r.bbox for r in got]
+        assert blocks == want_blocks
+        return got, blocks
 
     def test_random_images(self):
         rng = np.random.default_rng(31)
@@ -334,7 +346,7 @@ class TestMatchesReference:
             self.assert_matches(img)
 
     def test_all_background(self):
-        assert self.assert_matches(np.full((96, 128), 220, np.uint8)) == []
+        assert self.assert_matches(np.full((96, 128), 220, np.uint8)) == ([], [])
 
     def test_salt_and_pepper_card(self):
         spec = synth.CardSpec(
@@ -342,7 +354,7 @@ class TestMatchesReference:
             bands=[synth.Band(text="Center for Microprocessor", x=60, y=80, scale=3)],
         )
         color, _ = synth.render_card(spec, seed=5)
-        regions = self.assert_matches(imaging.to_grayscale(color))
+        regions, _ = self.assert_matches(imaging.to_grayscale(color))
         assert len(regions) > 50
 
     def test_shared_origin_keeps_raster_order(self):
@@ -351,17 +363,17 @@ class TestMatchesReference:
         img = np.full((64, 64), 220, np.uint8)
         for r, c in [(0, 0), (0, 2), (1, 2), (2, 1), (2, 0)]:
             img[16 * r + 5, 16 * c + 5] = 0
-        regions = self.assert_matches(img)
-        assert [r.blocks for r in regions] == [[(0, 0)], [(0, 2), (1, 2), (2, 0), (2, 1)]]
+        regions, blocks = self.assert_matches(img)
+        assert blocks == [[(0, 0)], [(0, 2), (1, 2), (2, 0), (2, 1)]]
         assert regions[0].bbox.x == regions[1].bbox.x == 0
         assert regions[0].bbox.y == regions[1].bbox.y == 0
 
 
 class TestDump:
     def test_round_trip(self):
-        f = rg.RegionFeatures(width=100, height=20, aspect_ratio=5.0,
-                              info_pixel_density=0.21, area=12, coverage_ratio=0.97)
-        region = rg.Region(blocks=[(0, 0)], bbox=Rect(10, 20, 100, 20), kind=rg.TR, features=f)
+        f = rg.RegionFeatures(aspect_ratio=5.0, info_pixel_density=0.21, area=12,
+                              coverage_ratio=0.97)
+        region = rg.Region(bbox=Rect(10, 20, 100, 20), kind=rg.TR, features=f)
         text = rg.format_region_dump([region])
         assert text.splitlines()[0].startswith("10 20 100 20 TR 12 5.0000")
         back = rg.parse_region_dump(text)
