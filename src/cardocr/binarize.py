@@ -11,6 +11,8 @@ import logging
 
 import numpy as np
 
+from . import imaging
+
 log = logging.getLogger(__name__)
 
 
@@ -32,15 +34,13 @@ def neighbor_counts(mask):
 
 
 def threshold_region(region):
-    """Pass 1: foreground where a pixel is below the midpoint of the
-    region's extremes.  Returns a bool image."""
-    if region.size == 0:
-        raise ValueError("empty region")
-    g_min, g_max = int(region.min()), int(region.max())
-    if g_min == g_max:
-        log.warning("constant region (gray %d): binarized to all background", g_min)
-        return np.zeros(region.shape, dtype=bool)
-    return region < (g_min + g_max) / 2.0
+    """Pass 1: foreground where a pixel is dark (imaging.dark_mask), below
+    the midpoint of the region's extremes.  Returns a bool image."""
+    fg = imaging.dark_mask(region)
+    if not fg.any():
+        log.warning("constant region (gray %d): binarized to all background",
+                    region.flat[0])
+    return fg
 
 
 def binarize_region(region):

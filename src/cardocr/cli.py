@@ -7,9 +7,9 @@ buffer report).
 
 Exit codes: 0 ok, 2 unreadable input, any other filesystem error (a
 missing path, a file where a directory belongs), an image smaller than one
-block or a synth/bench argument out of range, 3 invalid or unreadable
-template store, 4 no text found (for eval: no text region of the suite
-matched, so region recall and precision are undefined), 5 bad or
+block or a synth/store-build/bench argument out of range, 3 invalid or
+unreadable template store, 4 no text found (for eval: no text region of the
+suite matched, so region recall and precision are undefined), 5 bad or
 unreadable configuration.
 """
 
@@ -36,7 +36,7 @@ EXIT_CONFIG = 5
 
 
 class ArgumentRangeError(ValueError):
-    """A synth or bench argument outside the range the command accepts."""
+    """A synth, store-build or bench argument outside its accepted range."""
 
 
 def _build_config(args):
@@ -86,6 +86,10 @@ def cmd_synth(args):
 
 
 def cmd_store_build(args):
+    if args.samples < rec.SAMPLES_PER_CLASS:
+        raise ArgumentRangeError(f"--samples must be >= {rec.SAMPLES_PER_CLASS}")
+    if args.seed < 0:
+        raise ArgumentRangeError("--seed must be >= 0")
     os.makedirs(args.out_dir, exist_ok=True)
     store = synth.build_font_store(seed=args.seed, samples_per_class=args.samples)
     rec.save_store(store, args.out_dir)

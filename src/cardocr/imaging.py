@@ -52,6 +52,19 @@ def is_color(img):
     return img.ndim == 3
 
 
+def midpoint(lo, hi):
+    """The dark threshold of gray extremes lo <= hi: an integer pixel p is
+    below (lo + hi) / 2 exactly when p < midpoint(lo, hi).  Works
+    element-wise on integer arrays; a constant lo == hi gives lo itself,
+    so nothing is below it."""
+    return (lo + hi + 1) >> 1
+
+
+def dark_mask(gray):
+    """Pixels below the midpoint of the image's own min and max."""
+    return gray < midpoint(int(gray.min()), int(gray.max()))
+
+
 # Bytes of the float32 temporaries of one grayscale strip: the strip's
 # three channels (12 bytes a pixel) and their weighted sum (4 bytes a
 # pixel), however large the image.

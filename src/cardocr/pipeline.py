@@ -126,10 +126,7 @@ def _stage_segment(results, cfg):
         except sg.EmptyRegionError:
             continue
         for band, crop in bands:
-            try:
-                glyphs = sg.segment_characters(crop, cfg)
-            except sg.EmptyRegionError:
-                continue
+            glyphs = sg.segment_characters(crop, cfg)
             r.lines.append(LineResult(band=band, glyphs=glyphs, labels=[]))
 
 
@@ -214,23 +211,16 @@ def dump_stages(result, directory):
     def path(name):
         return os.path.join(directory, name)
 
-    with open(path("regions.txt"), "w") as fh:
-        fh.write(rg.format_region_dump(result.all_regions))
+    def write(name, text):
+        with open(path(name), "w") as fh:
+            fh.write(text)
+
+    write("regions.txt", rg.format_region_dump(result.all_regions))
     for i, r in enumerate(result.regions):
         imaging.save_pnm_file(path(f"region_{i}.pgm"), r.crop)
         imaging.save_pnm_file(path(f"region_{i}.deskewed.pgm"), r.deskewed)
         imaging.save_pnm_file(path(f"region_{i}.bin.pgm"), r.binary)
-        try:
-            profile = skew.bottom_profile(r.crop)
-            stats = skew.profile_stats(profile)
-            retained = skew.filter_profile(profile, stats).cols
-        except (skew.NoTextError, skew.DegenerateProfileError):
-            profile, stats, retained = None, None, []
-        with open(path(f"region_{i}.profile.txt"), "w") as fh:
-            if profile is not None:
-                fh.write(skew.format_profile_dump(profile, retained, stats, r.angle))
-        with open(path(f"region_{i}.bands.txt"), "w") as fh:
-            fh.write(sg.format_band_dump([line.band for line in r.lines]))
-        with open(path(f"region_{i}.glyphs.txt"), "w") as fh:
-            for line in r.lines:
-                fh.write(sg.format_glyph_dump(line.glyphs))
+        write(f"region_{i}.profile.txt", skew.format_profile_dump(r.crop, r.angle))
+        write(f"region_{i}.bands.txt", sg.format_band_dump([line.band for line in r.lines]))
+        write(f"region_{i}.glyphs.txt",
+              "".join(sg.format_glyph_dump(line.glyphs) for line in r.lines))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Rect
+from .imaging import Rect, midpoint
 
 TR = "TR"  # text region
 NR = "NR"  # non-text region
@@ -176,8 +176,7 @@ def compute_features(img, grid, regions):
     """Geometric and intensity features of every region, in one pass.
 
     `regions` is the list assemble_regions returned for `grid`.  A pixel is
-    dark when it is below the midpoint of its region's extremes,
-    (vmin + vmax) / 2; for integer pixels that is p < (vmin + vmax + 1) >> 1.
+    dark when it is below the midpoint of its region's extremes.
     """
     m = len(regions)
     br, bc = np.nonzero(grid.labels)
@@ -186,7 +185,7 @@ def compute_features(img, grid, regions):
     vmax = np.zeros(m, dtype=np.int16)
     np.minimum.at(vmin, region, grid.block_min[br, bc])
     np.maximum.at(vmax, region, grid.block_max[br, bc])
-    threshold = (vmin + vmax + 1) >> 1
+    threshold = midpoint(vmin, vmax)
 
     # 255 is never below a midpoint, so padding is never dark
     tiles = _tiles(img, grid, constant_values=255)[br, :, bc, :]

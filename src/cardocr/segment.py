@@ -109,7 +109,7 @@ def segment_lines(region, cfg):
     """
     bands = candidate_bands(horizontal_histogram(region), cfg.line_threshold)
     return [
-        (band, region[band.top : band.bottom + 1].copy())
+        (band, region[band.top : band.bottom + 1])
         for band in reject_false_separators(bands, cfg.r_min)
     ]
 
@@ -144,7 +144,7 @@ def segment_characters(line, cfg):
         glyphs.append(
             GlyphBox(
                 rect=rect,
-                pixels=window[y1 : y2 + 1].copy(),
+                pixels=window[y1 : y2 + 1],
                 word_index=word,
                 char_index=char,
             )

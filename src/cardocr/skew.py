@@ -18,12 +18,8 @@ from . import imaging
 log = logging.getLogger(__name__)
 
 
-class NoTextError(ValueError):
-    """Region has one intensity, so no pixel is dark."""
-
-
 class DegenerateProfileError(ValueError):
-    """Too few usable profile columns to estimate an angle."""
+    """No dark pixel, or too few usable profile columns to estimate an angle."""
 
 
 @dataclass
@@ -34,50 +30,36 @@ class Profile:
     heights: np.ndarray  # distance (px) from the bottom edge, same length
 
 
-@dataclass
-class ProfileStats:
-    mu: float   # mean height
-    tau: float  # first order moment: mean absolute deviation from mu
-
-
 def bottom_profile(region):
     """Per-column distance from the bottom edge to the first dark pixel.
 
-    Dark means below the midpoint of the region's own min/max intensity
-    (the region is not binarized yet at this stage).
+    Dark is imaging.dark_mask: below the midpoint of the region's own
+    min/max intensity (the region is not binarized yet at this stage).
     """
-    h = region.shape[0]
-    vmin, vmax = int(region.min()), int(region.max())
-    if vmin == vmax:
-        raise NoTextError("region has no intensity variation, nothing to profile")
-    # vmin < vmax, so the vmin pixel is dark and some column is present
-    dark = region < (vmin + vmax) / 2.0
-    present = dark.any(axis=0)
-    # distance from the bottom: h-1 minus the last dark row per column
-    last_dark = (h - 1) - np.argmax(dark[::-1, :], axis=0)
-    cols = np.flatnonzero(present)
-    heights = (h - 1) - last_dark[cols]
+    dark = imaging.dark_mask(region)
+    cols = np.flatnonzero(dark.any(axis=0))
+    if len(cols) == 0:
+        raise DegenerateProfileError("no dark pixel, nothing to profile")
+    # the distance from the bottom is the first dark row counted upward
+    heights = np.argmax(dark[::-1], axis=0)[cols]
     return Profile(cols=cols, heights=heights.astype(np.int64))
 
 
-def profile_stats(profile):
+def filter_profile(profile):
+    """Keep only entries inside [mu - tau, mu + tau] (inclusive), where mu is
+    the mean height and tau the first order moment, the mean absolute
+    deviation from mu.  Returns (retained profile, mu, tau)."""
     if len(profile.cols) == 0:
         raise DegenerateProfileError("empty profile")
-    mu = float(np.mean(profile.heights))
-    tau = float(np.mean(np.abs(mu - profile.heights)))
-    return ProfileStats(mu=mu, tau=tau)
-
-
-def filter_profile(profile, stats):
-    """Keep only entries inside [mu - tau, mu + tau] (inclusive)."""
-    keep = (profile.heights >= stats.mu - stats.tau) & (
-        profile.heights <= stats.mu + stats.tau
-    )
+    heights = profile.heights
+    mu = float(np.mean(heights))
+    tau = float(np.mean(np.abs(mu - heights)))
+    keep = (heights >= mu - tau) & (heights <= mu + tau)
     if int(keep.sum()) < 3:
         raise DegenerateProfileError(
             f"only {int(keep.sum())} profile entries inside mu +/- tau"
         )
-    return Profile(cols=profile.cols[keep], heights=profile.heights[keep])
+    return Profile(cols=profile.cols[keep], heights=heights[keep]), mu, tau
 
 
 def _pair_angle(col_a, h_a, col_b, h_b):
@@ -104,16 +86,14 @@ def estimate_skew(profile):
 
 
 def estimate_region_skew(region):
-    """bottom_profile -> stats -> filter -> estimate, in one call."""
-    profile = bottom_profile(region)
-    stats = profile_stats(profile)
-    return estimate_skew(filter_profile(profile, stats))
+    """bottom_profile -> filter -> estimate, in one call."""
+    retained, _, _ = filter_profile(bottom_profile(region))
+    return estimate_skew(retained)
 
 
 def background_fill(region):
     """Mean intensity of the light (non-dark) pixels, used as rotation fill."""
-    vmin, vmax = int(region.min()), int(region.max())
-    light = region[region >= (vmin + vmax) / 2.0]
+    light = region[~imaging.dark_mask(region)]
     return int(round(float(light.mean())))
 
 
@@ -138,7 +118,7 @@ def deskew(region, cfg):
     for _ in range(cfg.skew_passes):
         try:
             angle = estimate_region_skew(corrected)
-        except (NoTextError, DegenerateProfileError) as exc:
+        except DegenerateProfileError as exc:
             log.debug("skew estimation degenerate, stopping at %.2f: %s", total, exc)
             break
         if abs(total + angle) > cfg.skew_clamp:
@@ -161,12 +141,19 @@ def deskew(region, cfg):
     return corrected, total  # a zero total leaves `corrected` the region itself
 
 
-def format_profile_dump(profile, retained_cols, stats, angle):
-    """Debug dump: one 'col height retained' row per column plus a trailer."""
-    retained = set(int(c) for c in retained_cols)
+def format_profile_dump(region, angle):
+    """Debug dump of the region's profile fit: one 'col height retained' row
+    per profile column, then 'mu tau angle'.  Empty when the fit is
+    degenerate."""
+    try:
+        profile = bottom_profile(region)
+        retained, mu, tau = filter_profile(profile)
+    except DegenerateProfileError:
+        return ""
+    kept = np.isin(profile.cols, retained.cols)
     lines = [
-        "%d %d %d" % (int(c), int(h), 1 if int(c) in retained else 0)
-        for c, h in zip(profile.cols, profile.heights)
+        "%d %d %d" % row
+        for row in zip(profile.cols.tolist(), profile.heights.tolist(), kept.tolist())
     ]
-    lines.append("%.4f %.4f %.4f" % (stats.mu, stats.tau, angle))
+    lines.append("%.4f %.4f %.4f" % (mu, tau, angle))
     return "\n".join(lines) + "\n"

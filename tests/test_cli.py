@@ -131,8 +131,8 @@ class TestSynthCommand:
 
 
 class TestArgumentErrors:
-    """Out-of-range synth and bench arguments exit 2 with one input error
-    line, before anything is written."""
+    """Out-of-range synth, store-build and bench arguments exit 2 with one
+    input error line, before anything is written."""
 
     @pytest.mark.parametrize("flags", [
         ["--count", "0"],
@@ -154,6 +154,20 @@ class TestArgumentErrors:
         assert cli.main(["synth", str(out), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "0"], "--samples must be >= 10"),
+        (["--samples", "5"], "--samples must be >= 10"),
+        (["--samples", "9"], "--samples must be >= 10"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+    ])
+    def test_store_build_argument_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "store"
+        assert cli.main(["store-build", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
         assert not out.exists()
 
     def test_bench_zero_runs_exit_2(self, store_dir, tmp_path, capsys):

@@ -233,6 +233,35 @@ class TestCrop:
             Rect(0, 0, 0, 1)
 
 
+class TestDarkRule:
+    def test_midpoint_matches_half_sum_exhaustively(self):
+        # for every 0 <= lo <= hi <= 255 and every gray p: p < midpoint(lo, hi)
+        # exactly when p < (lo + hi) / 2
+        lo, hi = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        lo, hi = lo[lo <= hi], hi[lo <= hi]
+        mid = imaging.midpoint(lo, hi)
+        half = (lo + hi) / 2
+        for p in range(256):
+            assert np.array_equal(p < mid, p < half), p
+
+    def test_midpoint_elementwise_equals_scalar(self):
+        lo = np.array([0, 3, 100, 255], dtype=np.int16)
+        hi = np.array([0, 4, 201, 255], dtype=np.int16)
+        got = imaging.midpoint(lo, hi)
+        assert got.tolist() == [imaging.midpoint(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert got.tolist() == [0, 4, 151, 255]
+
+    @pytest.mark.parametrize("value", [0, 77, 255])
+    def test_constant_image_has_no_dark_pixel(self, value):
+        assert not imaging.dark_mask(np.full((3, 4), value, dtype=np.uint8)).any()
+
+    def test_dark_mask_is_strictly_below_half_sum(self):
+        gray = np.array([[0, 99, 100, 101, 200]], dtype=np.uint8)
+        assert imaging.dark_mask(gray).tolist() == [[True, True, False, False, False]]
+        gray = np.array([[0, 100, 101, 201]], dtype=np.uint8)  # half sum 100.5
+        assert imaging.dark_mask(gray).tolist() == [[True, True, False, False]]
+
+
 class TestRotate:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import pytest
 
 from cardocr import evaluate as ev
 from cardocr import pipeline, synth
+from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec
@@ -210,6 +211,20 @@ class TestDumps:
             assert artifact in names
         glyph_rows = (out / "region_0.glyphs.txt").read_text().strip().splitlines()
         assert len(glyph_rows) == 7
+
+    @pytest.mark.parametrize("dark_cols", [0, 2])
+    def test_degenerate_profile_dump_is_empty(self, tmp_path, dark_cols):
+        # a constant crop has no dark pixel, and two dark columns are fewer
+        # than the three a profile fit retains: either way profile.txt is
+        # written, and empty
+        crop = np.full((20, 30), 200, dtype=np.uint8)
+        crop[15, :dark_cols] = 20
+        region = rg.Region(bbox=Rect(0, 0, 30, 20))
+        result = pipeline.RunResult(regions=[pipeline.RegionResult(
+            region=region, crop=crop, deskewed=crop, binary=crop < 100)])
+        pipeline.dump_stages(result, tmp_path)
+        assert (tmp_path / "region_0.profile.txt").read_bytes() == b""
+        assert (tmp_path / "region_0.bands.txt").read_bytes() == b""
 
     def test_dump_determinism(self, cfg, store, tmp_path):
         color, _ = simple_card(noise_sigma=3.0)

@@ -5,7 +5,7 @@ import pytest
 
 from cardocr import skew, synth
 from cardocr.config import PipelineConfig
-from cardocr.skew import DegenerateProfileError, NoTextError, Profile
+from cardocr.skew import DegenerateProfileError, Profile
 
 CFG = PipelineConfig()
 
@@ -57,7 +57,7 @@ class TestBottomProfile:
         assert list(p.heights) == [3, 5]
 
     def test_no_dark_pixels(self):
-        with pytest.raises(NoTextError):
+        with pytest.raises(DegenerateProfileError):
             skew.bottom_profile(np.full((5, 5), 200, np.uint8))
 
     def test_lowest_dark_pixel_wins(self):
@@ -69,34 +69,38 @@ class TestBottomProfile:
 
 
 class TestProfileStats:
+    """mu and tau as filter_profile returns them with the retained entries."""
+
     def test_hand_case(self):
-        s = skew.profile_stats(make_profile([0, 1, 2, 3], [2, 2, 2, 10]))
-        assert s.mu == pytest.approx(4.0)
-        assert s.tau == pytest.approx(3.0)
+        _, mu, tau = skew.filter_profile(make_profile([0, 1, 2, 3], [2, 2, 2, 10]))
+        assert mu == pytest.approx(4.0)
+        assert tau == pytest.approx(3.0)
 
     def test_constant(self):
-        s = skew.profile_stats(make_profile([0, 1, 2], [7, 7, 7]))
-        assert (s.mu, s.tau) == (7.0, 0.0)
+        _, mu, tau = skew.filter_profile(make_profile([0, 1, 2], [7, 7, 7]))
+        assert (mu, tau) == (7.0, 0.0)
 
     def test_two_values(self):
-        s = skew.profile_stats(make_profile([0, 1], [0, 10]))
-        assert (s.mu, s.tau) == (5.0, 5.0)
+        # both values sit exactly on mu -/+ tau, so all four are retained
+        f, mu, tau = skew.filter_profile(make_profile([0, 1, 2, 3], [0, 10, 0, 10]))
+        assert (mu, tau) == (5.0, 5.0)
+        assert len(f.cols) == 4
 
     def test_empty(self):
         with pytest.raises(DegenerateProfileError):
-            skew.profile_stats(make_profile([], []))
+            skew.filter_profile(make_profile([], []))
 
 
 class TestFilterProfile:
     def test_outlier_dropped(self):
         p = make_profile([0, 1, 2, 3], [2, 2, 2, 10])
-        f = skew.filter_profile(p, skew.profile_stats(p))
+        f, _, _ = skew.filter_profile(p)
         assert list(f.heights) == [2, 2, 2]
         assert list(f.cols) == [0, 1, 2]
 
     def test_constant_all_retained(self):
         p = make_profile([0, 1, 2, 3], [5, 5, 5, 5])
-        f = skew.filter_profile(p, skew.profile_stats(p))
+        f, _, _ = skew.filter_profile(p)
         assert len(f.cols) == 4
 
     def test_never_grows(self):
@@ -105,21 +109,21 @@ class TestFilterProfile:
             n = int(rng.integers(3, 30))
             p = make_profile(np.arange(n), rng.integers(0, 50, n))
             try:
-                f = skew.filter_profile(p, skew.profile_stats(p))
+                f, _, _ = skew.filter_profile(p)
             except DegenerateProfileError:
                 continue  # fewer than 3 survivors, still "not grown"
             assert len(f.cols) <= len(p.cols)
 
     def test_idempotent_on_constant(self):
         p = make_profile([0, 1, 2], [4, 4, 4])
-        f1 = skew.filter_profile(p, skew.profile_stats(p))
-        f2 = skew.filter_profile(f1, skew.profile_stats(f1))
+        f1, _, _ = skew.filter_profile(p)
+        f2, _, _ = skew.filter_profile(f1)
         assert list(f2.cols) == list(f1.cols)
 
     def test_too_few_retained(self):
         p = make_profile([0, 1], [1, 9])
         with pytest.raises(DegenerateProfileError):
-            skew.filter_profile(p, skew.profile_stats(p))
+            skew.filter_profile(p)
 
 
 class TestEstimate:
@@ -142,7 +146,7 @@ class TestEstimate:
         # exact (unrounded) ramp: every pairwise angle equals the slope
         slope = math.tan(math.radians(5))
         p = make_profile(np.arange(300), np.arange(300) * slope)
-        est = skew.estimate_skew(skew.filter_profile(p, skew.profile_stats(p)))
+        est = skew.estimate_skew(skew.filter_profile(p)[0])
         assert est == pytest.approx(5.0, abs=1e-9)
 
     def test_rounded_ramp_five_degrees(self):
@@ -155,15 +159,11 @@ class TestEstimate:
     def test_spike_is_filtered(self):
         cols = list(range(0, 210, 10))
         heights = [c // 10 for c in cols]
-        clean = skew.estimate_skew(
-            skew.filter_profile(p := make_profile(cols, heights), skew.profile_stats(p))
-        )
+        clean = skew.estimate_skew(skew.filter_profile(make_profile(cols, heights))[0])
         spiked = make_profile(cols + [105], heights + [200])
         order = np.argsort(spiked.cols)
         spiked = Profile(spiked.cols[order], spiked.heights[order])
-        est = skew.estimate_skew(
-            skew.filter_profile(spiked, skew.profile_stats(spiked))
-        )
+        est = skew.estimate_skew(skew.filter_profile(spiked)[0])
         assert est == pytest.approx(clean, abs=1e-9)
 
     def test_shift_invariance(self):
@@ -273,11 +273,22 @@ class TestDeskew:
 
 class TestDump:
     def test_format(self):
-        p = make_profile([0, 1, 2, 3], [2, 2, 2, 10])
-        s = skew.profile_stats(p)
-        f = skew.filter_profile(p, s)
-        text = skew.format_profile_dump(p, f.cols, s, 0.0)
+        img = region_from_heights([2, 2, 2, 10], height=20)
+        text = skew.format_profile_dump(img, 0.0)
         lines = text.strip().splitlines()
         assert lines[0] == "0 2 1"
         assert lines[3] == "3 10 0"
         assert lines[4] == "4.0000 3.0000 0.0000"
+
+    def test_absent_columns_have_no_row(self):
+        img = region_from_heights([2, 0, 2, 2, 9], height=20,
+                                  present=[True, False, True, True, True])
+        lines = skew.format_profile_dump(img, 1.5).splitlines()
+        assert lines == ["0 2 1", "2 2 1", "3 2 1", "4 9 0", "3.7500 2.6250 1.5000"]
+
+    @pytest.mark.parametrize("heights", [[], [3, 3]])
+    def test_degenerate_fit_is_empty(self, heights):
+        # no dark pixel (a constant region), or fewer than 3 retained columns
+        img = region_from_heights(heights + [0] * 4, height=20,
+                                  present=[True] * len(heights) + [False] * 4)
+        assert skew.format_profile_dump(img, 0.0) == ""
