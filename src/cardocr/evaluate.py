@@ -19,16 +19,10 @@ class MetricUndefinedError(ValueError):
 class EvalCounts:
     tp: int = 0
     fp: int = 0
-    tn: int = 0
     fn: int = 0
 
     def __add__(self, other):
-        return EvalCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.tn + other.tn,
-            self.fn + other.fn,
-        )
+        return EvalCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
 @dataclass
@@ -72,12 +66,11 @@ def region_eval(predicted, truth, threshold=MATCH_THRESHOLD):
 
     `predicted` and `truth` are Region-like objects with .bbox and .kind.
     A predicted TR matches a truth TR at overlap/union >= threshold,
-    assigned greedily one-to-one by overlap.  Truth NRs count as TN when no
-    predicted TR claims them.
+    assigned greedily one-to-one by overlap.  Truth NRs are not counted: a
+    predicted TR over one is a false positive.
     """
     pred_tr = [r.bbox for r in predicted if r.kind == "TR"]
     truth_tr = [r.bbox for r in truth if r.kind == "TR"]
-    truth_nr = [r.bbox for r in truth if r.kind == "NR"]
 
     pairs = []
     for i, p in enumerate(pred_tr):
@@ -96,16 +89,7 @@ def region_eval(predicted, truth, threshold=MATCH_THRESHOLD):
         tp += 1
     fp = len(pred_tr) - tp
     fn = len(truth_tr) - tp
-    tn = 0
-    for nr in truth_nr:
-        claimed = any(
-            overlap_over_union(pred_tr[i], nr) >= threshold
-            for i in range(len(pred_tr))
-            if i not in used_p
-        )
-        if not claimed:
-            tn += 1
-    return EvalCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return EvalCounts(tp=tp, fp=fp, fn=fn)
 
 
 def evaluate_suite(paths, cfg, store):

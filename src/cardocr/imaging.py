@@ -195,6 +195,32 @@ def save_pnm_file(path, img):
         fh.write(save_pnm(img))
 
 
+def _rotation_frame(h, w, angle_deg):
+    """cos, sin and the canvas (out_h, out_w) of rotating an h x w image."""
+    theta = math.radians(angle_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    # Grow the canvas symmetrically so the source center stays on the same
+    # pixel parity; a rotate/unrotate pair then maps the original footprint
+    # back onto exact integer positions.
+    pad_x = max(0, int(math.ceil((w * abs(c) + h * abs(s) - w) / 2 - 1e-9)))
+    pad_y = max(0, int(math.ceil((w * abs(s) + h * abs(c) - h) / 2 - 1e-9)))
+    return c, s, h + 2 * pad_y, w + 2 * pad_x
+
+
+def rotate_points(shape, angle_deg, rows, cols):
+    """Where rotate(img, angle_deg) puts the centres of the pixels at
+    (rows, cols) of an image of `shape`: the forward map of the geometry
+    rotate inverts.  Returns ((out_h, out_w), rows, cols), the mapped
+    coordinates as float64 arrays; angle 0 maps every pixel onto itself."""
+    h, w = shape
+    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
+    u = cols - (w - 1) / 2.0
+    v = rows - (h - 1) / 2.0
+    out_cols = (out_w - 1) / 2.0 + c * u + s * v
+    out_rows = (out_h - 1) / 2.0 - s * u + c * v
+    return (out_h, out_w), out_rows, out_cols
+
+
 def rotate(img, angle_deg, fill=255):
     """Rotate a gray image by `angle_deg` counter-clockwise (as displayed).
 
@@ -210,15 +236,7 @@ def rotate(img, angle_deg, fill=255):
     if not 0 <= fill <= 255:
         raise ValueError(f"fill intensity {fill} outside 0..255")
     h, w = img.shape
-    theta = math.radians(angle_deg)
-    c, s = math.cos(theta), math.sin(theta)
-    # Grow the canvas symmetrically so the source center stays on the same
-    # pixel parity; a rotate/unrotate pair then maps the original footprint
-    # back onto exact integer positions.
-    pad_x = max(0, int(math.ceil((w * abs(c) + h * abs(s) - w) / 2 - 1e-9)))
-    pad_y = max(0, int(math.ceil((w * abs(s) + h * abs(c) - h) / 2 - 1e-9)))
-    out_w = w + 2 * pad_x
-    out_h = h + 2 * pad_y
+    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
 
     # Pad the source with one ring of fill so bilinear taps that straddle the
     # border blend into fill and far-outside taps clamp onto pure fill.

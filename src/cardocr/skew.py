@@ -5,6 +5,11 @@ distance from the bottom edge of the bounding box up to the first dark
 pixel.  Outlier columns outside mean +/- first-order-moment are dropped,
 three anchor points (leftmost, rightmost, middle) are kept, and the angle
 is the average of the three pairwise slopes.
+
+The profile is read from the coordinates of the region's dark pixels
+(imaging.dark_mask of the crop, taken once).  Refining an estimate maps
+those coordinates through the rotation instead of resampling the crop, so
+each region is rotated once, by its final angle.
 """
 
 import logging
@@ -30,19 +35,43 @@ class Profile:
     heights: np.ndarray  # distance (px) from the bottom edge, same length
 
 
-def bottom_profile(region):
-    """Per-column distance from the bottom edge to the first dark pixel.
+@dataclass
+class DarkPixels:
+    """The dark pixels of a region crop, as coordinates."""
 
-    Dark is imaging.dark_mask: below the midpoint of the region's own
-    min/max intensity (the region is not binarized yet at this stage).
+    shape: tuple       # (height, width) of the crop
+    rows: np.ndarray   # int row of each dark pixel
+    cols: np.ndarray   # int column of each dark pixel, same length
+
+
+def dark_pixels(dark):
+    """DarkPixels of a crop's dark mask (imaging.dark_mask of the crop)."""
+    # a flat nonzero and a divmod beat the 2-D np.nonzero by about 2x
+    return DarkPixels(dark.shape, *np.divmod(np.flatnonzero(dark), dark.shape[1]))
+
+
+def bottom_profile(pixels, total=0.0):
+    """Per column of the crop rotated by -total degrees, the distance from
+    the bottom edge to the lowest dark pixel.
+
+    Each dark pixel centre is mapped through imaging.rotate_points onto the
+    canvas imaging.rotate(crop, -total) would make, and binned to its
+    nearest column; a column's height is rint(out_h - 1 - its largest
+    mapped row).  At total 0 the map is the identity, so this is the first
+    dark row counted upward from the crop's bottom.  Dark is decided once,
+    on the crop (imaging.dark_mask: below the midpoint of the crop's own
+    min/max), not on a resampled image.
     """
-    dark = imaging.dark_mask(region)
-    cols = np.flatnonzero(dark.any(axis=0))
-    if len(cols) == 0:
+    if len(pixels.rows) == 0:
         raise DegenerateProfileError("no dark pixel, nothing to profile")
-    # the distance from the bottom is the first dark row counted upward
-    heights = np.argmax(dark[::-1], axis=0)[cols]
-    return Profile(cols=cols, heights=heights.astype(np.int64))
+    (out_h, out_w), rows, cols = imaging.rotate_points(
+        pixels.shape, -total, pixels.rows, pixels.cols
+    )
+    lowest = np.full(out_w, -np.inf)
+    np.maximum.at(lowest, np.rint(cols).astype(np.intp), rows)
+    present = np.flatnonzero(lowest > -np.inf)
+    heights = np.rint(out_h - 1 - lowest[present]).astype(np.int64)
+    return Profile(cols=present, heights=heights)
 
 
 def filter_profile(profile):
@@ -85,16 +114,16 @@ def estimate_skew(profile):
     ) / 3.0
 
 
-def estimate_region_skew(region):
-    """bottom_profile -> filter -> estimate, in one call."""
-    retained, _, _ = filter_profile(bottom_profile(region))
+def estimate_region_skew(pixels, total=0.0):
+    """One estimation pass: bottom_profile at `total` -> filter -> estimate.
+    Returns the residual skew of the crop rotated by -total degrees."""
+    retained, _, _ = filter_profile(bottom_profile(pixels, total))
     return estimate_skew(retained)
 
 
-def background_fill(region):
-    """Mean intensity of the light (non-dark) pixels, used as rotation fill."""
-    light = region[~imaging.dark_mask(region)]
-    return int(round(float(light.mean())))
+def background_fill(region, dark):
+    """Mean intensity of the light (not `dark`) pixels, the rotation fill."""
+    return int(round(float(region[~dark].mean())))
 
 
 CONVERGENCE_DEG = 0.05
@@ -104,20 +133,21 @@ def deskew(region, cfg):
     """Rotate the region upright.  Returns (corrected image, estimated angle).
 
     The three-anchor estimator underestimates large angles (the mu +/- tau
-    band flattens steep profiles), so the estimate is refined by re-running
-    it on the provisionally corrected region, up to cfg.skew_passes times.
-    The returned image is always a single rotation of the original by the
-    total.
+    band flattens steep profiles), so the estimate is refined up to
+    cfg.skew_passes times.  Pass 1 reads the crop itself; each later pass
+    reads the crop's dark pixels mapped through the rotation by the total so
+    far, so its dark rule is the crop's own midpoint, not the midpoint of a
+    resampled image.  The region is rotated once, by the final total.
 
     Degenerate regions (no dark pixels, too-flat profiles, estimates beyond
     cfg.skew_clamp degrees) pass through unchanged with angle 0.
     """
-    fill = None
+    dark = imaging.dark_mask(region)
+    pixels = dark_pixels(dark)
     total = 0.0
-    corrected = region  # corrected at the current total
     for _ in range(cfg.skew_passes):
         try:
-            angle = estimate_region_skew(corrected)
+            angle = estimate_region_skew(pixels, total)
         except DegenerateProfileError as exc:
             log.debug("skew estimation degenerate, stopping at %.2f: %s", total, exc)
             break
@@ -128,17 +158,17 @@ def deskew(region, cfg):
             )
             break
         if total + angle == total:
-            break  # the same total again: the same rotation, and converged
+            break  # the same total again: converged
         total += angle
-        if total == 0.0:
-            corrected = region
-        else:
-            if fill is None:
-                fill = background_fill(region)
-            corrected = imaging.rotate(region, -total, fill=fill)
         if abs(angle) < CONVERGENCE_DEG:
             break
-    return corrected, total  # a zero total leaves `corrected` the region itself
+    if total == 0.0:
+        return region, total
+    fill = background_fill(region, dark)
+    # hold neither the mask nor its coordinates through the rotation: its
+    # temporaries are the card's memory peak
+    del dark, pixels
+    return imaging.rotate(region, -total, fill=fill), total
 
 
 def format_profile_dump(region, angle):
@@ -146,7 +176,7 @@ def format_profile_dump(region, angle):
     per profile column, then 'mu tau angle'.  Empty when the fit is
     degenerate."""
     try:
-        profile = bottom_profile(region)
+        profile = bottom_profile(dark_pixels(imaging.dark_mask(region)))
         retained, mu, tau = filter_profile(profile)
     except DegenerateProfileError:
         return ""

@@ -62,8 +62,7 @@ def pixel_eval(predicted, truth):
     tp = int(np.count_nonzero(predicted & truth))
     fp = int(np.count_nonzero(predicted & ~truth))
     fn = int(np.count_nonzero(~predicted & truth))
-    tn = int(np.count_nonzero(~predicted & ~truth))
-    return EvalCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return EvalCounts(tp=tp, fp=fp, fn=fn)
 
 
 def resample_mask(mask, fy, fx=None):

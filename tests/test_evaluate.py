@@ -20,7 +20,7 @@ def nr(x, y, w, h):
 
 class TestFMeasure:
     def test_perfect(self):
-        m = ev.metrics_from_counts(EvalCounts(tp=10, fp=0, tn=0, fn=0))
+        m = ev.metrics_from_counts(EvalCounts(tp=10, fp=0, fn=0))
         assert (m.recall, m.precision, m.f_measure) == (100.0, 100.0, 100.0)
 
     def test_reported_rates(self):
@@ -28,7 +28,7 @@ class TestFMeasure:
         assert ev.f_measure(93.52, 96.27) == pytest.approx(94.88, abs=0.01)
 
     def test_balanced_counts(self):
-        m = ev.metrics_from_counts(EvalCounts(tp=1, fp=1, tn=0, fn=1))
+        m = ev.metrics_from_counts(EvalCounts(tp=1, fp=1, fn=1))
         assert m.recall == pytest.approx(50.0)
         assert m.precision == pytest.approx(50.0)
         assert m.f_measure == pytest.approx(50.0)
@@ -47,9 +47,9 @@ class TestFMeasure:
 
     def test_undefined_denominators(self):
         with pytest.raises(MetricUndefinedError, match="ground truth"):
-            ev.metrics_from_counts(EvalCounts(tp=0, fp=1, tn=0, fn=0))
+            ev.metrics_from_counts(EvalCounts(tp=0, fp=1, fn=0))
         with pytest.raises(MetricUndefinedError, match="predicted"):
-            ev.metrics_from_counts(EvalCounts(tp=0, fp=0, tn=0, fn=1))
+            ev.metrics_from_counts(EvalCounts(tp=0, fp=0, fn=1))
 
 
 class TestRegionEval:
@@ -87,16 +87,16 @@ class TestRegionEval:
 
     def test_true_negative_decoys(self):
         pred = [tr(0, 0, 100, 10)]
+        # an unclaimed truth NR changes no count
         truth = [tr(0, 0, 100, 10), nr(0, 50, 40, 40)]
         c = ev.region_eval(pred, truth)
-        assert c.tn == 1
+        assert (c.tp, c.fp, c.fn) == (1, 0, 0)
 
     def test_claimed_decoy_not_tn(self):
         pred = [tr(0, 50, 40, 40)]
         truth = [nr(0, 50, 40, 40)]
         c = ev.region_eval(pred, truth)
-        assert c.tn == 0
-        assert c.fp == 1
+        assert (c.tp, c.fp, c.fn) == (0, 1, 0)
 
 
 class TestPixelEval:
@@ -112,7 +112,7 @@ class TestPixelEval:
         mask = rng.random((6, 6)) < 0.4
         c = pixel_eval(~mask, mask)
         assert c.tp == 0
-        assert c.tn == 0
+        assert c.fp + c.fn == mask.size  # no true negative pixel
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
@@ -122,15 +122,15 @@ class TestPixelEval:
         tp = sum(1 for y in range(4) for x in range(4) if a[y, x] and b[y, x])
         fp = sum(1 for y in range(4) for x in range(4) if a[y, x] and not b[y, x])
         fn = sum(1 for y in range(4) for x in range(4) if not a[y, x] and b[y, x])
-        tn = 16 - tp - fp - fn
-        assert (c.tp, c.fp, c.fn, c.tn) == (tp, fp, fn, tn)
+        assert (c.tp, c.fp, c.fn) == (tp, fp, fn)
 
     def test_conservation(self):
         rng = np.random.default_rng(10)
         a = rng.random((9, 13)) < 0.5
         b = rng.random((9, 13)) < 0.5
         c = pixel_eval(a, b)
-        assert c.tp + c.fp + c.tn + c.fn == 9 * 13
+        # every pixel that either side marks is counted exactly once
+        assert c.tp + c.fp + c.fn == int(np.count_nonzero(a | b))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -172,8 +172,8 @@ class TestCharAccuracy:
 
 class TestCounts:
     def test_addition(self):
-        total = EvalCounts(1, 2, 3, 4) + EvalCounts(10, 20, 30, 40)
-        assert (total.tp, total.fp, total.tn, total.fn) == (11, 22, 33, 44)
+        total = EvalCounts(1, 2, 4) + EvalCounts(10, 20, 40)
+        assert (total.tp, total.fp, total.fn) == (11, 22, 44)
 
 
 class TestFormatReport:

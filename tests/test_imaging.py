@@ -350,3 +350,43 @@ class TestRotate:
             assert np.array_equal(
                 imaging.rotate(img, angle, fill), clipping_rotate(img, angle, fill)
             )
+
+
+class TestRotatePoints:
+    def test_zero_angle_is_identity(self):
+        rng = np.random.default_rng(30)
+        rows = rng.integers(0, 15, 50)
+        cols = rng.integers(0, 33, 50)
+        shape, out_rows, out_cols = imaging.rotate_points((15, 33), 0.0, rows, cols)
+        assert shape == (15, 33)
+        assert np.array_equal(out_rows, rows) and np.array_equal(out_cols, cols)
+
+    def test_canvas_is_rotate_canvas(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            h, w = (int(v) for v in rng.integers(1, 80, size=2))
+            angle = float(rng.uniform(-45, 45))
+            shape, _, _ = imaging.rotate_points((h, w), angle, np.zeros(0), np.zeros(0))
+            assert shape == imaging.rotate(np.zeros((h, w), np.uint8), angle).shape
+
+    def test_inverse_map_of_rotate_returns_the_points(self):
+        # rotate samples output pixel (y, x) at the source point below; fed
+        # the forward-mapped centres, that inverse map gives them back
+        rng = np.random.default_rng(32)
+        for angle in (-44.0, -7.5, 0.3, 12.0, 45.0):
+            h, w = 37, 90
+            rows, cols = rng.integers(0, h, 40), rng.integers(0, w, 40)
+            (oh, ow), y, x = imaging.rotate_points((h, w), angle, rows, cols)
+            c, s = np.cos(np.radians(angle)), np.sin(np.radians(angle))
+            dx, dy = x - (ow - 1) / 2, y - (oh - 1) / 2
+            assert np.allclose((w - 1) / 2 + dx * c - dy * s, cols, atol=1e-9)
+            assert np.allclose((h - 1) / 2 + dx * s + dy * c, rows, atol=1e-9)
+
+    def test_bright_pixel_lands_where_mapped(self):
+        for angle in (-30.0, -3.0, 8.0, 41.0):
+            img = np.zeros((25, 60), np.uint8)
+            img[4, 50] = 255
+            out = imaging.rotate(img, angle, fill=0)
+            _, y, x = imaging.rotate_points(img.shape, angle, np.array([4]), np.array([50]))
+            peak = np.unravel_index(np.argmax(out), out.shape)
+            assert abs(peak[0] - y[0]) <= 1.0 and abs(peak[1] - x[0]) <= 1.0

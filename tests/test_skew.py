@@ -1,13 +1,28 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from cardocr import skew, synth
+from cardocr import imaging, skew, synth
+from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.skew import DegenerateProfileError, Profile
+from cardocr.synth import Band, CardSpec
 
 CFG = PipelineConfig()
+
+
+def pixels_of(img):
+    """The skew estimator's input for a gray region: its dark pixels."""
+    return skew.dark_pixels(imaging.dark_mask(img))
+
+
+def column_scan_profile(dark):
+    """Bottom profile read straight off a dark mask: per column with a dark
+    pixel, the first dark row counted upward from the bottom."""
+    cols = np.flatnonzero(dark.any(axis=0))
+    return cols, np.argmax(dark[::-1], axis=0)[cols]
 
 
 def region_from_heights(heights, height=40, present=None):
@@ -34,38 +49,72 @@ class TestBottomProfile:
     def test_dark_bottom_row(self):
         img = np.full((10, 6), 220, np.uint8)
         img[-1, :] = 30
-        p = skew.bottom_profile(img)
+        p = skew.bottom_profile(pixels_of(img))
         assert (p.heights == 0).all()
         assert len(p.cols) == 6
 
     def test_dark_row_at_distance(self):
         img = np.full((10, 6), 220, np.uint8)
         img[10 - 1 - 4, :] = 30
-        p = skew.bottom_profile(img)
+        p = skew.bottom_profile(pixels_of(img))
         assert (p.heights == 4).all()
 
     def test_ramp(self):
         heights = list(range(12))
-        p = skew.bottom_profile(region_from_heights(heights, height=20))
+        p = skew.bottom_profile(pixels_of(region_from_heights(heights, height=20)))
         assert list(p.heights) == heights
 
     def test_absent_columns(self):
         heights = [3, 0, 5]
         img = region_from_heights(heights, present=[True, False, True])
-        p = skew.bottom_profile(img)
+        p = skew.bottom_profile(pixels_of(img))
         assert list(p.cols) == [0, 2]
         assert list(p.heights) == [3, 5]
 
     def test_no_dark_pixels(self):
         with pytest.raises(DegenerateProfileError):
-            skew.bottom_profile(np.full((5, 5), 200, np.uint8))
+            skew.bottom_profile(pixels_of(np.full((5, 5), 200, np.uint8)))
 
     def test_lowest_dark_pixel_wins(self):
         img = np.full((10, 1), 220, np.uint8)
         img[2, 0] = 30
         img[7, 0] = 30
-        p = skew.bottom_profile(img)
+        p = skew.bottom_profile(pixels_of(img))
         assert p.heights[0] == 2  # 9 - 7
+
+    def test_zero_total_is_the_column_scan(self):
+        # at total 0 the coordinate profile is the mask's own column scan
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            dark = rng.random((h, w)) < rng.choice([0.01, 0.1, 0.5, 0.95])
+            dark[:, rng.random(w) < 0.2] = False  # some empty columns
+            if not dark.any():
+                continue
+            p = skew.bottom_profile(skew.dark_pixels(dark))
+            cols, heights = column_scan_profile(dark)
+            assert np.array_equal(p.cols, cols)
+            assert np.array_equal(p.heights, heights)
+
+    def test_rotated_flat_line_reads_the_rotation(self):
+        # a level line seen through a rotation by -total tilts by -total
+        img = np.full((20, 600), 220, np.uint8)
+        img[12, :] = 30
+        for total in (-6.0, 2.5, 9.0):
+            p = skew.bottom_profile(pixels_of(img), total)
+            assert skew.estimate_skew(p) == pytest.approx(-total, abs=0.1)
+
+    def test_rotated_profile_matches_the_rotated_image(self):
+        # the coordinate profile at a total is the profile of the crop
+        # rotated by -total, up to resampling and the rotated image's own dark
+        # rule: their estimates agree within 0.5 deg (0.37 at most here)
+        img = synth.render_region(["Business Card Reader 2010"], 4,
+                                  skew_deg=5.0, seed=9).image
+        fill = skew.background_fill(img, imaging.dark_mask(img))
+        for total in (1.0, 2.0, 4.0, 6.0):
+            rotated = imaging.rotate(img, -total, fill=fill)
+            assert skew.estimate_region_skew(pixels_of(img), total) == pytest.approx(
+                skew.estimate_region_skew(pixels_of(rotated)), abs=0.5)
 
 
 class TestProfileStats:
@@ -140,7 +189,7 @@ class TestEstimate:
             present=[c in set(cols) for c in range(210)],
         )
         expected = math.degrees(math.atan(0.1))
-        assert skew.estimate_region_skew(img) == pytest.approx(expected, abs=0.1)
+        assert skew.estimate_region_skew(pixels_of(img)) == pytest.approx(expected, abs=0.1)
 
     def test_dense_ramp_five_degrees(self):
         # exact (unrounded) ramp: every pairwise angle equals the slope
@@ -153,7 +202,7 @@ class TestEstimate:
         # pixel-quantized ramp from an actual image stays within 0.1 degree
         slope = math.tan(math.radians(5))
         heights = [round(i * slope) for i in range(300)]
-        est = skew.estimate_region_skew(region_from_heights(heights, height=60))
+        est = skew.estimate_region_skew(pixels_of(region_from_heights(heights, height=60)))
         assert est == pytest.approx(5.0, abs=0.5)
 
     def test_spike_is_filtered(self):
@@ -233,8 +282,8 @@ class TestDeskew:
         img = self.band("Department of Computer Science and Engineering",
                         skew_deg=8.0, seed=5)
         corrected, angle = skew.deskew(img, CFG)
-        before = abs(skew.estimate_region_skew(img))
-        after = abs(skew.estimate_region_skew(corrected))
+        before = abs(skew.estimate_region_skew(pixels_of(img)))
+        after = abs(skew.estimate_region_skew(pixels_of(corrected)))
         assert after < max(before, 1.0)
 
     def test_no_text_passthrough(self):
@@ -255,7 +304,8 @@ class TestDeskew:
         # without a second, identical rotation
         img = self.band("Business Card Reader 2010", seed=7)
         angles = iter([-0.44, 0.0])
-        monkeypatch.setattr(skew, "estimate_region_skew", lambda region: next(angles))
+        monkeypatch.setattr(skew, "estimate_region_skew",
+                            lambda pixels, total: next(angles))
         rotations = []
         rotate = skew.imaging.rotate
         monkeypatch.setattr(skew.imaging, "rotate",
@@ -263,7 +313,41 @@ class TestDeskew:
         out, angle = skew.deskew(img, CFG)
         assert angle == -0.44
         assert len(rotations) == 1
-        assert np.array_equal(out, rotate(img, 0.44, fill=skew.background_fill(img)))
+        fill = skew.background_fill(img, imaging.dark_mask(img))
+        assert np.array_equal(out, rotate(img, 0.44, fill=fill))
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_rotates_at_most_once(self, monkeypatch, passes):
+        img = self.band("Center for Microprocessor Application 2010",
+                        skew_deg=7.0, sigma=4.0, seed=3)
+        rotations = []
+        rotate = skew.imaging.rotate
+        monkeypatch.setattr(skew.imaging, "rotate",
+                            lambda *a, **k: rotations.append(a) or rotate(*a, **k))
+        out, angle = skew.deskew(img, PipelineConfig(skew_passes=passes))
+        assert len(rotations) <= 1
+        fill = skew.background_fill(img, imaging.dark_mask(img))
+        assert np.array_equal(out, rotate(img, -angle, fill=fill))
+
+    def test_every_pass_estimates_at_the_running_total(self, monkeypatch):
+        # each pass is one estimate_region_skew call, made at the total so far
+        img = self.band("Center for Microprocessor Application 2010",
+                        skew_deg=7.0, sigma=4.0, seed=3)
+        calls = []
+        estimate = skew.estimate_region_skew
+
+        def recording(pixels, total):
+            angle = estimate(pixels, total)
+            calls.append((total, angle))
+            return angle
+
+        monkeypatch.setattr(skew, "estimate_region_skew", recording)
+        _, angle = skew.deskew(img, CFG)
+        assert len(calls) == CFG.skew_passes
+        assert calls[0][0] == 0.0
+        for (total, step), (next_total, _) in zip(calls, calls[1:]):
+            assert next_total == total + step
+        assert angle == calls[-1][0] + calls[-1][1]
 
     def test_single_pass_mode(self):
         img = self.band("Business Card Reader 2010", skew_deg=3.0, seed=6)
@@ -292,3 +376,49 @@ class TestDump:
         img = region_from_heights(heights + [0] * 4, height=20,
                                   present=[True] * len(heights) + [False] * 4)
         assert skew.format_profile_dump(img, 0.0) == ""
+
+
+CRITERION_9_SPEC = CardSpec(width=2048, height=1536, noise_sigma=4.0, bands=[
+    Band("Ayatullah Faruk Mollah", 100, 150, 6),
+    Band("School of Mobile Computing", 100, 400, 5),
+    Band("Jadavpur University Kolkata", 100, 650, 5),
+    Band("Phone: +91 33 2414 6666", 100, 900, 5),
+    Band("www.jaduniv.edu.in", 100, 1150, 5),
+])
+
+
+class TestCriterion9Card:
+    """Regression pins on the text regions of the criterion-9 card (seed 3),
+    taken when each refinement pass still resampled the crop."""
+
+    @pytest.fixture(scope="class")
+    def crops(self):
+        color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
+        gray = imaging.to_grayscale(color)
+        return [gray[r.bbox.y:r.bbox.y2, r.bbox.x:r.bbox.x2]
+                for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR]
+
+    def test_totals(self, crops):
+        totals = [skew.deskew(crop, CFG)[1] for crop in crops]
+        assert totals == pytest.approx([
+            -0.006999117648930501, 0.44481619736766637, -0.39908690712006356,
+            0.484696410803685, -0.5943770118940949,
+        ], abs=1e-9)
+
+    def test_single_pass_keeps_total_and_output(self, crops):
+        # pass 1 reads the crop itself: a loop that ends after it keeps the
+        # estimate and the rotated bytes
+        cfg = PipelineConfig(skew_passes=1)
+        outs = [skew.deskew(crop, cfg) for crop in crops]
+        assert [angle for _, angle in outs] == pytest.approx([
+            -0.006999117648930501, 0.44481619736766637, -0.39879136391234016,
+            0.48579735925592193, -0.6143291937788531,
+        ], abs=1e-9)
+        assert [hashlib.sha256(out.tobytes()).hexdigest()[:16] for out, _ in outs] == [
+            "85779593d3bae61b", "cd78bab9869ef966", "90fa2ebd2162c022",
+            "660b79fae3e9afbf", "55d00c482a18f040",
+        ]
+        # the first region converges after one pass with the default passes
+        out, angle = skew.deskew(crops[0], CFG)
+        assert angle == outs[0][1]
+        assert np.array_equal(out, outs[0][0])
