@@ -27,7 +27,7 @@ from . import skew
 @dataclass
 class LineResult:
     band: sg.LineBand
-    glyphs: list
+    glyphs: sg.Glyphs
     labels: list  # scheme-mapped template label per glyph
 
 
@@ -135,17 +135,22 @@ def _stage_recognize(results, store, scheme):
     transcript: a space before each word's first glyph but a line's first,
     a newline between lines, and a blank line between regions that kept a
     line."""
-    glyphs = [g for r in results for line in r.lines for g in line.glyphs]
-    found = rec.classify(rec.normalize_glyph([g.pixels for g in glyphs]), store, scheme)
-    labels = iter(c.label for c in found)
+    crops = [(r.binary[line.band.top : line.band.bottom + 1], line.glyphs)
+             for r in results for line in r.lines]
+    if not crops:
+        return ""
+    best, _ = rec.classify(np.concatenate([
+        rec.normalize_glyph(crop, g.x1, g.x2, g.top, g.bottom) for crop, g in crops
+    ]), store)
+    labels = iter([scheme.apply(store.labels[i]) for i in best.tolist()])
     blocks = []
     for r in results:
         lines = []
         for line in r.lines:
-            line.labels = [next(labels) for _ in line.glyphs]
+            line.labels = [next(labels) for _ in range(len(line.glyphs))]
             lines.append("".join(
-                (" " if g.char_index == 0 and i else "") + label
-                for i, (g, label) in enumerate(zip(line.glyphs, line.labels))
+                (" " if char == 0 and i else "") + label
+                for i, (char, label) in enumerate(zip(line.glyphs.char.tolist(), line.labels))
             ))
         if lines:
             blocks.append("\n".join(lines))

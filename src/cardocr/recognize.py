@@ -3,8 +3,9 @@
 Glyphs are normalized to 48x48 binary patterns (tight bounding box, nearest
 neighbor, aspect ratio not preserved) and compared against a store of
 labeled templates by Hamming distance, computed as the popcount of the XOR
-of bit-packed patterns; the smallest count wins.  A card is one batch: its
-glyphs are resampled by one gather into an (n, 48, 48) stack, and one
+of bit-packed patterns; the smallest count wins.  A line's glyphs are
+resampled by one gather from the line crop, given their box arrays, into
+an (n, 48, 48) stack; a card's stacks are matched as one batch, and one
 exact bound-then-verify search finds each glyph's nearest template
 (branch and bound, Fukunaga & Narendra 1975, over zoning features).  The
 ink counts of the 3x3 grid of 16x16 zones give a lower bound on the
@@ -14,8 +15,10 @@ upper bound; the XOR-popcount runs only on the pairs whose lower bound
 does not exceed it, which always include every nearest template.  One
 kernel computes every exact distance, pair by pair: the matcher's upper
 bounds and candidates, and build_store's medoid ranking.
-The 73-character alphabet can optionally be quotiented by merging visually
-symmetric classes (C/c, 0/O/o, S/s, U/u, V/v, W/w, Z/z, I/l/1).
+The matcher returns each winner's store index and distance; the caller
+maps its label through a ClassScheme, which can quotient the 73-character
+alphabet by merging visually symmetric classes (C/c, 0/O/o, S/s, U/u, V/v,
+W/w, Z/z, I/l/1).
 
 A store in memory is only the matcher's packed words, a template-major
 (templates, 36) uint64 array, plus its label list; TemplateStore.patterns()
@@ -76,12 +79,6 @@ MERGED = ClassScheme("merged")
 FULL = ClassScheme("full")
 
 
-@dataclass
-class Classification:
-    label: str          # scheme-mapped winner
-    score: int          # dissimilarity of the winning template
-
-
 def normalize_pattern(mask):
     """Crop a binary mask to its tight bounding box and resample it to
     48x48 with nearest neighbor (anisotropic)."""
@@ -90,28 +87,22 @@ def normalize_pattern(mask):
     cols = np.flatnonzero(mask.any(axis=0))
     if len(rows) == 0:
         raise ValueError("empty glyph: no foreground to normalize")
-    return normalize_glyph([mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]])[0]
+    return normalize_glyph(mask, cols[:1], cols[-1:], rows[:1], rows[-1:])[0]
 
 
-def normalize_glyph(crops):
-    """Resample tight bool crops to one (n, 48, 48) stack, nearest neighbor,
-    by one gather over the concatenated pixels.
+def normalize_glyph(line, x1, x2, top, bottom):
+    """Resample n boxes of a bool line crop to one (n, 48, 48) stack,
+    nearest neighbor (anisotropic), by one gather from the crop.
 
-    A segmented GlyphBox.pixels crop is already tight (segment_characters
-    cuts it to foreground columns and to the rows between the first and
-    last row with foreground), so a card's glyphs need no crop search.
+    Box i spans columns x1[i]..x2[i] and rows top[i]..bottom[i], inclusive
+    int arrays.  The boxes segment_characters returns are tight to their
+    glyphs' foreground, so they need no crop search.
     """
-    if not crops:
-        return np.zeros((0, PATTERN_SIZE, PATTERN_SIZE), dtype=bool)
-    shapes = np.array([c.shape for c in crops], dtype=np.intp)
-    h, w = shapes[:, :1], shapes[:, 1:]
-    sizes = shapes[:, 0] * shapes[:, 1]
-    offsets = np.cumsum(sizes) - sizes
+    h, w = (bottom - top + 1)[:, None], (x2 - x1 + 1)[:, None]
     steps = np.arange(PATTERN_SIZE)
-    rows = (steps * h) // PATTERN_SIZE * w + offsets[:, None]
-    cols = (steps * w) // PATTERN_SIZE
-    flat = np.concatenate([c.reshape(-1) for c in crops])
-    return flat[rows[:, :, None] + cols[:, None, :]]
+    rows = (top[:, None] + steps * h // PATTERN_SIZE) * line.shape[1]
+    cols = x1[:, None] + steps * w // PATTERN_SIZE
+    return line.take(rows[:, :, None] + cols[:, None, :])
 
 
 PATTERN_WORDS = PATTERN_SIZE * PATTERN_SIZE // 64
@@ -182,9 +173,10 @@ class TemplateStore:
         return bits.reshape(len(self), PATTERN_SIZE, PATTERN_SIZE).astype(bool)
 
 
-def classify(patterns, store, scheme=MERGED):
+def classify(patterns, store):
     """Best template per pattern of an (n, 48, 48) stack, by smallest
-    dissimilarity; ties go to store order.  One Classification per row.
+    dissimilarity; ties go to store order.  Returns two (n,) arrays: the
+    winning template's store index and its distance.
 
     Per zone |a - b| <= popcount(a ^ b), so the summed zone-count
     differences LB of a pair bound its distance from below, and the
@@ -194,7 +186,7 @@ def classify(patterns, store, scheme=MERGED):
     if patterns.ndim != 3 or patterns.shape[1:] != (PATTERN_SIZE, PATTERN_SIZE):
         raise ValueError("patterns must be an (n, 48, 48) stack")
     if not len(patterns):
-        return []
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int16)
     words = _pack_words(patterns)
     zones = _zone_counts(words)
     shape = (len(words), len(store))
@@ -212,10 +204,7 @@ def classify(patterns, store, scheme=MERGED):
     exact.fill(PATTERN_SIZE * PATTERN_SIZE + 1)
     exact[rows, cols] = _pair_distances(words, rows, store._words, cols)
     best = exact.argmin(axis=1)
-    return [
-        Classification(label=scheme.apply(store.labels[b]), score=s)
-        for b, s in zip(best.tolist(), exact[np.arange(len(best)), best].tolist())
-    ]
+    return best, exact[np.arange(len(best)), best]
 
 
 def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):

@@ -5,14 +5,14 @@ runs of rows above a low threshold (deliberately over-segmenting), and
 implausibly thin bands are merged back into a neighbor.  Words and
 characters come from the vertical profile of each line: zero-count column
 runs split characters, and gaps much wider than the median split words.
+A line's glyphs are one set of parallel arrays (Glyphs), built in one pass
+over its column runs, and read as arrays up to the matcher.
 """
 
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
-
-from .imaging import Rect
 
 
 class EmptyRegionError(ValueError):
@@ -29,12 +29,21 @@ class LineBand:
         return self.bottom - self.top + 1
 
 
-@dataclass
-class GlyphBox:
-    rect: Rect            # within the line crop
-    pixels: np.ndarray    # bool crop of the glyph
-    word_index: int
-    char_index: int
+@dataclass(frozen=True)
+class Glyphs:
+    """The glyphs of one line in column order, as parallel int arrays:
+    inclusive columns x1..x2 and rows top..bottom within the line crop, the
+    word index and the character index within the word."""
+
+    x1: np.ndarray
+    x2: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    word: np.ndarray
+    char: np.ndarray
+
+    def __len__(self):
+        return len(self.x1)
 
 
 def horizontal_histogram(region):
@@ -48,20 +57,17 @@ def vertical_histogram(region):
 
 
 def _runs(mask):
-    """Maximal runs of True as (start, end) inclusive pairs."""
+    """Maximal runs of True as (starts, ends) int arrays, ends inclusive."""
     idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return []
     breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    ends = np.concatenate((idx[breaks], [idx[-1]]))
-    return list(zip(starts.tolist(), ends.tolist()))
+    return np.concatenate((idx[:1], idx[breaks + 1])), np.concatenate((idx[breaks], idx[-1:]))
 
 
 def candidate_bands(counts, threshold):
     """Maximal runs of rows with count > threshold as line bands, including
     any runs that touch the top or bottom edge."""
-    return [LineBand(s, e) for s, e in _runs(np.asarray(counts) > threshold)]
+    starts, ends = _runs(np.asarray(counts) > threshold)
+    return [LineBand(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def reject_false_separators(bands, r_min):
@@ -115,42 +121,32 @@ def segment_lines(region, cfg):
 
 
 def segment_characters(line, cfg):
-    """Split one line into glyphs with word/character indices.
+    """Split one line into Glyphs.
 
     Characters are separated by zero-count column runs; a gap at least
     cfg.word_gap_factor times the median interior gap width is a word break.
+    Each glyph's rows run from the first to the last row with foreground in
+    its columns.
     """
-    counts = vertical_histogram(line)
-    spans = _runs(counts > 0)
-    if not spans:
+    x1, x2 = _runs(vertical_histogram(line) > 0)
+    if not len(x1):
         raise EmptyRegionError("line has no foreground")
-    gaps = [spans[i + 1][0] - spans[i][1] - 1 for i in range(len(spans) - 1)]
-    if gaps:
-        median_gap = statistics.median(gaps)
-        word_break_at = [g >= cfg.word_gap_factor * median_gap for g in gaps]
-    else:
-        word_break_at = []
-    glyphs = []
-    word = 0
-    char = 0
-    for i, (x1, x2) in enumerate(spans):
-        if i > 0 and word_break_at[i - 1]:
-            word += 1
-            char = 0
-        window = line[:, x1 : x2 + 1]
-        rows = np.flatnonzero(window.any(axis=1))
-        y1, y2 = int(rows[0]), int(rows[-1])
-        rect = Rect(int(x1), y1, int(x2 - x1 + 1), y2 - y1 + 1)
-        glyphs.append(
-            GlyphBox(
-                rect=rect,
-                pixels=window[y1 : y2 + 1],
-                word_index=word,
-                char_index=char,
-            )
-        )
-        char += 1
-    return glyphs
+    gaps = x1[1:] - x2[:-1] - 1
+    first = np.ones(len(x1), dtype=bool)  # the first glyph of a word
+    if len(gaps):
+        first[1:] = gaps >= cfg.word_gap_factor * np.median(gaps)
+    word = np.cumsum(first) - 1
+    # Gap columns hold no foreground, so the columns from one run's start
+    # to the next run's start hold exactly that run's ink.
+    ink = np.logical_or.reduceat(line, x1, axis=1)
+    return Glyphs(
+        x1=x1,
+        x2=x2,
+        top=ink.argmax(axis=0),
+        bottom=len(line) - 1 - ink[::-1].argmax(axis=0),
+        word=word,
+        char=np.arange(len(x1)) - np.flatnonzero(first)[word],
+    )
 
 
 def format_band_dump(bands):
@@ -160,8 +156,6 @@ def format_band_dump(bands):
 
 def format_glyph_dump(glyphs):
     """Debug dump: one 'glyph x y w h word char' row per glyph."""
-    return "".join(
-        f"glyph {g.rect.x} {g.rect.y} {g.rect.w} {g.rect.h} "
-        f"{g.word_index} {g.char_index}\n"
-        for g in glyphs
-    )
+    g = glyphs
+    rows = np.column_stack((g.x1, g.top, g.x2 - g.x1 + 1, g.bottom - g.top + 1, g.word, g.char))
+    return "".join("glyph %d %d %d %d %d %d\n" % tuple(row) for row in rows.tolist())

@@ -3,6 +3,7 @@ that the acceptance criteria and unit tests check the package against.
 """
 
 import math
+import statistics
 
 import numpy as np
 
@@ -37,6 +38,29 @@ def resample_48(tight):
     yy = (np.arange(PATTERN_SIZE) * h) // PATTERN_SIZE
     xx = (np.arange(PATTERN_SIZE) * w) // PATTERN_SIZE
     return tight[np.ix_(yy, xx)]
+
+
+def segment_glyphs(line, word_gap_factor):
+    """(x1, x2, top, bottom, word, char) per glyph of a bool line, one glyph
+    at a time: column spans with foreground, then the gaps between them, a
+    word break at each gap of at least word_gap_factor times their median,
+    then each span's first and last row with foreground."""
+    spans, start = [], None
+    for x, ink in enumerate(line.any(axis=0).tolist() + [False]):
+        if ink and start is None:
+            start = x
+        elif not ink and start is not None:
+            spans.append((start, x - 1))
+            start = None
+    gaps = [spans[i + 1][0] - spans[i][1] - 1 for i in range(len(spans) - 1)]
+    glyphs, word, char = [], 0, 0
+    for i, (x1, x2) in enumerate(spans):
+        if i and gaps[i - 1] >= word_gap_factor * statistics.median(gaps):
+            word, char = word + 1, 0
+        rows = np.flatnonzero(line[:, x1 : x2 + 1].any(axis=1))
+        glyphs.append((x1, x2, int(rows[0]), int(rows[-1]), word, char))
+        char += 1
+    return glyphs
 
 
 def char_accuracy(predicted, truth, scheme):

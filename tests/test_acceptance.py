@@ -206,9 +206,10 @@ def test_c06_character_segmentation():
 def test_c07_recognition_properties(store):
     # every stored template matches itself with zero dissimilarity
     assert len(store) == 730
-    for label, got in zip(store.labels, rec.classify(store.patterns(), store, rec.MERGED)):
-        assert got.score == 0
-        assert got.label == rec.MERGED.apply(label)
+    best, dist = rec.classify(store.patterns(), store)
+    for label, i, score in zip(store.labels, best.tolist(), dist.tolist()):
+        assert score == 0
+        assert rec.MERGED.apply(store.labels[i]) == rec.MERGED.apply(label)
 
     # metric axioms on 10^5 random triples, in batches; the batch distance
     # formula (ink-only/background-only disagreement split) independently
@@ -252,7 +253,8 @@ def _perturbed_eval(store, count, seed):
             continue
         pattern = rec.normalize_pattern(mask)
         pattern = pattern ^ (rng.random(pattern.shape) < 0.02)
-        raw_predictions.append(rec.classify(pattern[None], store, rec.FULL)[0].label)
+        [best], _ = rec.classify(pattern[None], store)
+        raw_predictions.append(store.labels[best])
         truth.append(ch)
     merged_acc = char_accuracy(raw_predictions, truth, rec.MERGED)
     full_acc = char_accuracy(raw_predictions, truth, rec.FULL)

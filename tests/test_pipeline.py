@@ -74,6 +74,25 @@ class TestRunPipeline:
         assert len(result.regions) == 1
         assert result.regions[0].angle == pytest.approx(5.0, abs=3.0)
 
+    def test_card_whose_regions_keep_no_line(self, store, monkeypatch):
+        # no row of a region holds more foreground than the whole card is
+        # wide, so segment_lines raises EmptyRegionError for every region
+        cfg = PipelineConfig(line_threshold=700)
+        stacks = []
+        classify = pipeline.rec.classify
+
+        def recording(patterns, store):
+            stacks.append(len(patterns))
+            return classify(patterns, store)
+
+        monkeypatch.setattr(pipeline.rec, "classify", recording)
+        color, _ = simple_card()
+        result = pipeline.run_pipeline(color, cfg, store)
+        assert len(result.regions) == 1
+        assert result.regions[0].lines == []
+        assert result.transcript == ""
+        assert stacks in ([], [0])
+
     def test_glyph_count_and_flat_labels(self, cfg, store):
         color, _ = simple_card()
         result = pipeline.run_pipeline(color, cfg, store)

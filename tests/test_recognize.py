@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cardocr import imaging, pipeline, synth
+from cardocr import segment as sg
 from cardocr.config import PipelineConfig
 from cardocr import recognize as rec
 from cardocr.recognize import (
@@ -13,8 +14,6 @@ from cardocr.recognize import (
     StoreError,
     TemplateStore,
 )
-from cardocr.segment import GlyphBox
-
 from reference import dissimilarity, nearest_templates, resample_48
 
 
@@ -24,6 +23,12 @@ def pattern_from(mask_rows):
 
 def random_pattern(rng):
     return rng.random((48, 48)) < 0.5
+
+
+def classified(patterns, store):
+    """(label, distance) of each pattern's winning template."""
+    best, dist = rec.classify(patterns, store)
+    return [(store.labels[i], d) for i, d in zip(best.tolist(), dist.tolist())]
 
 
 class TestNormalize:
@@ -116,37 +121,37 @@ class TestClassify:
         return TemplateStore(np.stack([random_pattern(rng) for _ in labels]), labels)
 
     def test_self_match(self, store):
-        [c] = rec.classify(store.patterns()[37:38], store, FULL)
-        assert c.score == 0
-        assert c.label == store.labels[37]
+        [(label, score)] = classified(store.patterns()[37:38], store)
+        assert score == 0
+        assert label == store.labels[37]
 
     def test_merged_label_for_small_l(self, store):
         i = store.labels.index("l")
-        [c] = rec.classify(store.patterns()[i : i + 1], store, MERGED)
-        assert c.label == "I"
+        [best], _ = rec.classify(store.patterns()[i : i + 1], store)
+        assert MERGED.apply(store.labels[best]) == "I"
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         store = self.make_store(["A", "B", "C", "D", "E"], rng)
         probes = np.stack([random_pattern(rng) for _ in range(25)])
-        for probe, got in zip(probes, rec.classify(probes, store, FULL)):
+        for probe, (label, score) in zip(probes, classified(probes, store)):
             dists = [dissimilarity(probe, t) for t in store.patterns()]
             best = min(range(5), key=lambda i: (dists[i], i))
-            assert got.label == store.labels[best]
-            assert got.score == dists[best]
+            assert label == store.labels[best]
+            assert score == dists[best]
 
     def test_tie_breaks_to_store_order(self):
         rng = np.random.default_rng(10)
         shared = random_pattern(rng)
         store = TemplateStore(np.stack([shared, shared]), ["X", "Y"])
-        assert rec.classify(shared[None], store, FULL)[0].label == "X"
+        assert classified(shared[None], store)[0][0] == "X"
 
     def test_ties_in_a_batch_break_to_store_order(self):
         rng = np.random.default_rng(15)
         shared, other = random_pattern(rng), random_pattern(rng)
         store = TemplateStore(np.stack([shared, other, shared, other]), ["X", "Z", "Y", "W"])
-        got = rec.classify(np.stack([shared, other, shared]), store, FULL)
-        assert [(c.label, c.score) for c in got] == [("X", 0), ("Z", 0), ("X", 0)]
+        got = classified(np.stack([shared, other, shared]), store)
+        assert got == [("X", 0), ("Z", 0), ("X", 0)]
 
     def test_empty_store(self):
         with pytest.raises(StoreError, match="empty"):
@@ -170,12 +175,12 @@ class TestClassify:
 
     def test_rejects_a_single_pattern(self, store):
         with pytest.raises(ValueError, match="stack"):
-            rec.classify(store.patterns()[0], store, FULL)
+            rec.classify(store.patterns()[0], store)
 
 
 @pytest.fixture(scope="module")
 def card_glyphs(store):
-    """The segmented glyphs of a three-band card."""
+    """(line crop, Glyphs) per segmented line of a three-band card."""
     spec = synth.CardSpec(width=1024, height=768, noise_sigma=3.0, bands=[
         synth.Band(text="Ayatullah Faruk Mollah", x=60, y=80, scale=5),
         synth.Band(text="Phone: +91 33 2414 6666", x=60, y=300, scale=4),
@@ -183,32 +188,44 @@ def card_glyphs(store):
     ])
     color, _ = synth.render_card(spec, seed=4)
     result = pipeline.run_pipeline(color, PipelineConfig(), store)
-    return [g for r in result.regions for line in r.lines for g in line.glyphs]
+    return [(r.binary[line.band.top : line.band.bottom + 1], line.glyphs)
+            for r in result.regions for line in r.lines]
+
+
+def card_stack(card_glyphs):
+    """The card's (n, 48, 48) stack, gathered line by line as the pipeline
+    does."""
+    return np.concatenate([
+        rec.normalize_glyph(crop, g.x1, g.x2, g.top, g.bottom) for crop, g in card_glyphs
+    ])
 
 
 class TestBatch:
-    """The per-card batch against the per-glyph references."""
+    """The per-line gather against the per-glyph references."""
 
     def test_normalize_glyph_matches_normalize_pattern(self, card_glyphs):
-        assert len(card_glyphs) > 50
-        stack = rec.normalize_glyph([g.pixels for g in card_glyphs])
-        assert stack.shape == (len(card_glyphs), 48, 48) and stack.dtype == bool
-        for g, pattern in zip(card_glyphs, stack):
-            assert np.array_equal(pattern, resample_48(g.pixels))
-            assert np.array_equal(pattern, rec.normalize_pattern(g.pixels))
+        crops = [
+            crop[top : bottom + 1, x1 : x2 + 1]
+            for crop, g in card_glyphs
+            for x1, x2, top, bottom in zip(g.x1, g.x2, g.top, g.bottom)
+        ]
+        assert len(crops) > 50
+        stack = card_stack(card_glyphs)
+        assert stack.shape == (len(crops), 48, 48) and stack.dtype == bool
+        for crop, pattern in zip(crops, stack):
+            assert np.array_equal(pattern, resample_48(crop))
+            assert np.array_equal(pattern, rec.normalize_pattern(crop))
 
     def test_empty_batch(self, store, monkeypatch):
         def fail(*args):
             raise AssertionError("bound computed for an empty stack")
 
-        stack = rec.normalize_glyph([])
+        none = np.zeros(0, dtype=np.intp)
+        stack = rec.normalize_glyph(np.ones((4, 4), dtype=bool), none, none, none, none)
         assert stack.shape == (0, 48, 48) and stack.dtype == bool
         monkeypatch.setattr(rec, "_zone_counts", fail)
-        assert rec.classify(stack, store, FULL) == []
-
-
-def classified(patterns, store):
-    return [(c.label, c.score) for c in rec.classify(patterns, store, FULL)]
+        best, dist = rec.classify(stack, store)
+        assert best.shape == dist.shape == (0,)
 
 
 class TestPrunedSearch:
@@ -216,7 +233,7 @@ class TestPrunedSearch:
     minimum distance, ties to store order."""
 
     def test_card_glyphs(self, card_glyphs, store):
-        stack = rec.normalize_glyph([g.pixels for g in card_glyphs])
+        stack = card_stack(card_glyphs)
         assert classified(stack, store) == nearest_templates(stack, store)
 
     def test_noisy_store_patterns(self, store):
@@ -346,7 +363,7 @@ class TestStoreIO:
         assert (tmp_path / "labels.txt").read_text() == "B\nA\n"
         back = rec.load_store(tmp_path)
         assert back.labels == ["B", "A"]
-        assert rec.classify(shared[None], back, FULL)[0].label == "B"
+        assert classified(shared[None], back)[0][0] == "B"
 
     def write_store(self, directory, image, labels):
         imaging.save_pnm_file(directory / "templates.pgm", image)
@@ -415,19 +432,30 @@ def tight_glyph(ch):
 def recognize_stage(regions, store, scheme=FULL):
     """Run the pipeline's recognize stage on clean font glyphs laid out as
     `regions`: each region a list of lines, each line a list of words.
-    Returns (transcript, the stage's region results)."""
+    Each line is a band of the region's binary image, its glyphs side by
+    side from the band's top row.  Returns (transcript, the stage's region
+    results)."""
     results = []
     for region in regions:
-        lines = []
-        for words in region:
-            glyphs = [
-                GlyphBox(rect=None, pixels=tight_glyph(ch),
-                         word_index=wi, char_index=ci)
-                for wi, word in enumerate(words)
-                for ci, ch in enumerate(word)
-            ]
-            lines.append(pipeline.LineResult(band=None, glyphs=glyphs, labels=[]))
-        results.append(pipeline.RegionResult(region=None, lines=lines))
+        lines = [
+            [(tight_glyph(ch), wi, ci) for wi, word in enumerate(words) for ci, ch in enumerate(word)]
+            for words in region
+        ]
+        masks = [mask for line in lines for mask, _, _ in line]
+        height = max((m.shape[0] for m in masks), default=0)
+        binary = np.zeros((height * len(lines), sum(m.shape[1] for m in masks)), dtype=bool)
+        line_results = []
+        for i, line in enumerate(lines):
+            x, boxes = 0, []
+            for mask, wi, ci in line:
+                h, w = mask.shape
+                binary[i * height : i * height + h, x : x + w] = mask
+                boxes.append((x, x + w - 1, 0, h - 1, wi, ci))
+                x += w
+            glyphs = sg.Glyphs(*(np.array(f) for f in zip(*boxes)))
+            band = sg.LineBand(i * height, (i + 1) * height - 1)
+            line_results.append(pipeline.LineResult(band=band, glyphs=glyphs, labels=[]))
+        results.append(pipeline.RegionResult(region=None, binary=binary, lines=line_results))
     return pipeline._stage_recognize(results, store, scheme), results
 
 
@@ -461,7 +489,7 @@ class TestMergeDominance:
             mask = synth.perturbed_glyph_mask(ch, rng)
             patterns.append(rec.normalize_pattern(mask))
             labels.append(ch)
-        predictions = [c.label for c in rec.classify(np.stack(patterns), store, FULL)]
+        predictions = [label for label, _ in classified(np.stack(patterns), store)]
         full_correct = sum(p == t for p, t in zip(predictions, labels))
         merged_correct = sum(
             MERGED.apply(p) == MERGED.apply(t) for p, t in zip(predictions, labels)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from cardocr import pipeline
 from cardocr import segment as sg
 from cardocr import synth
 from cardocr.config import ConfigError, PipelineConfig
 from cardocr.segment import EmptyRegionError, LineBand
+
+from reference import segment_glyphs
+from test_skew import CRITERION_9_SPEC
 
 CFG = PipelineConfig()
 
@@ -150,24 +154,24 @@ class TestSegmentCharacters:
         line = line_from_spans([(1, 5), (9, 13)])
         glyphs = sg.segment_characters(line, CFG)
         assert len(glyphs) == 2
-        assert [g.word_index for g in glyphs] == [0, 0]
-        assert [g.char_index for g in glyphs] == [0, 1]
+        assert glyphs.word.tolist() == [0, 0]
+        assert glyphs.char.tolist() == [0, 1]
 
     def test_word_break_on_wide_gap(self):
         # gaps 2, 2, 8: median 2, 8 >= 2*2 -> word break at the wide gap
         spans = [(0, 3), (6, 9), (12, 15), (24, 27)]
         glyphs = sg.segment_characters(line_from_spans(spans), CFG)
-        assert [g.word_index for g in glyphs] == [0, 0, 0, 1]
-        assert [g.char_index for g in glyphs] == [0, 1, 2, 0]
+        assert glyphs.word.tolist() == [0, 0, 0, 1]
+        assert glyphs.char.tolist() == [0, 1, 2, 0]
         # 8 < 5 * 2: a larger word_gap_factor keeps one word
         wide = PipelineConfig(word_gap_factor=5.0)
         glyphs = sg.segment_characters(line_from_spans(spans), wide)
-        assert [g.word_index for g in glyphs] == [0, 0, 0, 0]
+        assert glyphs.word.tolist() == [0, 0, 0, 0]
 
     def test_single_blob(self):
         glyphs = sg.segment_characters(line_from_spans([(2, 6)]), CFG)
         assert len(glyphs) == 1
-        assert (glyphs[0].word_index, glyphs[0].char_index) == (0, 0)
+        assert (glyphs.word.tolist(), glyphs.char.tolist()) == ([0], [0])
 
     def test_empty_line(self):
         with pytest.raises(EmptyRegionError):
@@ -176,9 +180,9 @@ class TestSegmentCharacters:
     def test_glyphs_tightened_vertically(self):
         line = np.zeros((10, 6), dtype=bool)
         line[3:7, 1:4] = True
-        g = sg.segment_characters(line, CFG)[0]
-        assert (g.rect.y, g.rect.h) == (3, 4)
-        assert g.pixels.shape == (4, 3)
+        g = sg.segment_characters(line, CFG)
+        assert (g.top.tolist(), g.bottom.tolist()) == ([3], [6])
+        assert (g.x1.tolist(), g.x2.tolist()) == ([1], [3])
 
     def test_cover_and_disjoint(self):
         render = synth.render_region(["Phone: +91-33 2414"], 4)
@@ -186,8 +190,8 @@ class TestSegmentCharacters:
         for band, crop in lines:
             glyphs = sg.segment_characters(crop, CFG)
             covered = np.zeros(crop.shape[1], dtype=int)
-            for g in glyphs:
-                covered[g.rect.x : g.rect.x + g.rect.w] += 1
+            for x1, x2 in zip(glyphs.x1, glyphs.x2):
+                covered[x1 : x2 + 1] += 1
             assert covered.max() <= 1
             fg_cols = np.flatnonzero(crop.any(axis=0))
             assert (covered[fg_cols] == 1).all()
@@ -200,7 +204,60 @@ class TestSegmentCharacters:
             expected = len(text.replace(" ", ""))
             assert len(glyphs) == expected
             words = [w for w in text.split(" ") if w]
-            assert max(g.word_index for g in glyphs) + 1 == len(words)
+            assert glyphs.word.max() + 1 == len(words)
+
+
+def glyph_rows(glyphs):
+    """segment_characters' arrays as one (x1, x2, top, bottom, word, char)
+    tuple per glyph."""
+    fields = (glyphs.x1, glyphs.x2, glyphs.top, glyphs.bottom, glyphs.word, glyphs.char)
+    return list(zip(*(f.tolist() for f in fields)))
+
+
+class TestSegmentCharactersReference:
+    """segment_characters against the per-glyph loop in reference.py."""
+
+    def test_random_lines(self):
+        rng = np.random.default_rng(41)
+        seen = dict.fromkeys(
+            ("first column", "last column", "single glyph", "even gaps", "gap at the factor",
+             "empty interior row"), 0)
+        for _ in range(600):
+            h, w = int(rng.integers(1, 12)), int(rng.integers(1, 50))
+            line = rng.random((h, w)) < rng.uniform(0.1, 0.7)
+            line[:, rng.random(w) < rng.uniform(0.0, 0.8)] = False  # gap columns
+            line[rng.integers(h), rng.integers(w)] = True
+            factor = float(rng.choice([1.0, 1.5, 2.0, 2.5]))
+            want = segment_glyphs(line, factor)
+            assert glyph_rows(sg.segment_characters(line, PipelineConfig(word_gap_factor=factor))) == want
+            gaps = [b[0] - a[1] - 1 for a, b in zip(want, want[1:])]
+            seen["first column"] += want[0][0] == 0
+            seen["last column"] += want[-1][1] == w - 1
+            seen["single glyph"] += len(want) == 1
+            seen["even gaps"] += len(gaps) > 0 and len(gaps) % 2 == 0
+            seen["gap at the factor"] += any(
+                g == factor * np.median(gaps) for g in gaps)
+            seen["empty interior row"] += any(
+                not line[top : bottom + 1, x1 : x2 + 1].any(axis=1).all()
+                for x1, x2, top, bottom, _, _ in want)
+        assert min(seen.values()) > 0, seen
+
+    def test_gap_exactly_at_the_factor_with_an_even_gap_count(self):
+        # gaps 1, 3, 7, 4: median (3 + 4) / 2 = 3.5, and 7 = 2 * 3.5 breaks
+        spans = [(0, 1), (3, 4), (8, 9), (17, 18), (23, 24)]
+        line = line_from_spans(spans)
+        got = sg.segment_characters(line, CFG)
+        assert got.word.tolist() == [0, 0, 0, 1, 1]
+        assert glyph_rows(got) == segment_glyphs(line, CFG.word_gap_factor)
+
+    def test_criterion_9_card_lines(self, store):
+        color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
+        result = pipeline.run_pipeline(color, CFG, store)
+        lines = [(r.binary[ln.band.top : ln.band.bottom + 1], ln.glyphs)
+                 for r in result.regions for ln in r.lines]
+        assert sum(len(g) for _, g in lines) == 105
+        for crop, glyphs in lines:
+            assert glyph_rows(glyphs) == segment_glyphs(crop, CFG.word_gap_factor)
 
 
 class TestDumps:
