@@ -72,9 +72,14 @@ def cmd_run(args):
 
 def cmd_synth(args):
     try:
+        scales = tuple(int(s) for s in args.scales.split(","))
+    except ValueError:
+        raise ArgumentRangeError(
+            f"--scales must be comma-separated integers, got {args.scales!r}") from None
+    try:
         params = synth.SuiteParams(
             count=args.count, seed=args.seed, width=args.width, height=args.height,
-            skew_min=args.skew_min, skew_max=args.skew_max,
+            scales=scales, skew_min=args.skew_min, skew_max=args.skew_max,
             sigma_min=args.sigma_min, sigma_max=args.sigma_max,
             salt_pepper_min=args.salt_pepper, salt_pepper_max=args.salt_pepper,
         )
@@ -153,6 +158,9 @@ def build_parser():
     p_synth.add_argument("--count", type=int, default=100)
     p_synth.add_argument("--width", type=int, default=1024)
     p_synth.add_argument("--height", type=int, default=768)
+    p_synth.add_argument("--scales", default=",".join(map(str, synth.SuiteParams.scales)),
+                         help="comma-separated text scales, one drawn per band "
+                              "(default %(default)s)")
     p_synth.add_argument("--skew-min", type=float, default=0.0)
     p_synth.add_argument("--skew-max", type=float, default=0.0)
     p_synth.add_argument("--sigma-min", type=float, default=0.0)

@@ -43,7 +43,8 @@ class RegionResult:
 
 @dataclass
 class RunResult:
-    all_regions: list = field(default_factory=list)  # every region, TR and NR
+    # every region, TR and NR, as the card's regions.Regions table
+    all_regions: rg.Regions = field(default_factory=list)
     regions: list = field(default_factory=list)      # RegionResult per TR
     transcript: str = ""
 
@@ -99,9 +100,8 @@ class StageTimer:
 def _stage_extract(gray, cfg):
     all_regions = rg.extract_regions(gray, cfg)
     results = []
-    for region in all_regions:
-        if region.kind != rg.TR:
-            continue
+    for i in np.flatnonzero(all_regions.text).tolist():
+        region = all_regions[i]
         box = region.bbox
         crop = gray[box.y : box.y2, box.x : box.x2].copy()
         results.append(RegionResult(region=region, crop=crop))

@@ -3,7 +3,10 @@
 The gray image is tiled into fixed-size blocks, each block is labeled as
 information or background by its intensity variation, 8-connected groups of
 information blocks become regions, and every region is classified as text
-(TR) or non-text (NR) from cheap geometric features.
+(TR) or non-text (NR) from cheap geometric features.  A card's regions are
+one table of parallel arrays (Regions), built, measured and gated in one
+pass over the grid's runs of information blocks; a Region object is built
+only for a region that is read one at a time.
 """
 
 from dataclasses import dataclass
@@ -30,13 +33,15 @@ class BlockGrid:
     block_max: np.ndarray = None  # uint8 (rows, cols), brightest pixel per block
     block_min: np.ndarray = None  # uint8 (rows, cols), darkest pixel per block
     # intp, one per IB in raster order (the order np.nonzero(labels) lists
-    # them in): index of the block's region in the list assemble_regions
-    # returned
+    # them in): index of the block's region among the boxes
+    # assemble_regions returned
     block_region: np.ndarray = None
 
 
 @dataclass
 class RegionFeatures:
+    """The features of one region, or of many as parallel arrays."""
+
     aspect_ratio: float
     info_pixel_density: float
     area: int  # member block count
@@ -48,6 +53,42 @@ class Region:
     bbox: Rect
     kind: str = NR
     features: RegionFeatures = None
+
+
+@dataclass(frozen=True)
+class Regions:
+    """Every region of a card as parallel arrays, ordered top-to-bottom then
+    left-to-right by bounding-box origin: the box x, y, w, h and the member
+    block count `area` (int), the float64 features, and `text`, True for a
+    TR.  Indexing and iterating build one Region at a time."""
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    area: np.ndarray
+    aspect_ratio: np.ndarray
+    info_pixel_density: np.ndarray
+    coverage_ratio: np.ndarray
+    text: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i):
+        return Region(
+            bbox=Rect(int(self.x[i]), int(self.y[i]), int(self.w[i]), int(self.h[i])),
+            kind=TR if self.text[i] else NR,
+            features=RegionFeatures(
+                aspect_ratio=float(self.aspect_ratio[i]),
+                info_pixel_density=float(self.info_pixel_density[i]),
+                area=int(self.area[i]),
+                coverage_ratio=float(self.coverage_ratio[i]),
+            ),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 class ImageTooSmallError(ValueError):
@@ -114,7 +155,8 @@ def _component_roots(n, a, b):
 
 
 def assemble_regions(grid):
-    """Group 8-connected information blocks into regions (unclassified).
+    """Group 8-connected information blocks into regions (unclassified) and
+    return their boxes as one (m, 4) int array of rows x, y, w, h.
 
     Components are labelled over horizontal runs of IB blocks rather than
     blocks: a run [s, e) in row r touches a run [s2, e2) in row r + 1 iff
@@ -162,30 +204,31 @@ def assemble_regions(grid):
     grid.block_region = np.repeat(rank[comp], run_end - run_start)
 
     bh, bw = grid.block_h, grid.block_w
-    x1 = left[order] * bw
-    y1 = top[order] * bh
-    x2 = np.minimum(right[order] * bw, grid.image_w)
-    y2 = np.minimum((bottom[order] + 1) * bh, grid.image_h)
-    return [
-        Region(bbox=Rect(x, y, xe - x, ye - y))
-        for x, y, xe, ye in zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
-    ]
+    x = left[order] * bw
+    y = top[order] * bh
+    w = np.minimum(right[order] * bw, grid.image_w) - x
+    h = np.minimum((bottom[order] + 1) * bh, grid.image_h) - y
+    return np.stack((x, y, w, h), axis=1)
 
 
-def compute_features(img, grid, regions):
-    """Geometric and intensity features of every region, in one pass.
+def compute_features(img, grid, boxes):
+    """Geometric and intensity features of every region, in one pass, as one
+    RegionFeatures of parallel arrays.
 
-    `regions` is the list assemble_regions returned for `grid`.  A pixel is
-    dark when it is below the midpoint of its region's extremes.
+    `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
+    when it is below the midpoint of its region's extremes.
     """
-    m = len(regions)
+    m = len(boxes)
     br, bc = np.nonzero(grid.labels)
     region = grid.block_region
-    vmin = np.full(m, 255, dtype=np.int16)
-    vmax = np.zeros(m, dtype=np.int16)
-    np.minimum.at(vmin, region, grid.block_min[br, bc])
-    np.maximum.at(vmax, region, grid.block_max[br, bc])
-    threshold = midpoint(vmin, vmax)
+    # A run's IBs are consecutive in raster order and share a region, so the
+    # extremes are reduced per stretch of one region first, then per region.
+    first = np.flatnonzero(np.diff(region, prepend=-1))
+    vmin = np.full(m, 255, dtype=np.uint8)
+    vmax = np.zeros(m, dtype=np.uint8)
+    np.minimum.at(vmin, region[first], np.minimum.reduceat(grid.block_min[br, bc], first))
+    np.maximum.at(vmax, region[first], np.maximum.reduceat(grid.block_max[br, bc], first))
+    threshold = midpoint(vmin.astype(np.int16), vmax)  # lo + hi + 1 overflows uint8
 
     # 255 is never below a midpoint, so padding is never dark
     tiles = _tiles(img, grid, constant_values=255)[br, :, bc, :]
@@ -195,50 +238,48 @@ def compute_features(img, grid, regions):
     block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
     block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
     pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)
-    area = np.bincount(region, minlength=m)
-
-    features = []
-    for reg, n_dark, n_pixels, n_blocks in zip(
-        regions, dark.tolist(), pixels.tolist(), area.tolist()
-    ):
-        w, h = reg.bbox.w, reg.bbox.h
-        features.append(
-            RegionFeatures(
-                aspect_ratio=w / h,
-                info_pixel_density=n_dark / n_pixels,
-                area=n_blocks,
-                coverage_ratio=n_pixels / (w * h),
-            )
-        )
-    return features
+    w, h = boxes[:, 2], boxes[:, 3]
+    return RegionFeatures(
+        aspect_ratio=w / h,
+        info_pixel_density=dark / pixels,
+        area=np.bincount(region, minlength=m),
+        coverage_ratio=pixels / (w * h),
+    )
 
 
 def classify_region(features, cfg):
-    """TR iff every geometric gate of the PipelineConfig passes, NR otherwise."""
-    ok = (
-        features.area >= cfg.min_area_blocks
-        and cfg.ar_min <= features.aspect_ratio <= cfg.ar_max
-        and cfg.dens_min <= features.info_pixel_density <= cfg.dens_max
-        and features.coverage_ratio >= cfg.cov_min
+    """The text gate: True (TR) where every geometric gate of the
+    PipelineConfig passes, False (NR) otherwise; every bound is inclusive.
+    `features` holds one region's features or parallel arrays of them."""
+    return (
+        (features.area >= cfg.min_area_blocks)
+        & (features.aspect_ratio >= cfg.ar_min)
+        & (features.aspect_ratio <= cfg.ar_max)
+        & (features.info_pixel_density >= cfg.dens_min)
+        & (features.info_pixel_density <= cfg.dens_max)
+        & (features.coverage_ratio >= cfg.cov_min)
     )
-    return TR if ok else NR
 
 
 def extract_regions(img, cfg):
-    """Full block pipeline under a PipelineConfig; returns every region (TR
-    and NR), ordered top-to-bottom then left-to-right by bounding box
-    origin."""
+    """Full block pipeline under a PipelineConfig; returns the Regions table
+    of every region (TR and NR), ordered top-to-bottom then left-to-right by
+    bounding box origin."""
     grid = partition_blocks(img, cfg.block_h, cfg.block_w)
     classify_grid(img, grid, cfg.t_var)
-    regions = assemble_regions(grid)
-    for region, features in zip(regions, compute_features(img, grid, regions)):
-        region.features = features
-        region.kind = classify_region(features, cfg)
-    return regions
+    boxes = assemble_regions(grid)
+    f = compute_features(img, grid, boxes)
+    x, y, w, h = boxes.T
+    return Regions(
+        x=x, y=y, w=w, h=h, area=f.area, aspect_ratio=f.aspect_ratio,
+        info_pixel_density=f.info_pixel_density, coverage_ratio=f.coverage_ratio,
+        text=classify_region(f, cfg),
+    )
 
 
 def format_region_dump(regions):
-    """Debug dump: one region per line, fixed field order."""
+    """Debug dump: one region per line, fixed field order.  `regions` is a
+    Regions table or any iterable of Region."""
     lines = []
     for region in regions:
         f = region.features

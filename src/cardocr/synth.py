@@ -354,6 +354,10 @@ class SuiteParams:
             raise ValueError("suite needs at least one card")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not (isinstance(self.scales, tuple) and self.scales
+                and all(type(s) is int and s >= 1 for s in self.scales)):
+            raise ValueError(
+                f"scales must be a non-empty tuple of integers >= 1, got {self.scales!r}")
         scale = max(self.scales)
         widest = max(measure_line(ch, scale) for ch in GLYPHS)
         if _text_width(self.width, scale) < widest:

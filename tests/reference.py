@@ -10,6 +10,7 @@ import numpy as np
 from cardocr.evaluate import EvalCounts
 from cardocr.imaging import MAX_ROTATION_DEG, _pnm_pixels
 from cardocr.recognize import PATTERN_SIZE
+from cardocr.regions import NR, TR
 
 
 def dissimilarity(a, b):
@@ -61,6 +62,18 @@ def segment_glyphs(line, word_gap_factor):
         glyphs.append((x1, x2, int(rows[0]), int(rows[-1]), word, char))
         char += 1
     return glyphs
+
+
+def classify_region(features, cfg):
+    """TR iff every geometric gate of the PipelineConfig passes, NR
+    otherwise, for one region's scalar features."""
+    ok = (
+        features.area >= cfg.min_area_blocks
+        and cfg.ar_min <= features.aspect_ratio <= cfg.ar_max
+        and cfg.dens_min <= features.info_pixel_density <= cfg.dens_max
+        and features.coverage_ratio >= cfg.cov_min
+    )
+    return TR if ok else NR
 
 
 def char_accuracy(predicted, truth, scheme):

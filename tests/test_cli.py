@@ -129,6 +129,20 @@ class TestSynthCommand:
         assert (out / "card_1.truth.txt").exists()
         assert (out / "manifest.txt").exists()
 
+    def test_scales_flag(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert cli.main(["synth", str(out), "--count", "2", "--seed", "5", "--scales", "2,8"]) == 0
+        assert "scales=2,8\n" in capsys.readouterr().out
+        assert "scales=2,8\n" in (out / "manifest.txt").read_text()
+        # the flag reaches the generator: the suite is the one SuiteParams renders
+        synth.generate_suite(tmp_path / "direct", synth.SuiteParams(count=2, seed=5, scales=(2, 8)))
+        for name in os.listdir(out):
+            assert (out / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
+
+    def test_default_scales(self, tmp_path, capsys):
+        assert cli.main(["synth", str(tmp_path / "suite"), "--count", "1"]) == 0
+        assert "scales=3,4,5\n" in capsys.readouterr().out
+
 
 class TestArgumentErrors:
     """Out-of-range synth, store-build and bench arguments exit 2 with one
@@ -148,6 +162,13 @@ class TestArgumentErrors:
         ["--count", "1", "--sigma-max", "inf"],
         ["--count", "1", "--skew-min", "nan"],
         ["--count", "1", "--skew-max", "nan"],
+        ["--count", "1", "--scales", "0"],
+        ["--count", "1", "--scales", "-2"],
+        ["--count", "1", "--scales", "2.5"],
+        ["--count", "1", "--scales", "2,,8"],
+        ["--count", "1", "--scales", ""],
+        ["--count", "1", "--scales", "a"],
+        ["--count", "1", "--scales", "400"],
     ])
     def test_synth_argument_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "suite"

@@ -6,6 +6,7 @@ import pytest
 from cardocr import imaging, regions as rg, synth
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
+from reference import classify_region
 
 
 def tile_rect(grid, r, c):
@@ -89,19 +90,21 @@ def reference_extract(img, cfg):
             area=len(blocks),
             coverage_ratio=member_pixels / (bbox.w * bbox.h),
         )
-        region.kind = rg.classify_region(region.features, cfg)
+        region.kind = classify_region(region.features, cfg)
     return [region for _, region in found], [blocks for blocks, _ in found]
 
 
 def assemble(grid):
-    """assemble_regions on a labelled grid.  Returns the regions and, for
-    each, its member blocks as a sorted (row, col) list, read back from
-    grid.block_region and the raster order of np.nonzero(grid.labels)."""
-    regions = rg.assemble_regions(grid)
-    members = [[] for _ in regions]
+    """assemble_regions on a labelled grid.  Returns the region boxes as
+    Rects and, for each, its member blocks as a sorted (row, col) list, read
+    back from grid.block_region and the raster order of
+    np.nonzero(grid.labels)."""
+    boxes = rg.assemble_regions(grid)
+    assert boxes.shape == (len(boxes), 4) and boxes.dtype.kind == "i"
+    members = [[] for _ in boxes]
     for r, c, k in zip(*np.nonzero(grid.labels), grid.block_region, strict=True):
         members[k].append((int(r), int(c)))
-    return regions, members
+    return [Rect(*box) for box in boxes.tolist()], members
 
 
 def make_grid(labels):
@@ -201,7 +204,7 @@ class TestClassifyBlock:
 
 class TestAssemble:
     def test_all_background(self):
-        assert rg.assemble_regions(make_grid(np.zeros((3, 3)))) == []
+        assert rg.assemble_regions(make_grid(np.zeros((3, 3)))).shape == (0, 4)
 
     def test_single_block(self):
         _, members = assemble(make_grid([[0, 0], [0, 1]]))
@@ -224,39 +227,75 @@ class TestAssemble:
         rng = np.random.default_rng(10)
         labels = rng.random((8, 8)) < 0.5
         grid = make_grid(labels)
-        regs, members = assemble(grid)
+        boxes, members = assemble(grid)
         # one region id per IB, and every region holds a block
         assert grid.block_region.shape == (int(labels.sum()),)
-        assert sorted(set(grid.block_region.tolist())) == list(range(len(regs)))
-        for region, blocks in zip(regs, members):
+        assert sorted(set(grid.block_region.tolist())) == list(range(len(boxes)))
+        for box, blocks in zip(boxes, members):
             rects = [tile_rect(grid, r, c) for r, c in blocks]
             x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
             x2, y2 = max(b.x2 for b in rects), max(b.y2 for b in rects)
-            assert region.bbox == Rect(x1, y1, x2 - x1, y2 - y1)
+            assert box == Rect(x1, y1, x2 - x1, y2 - y1)
+
+
+def features(**columns):
+    """RegionFeatures of parallel arrays; a column given as a scalar is
+    repeated to the length of the others."""
+    base = dict(aspect_ratio=5.0, info_pixel_density=0.2, area=10, coverage_ratio=1.0)
+    base.update(columns)
+    n = max(np.size(v) for v in base.values())
+    return rg.RegionFeatures(**{k: np.broadcast_to(v, (n,)) for k, v in base.items()})
 
 
 class TestClassifyRegion:
-    def features(self, **kw):
-        base = dict(aspect_ratio=5.0, info_pixel_density=0.2, area=10, coverage_ratio=1.0)
-        base.update(kw)
-        return rg.RegionFeatures(**base)
+    def kind(self, **columns):
+        text = rg.classify_region(features(**columns), PipelineConfig())
+        assert text.shape == (1,) and text.dtype == bool
+        return rg.TR if text[0] else rg.NR
 
     def test_small_region_rejected(self):
-        f = self.features(area=1)
-        assert rg.classify_region(f, PipelineConfig()) == rg.NR
+        assert self.kind(area=1) == rg.NR
 
     def test_elongated_text_band_accepted(self):
-        f = self.features(aspect_ratio=6.0, info_pixel_density=0.15,
-                          coverage_ratio=0.9, area=12)
-        assert rg.classify_region(f, PipelineConfig()) == rg.TR
+        assert self.kind(aspect_ratio=6.0, info_pixel_density=0.15,
+                         coverage_ratio=0.9, area=12) == rg.TR
 
     def test_square_dense_blob_rejected(self):
-        f = self.features(aspect_ratio=1.0, info_pixel_density=0.85)
-        assert rg.classify_region(f, PipelineConfig()) == rg.NR
+        assert self.kind(aspect_ratio=1.0, info_pixel_density=0.85) == rg.NR
 
     def test_low_coverage_ring_rejected(self):
-        f = self.features(coverage_ratio=0.3)
-        assert rg.classify_region(f, PipelineConfig()) == rg.NR
+        assert self.kind(coverage_ratio=0.3) == rg.NR
+
+    def test_empty_table(self):
+        empty = np.zeros(0)
+        f = rg.RegionFeatures(aspect_ratio=empty, info_pixel_density=empty,
+                              area=np.zeros(0, np.intp), coverage_ratio=empty)
+        assert rg.classify_region(f, PipelineConfig()).shape == (0,)
+
+    # (feature, config field, side): the region outside the bound lies one
+    # float step (one block for area) below a lower bound or above an upper
+    # one
+    BOUNDS = [
+        ("area", "min_area_blocks", -1),
+        ("aspect_ratio", "ar_min", -1),
+        ("aspect_ratio", "ar_max", +1),
+        ("info_pixel_density", "dens_min", -1),
+        ("info_pixel_density", "dens_max", +1),
+        ("coverage_ratio", "cov_min", -1),
+    ]
+
+    @pytest.mark.parametrize("feature, bound, side", BOUNDS)
+    def test_each_bound_is_inclusive(self, feature, bound, side):
+        cfg = PipelineConfig()
+        at = getattr(cfg, bound)
+        if feature == "area":
+            outside = at + side
+        else:
+            outside = float(np.nextafter(at, side * np.inf))
+        f = features(**{feature: np.array([at, outside])})
+        assert rg.classify_region(f, cfg).tolist() == [True, False]
+        rows = [{k: v[i].item() for k, v in vars(f).items()} for i in range(2)]
+        assert [classify_region(rg.RegionFeatures(**row), cfg) for row in rows] == [rg.TR, rg.NR]
 
 
 def text_regions(img, cfg):
@@ -318,18 +357,34 @@ class TestExtract:
                 assert pixels % (cfg.block_h * cfg.block_w) == 0
 
 
+def assert_table_matches(table, want):
+    """A Regions table against a list of Regions, field by field and bit for
+    bit, as arrays and as the Regions it builds."""
+    assert len(table) == len(want)
+    for name in ("x", "y", "w", "h"):
+        assert getattr(table, name).tolist() == [getattr(r.bbox, name) for r in want]
+    for name in ("area", "aspect_ratio", "info_pixel_density", "coverage_ratio"):
+        assert getattr(table, name).tolist() == [getattr(r.features, name) for r in want]
+    assert table.text.tolist() == [r.kind == rg.TR for r in want]
+    kinds = [getattr(table, name).dtype.kind for name in vars(table)]
+    assert kinds == ["i"] * 5 + ["f"] * 3 + ["b"]
+    assert list(table) == want
+    assert [table[i] for i in range(len(table))] == want
+    assert rg.format_region_dump(table) == rg.format_region_dump(want)
+
+
 class TestMatchesReference:
     def assert_matches(self, img, cfg=None):
-        """extract_regions against the reference: the same dump, and the same
-        member blocks per region.  Returns the regions and their blocks."""
+        """extract_regions against the reference: the same table, dump and
+        member blocks per region.  Returns the table and the blocks."""
         cfg = cfg or PipelineConfig()
         got = rg.extract_regions(img, cfg)
         want, want_blocks = reference_extract(img, cfg)
-        assert rg.format_region_dump(got) == rg.format_region_dump(want)
+        assert_table_matches(got, want)
         grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
         rg.classify_grid(img, grid, cfg.t_var)
-        regions, blocks = assemble(grid)
-        assert [r.bbox for r in regions] == [r.bbox for r in got]
+        boxes, blocks = assemble(grid)
+        assert boxes == [r.bbox for r in want]
         assert blocks == want_blocks
         return got, blocks
 
@@ -345,8 +400,34 @@ class TestMatchesReference:
             self.assert_matches(img, PipelineConfig(block_h=block, block_w=block))
             self.assert_matches(img)
 
+    def test_ragged_image(self):
+        rng = np.random.default_rng(32)
+        img = rng.integers(0, 256, size=(37, 53), dtype=np.uint8)
+        img[rng.random(img.shape) < 0.7] = 220
+        table, _ = self.assert_matches(img)
+        assert len(table) > 0
+
     def test_all_background(self):
-        assert self.assert_matches(np.full((96, 128), 220, np.uint8)) == ([], [])
+        table, blocks = self.assert_matches(np.full((96, 128), 220, np.uint8))
+        assert len(table) == 0 and blocks == []
+        assert list(table) == [] and rg.format_region_dump(table) == ""
+        assert all(getattr(table, name).shape == (0,) for name in vars(table))
+
+    def test_one_block_image(self):
+        img = np.full((16, 16), 220, np.uint8)
+        img[3:9, 4:12] = 20
+        table, blocks = self.assert_matches(img)
+        assert blocks == [[(0, 0)]]
+        assert table[0].bbox == Rect(0, 0, 16, 16) and table[0].features.area == 1
+
+    def test_one_information_block(self):
+        img = np.full((64, 96), 220, np.uint8)
+        img[37, 70] = 0
+        table, blocks = self.assert_matches(img)
+        assert blocks == [[(2, 4)]]
+        assert len(table) == 1 and list(table) == [table[0]] == [table[-1]]
+        assert table[0].bbox == Rect(64, 32, 16, 16) and table[0].kind == rg.NR
+        assert table[0].features.info_pixel_density == 1 / 256
 
     def test_salt_and_pepper_card(self):
         spec = synth.CardSpec(

@@ -195,6 +195,19 @@ class TestSuite:
         with pytest.raises(ValueError):
             synth.generate_suite(tmp_path / "x", SuiteParams(count=0))
 
+    @pytest.mark.parametrize("scales", [(0,), (-2,), (2.5,), (3, 0), (), [3, 4], (True,), 3])
+    def test_scales_validation(self, scales):
+        with pytest.raises(ValueError, match="scales must be a non-empty tuple of integers >= 1"):
+            SuiteParams(count=1, scales=scales)
+
+    def test_scales_drawn_per_band(self):
+        params = SuiteParams(count=4, seed=5, scales=(1, 8))
+        seeds = np.random.SeedSequence(5).spawn(4)
+        drawn = {band.scale
+                 for seed in seeds
+                 for band in synth.random_card_spec(np.random.default_rng(seed), params).bands}
+        assert drawn == {1, 8}
+
 
 class TestResample:
     def test_identity(self):
