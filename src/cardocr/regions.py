@@ -135,23 +135,24 @@ def classify_grid(img, grid, t_var):
 def _component_roots(n, a, b):
     """Union-find over nodes 0..n-1 joined by the edges (a[i], b[i]).
 
-    Every round points each node at its root, then hooks the larger root of
-    every edge whose ends still differ under the smaller one.  Roots only
-    ever move down, so each node ends at the smallest node of its component.
+    Every round hooks the larger parent of each edge whose ends' parents
+    still differ under the smaller one, then halves every path twice by
+    pointer jumping.  A node's parent is never larger than the node and
+    never leaves its component.  Once no edge is split, every node of a
+    component has one parent, which is in the component and so its own
+    parent: each node ends at the smallest node of its component, with no
+    further compression.
     """
     parent = np.arange(n)
     while True:
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
         ra, rb = parent[a], parent[b]
         split = ra != rb
         if not split.any():
             return parent
         ra, rb = ra[split], rb[split]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        parent = parent[parent]
+        parent = parent[parent]
 
 
 def assemble_regions(grid):
@@ -160,31 +161,38 @@ def assemble_regions(grid):
 
     Components are labelled over horizontal runs of IB blocks rather than
     blocks: a run [s, e) in row r touches a run [s2, e2) in row r + 1 iff
-    s2 <= e and s <= e2 (ends exclusive, diagonals included).  Regions are
-    numbered by their first block in raster order, then stably sorted by
-    bounding-box origin (y, x).  The region of every IB, in raster order, is
-    recorded in grid.block_region.
+    s2 <= e and s <= e2 (ends exclusive, diagonals included).  Each run is
+    found as a pair of raster keys row * (cols + 1) + column, its start and
+    its end, by one np.flatnonzero over the raveled step of the zero-padded
+    label rows.  Regions are numbered by their first block in raster order
+    (the root mask of _component_roots and its cumsum), then stably sorted
+    by bounding-box origin (y, x).  The region of every IB, in raster order,
+    is recorded in grid.block_region.
     """
     rows, cols = grid.rows, grid.cols
     padded = np.zeros((rows, cols + 2), dtype=np.int8)
     padded[:, 1:-1] = grid.labels
-    step = np.diff(padded, axis=1)
-    run_row, run_start = np.nonzero(step == 1)
-    run_end = np.nonzero(step == -1)[1]
-
-    # Raster keys row * width + column are sorted over all runs, so one
-    # searchsorted per side finds, for every run, the contiguous range
-    # [lo, hi) of runs in the next row that touch it.
+    # Every run steps up at its start and down at its end, in this order
+    # and within its row, so the steps alternate start, end.
     width = cols + 1
-    key_start = run_row * width + run_start
-    key_end = run_row * width + run_end
+    keys = np.flatnonzero(np.diff(padded, axis=1))
+    key_start, key_end = keys[0::2], keys[1::2]
+    run_row, run_start = np.divmod(key_start, width)
+    run_end = key_end - run_row * width
+
+    # The keys are sorted over all runs, so one searchsorted per side finds,
+    # for every run, the contiguous range [lo, hi) of runs in the next row
+    # that touch it.
     lo = np.searchsorted(key_end, key_start + width, side="left")
     hi = np.searchsorted(key_start, key_end + width, side="right")
     fan = np.maximum(hi - lo, 0)
     first = np.cumsum(fan) - fan
     a = np.repeat(np.arange(len(fan)), fan)
     b = np.repeat(lo - first, fan) + np.arange(fan.sum())
-    roots, comp = np.unique(_component_roots(len(fan), a, b), return_inverse=True)
+    parent = _component_roots(len(fan), a, b)
+    is_root = parent == np.arange(len(fan))
+    roots = np.flatnonzero(is_root)
+    comp = (np.cumsum(is_root) - 1)[parent]
 
     # The root is the component's first run, which holds its first block
     # and its top row.
@@ -201,7 +209,7 @@ def assemble_regions(grid):
     rank[order] = np.arange(m)
     # The runs are in raster order, so each run's region repeated over its
     # length is the region of every IB in raster order.
-    grid.block_region = np.repeat(rank[comp], run_end - run_start)
+    grid.block_region = np.repeat(rank[comp], key_end - key_start)
 
     bh, bw = grid.block_h, grid.block_w
     x = left[order] * bw
@@ -216,7 +224,10 @@ def compute_features(img, grid, boxes):
     RegionFeatures of parallel arrays.
 
     `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
-    when it is below the midpoint of its region's extremes.
+    when it is below the midpoint of its region's extremes.  The IB tiles
+    are gathered as one (IBs, block_h, block_w) array and compared with
+    their region's uint8 threshold; the mask is bit-packed per IB and its
+    set bits counted with np.bitwise_count, one path for any block size.
     """
     m = len(boxes)
     br, bc = np.nonzero(grid.labels)
@@ -228,13 +239,17 @@ def compute_features(img, grid, boxes):
     vmax = np.zeros(m, dtype=np.uint8)
     np.minimum.at(vmin, region[first], np.minimum.reduceat(grid.block_min[br, bc], first))
     np.maximum.at(vmax, region[first], np.maximum.reduceat(grid.block_max[br, bc], first))
-    threshold = midpoint(vmin.astype(np.int16), vmax)  # lo + hi + 1 overflows uint8
+    # lo + hi + 1 overflows uint8, the midpoint itself is at most 255
+    threshold = midpoint(vmin.astype(np.int16), vmax).astype(np.uint8)
 
-    # 255 is never below a midpoint, so padding is never dark
-    tiles = _tiles(img, grid, constant_values=255)[br, :, bc, :]
-    dark_per_block = np.count_nonzero(tiles < threshold[region][:, None, None], axis=(1, 2))
-    dark = np.bincount(region, weights=dark_per_block, minlength=m)
+    # 255 is never below a midpoint, so padding is never dark.  Releasing
+    # the tiles before the mask is packed keeps them out of the peak.
     bh, bw = grid.block_h, grid.block_w
+    tiles = _tiles(img, grid, constant_values=255).transpose(0, 2, 1, 3)[br, bc]
+    below = tiles.reshape(len(region), bh * bw) < threshold[region][:, None]
+    del tiles
+    dark_per_block = np.bitwise_count(np.packbits(below, axis=1)).sum(axis=1)
+    dark = np.bincount(region, weights=dark_per_block, minlength=m)
     block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
     block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
     pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)

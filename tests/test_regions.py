@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -115,6 +116,73 @@ def make_grid(labels):
     return grid
 
 
+def double_spiral(n):
+    """Two one-block-wide square spirals wound in from opposite corners of
+    an n x n grid, every arm one empty block from the next, drawn a block
+    at a time each.  For even n they meet at the centre as one component."""
+    labels = np.zeros((n, n), dtype=bool)
+    turtles = [[0, 0, 0, 1], [n - 1, n - 1, 0, -1]]  # row, col, heading
+    labels[0, 0] = labels[n - 1, n - 1] = True
+
+    def free(r, c, dr, dc):
+        # the next block is inside and not set, nor is the one beyond it
+        nr, nc = r + dr, c + dc
+        if not (0 <= nr < n and 0 <= nc < n) or labels[nr, nc]:
+            return False
+        fr, fc = nr + dr, nc + dc
+        return not (0 <= fr < n and 0 <= fc < n and labels[fr, fc])
+
+    while turtles:
+        for turtle in list(turtles):
+            r, c, dr, dc = turtle
+            if not free(r, c, dr, dc):
+                dr, dc = dc, -dr  # turn right
+                if not free(r, c, dr, dc):
+                    turtles.remove(turtle)
+                    continue
+            turtle[:] = r + dr, c + dc, dr, dc
+            labels[r + dr, c + dc] = True
+    return labels
+
+
+def comb(rows, teeth):
+    """Teeth one block wide and one apart, joined only along the bottom row."""
+    labels = np.zeros((rows, 2 * teeth - 1), dtype=bool)
+    labels[:, ::2] = True
+    labels[-1] = True
+    return labels
+
+
+def staircase(n):
+    """One block per row, each one column right of the row above."""
+    return np.eye(n, dtype=bool)
+
+
+def square_wave(bits):
+    """One-block-wide strokes joined alternately at a peak and along the
+    bottom row, the k-th peak in row bit-reverse(k).  The peaks are local
+    minima of the raster order at every scale, so a union-find that hooks
+    roots onto their smallest neighbour needs bits + 1 hook rounds."""
+    n = 1 << bits
+    labels = np.zeros((n + 1, 4 * n - 1), dtype=bool)
+    for k in range(n):
+        top = int(format(k, f"0{bits}b")[::-1], 2)
+        labels[top, 4 * k : 4 * k + 3] = True
+        labels[top:, 4 * k] = labels[top:, 4 * k + 2] = True
+        labels[n, 4 * k + 2 : 4 * k + 5] = True
+    return labels
+
+
+def salt_and_pepper_card():
+    """A 1024x768 gray card: one text band and 0.2% salt-and-pepper."""
+    spec = synth.CardSpec(
+        width=1024, height=768, salt_pepper=0.002,
+        bands=[synth.Band(text="Center for Microprocessor", x=60, y=80, scale=3)],
+    )
+    color, _ = synth.render_card(spec, seed=5)
+    return imaging.to_grayscale(color)
+
+
 def speckle_band(img, rect, rng, dark=30, p=0.3):
     """Stamp a text-like speckle pattern (for intensity variation) in rect."""
     window = img[rect.y : rect.y2, rect.x : rect.x2]
@@ -222,6 +290,41 @@ class TestAssemble:
             got = {frozenset(blocks) for blocks in members}
             assert len(got) == len(members)
             assert got == flood_fill_oracle(labels)
+
+    @pytest.mark.parametrize("labels", [
+        double_spiral(20), comb(12, 16), staircase(64), staircase(64)[:, ::-1],
+        square_wave(4), np.random.default_rng(11).random((64, 64)) < 0.5,
+    ], ids=["double_spiral", "comb", "staircase", "staircase_left", "square_wave",
+            "dense_64x64"])
+    def test_stress_grids_match_flood_fill_oracle(self, labels):
+        _, members = assemble(make_grid(labels))
+        got = {frozenset(blocks) for blocks in members}
+        assert len(got) == len(members)
+        assert got == flood_fill_oracle(labels)
+
+    def test_long_shapes_are_one_region(self):
+        for labels in (double_spiral(20), comb(12, 16), staircase(64), square_wave(4)):
+            boxes, members = assemble(make_grid(labels))
+            assert len(boxes) == 1 and len(members[0]) == int(labels.sum())
+
+    def test_component_roots_are_smallest_nodes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 200))
+            k = int(rng.integers(0, 2 * n))
+            a, b = rng.integers(0, n, size=(2, k))
+            want = list(range(n))  # smallest node of each component
+
+            def find(x):
+                while want[x] != x:
+                    x = want[x]
+                return x
+
+            for i, j in zip(a.tolist(), b.tolist()):
+                ri, rj = find(i), find(j)
+                want[max(ri, rj)] = min(ri, rj)
+            want = [find(x) for x in range(n)]
+            assert rg._component_roots(n, a, b).tolist() == want
 
     def test_regions_disjoint_and_exclude_background(self):
         rng = np.random.default_rng(10)
@@ -430,13 +533,52 @@ class TestMatchesReference:
         assert table[0].features.info_pixel_density == 1 / 256
 
     def test_salt_and_pepper_card(self):
-        spec = synth.CardSpec(
-            width=1024, height=768, salt_pepper=0.002,
-            bands=[synth.Band(text="Center for Microprocessor", x=60, y=80, scale=3)],
-        )
-        color, _ = synth.render_card(spec, seed=5)
-        regions, _ = self.assert_matches(imaging.to_grayscale(color))
+        regions, _ = self.assert_matches(salt_and_pepper_card())
         assert len(regions) > 50
+
+    def test_suite_noise_cards(self, tmp_path):
+        # the cards of perfbench's suite_noise workload
+        params = synth.SuiteParams(
+            count=5, seed=17, skew_min=-2, skew_max=2, sigma_min=0, sigma_max=5,
+            salt_pepper_min=0.002, salt_pepper_max=0.002,
+        )
+        synth.generate_suite(tmp_path, params)
+        for base in synth.suite_card_paths(tmp_path):
+            color, _, _ = synth.load_suite_card(base)
+            regions, _ = self.assert_matches(imaging.to_grayscale(color))
+            assert len(regions) > 50
+
+    @pytest.mark.parametrize("block_h, block_w", [(5, 7), (4, 6)])
+    def test_non_square_blocks_on_ragged_images(self, block_h, block_w):
+        # a 5x7 block's dark mask ends in a partial byte when bit-packed, a
+        # 4x6 block's does not; no image is a whole number of blocks
+        rng = np.random.default_rng(34)
+        cfg = PipelineConfig(block_h=block_h, block_w=block_w)
+        for shape in [(37, 53), (41, 50), (23, 29)]:
+            for _ in range(5):
+                img = np.full(shape, 220, np.uint8)
+                mask = rng.random(shape) < rng.uniform(0.01, 0.05)
+                img[mask] = rng.integers(0, 256, size=int(mask.sum()))
+                table, _ = self.assert_matches(img, cfg)
+                assert len(table) > 0
+
+    def test_every_block_is_information(self):
+        # t_var=0 makes every block an IB, so an image is one region
+        cfg = PipelineConfig(t_var=0)
+        for value in (0, 255):
+            table, _ = self.assert_matches(np.full((37, 53), value, np.uint8), cfg)
+            assert len(table) == 1 and table.info_pixel_density[0] == 0
+        # extremes 254 and 255 put the threshold at 255: every 254 is dark,
+        # the 255 padding of the ragged edge tiles is not
+        img = np.full((37, 53), 255, np.uint8)
+        img[np.random.default_rng(35).random(img.shape) < 0.3] = 254
+        table, _ = self.assert_matches(img, cfg)
+        assert table.info_pixel_density[0] == np.count_nonzero(img == 254) / img.size
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            img = rng.integers(0, 256, size=(41, 50), dtype=np.uint8)
+            table, _ = self.assert_matches(img, cfg)
+            assert len(table) == 1
 
     def test_shared_origin_keeps_raster_order(self):
         # {(0, 0)} and {(0, 2), (1, 2), (2, 1), (2, 0)} are not 8-connected
@@ -448,6 +590,34 @@ class TestMatchesReference:
         assert blocks == [[(0, 0)], [(0, 2), (1, 2), (2, 0), (2, 1)]]
         assert regions[0].bbox.x == regions[1].bbox.x == 0
         assert regions[0].bbox.y == regions[1].bbox.y == 0
+
+
+class TestFeatureMemory:
+    # compute_features' transient peak on this card when it counted dark
+    # pixels with np.count_nonzero over the gathered tiles (c00164b, numpy
+    # 2.4, after one warm-up call).  The bit-packed count stays below it
+    # only because the tiles are released before the mask is packed.
+    COUNT_NONZERO_PEAK_BYTES = 451_676
+
+    def test_peak_no_higher_than_before(self):
+        img = salt_and_pepper_card()
+        cfg = PipelineConfig()
+        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
+        rg.classify_grid(img, grid, cfg.t_var)
+        boxes = rg.assemble_regions(grid)
+        rg.compute_features(img, grid, boxes)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rg.compute_features(img, grid, boxes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= self.COUNT_NONZERO_PEAK_BYTES
 
 
 class TestDump:
