@@ -44,9 +44,9 @@ class RegionResult:
 @dataclass
 class RunResult:
     # every region, TR and NR, as the card's regions.Regions table
-    all_regions: rg.Regions = field(default_factory=list)
-    regions: list = field(default_factory=list)      # RegionResult per TR
-    transcript: str = ""
+    all_regions: rg.Regions
+    regions: list  # RegionResult per TR
+    transcript: str
 
 
 STAGES = ("extraction", "skew", "binarize", "segment", "recognize")

@@ -3,10 +3,11 @@
 The gray image is tiled into fixed-size blocks, each block is labeled as
 information or background by its intensity variation, 8-connected groups of
 information blocks become regions, and every region is classified as text
-(TR) or non-text (NR) from cheap geometric features.  A card's regions are
-one table of parallel arrays (Regions), built, measured and gated in one
-pass over the grid's runs of information blocks; a Region object is built
-only for a region that is read one at a time.
+(TR) or non-text (NR) from cheap geometric features.  A set of regions is
+one table of parallel arrays (Regions): extraction builds, measures and
+gates it in one pass over the grid's runs of information blocks, and the
+region dump, which is also the suite truth format, writes and reads it.  A
+Region, a box and its kind, is built only for a row read one at a time.
 """
 
 from dataclasses import dataclass
@@ -39,28 +40,22 @@ class BlockGrid:
 
 
 @dataclass
-class RegionFeatures:
-    """The features of one region, or of many as parallel arrays."""
-
-    aspect_ratio: float
-    info_pixel_density: float
-    area: int  # member block count
-    coverage_ratio: float
-
-
-@dataclass
 class Region:
+    """One row of a Regions table: its box and kind."""
+
     bbox: Rect
     kind: str = NR
-    features: RegionFeatures = None
 
 
 @dataclass(frozen=True)
 class Regions:
-    """Every region of a card as parallel arrays, ordered top-to-bottom then
-    left-to-right by bounding-box origin: the box x, y, w, h and the member
-    block count `area` (int), the float64 features, and `text`, True for a
-    TR.  Indexing and iterating build one Region at a time."""
+    """A set of regions as parallel arrays: the box x, y, w, h and the
+    member block count `area` (int), the float64 features aspect_ratio
+    (w / h), info_pixel_density (dark share of the member pixels) and
+    coverage_ratio (member pixels over box pixels), and `text`, True for a
+    TR.  A card's table is ordered top-to-bottom then left-to-right by
+    bounding-box origin.  Indexing and iterating build one Region at a
+    time."""
 
     x: np.ndarray
     y: np.ndarray
@@ -79,12 +74,6 @@ class Regions:
         return Region(
             bbox=Rect(int(self.x[i]), int(self.y[i]), int(self.w[i]), int(self.h[i])),
             kind=TR if self.text[i] else NR,
-            features=RegionFeatures(
-                aspect_ratio=float(self.aspect_ratio[i]),
-                info_pixel_density=float(self.info_pixel_density[i]),
-                area=int(self.area[i]),
-                coverage_ratio=float(self.coverage_ratio[i]),
-            ),
         )
 
     def __iter__(self):
@@ -220,8 +209,9 @@ def assemble_regions(grid):
 
 
 def compute_features(img, grid, boxes):
-    """Geometric and intensity features of every region, in one pass, as one
-    RegionFeatures of parallel arrays.
+    """The features of every region, in one pass: a dict of the parallel
+    arrays area, aspect_ratio, info_pixel_density and coverage_ratio,
+    named as the Regions columns they become.
 
     `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
     when it is below the midpoint of its region's extremes.  The IB tiles
@@ -254,25 +244,27 @@ def compute_features(img, grid, boxes):
     block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
     pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)
     w, h = boxes[:, 2], boxes[:, 3]
-    return RegionFeatures(
+    return dict(
+        area=np.bincount(region, minlength=m),
         aspect_ratio=w / h,
         info_pixel_density=dark / pixels,
-        area=np.bincount(region, minlength=m),
         coverage_ratio=pixels / (w * h),
     )
 
 
-def classify_region(features, cfg):
-    """The text gate: True (TR) where every geometric gate of the
-    PipelineConfig passes, False (NR) otherwise; every bound is inclusive.
-    `features` holds one region's features or parallel arrays of them."""
+def classify_region(table, cfg):
+    """The text gate: a bool array, True (TR) where every geometric gate of
+    the PipelineConfig passes and False (NR) otherwise; every bound is
+    inclusive.  `table` maps the feature column names of Regions to
+    parallel arrays: compute_features' dict, or vars() of a table."""
+    aspect, density = table["aspect_ratio"], table["info_pixel_density"]
     return (
-        (features.area >= cfg.min_area_blocks)
-        & (features.aspect_ratio >= cfg.ar_min)
-        & (features.aspect_ratio <= cfg.ar_max)
-        & (features.info_pixel_density >= cfg.dens_min)
-        & (features.info_pixel_density <= cfg.dens_max)
-        & (features.coverage_ratio >= cfg.cov_min)
+        (table["area"] >= cfg.min_area_blocks)
+        & (aspect >= cfg.ar_min)
+        & (aspect <= cfg.ar_max)
+        & (density >= cfg.dens_min)
+        & (density <= cfg.dens_max)
+        & (table["coverage_ratio"] >= cfg.cov_min)
     )
 
 
@@ -283,56 +275,39 @@ def extract_regions(img, cfg):
     grid = partition_blocks(img, cfg.block_h, cfg.block_w)
     classify_grid(img, grid, cfg.t_var)
     boxes = assemble_regions(grid)
-    f = compute_features(img, grid, boxes)
+    features = compute_features(img, grid, boxes)
     x, y, w, h = boxes.T
-    return Regions(
-        x=x, y=y, w=w, h=h, area=f.area, aspect_ratio=f.aspect_ratio,
-        info_pixel_density=f.info_pixel_density, coverage_ratio=f.coverage_ratio,
-        text=classify_region(f, cfg),
-    )
+    return Regions(x=x, y=y, w=w, h=h, **features, text=classify_region(features, cfg))
 
 
 def format_region_dump(regions):
-    """Debug dump: one region per line, fixed field order.  `regions` is a
-    Regions table or any iterable of Region."""
-    lines = []
-    for region in regions:
-        f = region.features
-        lines.append(
-            "%d %d %d %d %s %d %.4f %.4f %.4f"
-            % (
-                region.bbox.x,
-                region.bbox.y,
-                region.bbox.w,
-                region.bbox.h,
-                region.kind,
-                f.area,
-                f.aspect_ratio,
-                f.info_pixel_density,
-                f.coverage_ratio,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The region dump of a Regions table: one line per region, its fields
+    `x y w h TR|NR area aspect density coverage`, the features to four
+    decimals."""
+    rows = zip(regions.x.tolist(), regions.y.tolist(), regions.w.tolist(),
+               regions.h.tolist(), [TR if t else NR for t in regions.text.tolist()],
+               regions.area.tolist(), regions.aspect_ratio.tolist(),
+               regions.info_pixel_density.tolist(), regions.coverage_ratio.tolist())
+    return "".join("%d %d %d %d %s %d %.4f %.4f %.4f\n" % row for row in rows)
 
 
 def parse_region_dump(text):
-    """Inverse of format_region_dump, tolerant of the informational fields."""
-    regions = []
+    """The Regions table of a region dump; blank lines are skipped.  Any
+    other line must hold exactly the nine fields format_region_dump writes,
+    with integer x, y, w, h and area, a box of positive size and a kind of
+    TR or NR, or ValueError is raised."""
+    rows = []
     for line in text.splitlines():
         parts = line.split()
         if not parts:
             continue
-        if len(parts) < 5:
-            raise ValueError(f"region line needs x y w h kind: {line!r}")
-        x, y, w, h = (int(p) for p in parts[:4])
-        kind = parts[4]
-        features = None
-        if len(parts) >= 9:
-            features = RegionFeatures(
-                area=int(parts[5]),
-                aspect_ratio=float(parts[6]),
-                info_pixel_density=float(parts[7]),
-                coverage_ratio=float(parts[8]),
-            )
-        regions.append(Region(bbox=Rect(x, y, w, h), kind=kind, features=features))
-    return regions
+        if len(parts) != 9 or parts[4] not in (TR, NR):
+            raise ValueError(
+                f"region line needs x y w h TR|NR area aspect density coverage: {line!r}")
+        x, y, w, h, area = (int(p) for p in parts[:4] + parts[5:6])
+        if w < 1 or h < 1:
+            raise ValueError(f"region box must have positive size: {line!r}")
+        rows.append((x, y, w, h, area, *map(float, parts[6:]), parts[4] == TR))
+    columns = list(zip(*rows)) or [()] * 9
+    dtypes = [np.intp] * 5 + [np.float64] * 3 + [bool]
+    return Regions(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))

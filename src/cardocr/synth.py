@@ -18,7 +18,7 @@ from . import imaging
 from .fontdata import ALPHABET, GLYPH_ROWS, GLYPHS, TALL_CHARS, glyph_mask
 from .imaging import Rect
 from .recognize import build_store
-from .regions import Region, RegionFeatures, format_region_dump, parse_region_dump
+from .regions import TR, Regions, format_region_dump, parse_region_dump
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -493,20 +493,20 @@ def generate_suite(out_dir, params):
 
 
 def format_truth_regions(truth):
-    """Ground-truth regions in the region dump format.  The area/aspect/
-    density/coverage fields are informational."""
-    regions = []
-    for region in truth.regions:
-        r = region.bbox
-        window = truth.mask[r.y : r.y2, r.x : r.x2]
-        features = RegionFeatures(
-            aspect_ratio=r.w / r.h,
-            info_pixel_density=float(window.mean()) if window.size else 0.0,
-            area=-(-r.w // 16) * (-(-r.h // 16)),
-            coverage_ratio=1.0,
-        )
-        regions.append(Region(bbox=r, kind=region.kind, features=features))
-    return format_region_dump(regions)
+    """Ground-truth regions in the region dump format.  Only the boxes and
+    kinds are truth; the other fields are informational: the 16-pixel
+    blocks the box spans, its aspect ratio, the ink share of the box and 1."""
+    boxes = [r.bbox for r in truth.regions]
+    x, y, w, h = (np.array([getattr(b, k) for b in boxes], dtype=np.intp) for k in "xywh")
+    windows = [truth.mask[b.y : b.y2, b.x : b.x2] for b in boxes]
+    return format_region_dump(Regions(
+        x=x, y=y, w=w, h=h,
+        area=-(-w // 16) * -(-h // 16),
+        aspect_ratio=w / h,
+        info_pixel_density=np.array([win.mean() if win.size else 0.0 for win in windows]),
+        coverage_ratio=np.ones(len(boxes)),
+        text=np.array([r.kind == TR for r in truth.regions], dtype=bool),
+    ))
 
 
 def truth_transcript(truth):

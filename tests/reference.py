@@ -64,16 +64,46 @@ def segment_glyphs(line, word_gap_factor):
     return glyphs
 
 
-def classify_region(features, cfg):
+def classify_region(row, cfg):
     """TR iff every geometric gate of the PipelineConfig passes, NR
-    otherwise, for one region's scalar features."""
+    otherwise, for one region's scalar features (a dict keyed by the
+    Regions column names)."""
     ok = (
-        features.area >= cfg.min_area_blocks
-        and cfg.ar_min <= features.aspect_ratio <= cfg.ar_max
-        and cfg.dens_min <= features.info_pixel_density <= cfg.dens_max
-        and features.coverage_ratio >= cfg.cov_min
+        row["area"] >= cfg.min_area_blocks
+        and cfg.ar_min <= row["aspect_ratio"] <= cfg.ar_max
+        and cfg.dens_min <= row["info_pixel_density"] <= cfg.dens_max
+        and row["coverage_ratio"] >= cfg.cov_min
     )
     return TR if ok else NR
+
+
+def region_dump(rows):
+    """The region dump of regions given one at a time, each a dict keyed by
+    the Regions column names."""
+    return "".join(
+        "%d %d %d %d %s %d %.4f %.4f %.4f\n"
+        % (r["x"], r["y"], r["w"], r["h"], TR if r["text"] else NR, r["area"],
+           r["aspect_ratio"], r["info_pixel_density"], r["coverage_ratio"])
+        for r in rows
+    )
+
+
+def truth_region_rows(truth):
+    """The rows of a card's truth region dump, one truth region at a time:
+    its box and kind, then the 16-pixel blocks the box spans, its aspect
+    ratio, the ink share of the box and 1."""
+    rows = []
+    for region in truth.regions:
+        r = region.bbox
+        window = truth.mask[r.y : r.y2, r.x : r.x2]
+        rows.append(dict(
+            x=r.x, y=r.y, w=r.w, h=r.h, text=region.kind == TR,
+            area=-(-r.w // 16) * (-(-r.h // 16)),
+            aspect_ratio=r.w / r.h,
+            info_pixel_density=float(window.mean()) if window.size else 0.0,
+            coverage_ratio=1.0,
+        ))
+    return rows
 
 
 def char_accuracy(predicted, truth, scheme):

@@ -406,6 +406,10 @@ class TestEval:
     @pytest.mark.parametrize("suffix, data", [
         (".regions.txt", b"garbage line here x\n"),
         (".regions.txt", b"1 2 3 4\n"),
+        (".regions.txt", b"1 2 3 4 XX 1 1.0 0.1 1.0\n"),
+        (".regions.txt", b"1 2 3 4 TR\n"),
+        (".regions.txt", b"1 2 3 4 TR 1 1.0 0.1 1.0 7\n"),
+        (".regions.txt", b"1 2 0 4 TR 1 1.0 0.1 1.0\n"),
         (".truth.txt", b"\xff"),
     ])
     def test_malformed_suite_file_exit_2(self, store_dir, tmp_path, capsys, suffix, data):

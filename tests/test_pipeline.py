@@ -239,8 +239,11 @@ class TestDumps:
         crop = np.full((20, 30), 200, dtype=np.uint8)
         crop[15, :dark_cols] = 20
         region = rg.Region(bbox=Rect(0, 0, 30, 20))
-        result = pipeline.RunResult(regions=[pipeline.RegionResult(
-            region=region, crop=crop, deskewed=crop, binary=crop < 100)])
+        result = pipeline.RunResult(
+            all_regions=rg.parse_region_dump(""),
+            regions=[pipeline.RegionResult(
+                region=region, crop=crop, deskewed=crop, binary=crop < 100)],
+            transcript="")
         pipeline.dump_stages(result, tmp_path)
         assert (tmp_path / "region_0.profile.txt").read_bytes() == b""
         assert (tmp_path / "region_0.bands.txt").read_bytes() == b""

@@ -7,7 +7,7 @@ import pytest
 from cardocr import imaging, regions as rg, synth
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
-from reference import classify_region
+from reference import classify_region, region_dump
 
 
 def tile_rect(grid, r, c):
@@ -48,7 +48,8 @@ def flood_fill_oracle(labels):
 def reference_extract(img, cfg):
     """Per-block reference for extract_regions: a BFS over blocks, then two
     slicing passes over each region's blocks for its features.  Returns the
-    regions and, for each, its member blocks as a sorted (row, col) list."""
+    regions as rows, dicts keyed by the Regions column names, and, for
+    each, its member blocks as a sorted (row, col) list."""
     grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
     labels = rg.classify_grid(img, grid, cfg.t_var).labels
     seen = np.zeros_like(labels)
@@ -72,9 +73,9 @@ def reference_extract(img, cfg):
             rects = [tile_rect(grid, br, bc) for br, bc in blocks]
             x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
             x2, y2 = max(b.x2 for b in rects), max(b.y2 for b in rects)
-            found.append((blocks, rg.Region(bbox=Rect(x1, y1, x2 - x1, y2 - y1))))
-    found.sort(key=lambda pair: (pair[1].bbox.y, pair[1].bbox.x))
-    for blocks, region in found:
+            found.append((blocks, dict(x=x1, y=y1, w=x2 - x1, h=y2 - y1)))
+    found.sort(key=lambda pair: (pair[1]["y"], pair[1]["x"]))
+    for blocks, row in found:
         windows = []
         for br, bc in blocks:
             rect = tile_rect(grid, br, bc)
@@ -84,15 +85,14 @@ def reference_extract(img, cfg):
         vmax = max(int(w.max()) for w in windows)
         midpoint = (vmin + vmax) / 2.0
         dark = sum(int(np.count_nonzero(w < midpoint)) for w in windows)
-        bbox = region.bbox
-        region.features = rg.RegionFeatures(
-            aspect_ratio=bbox.w / bbox.h,
+        row.update(
+            aspect_ratio=row["w"] / row["h"],
             info_pixel_density=dark / member_pixels,
             area=len(blocks),
-            coverage_ratio=member_pixels / (bbox.w * bbox.h),
+            coverage_ratio=member_pixels / (row["w"] * row["h"]),
         )
-        region.kind = classify_region(region.features, cfg)
-    return [region for _, region in found], [blocks for blocks, _ in found]
+        row["text"] = classify_region(row, cfg) == rg.TR
+    return [row for _, row in found], [blocks for blocks, _ in found]
 
 
 def assemble(grid):
@@ -342,12 +342,13 @@ class TestAssemble:
 
 
 def features(**columns):
-    """RegionFeatures of parallel arrays; a column given as a scalar is
+    """Feature columns as compute_features returns them, parallel arrays
+    keyed by the Regions column names; a column given as a scalar is
     repeated to the length of the others."""
     base = dict(aspect_ratio=5.0, info_pixel_density=0.2, area=10, coverage_ratio=1.0)
     base.update(columns)
     n = max(np.size(v) for v in base.values())
-    return rg.RegionFeatures(**{k: np.broadcast_to(v, (n,)) for k, v in base.items()})
+    return {k: np.broadcast_to(v, (n,)) for k, v in base.items()}
 
 
 class TestClassifyRegion:
@@ -370,10 +371,8 @@ class TestClassifyRegion:
         assert self.kind(coverage_ratio=0.3) == rg.NR
 
     def test_empty_table(self):
-        empty = np.zeros(0)
-        f = rg.RegionFeatures(aspect_ratio=empty, info_pixel_density=empty,
-                              area=np.zeros(0, np.intp), coverage_ratio=empty)
-        assert rg.classify_region(f, PipelineConfig()).shape == (0,)
+        table = rg.parse_region_dump("")
+        assert rg.classify_region(vars(table), PipelineConfig()).shape == (0,)
 
     # (feature, config field, side): the region outside the bound lies one
     # float step (one block for area) below a lower bound or above an upper
@@ -397,8 +396,8 @@ class TestClassifyRegion:
             outside = float(np.nextafter(at, side * np.inf))
         f = features(**{feature: np.array([at, outside])})
         assert rg.classify_region(f, cfg).tolist() == [True, False]
-        rows = [{k: v[i].item() for k, v in vars(f).items()} for i in range(2)]
-        assert [classify_region(rg.RegionFeatures(**row), cfg) for row in rows] == [rg.TR, rg.NR]
+        rows = [{k: v[i].item() for k, v in f.items()} for i in range(2)]
+        assert [classify_region(row, cfg) for row in rows] == [rg.TR, rg.NR]
 
 
 def text_regions(img, cfg):
@@ -460,20 +459,23 @@ class TestExtract:
                 assert pixels % (cfg.block_h * cfg.block_w) == 0
 
 
+def row_region(row):
+    return rg.Region(bbox=Rect(row["x"], row["y"], row["w"], row["h"]),
+                     kind=rg.TR if row["text"] else rg.NR)
+
+
 def assert_table_matches(table, want):
-    """A Regions table against a list of Regions, field by field and bit for
-    bit, as arrays and as the Regions it builds."""
+    """A Regions table against reference rows, column by column and bit for
+    bit, as arrays, as the Regions it builds and as its dump."""
     assert len(table) == len(want)
-    for name in ("x", "y", "w", "h"):
-        assert getattr(table, name).tolist() == [getattr(r.bbox, name) for r in want]
-    for name in ("area", "aspect_ratio", "info_pixel_density", "coverage_ratio"):
-        assert getattr(table, name).tolist() == [getattr(r.features, name) for r in want]
-    assert table.text.tolist() == [r.kind == rg.TR for r in want]
+    for name in vars(table):
+        assert getattr(table, name).tolist() == [row[name] for row in want]
     kinds = [getattr(table, name).dtype.kind for name in vars(table)]
     assert kinds == ["i"] * 5 + ["f"] * 3 + ["b"]
-    assert list(table) == want
-    assert [table[i] for i in range(len(table))] == want
-    assert rg.format_region_dump(table) == rg.format_region_dump(want)
+    regions = [row_region(row) for row in want]
+    assert list(table) == regions
+    assert [table[i] for i in range(len(table))] == regions
+    assert rg.format_region_dump(table) == region_dump(want)
 
 
 class TestMatchesReference:
@@ -487,7 +489,7 @@ class TestMatchesReference:
         grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
         rg.classify_grid(img, grid, cfg.t_var)
         boxes, blocks = assemble(grid)
-        assert boxes == [r.bbox for r in want]
+        assert boxes == [row_region(row).bbox for row in want]
         assert blocks == want_blocks
         return got, blocks
 
@@ -521,7 +523,7 @@ class TestMatchesReference:
         img[3:9, 4:12] = 20
         table, blocks = self.assert_matches(img)
         assert blocks == [[(0, 0)]]
-        assert table[0].bbox == Rect(0, 0, 16, 16) and table[0].features.area == 1
+        assert table[0].bbox == Rect(0, 0, 16, 16) and table.area[0] == 1
 
     def test_one_information_block(self):
         img = np.full((64, 96), 220, np.uint8)
@@ -530,7 +532,7 @@ class TestMatchesReference:
         assert blocks == [[(2, 4)]]
         assert len(table) == 1 and list(table) == [table[0]] == [table[-1]]
         assert table[0].bbox == Rect(64, 32, 16, 16) and table[0].kind == rg.NR
-        assert table[0].features.info_pixel_density == 1 / 256
+        assert table.info_pixel_density[0] == 1 / 256
 
     def test_salt_and_pepper_card(self):
         regions, _ = self.assert_matches(salt_and_pepper_card())
@@ -620,17 +622,74 @@ class TestFeatureMemory:
         assert peak <= self.COUNT_NONZERO_PEAK_BYTES
 
 
+def criterion9_card():
+    """The gray 3 MP card of acceptance criterion 9."""
+    spec = synth.CardSpec(width=2048, height=1536, noise_sigma=4.0, bands=[
+        synth.Band("Ayatullah Faruk Mollah", 100, 150, 6),
+        synth.Band("School of Mobile Computing", 100, 400, 5),
+        synth.Band("Jadavpur University Kolkata", 100, 650, 5),
+        synth.Band("Phone: +91 33 2414 6666", 100, 900, 5),
+        synth.Band("www.jaduniv.edu.in", 100, 1150, 5),
+    ])
+    return imaging.to_grayscale(synth.render_card(spec, seed=3)[0])
+
+
 class TestDump:
     def test_round_trip(self):
-        f = rg.RegionFeatures(aspect_ratio=5.0, info_pixel_density=0.21, area=12,
-                              coverage_ratio=0.97)
-        region = rg.Region(bbox=Rect(10, 20, 100, 20), kind=rg.TR, features=f)
-        text = rg.format_region_dump([region])
+        table = rg.Regions(
+            x=np.array([10]), y=np.array([20]), w=np.array([100]), h=np.array([20]),
+            area=np.array([12]), aspect_ratio=np.array([5.0]),
+            info_pixel_density=np.array([0.21]), coverage_ratio=np.array([0.97]),
+            text=np.array([True]),
+        )
+        text = rg.format_region_dump(table)
         assert text.splitlines()[0].startswith("10 20 100 20 TR 12 5.0000")
         back = rg.parse_region_dump(text)
-        assert back[0].bbox == region.bbox
+        assert back[0].bbox == Rect(10, 20, 100, 20)
         assert back[0].kind == rg.TR
 
     def test_empty(self):
-        assert rg.format_region_dump([]) == ""
-        assert rg.parse_region_dump("") == []
+        empty = rg.parse_region_dump("")
+        assert rg.format_region_dump(empty) == ""
+        assert list(empty) == []
+
+    def assert_round_trip(self, table):
+        """parse_region_dump gives back the boxes, kinds and areas exactly
+        and the features to the dump's four decimals."""
+        text = rg.format_region_dump(table)
+        back = rg.parse_region_dump(text)
+        assert [getattr(back, name).dtype.kind for name in vars(back)] == \
+            [getattr(table, name).dtype.kind for name in vars(table)]
+        for name in ("x", "y", "w", "h", "area", "text"):
+            assert getattr(back, name).tolist() == getattr(table, name).tolist()
+        for name in ("aspect_ratio", "info_pixel_density", "coverage_ratio"):
+            np.testing.assert_allclose(getattr(back, name), getattr(table, name),
+                                       rtol=0, atol=5e-5)
+        assert rg.format_region_dump(back) == text
+        return back
+
+    def test_round_trip_criterion9_card(self):
+        table = rg.extract_regions(criterion9_card(), PipelineConfig())
+        assert np.count_nonzero(self.assert_round_trip(table).text) == 5
+
+    def test_round_trip_nr_regions(self):
+        table = rg.extract_regions(salt_and_pepper_card(), PipelineConfig())
+        assert not self.assert_round_trip(table).text.all()
+
+    def test_round_trip_empty_table(self):
+        table = rg.extract_regions(np.full((96, 128), 220, np.uint8), PipelineConfig())
+        assert len(self.assert_round_trip(table)) == 0
+
+    # the shapes tests/test_cli.py does not run through `eval`
+    @pytest.mark.parametrize("line", [
+        "1 2 3 4 TR 1 1.0",                # some informational fields missing
+        "1 2 3 4 TR 1.5 1.0 0.1 1.0",      # fractional area
+        "1 2 3 4 TR 1 wide 0.1 1.0",       # a feature that is not a number
+    ])
+    def test_malformed_line_raises(self, line):
+        with pytest.raises(ValueError):
+            rg.parse_region_dump("0 0 16 16 NR 1 1.0000 0.5000 1.0000\n" + line + "\n")
+
+    def test_blank_lines_skipped(self):
+        table = rg.parse_region_dump("\n1 2 3 4 TR 1 0.7500 0.1000 1.0000\n  \n")
+        assert list(table) == [rg.Region(bbox=Rect(1, 2, 3, 4), kind=rg.TR)]

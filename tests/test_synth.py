@@ -8,7 +8,7 @@ from cardocr import imaging, synth
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec, Decoy, SuiteParams
 
-from reference import resample_mask
+from reference import region_dump, resample_mask, truth_region_rows
 
 
 class TestGlyphRendering:
@@ -220,3 +220,20 @@ class TestResample:
         out = resample_mask(mask, 1.0, 2.0)
         assert out.shape == (1, 4)
         assert list(out[0]) == [True, True, False, False]
+
+
+def test_truth_regions_match_per_region_formula():
+    # the dump of a generated suite's truth, decoys included, equals the
+    # per-region formula, and reads back as the truth's boxes and kinds
+    params = SuiteParams(count=6, seed=5, decoys_min=1, decoys_max=2, skew_min=-5, skew_max=5)
+    seeds = np.random.SeedSequence(params.seed).spawn(params.count)
+    kinds = set()
+    for k, seed in enumerate(seeds):
+        spec = synth.random_card_spec(np.random.default_rng(seed), params)
+        _, truth = synth.render_card(spec, seed=k)
+        text = synth.format_truth_regions(truth)
+        assert text == region_dump(truth_region_rows(truth))
+        back = synth.parse_region_dump(text)
+        assert [(r.bbox, r.kind) for r in back] == [(r.bbox, r.kind) for r in truth.regions]
+        kinds.update(r.kind for r in truth.regions)
+    assert kinds == {"TR", "NR"}
