@@ -1,0 +1,108 @@
+"""Golden sha256 digests of the pipeline's outputs.
+
+The digests cover the transcript and every `run --dump-stages` file of the
+criterion-9 card and of the first cards of five synthetic suites, and the
+`eval` report of one of those suites.  tests/test_golden.py recomputes them
+and compares with tests/golden.txt, so any change to a transcript, a stage
+dump or an `eval` report fails tier-1 until the file is rewritten.
+
+Rewrite the file after an intended behaviour change with
+
+    PYTHONPATH=src python tests/golden.py
+
+and name in the change which digests moved and the `eval` deltas they carry.
+"""
+
+import hashlib
+import os
+import pathlib
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+from cardocr import evaluate, imaging, pipeline, synth
+from cardocr.config import PipelineConfig
+from test_skew import CRITERION_9_SPEC
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.txt"
+
+CARDS_PER_SUITE = 5
+
+# The suites of the accuracy tables in ROADMAP.md, each the first cards of
+# `synth --count 40 --seed 1` with the given options.
+SUITES = {
+    "skew2": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2),
+    "skew10": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-10, skew_max=10),
+    "saltpepper": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2,
+                                    salt_pepper_min=0.002, salt_pepper_max=0.002),
+    "scale2": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2, scales=(2,)),
+    "scale8": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2, scales=(8,),
+                                width=2048, height=1536),
+}
+EVAL_SUITE = "skew10"
+
+
+def versions():
+    return f"numpy {np.__version__} python {platform.python_version()}"
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _card_digests(name, image, cfg, store, workdir):
+    """{'<name>/<file>': sha256} of the card's transcript, as `cardocr run`
+    prints it, and of its stage dump files."""
+    result = pipeline.run_pipeline(image, cfg, store)
+    out = os.path.join(workdir, name)
+    pipeline.dump_stages(result, out)
+    stdout = result.transcript + ("\n" if result.transcript else "")
+    digests = {f"{name}/transcript": _sha256(stdout.encode())}
+    for file in sorted(os.listdir(out)):
+        with open(os.path.join(out, file), "rb") as fh:
+            digests[f"{name}/{file}"] = _sha256(fh.read())
+    return digests
+
+
+def compute_digests(store, workdir):
+    """Every golden digest, keyed by file name, computed under `workdir`."""
+    cfg = PipelineConfig()
+    color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
+    digests = _card_digests("criterion9", color, cfg, store, workdir)
+    for suite, params in SUITES.items():
+        suite_dir = os.path.join(workdir, "suites", suite)
+        synth.generate_suite(suite_dir, params)
+        paths = synth.suite_card_paths(suite_dir)
+        for k, base in enumerate(paths):
+            image = imaging.load_pnm_file(base + ".ppm")
+            digests.update(_card_digests(f"{suite}/card_{k}", image, cfg, store, workdir))
+        if suite == EVAL_SUITE:
+            report = evaluate.format_report(evaluate.evaluate_suite(paths, cfg, store))
+            digests[f"{suite}/eval"] = _sha256(report.encode())
+    return digests
+
+
+def format_golden(digests):
+    return f"# {versions()}\n" + "".join(
+        f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
+
+
+def parse_golden(text):
+    """(the versions line, {name: sha256}) of a golden file."""
+    lines = text.splitlines()
+    header = lines[0].removeprefix("# ")
+    rows = (line.split("  ", 1) for line in lines[1:])
+    return header, {name: digest for digest, name in rows}
+
+
+def main():
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = compute_digests(synth.build_font_store(seed=7), workdir)
+    GOLDEN.write_text(format_golden(digests))
+    print(f"wrote {len(digests)} digests to {GOLDEN} ({versions()})")
+
+
+if __name__ == "__main__":
+    sys.exit(main())
