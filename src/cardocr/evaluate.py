@@ -112,7 +112,7 @@ def evaluate_suite(paths, cfg, store):
             [r.region for r in result.regions], truth_regions
         )
         truth = [scheme.apply(ch) for ch in transcript if not ch.isspace()]
-        predicted = [lb for r in result.regions for line in r.lines for lb in line.labels]
+        predicted = result.labels
         chars_total += len(truth)
         if len(predicted) == len(truth):
             chars_aligned += len(truth)

@@ -2,6 +2,11 @@
 into lines and characters, classify each glyph under the config's class
 scheme, and join the labels into the transcript.
 
+Each stage returns values, and run_pipeline builds one frozen RunResult.
+Images are kept per text region (TR); the card's line bands, glyphs and
+labels are each one array over the card, which the transcript, the stage
+dumps and `eval` read in slices.
+
 Every stage is a pure function of its inputs, so repeated runs on the same
 image and config are byte-identical.  The pipeline times its own stages:
 the same stage breakdown drives both the normal run path and the benchmark,
@@ -24,28 +29,29 @@ from . import segment as sg
 from . import skew
 
 
-@dataclass
-class LineResult:
-    band: sg.LineBand
-    glyphs: sg.Glyphs
-    labels: list  # scheme-mapped template label per glyph
-
-
-@dataclass
+@dataclass(frozen=True)
 class RegionResult:
+    """One TR: its row of the card's Regions table, its gray crop, the crop
+    de-skewed by `angle` degrees, and that image binarized."""
+
     region: rg.Region
-    crop: np.ndarray = None
-    deskewed: np.ndarray = None
-    angle: float = 0.0
-    binary: np.ndarray = None
-    lines: list = field(default_factory=list)
+    crop: np.ndarray
+    deskewed: np.ndarray
+    angle: float
+    binary: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
-    # every region, TR and NR, as the card's regions.Regions table
-    all_regions: rg.Regions
+    """A card's result: images per TR, and bands, glyphs and labels over
+    the whole card in reading order."""
+
+    all_regions: rg.Regions  # every region, TR and NR
     regions: list  # RegionResult per TR
+    bands: np.ndarray  # (TR index, top, bottom) rows; inclusive rows of the TR's binary
+    glyphs: sg.Glyphs  # every band's glyphs; top and bottom are rows of the band
+    glyph_band: np.ndarray  # the bands row of each glyph
+    labels: list  # scheme-mapped label per glyph
     transcript: str
 
 
@@ -97,64 +103,48 @@ class StageTimer:
         )
 
 
-def _stage_extract(gray, cfg):
-    all_regions = rg.extract_regions(gray, cfg)
-    results = []
-    for i in np.flatnonzero(all_regions.text).tolist():
-        region = all_regions[i]
-        box = region.bbox
-        crop = gray[box.y : box.y2, box.x : box.x2].copy()
-        results.append(RegionResult(region=region, crop=crop))
-    return all_regions, results
+# What a card that keeps no line band returns, built once.
+NO_BANDS = np.empty((0, 3), dtype=np.intp)
+NO_GLYPHS = sg.Glyphs(*[np.empty(0, dtype=np.intp)] * 6)
 
 
-def _stage_skew(results, cfg):
-    for r in results:
-        r.deskewed, r.angle = skew.deskew(r.crop, cfg)
-
-
-def _stage_binarize(results):
-    for r in results:
-        r.binary = bz.binarize_region(r.deskewed)
-
-
-def _stage_segment(results, cfg):
-    for r in results:
-        r.lines = []
+def _stage_segment(binaries, cfg):
+    """The card's bands, glyphs and glyph_band, as RunResult holds them."""
+    bands, lines = [], []
+    for i, binary in enumerate(binaries):
         try:
-            bands = sg.segment_lines(r.binary, cfg)
+            found = sg.segment_lines(binary, cfg)
         except sg.EmptyRegionError:
             continue
-        for band, crop in bands:
-            glyphs = sg.segment_characters(crop, cfg)
-            r.lines.append(LineResult(band=band, glyphs=glyphs, labels=[]))
+        for band, crop in found:
+            bands.append((i, band.top, band.bottom))
+            lines.append(sg.segment_characters(crop, cfg))
+    if not lines:
+        return NO_BANDS, NO_GLYPHS, NO_GLYPHS.x1
+    glyphs = sg.Glyphs(*map(np.concatenate, zip(*(vars(g).values() for g in lines))))
+    glyph_band = np.repeat(np.arange(len(lines)), [len(g) for g in lines])
+    return np.array(bands), glyphs, glyph_band
 
 
-def _stage_recognize(results, store, scheme):
-    """Classify every glyph of the card as one batch and return the
-    transcript: a space before each word's first glyph but a line's first,
-    a newline between lines, and a blank line between regions that kept a
-    line."""
-    crops = [(r.binary[line.band.top : line.band.bottom + 1], line.glyphs)
-             for r in results for line in r.lines]
-    if not crops:
-        return ""
-    best, _ = rec.classify(np.concatenate([
-        rec.normalize_glyph(crop, g.x1, g.x2, g.top, g.bottom) for crop, g in crops
-    ]), store)
-    labels = iter([scheme.apply(store.labels[i]) for i in best.tolist()])
-    blocks = []
-    for r in results:
-        lines = []
-        for line in r.lines:
-            line.labels = [next(labels) for _ in range(len(line.glyphs))]
-            lines.append("".join(
-                (" " if char == 0 and i else "") + label
-                for i, (char, label) in enumerate(zip(line.glyphs.char.tolist(), line.labels))
-            ))
-        if lines:
-            blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+def _stage_recognize(binaries, bands, glyphs, glyph_band, store, scheme):
+    """Classify every glyph of the card as one batch.  Returns the labels
+    and the transcript, in which each glyph but the first follows a blank
+    line if it starts a TR, a newline if it starts a band, and a space if it
+    starts a word."""
+    if not len(glyphs):
+        return [], ""
+    tr, band_top = bands[glyph_band, 0], bands[glyph_band, 1]
+    stacks = []
+    for i in np.unique(tr).tolist():
+        g, top = glyphs[tr == i], band_top[tr == i]  # band rows -> rows of TR i's image
+        stacks.append(rec.normalize_glyph(binaries[i], g.x1, g.x2, g.top + top, g.bottom + top))
+    best, _ = rec.classify(np.concatenate(stacks), store)
+    labels = [scheme.apply(store.labels[i]) for i in best.tolist()]
+    separators = np.select(
+        [np.diff(tr) != 0, np.diff(glyph_band) != 0, glyphs.char[1:] == 0],
+        ["\n\n", "\n", " "], "")
+    transcript = "".join(a + b for a, b in zip(["", *separators.tolist()], labels))
+    return labels, transcript
 
 
 def run_pipeline(image, cfg, store, timer=None):
@@ -168,16 +158,20 @@ def run_pipeline(image, cfg, store, timer=None):
 
     def extract():
         gray = imaging.to_grayscale(image) if imaging.is_color(image) else image
-        return _stage_extract(gray, cfg)
+        all_regions = rg.extract_regions(gray, cfg)
+        regions = [all_regions[i] for i in np.flatnonzero(all_regions.text).tolist()]
+        return all_regions, regions, [gray[r.bbox.y : r.bbox.y2, r.bbox.x : r.bbox.x2].copy()
+                                      for r in regions]
 
-    all_regions, results = timed("extraction", extract)
-    timed("skew", lambda: _stage_skew(results, cfg))
-    timed("binarize", lambda: _stage_binarize(results))
-    timed("segment", lambda: _stage_segment(results, cfg))
-    transcript = timed(
-        "recognize", lambda: _stage_recognize(results, store, cfg.class_scheme())
-    )
-    return RunResult(all_regions=all_regions, regions=results, transcript=transcript)
+    all_regions, regions, crops = timed("extraction", extract)
+    rotations = timed("skew", lambda: [skew.deskew(crop, cfg) for crop in crops])
+    binaries = timed("binarize", lambda: [bz.binarize_region(d) for d, _ in rotations])
+    bands, glyphs, glyph_band = timed("segment", lambda: _stage_segment(binaries, cfg))
+    labels, transcript = timed("recognize", lambda: _stage_recognize(
+        binaries, bands, glyphs, glyph_band, store, cfg.class_scheme()))
+    regions = [RegionResult(region, crop, *rotation, binary)
+               for region, crop, rotation, binary in zip(regions, crops, rotations, binaries)]
+    return RunResult(all_regions, regions, bands, glyphs, glyph_band, labels, transcript)
 
 
 def time_pipeline(image, cfg, store, runs=1):
@@ -221,11 +215,12 @@ def dump_stages(result, directory):
             fh.write(text)
 
     write("regions.txt", rg.format_region_dump(result.all_regions))
+    band_tr = result.bands[:, 0]
+    glyph_tr = band_tr[result.glyph_band]
     for i, r in enumerate(result.regions):
         imaging.save_pnm_file(path(f"region_{i}.pgm"), r.crop)
         imaging.save_pnm_file(path(f"region_{i}.deskewed.pgm"), r.deskewed)
         imaging.save_pnm_file(path(f"region_{i}.bin.pgm"), r.binary)
         write(f"region_{i}.profile.txt", skew.format_profile_dump(r.crop, r.angle))
-        write(f"region_{i}.bands.txt", sg.format_band_dump([line.band for line in r.lines]))
-        write(f"region_{i}.glyphs.txt",
-              "".join(sg.format_glyph_dump(line.glyphs) for line in r.lines))
+        write(f"region_{i}.bands.txt", sg.format_band_dump(result.bands[band_tr == i, 1:]))
+        write(f"region_{i}.glyphs.txt", sg.format_glyph_dump(result.glyphs[glyph_tr == i]))

@@ -45,6 +45,10 @@ class Glyphs:
     def __len__(self):
         return len(self.x1)
 
+    def __getitem__(self, index):
+        """The glyphs that an index array, mask or slice selects."""
+        return Glyphs(*(a[index] for a in vars(self).values()))
+
 
 def horizontal_histogram(region):
     """Foreground count per row."""
@@ -150,8 +154,8 @@ def segment_characters(line, cfg):
 
 
 def format_band_dump(bands):
-    """Debug dump: one 'band top bottom' row per band."""
-    return "".join(f"band {b.top} {b.bottom}\n" for b in bands)
+    """Debug dump: one 'band top bottom' row per (top, bottom) int row."""
+    return "".join("band %d %d\n" % tuple(row) for row in np.asarray(bands).tolist())
 
 
 def format_glyph_dump(glyphs):

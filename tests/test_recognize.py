@@ -15,6 +15,7 @@ from cardocr.recognize import (
     TemplateStore,
 )
 from reference import dissimilarity, nearest_templates, resample_48
+from test_segment import band_lines
 
 
 def pattern_from(mask_rows):
@@ -187,9 +188,7 @@ def card_glyphs(store):
         synth.Band(text="www.jaduniv.edu.in", x=60, y=500, scale=3),
     ])
     color, _ = synth.render_card(spec, seed=4)
-    result = pipeline.run_pipeline(color, PipelineConfig(), store)
-    return [(r.binary[line.band.top : line.band.bottom + 1], line.glyphs)
-            for r in result.regions for line in r.lines]
+    return band_lines(pipeline.run_pipeline(color, PipelineConfig(), store))
 
 
 def card_stack(card_glyphs):
@@ -433,10 +432,9 @@ def recognize_stage(regions, store, scheme=FULL):
     """Run the pipeline's recognize stage on clean font glyphs laid out as
     `regions`: each region a list of lines, each line a list of words.
     Each line is a band of the region's binary image, its glyphs side by
-    side from the band's top row.  Returns (transcript, the stage's region
-    results)."""
-    results = []
-    for region in regions:
+    side from the band's top row.  Returns (transcript, labels)."""
+    binaries, bands, boxes, glyph_band = [], [], [], []
+    for tr, region in enumerate(regions):
         lines = [
             [(tight_glyph(ch), wi, ci) for wi, word in enumerate(words) for ci, ch in enumerate(word)]
             for words in region
@@ -444,19 +442,20 @@ def recognize_stage(regions, store, scheme=FULL):
         masks = [mask for line in lines for mask, _, _ in line]
         height = max((m.shape[0] for m in masks), default=0)
         binary = np.zeros((height * len(lines), sum(m.shape[1] for m in masks)), dtype=bool)
-        line_results = []
         for i, line in enumerate(lines):
-            x, boxes = 0, []
+            x = 0
             for mask, wi, ci in line:
                 h, w = mask.shape
                 binary[i * height : i * height + h, x : x + w] = mask
                 boxes.append((x, x + w - 1, 0, h - 1, wi, ci))
+                glyph_band.append(len(bands))
                 x += w
-            glyphs = sg.Glyphs(*(np.array(f) for f in zip(*boxes)))
-            band = sg.LineBand(i * height, (i + 1) * height - 1)
-            line_results.append(pipeline.LineResult(band=band, glyphs=glyphs, labels=[]))
-        results.append(pipeline.RegionResult(region=None, binary=binary, lines=line_results))
-    return pipeline._stage_recognize(results, store, scheme), results
+            bands.append((tr, i * height, (i + 1) * height - 1))
+        binaries.append(binary)
+    glyphs = sg.Glyphs(*(np.array(f) for f in zip(*boxes)))
+    labels, transcript = pipeline._stage_recognize(
+        binaries, np.array(bands), glyphs, np.array(glyph_band), store, scheme)
+    return transcript, labels
 
 
 class TestTranscribe:
@@ -466,9 +465,9 @@ class TestTranscribe:
     def test_words_and_digits(self, store):
         assert recognize_stage([[["JU", "2010"]]], store)[0] == "JU 2010"
         # labels are classified under the given scheme, once
-        transcript, results = recognize_stage([[["JU", "2010"]]], store, MERGED)
+        transcript, labels = recognize_stage([[["JU", "2010"]]], store, MERGED)
         assert transcript == "JU 2OIO"
-        assert results[0].lines[0].labels == list("JU2OIO")
+        assert labels == list("JU2OIO")
 
     def test_two_lines(self, store):
         assert recognize_stage([[["Hi"], ["Bye"]]], store)[0] == "Hi\nBye"

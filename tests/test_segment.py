@@ -13,6 +13,12 @@ from test_skew import CRITERION_9_SPEC
 CFG = PipelineConfig()
 
 
+def band_lines(result):
+    """(band crop, the band's Glyphs) per line band of a RunResult."""
+    return [(result.regions[tr].binary[top : bottom + 1], result.glyphs[result.glyph_band == k])
+            for k, (tr, top, bottom) in enumerate(result.bands.tolist())]
+
+
 def region_from_row_counts(counts, width=20):
     """Binary region whose horizontal histogram equals `counts`."""
     region = np.zeros((len(counts), width), dtype=bool)
@@ -253,16 +259,17 @@ class TestSegmentCharactersReference:
     def test_criterion_9_card_lines(self, store):
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
         result = pipeline.run_pipeline(color, CFG, store)
-        lines = [(r.binary[ln.band.top : ln.band.bottom + 1], ln.glyphs)
-                 for r in result.regions for ln in r.lines]
+        lines = band_lines(result)
         assert sum(len(g) for _, g in lines) == 105
         for crop, glyphs in lines:
+            assert glyph_rows(glyphs) == glyph_rows(sg.segment_characters(crop, CFG))
             assert glyph_rows(glyphs) == segment_glyphs(crop, CFG.word_gap_factor)
 
 
 class TestDumps:
     def test_band_dump(self):
-        assert sg.format_band_dump([LineBand(1, 4)]) == "band 1 4\n"
+        band = LineBand(1, 4)
+        assert sg.format_band_dump(np.array([[band.top, band.bottom]])) == "band 1 4\n"
 
     def test_glyph_dump(self):
         glyphs = sg.segment_characters(line_from_spans([(1, 3)]), CFG)

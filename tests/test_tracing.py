@@ -50,7 +50,7 @@ def test_traced_counts_equal_direct_counts(card, store):
         "regions.count": boxes.shape[0],
         "regions.tr": int(np.count_nonzero(table.text)),
         "imaging.rotate.px": sum(r.size for r in rotated),
-        "segment.glyphs": sum(len(line.glyphs) for r in result.regions for line in r.lines),
+        "segment.glyphs": len(result.glyphs),
     }
     assert {name: tracer.counts[name] for name in direct} == direct
     assert tracer.counts["imaging.rotate.calls"] == len(rotated)
