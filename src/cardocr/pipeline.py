@@ -4,8 +4,8 @@ scheme, and join the labels into the transcript.
 
 Each stage returns values, and run_pipeline builds one frozen RunResult.
 Images are kept per text region (TR); the card's line bands, glyphs and
-labels are each one array over the card, which the transcript, the stage
-dumps and `eval` read in slices.
+labels each cover the whole card in reading order, and the transcript, the
+stage dumps and `eval` read them in slices.
 
 Every stage is a pure function of its inputs, so repeated runs on the same
 image and config are byte-identical.  The pipeline times its own stages:
@@ -140,11 +140,11 @@ def _stage_recognize(binaries, bands, glyphs, glyph_band, store, scheme):
         stacks.append(rec.normalize_glyph(binaries[i], g.x1, g.x2, g.top + top, g.bottom + top))
     best, _ = rec.classify(np.concatenate(stacks), store)
     labels = [scheme.apply(store.labels[i]) for i in best.tolist()]
-    separators = np.select(
-        [np.diff(tr) != 0, np.diff(glyph_band) != 0, glyphs.char[1:] == 0],
-        ["\n\n", "\n", " "], "")
-    transcript = "".join(a + b for a, b in zip(["", *separators.tolist()], labels))
-    return labels, transcript
+    # A glyph that starts a TR also starts a band, and one that starts a band
+    # also starts a word, so the count of what it starts picks its separator.
+    starts = (np.diff(tr) != 0).astype(int) + (np.diff(glyph_band) != 0) + (glyphs.char[1:] == 0)
+    separators = ("", " ", "\n", "\n\n")
+    return labels, "".join(separators[k] + label for k, label in zip([0, *starts.tolist()], labels))
 
 
 def run_pipeline(image, cfg, store, timer=None):
@@ -169,9 +169,9 @@ def run_pipeline(image, cfg, store, timer=None):
     bands, glyphs, glyph_band = timed("segment", lambda: _stage_segment(binaries, cfg))
     labels, transcript = timed("recognize", lambda: _stage_recognize(
         binaries, bands, glyphs, glyph_band, store, cfg.class_scheme()))
-    regions = [RegionResult(region, crop, *rotation, binary)
-               for region, crop, rotation, binary in zip(regions, crops, rotations, binaries)]
-    return RunResult(all_regions, regions, bands, glyphs, glyph_band, labels, transcript)
+    tr_results = [RegionResult(region, crop, *rotation, binary)
+                  for region, crop, rotation, binary in zip(regions, crops, rotations, binaries)]
+    return RunResult(all_regions, tr_results, bands, glyphs, glyph_band, labels, transcript)
 
 
 def time_pipeline(image, cfg, store, runs=1):
