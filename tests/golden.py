@@ -1,8 +1,10 @@
 """Golden sha256 digests of the pipeline's outputs.
 
 The digests cover the transcript and every `run --dump-stages` file of the
-criterion-9 card and of the first cards of five synthetic suites, and the
-`eval` report of one of those suites.  tests/test_golden.py recomputes them
+criterion-9 card, of a card whose regions hold two lines each and of the
+first cards of five synthetic suites, the `eval` report of one of those
+suites, and the band and glyph dumps of two rendered regions in which a thin
+candidate band merges into a neighbour.  tests/test_golden.py recomputes them
 and compares with tests/golden.txt, so any change to a transcript, a stage
 dump or an `eval` report fails tier-1 until the file is rewritten.
 
@@ -22,8 +24,9 @@ import tempfile
 
 import numpy as np
 
-from cardocr import evaluate, imaging, pipeline, synth
+from cardocr import binarize, evaluate, imaging, pipeline, segment, synth
 from cardocr.config import PipelineConfig
+from cardocr.synth import Band, CardSpec
 from test_skew import CRITERION_9_SPEC
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.txt"
@@ -42,6 +45,22 @@ SUITES = {
                                 width=2048, height=1536),
 }
 EVAL_SUITE = "skew10"
+
+# Two text regions of two lines each, the card of the xfailed
+# test_two_line_regions_keep_both_bands (seed 5).  Its second region keeps
+# both bands, so the line merge loop sees more than one candidate band.
+TWO_LINE_SPEC = CardSpec(width=1000, height=600, skew_deg=1.5, noise_sigma=2.0, bands=[
+    Band("Ayatullah Faruk Mollah\nSchool of Mobile Computing", 60, 80, 4),
+    Band("Phone: +91 33 2414 6666\nwww.jaduniv.edu.in", 80, 330, 4),
+])
+
+# Clean regions 1 and 72 of test_c05_line_segmentation (seed 60): in each,
+# one thin candidate band merges into a neighbour.  (lines, scale) per region.
+MERGE_REGIONS = {
+    "c05_seed60/region_1": (["ojpcoi", "7U4SA2I aazpx", "rmuojblb 617XOV", "IQHUZJ"], 4),
+    "c05_seed60/region_72": (["lahxjacr pfcr", "tnmfkrs tzprr WJVQQ4T", "lump xhar gqxcgmf",
+                              "NKG7D", "nixox"], 3),
+}
 
 
 def versions():
@@ -66,11 +85,24 @@ def _card_digests(name, image, cfg, store, workdir):
     return digests
 
 
+def _region_digests(name, lines, scale, cfg):
+    """{'<name>.bands.txt' and '<name>.glyphs.txt': sha256} of a rendered
+    region's segmentation, as the stage dumps write it."""
+    binary = binarize.binarize_region(synth.render_region(lines, scale).image)
+    bands, glyphs, _ = pipeline._stage_segment([binary], cfg)
+    return {f"{name}.bands.txt": _sha256(segment.format_band_dump(bands[:, 1:]).encode()),
+            f"{name}.glyphs.txt": _sha256(segment.format_glyph_dump(glyphs).encode())}
+
+
 def compute_digests(store, workdir):
     """Every golden digest, keyed by file name, computed under `workdir`."""
     cfg = PipelineConfig()
     color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
     digests = _card_digests("criterion9", color, cfg, store, workdir)
+    color, _ = synth.render_card(TWO_LINE_SPEC, seed=5)
+    digests.update(_card_digests("two_line", color, cfg, store, workdir))
+    for name, (lines, scale) in MERGE_REGIONS.items():
+        digests.update(_region_digests(name, lines, scale, cfg))
     for suite, params in SUITES.items():
         suite_dir = os.path.join(workdir, "suites", suite)
         synth.generate_suite(suite_dir, params)
