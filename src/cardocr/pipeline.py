@@ -110,15 +110,9 @@ NO_GLYPHS = sg.Glyphs(*[np.empty(0, dtype=np.intp)] * 6)
 
 def _stage_segment(binaries, cfg):
     """The card's bands, glyphs and glyph_band, as RunResult holds them."""
-    bands, lines = [], []
-    for i, binary in enumerate(binaries):
-        try:
-            found = sg.segment_lines(binary, cfg)
-        except sg.EmptyRegionError:
-            continue
-        for band, crop in found:
-            bands.append((i, band.top, band.bottom))
-            lines.append(sg.segment_characters(crop, cfg))
+    bands = [(i, top, bottom) for i, binary in enumerate(binaries)
+             for top, bottom in sg.segment_lines(binary, cfg).tolist()]
+    lines = [sg.segment_characters(binaries[i][top : bottom + 1], cfg) for i, top, bottom in bands]
     if not lines:
         return NO_BANDS, NO_GLYPHS, NO_GLYPHS.x1
     glyphs = sg.Glyphs(*map(np.concatenate, zip(*(vars(g).values() for g in lines))))

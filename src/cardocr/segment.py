@@ -2,31 +2,18 @@
 
 Lines come from the horizontal projection profile: candidate bands are the
 runs of rows above a low threshold (deliberately over-segmenting), and
-implausibly thin bands are merged back into a neighbor.  Words and
-characters come from the vertical profile of each line: zero-count column
-runs split characters, and gaps much wider than the median split words.
-A line's glyphs are one set of parallel arrays (Glyphs), built in one pass
-over its column runs, and read as arrays up to the matcher.
+implausibly thin bands are merged back into a neighbor.  A region's lines
+are one (n, 2) int array of inclusive (top, bottom) rows; a region with no
+row above the threshold has zero bands.  Words and characters come from the
+vertical profile of each line: zero-count column runs split characters, and
+gaps much wider than the median split words.  A line's glyphs are one set
+of parallel arrays (Glyphs), built in one pass over its column runs, and
+read as arrays up to the matcher.
 """
 
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class EmptyRegionError(ValueError):
-    """Region or line contains no usable foreground."""
-
-
-@dataclass(frozen=True)
-class LineBand:
-    top: int     # inclusive
-    bottom: int  # inclusive
-
-    @property
-    def height(self):
-        return self.bottom - self.top + 1
 
 
 @dataclass(frozen=True)
@@ -68,44 +55,32 @@ def _runs(mask):
 
 
 def candidate_bands(counts, threshold):
-    """Maximal runs of rows with count > threshold as line bands, including
-    any runs that touch the top or bottom edge."""
-    starts, ends = _runs(np.asarray(counts) > threshold)
-    return [LineBand(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+    """Maximal runs of rows with count > threshold as (top, bottom) int
+    arrays of inclusive rows, including any runs that touch the top or
+    bottom edge."""
+    return _runs(np.asarray(counts) > threshold)
 
 
-def reject_false_separators(bands, r_min):
+def reject_false_separators(top, bottom, r_min):
     """Merge implausibly thin candidate bands into a neighbor.
 
-    While any band is thinner than r_min times the median band height, the
-    thinnest one is merged across the narrower of its two adjacent gaps.
+    `top` and `bottom` are the inclusive rows of bands in top-down order.
+    While the thinnest band is thinner than r_min times the median band
+    height, it is merged across the narrower of its two adjacent gaps.  Of
+    equally thin bands the first merges first; a band with equal gaps on
+    both sides merges into the band above; the first band merges into the
+    one below and the last into the one above.  Returns the merged (top,
+    bottom) arrays.
     """
-    if not bands:
-        raise EmptyRegionError("no rows above the line threshold")
-    bands = list(bands)
-
-    def gap_between(a, b):
-        return b.top - a.bottom - 1
-
-    while len(bands) > 1:
-        median = statistics.median(b.height for b in bands)
-        bad = [i for i, b in enumerate(bands) if b.height < r_min * median]
-        if not bad:
+    while len(top) > 1:
+        height = bottom - top + 1
+        i = height.argmin()
+        if height[i] >= r_min * np.median(height):
             break
-        i = min(bad, key=lambda k: bands[k].height)
-        band = bands[i]
-        if i == 0:
-            j = 1
-        elif i == len(bands) - 1:
-            j = i - 1
-        else:
-            gap_prev = gap_between(bands[i - 1], band)
-            gap_next = gap_between(band, bands[i + 1])
-            j = i - 1 if gap_prev <= gap_next else i + 1
-        lo, hi = min(i, j), max(i, j)
-        merged = LineBand(bands[lo].top, bands[hi].bottom)
-        bands[lo : hi + 1] = [merged]
-    return bands
+        gap = top[1:] - bottom[:-1] - 1  # gap[k] lies between bands k and k + 1
+        k = i if i == 0 or (i < len(gap) and gap[i] < gap[i - 1]) else i - 1
+        top, bottom = np.delete(top, k + 1), np.delete(bottom, k)  # bands k, k + 1 -> one
+    return top, bottom
 
 
 def segment_lines(region, cfg):
@@ -113,15 +88,14 @@ def segment_lines(region, cfg):
 
     Runs of rows with more than cfg.line_threshold foreground pixels are
     candidate lines, and bands thinner than cfg.r_min times the median are
-    merged.  Returns (LineBand, crop) pairs; band coordinates are rows of
-    the region.  Every band starts and ends on a row above the threshold,
-    so each crop is tight to rows that hold foreground.
+    merged.  Returns an (n, 2) int array of inclusive (top, bottom) rows of
+    the region, one row per line in top-down order; a region with no row
+    above the threshold has zero bands.  Every band starts and ends on a row
+    above the threshold, so `region[top : bottom + 1]` is tight to rows that
+    hold foreground.
     """
-    bands = candidate_bands(horizontal_histogram(region), cfg.line_threshold)
-    return [
-        (band, region[band.top : band.bottom + 1])
-        for band in reject_false_separators(bands, cfg.r_min)
-    ]
+    top, bottom = candidate_bands(horizontal_histogram(region), cfg.line_threshold)
+    return np.column_stack(reject_false_separators(top, bottom, cfg.r_min))
 
 
 def segment_characters(line, cfg):
@@ -130,11 +104,9 @@ def segment_characters(line, cfg):
     Characters are separated by zero-count column runs; a gap at least
     cfg.word_gap_factor times the median interior gap width is a word break.
     Each glyph's rows run from the first to the last row with foreground in
-    its columns.
+    its columns.  A line with no foreground has no glyphs.
     """
     x1, x2 = _runs(vertical_histogram(line) > 0)
-    if not len(x1):
-        raise EmptyRegionError("line has no foreground")
     gaps = x1[1:] - x2[:-1] - 1
     first = np.ones(len(x1), dtype=bool)  # the first glyph of a word
     if len(gaps):

@@ -64,6 +64,32 @@ def segment_glyphs(line, word_gap_factor):
     return glyphs
 
 
+def merge_thin_bands(bands, r_min):
+    """Line bands as (top, bottom) tuples after merging, by list surgery,
+    each band thinner than r_min times the median height: the thinnest
+    first (the first of equals), across the narrower adjacent gap (upward
+    on equal gaps), until none is thinner."""
+    bands = list(bands)
+    while len(bands) > 1:
+        heights = [bottom - top + 1 for top, bottom in bands]
+        median = statistics.median(heights)
+        bad = [i for i, h in enumerate(heights) if h < r_min * median]
+        if not bad:
+            break
+        i = min(bad, key=lambda k: heights[k])
+        if i == 0:
+            j = 1
+        elif i == len(bands) - 1:
+            j = i - 1
+        else:
+            gap_prev = bands[i][0] - bands[i - 1][1] - 1
+            gap_next = bands[i + 1][0] - bands[i][1] - 1
+            j = i - 1 if gap_prev <= gap_next else i + 1
+        lo, hi = min(i, j), max(i, j)
+        bands[lo : hi + 1] = [(bands[lo][0], bands[hi][1])]
+    return bands
+
+
 def classify_region(row, cfg):
     """TR iff every geometric gate of the PipelineConfig passes, NR
     otherwise, for one region's scalar features (a dict keyed by the

@@ -74,7 +74,7 @@ class TestRunPipeline:
 
     def test_card_whose_regions_keep_no_line(self, store, monkeypatch):
         # no row of a region holds more foreground than the whole card is
-        # wide, so segment_lines raises EmptyRegionError for every region
+        # wide, so segment_lines finds zero bands in every region
         cfg = PipelineConfig(line_threshold=700)
         stacks = []
         classify = pipeline.rec.classify

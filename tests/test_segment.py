@@ -5,9 +5,8 @@ from cardocr import pipeline
 from cardocr import segment as sg
 from cardocr import synth
 from cardocr.config import ConfigError, PipelineConfig
-from cardocr.segment import EmptyRegionError, LineBand
 
-from reference import segment_glyphs
+from reference import merge_thin_bands, segment_glyphs
 from test_skew import CRITERION_9_SPEC
 
 CFG = PipelineConfig()
@@ -17,6 +16,17 @@ def band_lines(result):
     """(band crop, the band's Glyphs) per line band of a RunResult."""
     return [(result.regions[tr].binary[top : bottom + 1], result.glyphs[result.glyph_band == k])
             for k, (tr, top, bottom) in enumerate(result.bands.tolist())]
+
+
+def band_rows(top_bottom):
+    """(top, bottom) int arrays as a list of (top, bottom) tuples."""
+    return list(zip(*(np.asarray(a).tolist() for a in top_bottom)))
+
+
+def merged(bands, r_min):
+    """reject_false_separators on a list of (top, bottom) tuples."""
+    top, bottom = np.array(bands, dtype=np.intp).reshape(-1, 2).T
+    return band_rows(sg.reject_false_separators(top, bottom, r_min))
 
 
 def region_from_row_counts(counts, width=20):
@@ -62,28 +72,26 @@ class TestHistogram:
 class TestCandidateBands:
     def test_hand_case(self):
         counts = [0, 0, 5, 6, 0, 0, 7, 8, 0]
-        assert sg.candidate_bands(counts, 0) == [LineBand(2, 3), LineBand(6, 7)]
+        assert band_rows(sg.candidate_bands(counts, 0)) == [(2, 3), (6, 7)]
         # runs that touch the top and bottom edge are bands too
         counts = [4, 0, 0, 5, 0, 3, 3]
-        assert sg.candidate_bands(counts, 0) == [
-            LineBand(0, 0), LineBand(3, 3), LineBand(5, 6)
-        ]
+        assert band_rows(sg.candidate_bands(counts, 0)) == [(0, 0), (3, 3), (5, 6)]
 
     def test_no_separators(self):
-        assert sg.candidate_bands([3, 4, 5], 0) == [LineBand(0, 2)]
+        assert band_rows(sg.candidate_bands([3, 4, 5], 0)) == [(0, 2)]
 
     def test_everything_is_separator(self):
-        assert sg.candidate_bands([1, 2, 1], 2) == []
+        assert band_rows(sg.candidate_bands([1, 2, 1], 2)) == []
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 10, 30)
         previous = len(counts) + 1
         for t in range(0, 10):
-            bands = sg.candidate_bands(counts, t)
-            rows = sum(b.height for b in bands)
+            bands = band_rows(sg.candidate_bands(counts, t))
+            rows = sum(bottom - top + 1 for top, bottom in bands)
             assert rows <= previous
-            assert all((counts[b.top : b.bottom + 1] > t).all() for b in bands)
+            assert all((counts[top : bottom + 1] > t).all() for top, bottom in bands)
             previous = rows
 
     def test_negative_threshold(self):
@@ -94,32 +102,60 @@ class TestCandidateBands:
 
 class TestRejectFalseSeparators:
     def test_equal_bands_unchanged(self):
-        bands = [LineBand(1, 10), LineBand(12, 21), LineBand(23, 32)]
-        assert sg.reject_false_separators(bands, 0.5) == bands
+        bands = [(1, 10), (12, 21), (23, 32)]
+        assert merged(bands, 0.5) == bands
 
     def test_thin_band_merges(self):
         # heights 10, 2, 10 with r_min 0.5: the 2-row strip merges
-        bands = [LineBand(0, 9), LineBand(12, 13), LineBand(16, 25)]
-        assert len(sg.reject_false_separators(bands, 0.5)) == 2
+        bands = [(0, 9), (12, 13), (16, 25)]
+        assert len(merged(bands, 0.5)) == 2
 
     def test_merge_prefers_smaller_gap(self):
         # gaps of 4 above and 1 below the thin band: merge goes down
-        bands = [LineBand(0, 9), LineBand(14, 15), LineBand(17, 26)]
-        merged = sg.reject_false_separators(bands, 0.5)
-        assert merged == [LineBand(0, 9), LineBand(14, 26)]
-        assert bands == [LineBand(0, 9), LineBand(14, 15), LineBand(17, 26)]
+        top, bottom = np.array([0, 14, 17]), np.array([9, 15, 26])
+        assert band_rows(sg.reject_false_separators(top, bottom, 0.5)) == [(0, 9), (14, 26)]
+        assert (top.tolist(), bottom.tolist()) == ([0, 14, 17], [9, 15, 26])
 
     def test_single_band_unchanged(self):
-        assert sg.reject_false_separators([LineBand(1, 3)], 0.5) == [LineBand(1, 3)]
+        assert merged([(1, 3)], 0.5) == [(1, 3)]
 
     def test_zero_bands(self):
-        with pytest.raises(EmptyRegionError):
-            sg.reject_false_separators([], 0.5)
+        assert merged([], 0.5) == []
 
     def test_edge_thin_band_merges_inward(self):
-        bands = [LineBand(0, 1), LineBand(4, 13), LineBand(16, 25)]
-        merged = sg.reject_false_separators(bands, 0.5)
-        assert merged == [LineBand(0, 13), LineBand(16, 25)]
+        bands = [(0, 1), (4, 13), (16, 25)]
+        assert merged(bands, 0.5) == [(0, 13), (16, 25)]
+
+
+class TestRejectFalseSeparatorsReference:
+    """reject_false_separators against the list merge in reference.py."""
+
+    def test_random_band_sets(self):
+        rng = np.random.default_rng(43)
+        seen = dict.fromkeys(
+            ("single band", "tied heights", "tied gaps", "thin first", "thin last",
+             "r_min 0", "r_min 1", "merges"), 0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            heights = rng.integers(1, int(rng.choice([3, 6, 12])) + 1, n)
+            gaps = rng.integers(1, int(rng.choice([2, 4, 8])) + 1, n)
+            bottom = np.cumsum(gaps + heights) - 1
+            top = bottom - heights + 1
+            r_min = float(rng.choice([0.0, 0.3, 0.5, 0.75, 1.0]))
+            bands = list(zip(top.tolist(), bottom.tolist()))
+            want = merge_thin_bands(bands, r_min)
+            assert band_rows(sg.reject_false_separators(top, bottom, r_min)) == want
+            thin = heights < r_min * np.median(heights)
+            seen["single band"] += n == 1
+            seen["tied heights"] += n > 1 and thin.any() and (heights == heights.min()).sum() > 1
+            i = heights.argmin()  # gaps[i] lies above band i, gaps[i + 1] below
+            seen["tied gaps"] += 0 < i < n - 1 and thin[i] and gaps[i] == gaps[i + 1]
+            seen["thin first"] += n > 1 and heights[0] == heights.min() and thin[0]
+            seen["thin last"] += n > 1 and heights[-1] == heights.min() and thin[-1]
+            seen["r_min 0"] += r_min == 0.0
+            seen["r_min 1"] += r_min == 1.0
+            seen["merges"] += len(want) < n
+        assert min(seen.values()) > 0, seen
 
 
 class TestSegmentLines:
@@ -129,10 +165,9 @@ class TestSegmentLines:
         )
         lines = sg.segment_lines(render.mask, CFG)
         assert len(lines) == 3
-        for (band, crop), (top, bottom) in zip(lines, render.line_spans):
-            assert abs(band.top - top) <= 1
-            assert abs(band.bottom - bottom) <= 1
-            assert crop.shape[0] == band.height
+        for (top, bottom), (true_top, true_bottom) in zip(lines.tolist(), render.line_spans):
+            assert abs(top - true_top) <= 1
+            assert abs(bottom - true_bottom) <= 1
 
     def test_single_line(self):
         render = synth.render_region(["Mobile: 9830098300"], 3)
@@ -140,18 +175,17 @@ class TestSegmentLines:
         assert len(lines) == 1
 
     def test_blank_region(self):
-        with pytest.raises(EmptyRegionError):
-            sg.segment_lines(np.zeros((10, 10), dtype=bool), CFG)
+        assert sg.segment_lines(np.zeros((10, 10), dtype=bool), CFG).shape == (0, 2)
 
     def test_bands_disjoint_ordered_nonempty(self):
         render = synth.render_region(["First Line", "Second Line 22"], 5)
         lines = sg.segment_lines(render.mask, CFG)
         counts = sg.horizontal_histogram(render.mask)
         previous_bottom = -1
-        for band, _ in lines:
-            assert band.top > previous_bottom
-            assert counts[band.top : band.bottom + 1].max() > 0
-            previous_bottom = band.bottom
+        for top, bottom in lines.tolist():
+            assert top > previous_bottom
+            assert counts[top : bottom + 1].max() > 0
+            previous_bottom = bottom
 
 
 class TestSegmentCharacters:
@@ -180,8 +214,9 @@ class TestSegmentCharacters:
         assert (glyphs.word.tolist(), glyphs.char.tolist()) == ([0], [0])
 
     def test_empty_line(self):
-        with pytest.raises(EmptyRegionError):
-            sg.segment_characters(np.zeros((5, 9), dtype=bool), CFG)
+        glyphs = sg.segment_characters(np.zeros((5, 9), dtype=bool), CFG)
+        assert len(glyphs) == 0
+        assert all(a.shape == (0,) for a in vars(glyphs).values())
 
     def test_glyphs_tightened_vertically(self):
         line = np.zeros((10, 6), dtype=bool)
@@ -192,8 +227,8 @@ class TestSegmentCharacters:
 
     def test_cover_and_disjoint(self):
         render = synth.render_region(["Phone: +91-33 2414"], 4)
-        lines = sg.segment_lines(render.mask, CFG)
-        for band, crop in lines:
+        for top, bottom in sg.segment_lines(render.mask, CFG).tolist():
+            crop = render.mask[top : bottom + 1]
             glyphs = sg.segment_characters(crop, CFG)
             covered = np.zeros(crop.shape[1], dtype=int)
             for x1, x2 in zip(glyphs.x1, glyphs.x2):
@@ -205,8 +240,8 @@ class TestSegmentCharacters:
     def test_rendered_text_counts(self):
         for text in ("OCR 2010", "Business Card Reader", "a1 b2 c3"):
             render = synth.render_region([text], 4)
-            lines = sg.segment_lines(render.mask, CFG)
-            glyphs = sg.segment_characters(lines[0][1], CFG)
+            top, bottom = sg.segment_lines(render.mask, CFG)[0]
+            glyphs = sg.segment_characters(render.mask[top : bottom + 1], CFG)
             expected = len(text.replace(" ", ""))
             assert len(glyphs) == expected
             words = [w for w in text.split(" ") if w]
