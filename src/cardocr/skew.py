@@ -157,8 +157,6 @@ def deskew(region, cfg):
                 angle, cfg.skew_clamp, total,
             )
             break
-        if total + angle == total:
-            break  # the same total again: converged
         total += angle
         if abs(angle) < CONVERGENCE_DEG:
             break
