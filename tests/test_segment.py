@@ -20,7 +20,7 @@ def band_lines(result):
 
 def band_rows(top_bottom):
     """(top, bottom) int arrays as a list of (top, bottom) tuples."""
-    return list(zip(*(np.asarray(a).tolist() for a in top_bottom)))
+    return list(zip(*(a.tolist() for a in top_bottom)))
 
 
 def merged(bands, r_min):
