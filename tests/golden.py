@@ -2,7 +2,7 @@
 
 The digests cover the transcript and every `run --dump-stages` file of the
 criterion-9 card, of a card whose regions hold two lines each and of the
-first cards of five synthetic suites, the `eval` report of one of those
+first cards of six synthetic suites, the `eval` report of one of those
 suites, and the band and glyph dumps of two rendered regions in which a thin
 candidate band merges into a neighbour.  tests/test_golden.py recomputes them
 and compares with tests/golden.txt, so any change to a transcript, a stage
@@ -43,6 +43,10 @@ SUITES = {
     "scale2": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2, scales=(2,)),
     "scale8": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2, scales=(8,),
                                 width=2048, height=1536),
+    # Not a table suite: 1% salt-and-pepper makes cards 2 and 4 each refuse
+    # a second skew pass at the clamp, a branch the suites above never reach.
+    "saltpepper1": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2,
+                                     salt_pepper_min=0.01, salt_pepper_max=0.01),
 }
 EVAL_SUITE = "skew10"
 
