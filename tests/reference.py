@@ -90,6 +90,28 @@ def merge_thin_bands(bands, r_min):
     return bands
 
 
+def _pair_angle(col_a, h_a, col_b, h_b):
+    return math.degrees(math.atan((h_b - h_a) / (col_b - col_a)))
+
+
+def three_anchor_skew(cols, heights):
+    """Skew in degrees of a profile with strictly increasing columns, one
+    anchor at a time: the end columns and the first column nearest their
+    midpoint, and the mean of the anchors' three pairwise angles."""
+    cols, heights = [int(c) for c in cols], [float(h) for h in heights]
+    c1, h1, c2, h2 = cols[0], heights[0], cols[-1], heights[-1]
+    mid = (c1 + c2) / 2.0
+    i3 = min(range(len(cols)), key=lambda i: abs(cols[i] - mid))
+    c3, h3 = cols[i3], heights[i3]
+    if len({c1, c2, c3}) != 3:
+        raise ValueError("anchor columns are not pairwise distinct")
+    return (
+        _pair_angle(c1, h1, c3, h3)
+        + _pair_angle(c3, h3, c2, h2)
+        + _pair_angle(c1, h1, c2, h2)
+    ) / 3.0
+
+
 def classify_region(row, cfg):
     """TR iff every geometric gate of the PipelineConfig passes, NR
     otherwise, for one region's scalar features (a dict keyed by the

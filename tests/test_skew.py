@@ -7,15 +7,18 @@ import pytest
 from cardocr import imaging, skew, synth
 from cardocr import regions as rg
 from cardocr.config import PipelineConfig
-from cardocr.skew import DegenerateProfileError, Profile
+from cardocr.skew import DegenerateProfileError
 from cardocr.synth import Band, CardSpec
+from reference import three_anchor_skew
 
 CFG = PipelineConfig()
 
 
 def pixels_of(img):
-    """The skew estimator's input for a gray region: its dark pixels."""
-    return skew.dark_pixels(imaging.dark_mask(img))
+    """The skew estimator's input for a gray region: its shape and the
+    (rows, cols) of its dark pixels."""
+    dark = imaging.dark_mask(img)
+    return (dark.shape, *np.nonzero(dark))
 
 
 def column_scan_profile(dark):
@@ -40,47 +43,56 @@ def region_from_heights(heights, height=40, present=None):
 
 
 def make_profile(cols, heights):
-    cols = np.asarray(cols, dtype=np.int64)
-    heights = np.asarray(heights, dtype=np.float64)
-    return Profile(cols=cols, heights=heights)
+    return np.asarray(cols, dtype=np.int64), np.asarray(heights, dtype=np.float64)
+
+
+def estimate_filtered(cols, heights):
+    """estimate_skew of the entries filter_profile keeps."""
+    keep, _, _ = skew.filter_profile(heights)
+    return skew.estimate_skew(cols[keep], heights[keep])
+
+
+def background_fill(img):
+    """The fill deskew rotates with: the mean of the not-dark pixels."""
+    return int(round(float(img[~imaging.dark_mask(img)].mean())))
 
 
 class TestBottomProfile:
     def test_dark_bottom_row(self):
         img = np.full((10, 6), 220, np.uint8)
         img[-1, :] = 30
-        p = skew.bottom_profile(pixels_of(img))
-        assert (p.heights == 0).all()
-        assert len(p.cols) == 6
+        cols, heights = skew.bottom_profile(*pixels_of(img))
+        assert (heights == 0).all()
+        assert len(cols) == 6
 
     def test_dark_row_at_distance(self):
         img = np.full((10, 6), 220, np.uint8)
         img[10 - 1 - 4, :] = 30
-        p = skew.bottom_profile(pixels_of(img))
-        assert (p.heights == 4).all()
+        _, heights = skew.bottom_profile(*pixels_of(img))
+        assert (heights == 4).all()
 
     def test_ramp(self):
         heights = list(range(12))
-        p = skew.bottom_profile(pixels_of(region_from_heights(heights, height=20)))
-        assert list(p.heights) == heights
+        _, got = skew.bottom_profile(*pixels_of(region_from_heights(heights, height=20)))
+        assert list(got) == heights
 
     def test_absent_columns(self):
         heights = [3, 0, 5]
         img = region_from_heights(heights, present=[True, False, True])
-        p = skew.bottom_profile(pixels_of(img))
-        assert list(p.cols) == [0, 2]
-        assert list(p.heights) == [3, 5]
+        cols, heights = skew.bottom_profile(*pixels_of(img))
+        assert list(cols) == [0, 2]
+        assert list(heights) == [3, 5]
 
     def test_no_dark_pixels(self):
         with pytest.raises(DegenerateProfileError):
-            skew.bottom_profile(pixels_of(np.full((5, 5), 200, np.uint8)))
+            skew.bottom_profile(*pixels_of(np.full((5, 5), 200, np.uint8)))
 
     def test_lowest_dark_pixel_wins(self):
         img = np.full((10, 1), 220, np.uint8)
         img[2, 0] = 30
         img[7, 0] = 30
-        p = skew.bottom_profile(pixels_of(img))
-        assert p.heights[0] == 2  # 9 - 7
+        _, heights = skew.bottom_profile(*pixels_of(img))
+        assert heights[0] == 2  # 9 - 7
 
     def test_zero_total_is_the_column_scan(self):
         # at total 0 the coordinate profile is the mask's own column scan
@@ -91,18 +103,18 @@ class TestBottomProfile:
             dark[:, rng.random(w) < 0.2] = False  # some empty columns
             if not dark.any():
                 continue
-            p = skew.bottom_profile(skew.dark_pixels(dark))
-            cols, heights = column_scan_profile(dark)
-            assert np.array_equal(p.cols, cols)
-            assert np.array_equal(p.heights, heights)
+            got = skew.bottom_profile(dark.shape, *np.nonzero(dark))
+            want = column_scan_profile(dark)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def test_rotated_flat_line_reads_the_rotation(self):
         # a level line seen through a rotation by -total tilts by -total
         img = np.full((20, 600), 220, np.uint8)
         img[12, :] = 30
         for total in (-6.0, 2.5, 9.0):
-            p = skew.bottom_profile(pixels_of(img), total)
-            assert skew.estimate_skew(p) == pytest.approx(-total, abs=0.1)
+            profile = skew.bottom_profile(*pixels_of(img), total)
+            assert skew.estimate_skew(*profile) == pytest.approx(-total, abs=0.1)
 
     def test_rotated_profile_matches_the_rotated_image(self):
         # the coordinate profile at a total is the profile of the crop
@@ -110,74 +122,73 @@ class TestBottomProfile:
         # rule: their estimates agree within 0.5 deg (0.37 at most here)
         img = synth.render_region(["Business Card Reader 2010"], 4,
                                   skew_deg=5.0, seed=9).image
-        fill = skew.background_fill(img, imaging.dark_mask(img))
+        fill = background_fill(img)
         for total in (1.0, 2.0, 4.0, 6.0):
             rotated = imaging.rotate(img, -total, fill=fill)
-            assert skew.estimate_region_skew(pixels_of(img), total) == pytest.approx(
-                skew.estimate_region_skew(pixels_of(rotated)), abs=0.5)
+            assert skew.estimate_region_skew(*pixels_of(img), total) == pytest.approx(
+                skew.estimate_region_skew(*pixels_of(rotated)), abs=0.5)
 
 
 class TestProfileStats:
-    """mu and tau as filter_profile returns them with the retained entries."""
+    """mu and tau as filter_profile returns them with the kept mask."""
 
     def test_hand_case(self):
-        _, mu, tau = skew.filter_profile(make_profile([0, 1, 2, 3], [2, 2, 2, 10]))
+        _, mu, tau = skew.filter_profile(np.array([2.0, 2, 2, 10]))
         assert mu == pytest.approx(4.0)
         assert tau == pytest.approx(3.0)
 
     def test_constant(self):
-        _, mu, tau = skew.filter_profile(make_profile([0, 1, 2], [7, 7, 7]))
+        _, mu, tau = skew.filter_profile(np.array([7.0, 7, 7]))
         assert (mu, tau) == (7.0, 0.0)
 
     def test_two_values(self):
         # both values sit exactly on mu -/+ tau, so all four are retained
-        f, mu, tau = skew.filter_profile(make_profile([0, 1, 2, 3], [0, 10, 0, 10]))
+        keep, mu, tau = skew.filter_profile(np.array([0.0, 10, 0, 10]))
         assert (mu, tau) == (5.0, 5.0)
-        assert len(f.cols) == 4
+        assert keep.all()
 
     def test_empty(self):
         with pytest.raises(DegenerateProfileError):
-            skew.filter_profile(make_profile([], []))
+            skew.filter_profile(np.array([], dtype=np.float64))
 
 
 class TestFilterProfile:
     def test_outlier_dropped(self):
-        p = make_profile([0, 1, 2, 3], [2, 2, 2, 10])
-        f, _, _ = skew.filter_profile(p)
-        assert list(f.heights) == [2, 2, 2]
-        assert list(f.cols) == [0, 1, 2]
+        cols, heights = make_profile([0, 1, 2, 3], [2, 2, 2, 10])
+        keep, _, _ = skew.filter_profile(heights)
+        assert list(heights[keep]) == [2, 2, 2]
+        assert list(cols[keep]) == [0, 1, 2]
 
     def test_constant_all_retained(self):
-        p = make_profile([0, 1, 2, 3], [5, 5, 5, 5])
-        f, _, _ = skew.filter_profile(p)
-        assert len(f.cols) == 4
+        keep, _, _ = skew.filter_profile(np.array([5.0, 5, 5, 5]))
+        assert keep.tolist() == [True] * 4
 
     def test_never_grows(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(3, 30))
-            p = make_profile(np.arange(n), rng.integers(0, 50, n))
+            _, heights = make_profile(np.arange(n), rng.integers(0, 50, n))
             try:
-                f, _, _ = skew.filter_profile(p)
+                keep, _, _ = skew.filter_profile(heights)
             except DegenerateProfileError:
                 continue  # fewer than 3 survivors, still "not grown"
-            assert len(f.cols) <= len(p.cols)
+            # one mask entry per input entry: the kept set is a subset
+            assert keep.shape == (n,)
 
     def test_idempotent_on_constant(self):
-        p = make_profile([0, 1, 2], [4, 4, 4])
-        f1, _, _ = skew.filter_profile(p)
-        f2, _, _ = skew.filter_profile(f1)
-        assert list(f2.cols) == list(f1.cols)
+        heights = np.array([4.0, 4, 4])
+        keep, _, _ = skew.filter_profile(heights)
+        again, _, _ = skew.filter_profile(heights[keep])
+        assert again.all()
 
     def test_too_few_retained(self):
-        p = make_profile([0, 1], [1, 9])
         with pytest.raises(DegenerateProfileError):
-            skew.filter_profile(p)
+            skew.filter_profile(np.array([1.0, 9]))
 
 
 class TestEstimate:
     def test_constant_profile_is_zero(self):
-        assert skew.estimate_skew(make_profile([0, 5, 9], [4, 4, 4])) == 0.0
+        assert skew.estimate_skew(*make_profile([0, 5, 9], [4, 4, 4])) == 0.0
 
     def test_exact_sparse_ramp(self):
         # dark pixels only every 10th column, heights on an exact 0.1 line
@@ -189,47 +200,45 @@ class TestEstimate:
             present=[c in set(cols) for c in range(210)],
         )
         expected = math.degrees(math.atan(0.1))
-        assert skew.estimate_region_skew(pixels_of(img)) == pytest.approx(expected, abs=0.1)
+        assert skew.estimate_region_skew(*pixels_of(img)) == pytest.approx(expected, abs=0.1)
 
     def test_dense_ramp_five_degrees(self):
         # exact (unrounded) ramp: every pairwise angle equals the slope
         slope = math.tan(math.radians(5))
-        p = make_profile(np.arange(300), np.arange(300) * slope)
-        est = skew.estimate_skew(skew.filter_profile(p)[0])
+        est = estimate_filtered(*make_profile(np.arange(300), np.arange(300) * slope))
         assert est == pytest.approx(5.0, abs=1e-9)
 
     def test_rounded_ramp_five_degrees(self):
         # pixel-quantized ramp from an actual image stays within 0.1 degree
         slope = math.tan(math.radians(5))
         heights = [round(i * slope) for i in range(300)]
-        est = skew.estimate_region_skew(pixels_of(region_from_heights(heights, height=60)))
+        est = skew.estimate_region_skew(*pixels_of(region_from_heights(heights, height=60)))
         assert est == pytest.approx(5.0, abs=0.5)
 
     def test_spike_is_filtered(self):
         cols = list(range(0, 210, 10))
         heights = [c // 10 for c in cols]
-        clean = skew.estimate_skew(skew.filter_profile(make_profile(cols, heights))[0])
-        spiked = make_profile(cols + [105], heights + [200])
-        order = np.argsort(spiked.cols)
-        spiked = Profile(spiked.cols[order], spiked.heights[order])
-        est = skew.estimate_skew(skew.filter_profile(spiked)[0])
+        clean = estimate_filtered(*make_profile(cols, heights))
+        spiked_cols, spiked_heights = make_profile(cols + [105], heights + [200])
+        order = np.argsort(spiked_cols)
+        est = estimate_filtered(spiked_cols[order], spiked_heights[order])
         assert est == pytest.approx(clean, abs=1e-9)
 
     def test_shift_invariance(self):
         cols = [0, 3, 7, 12, 20, 31, 45]
         heights = [2, 3, 5, 6, 8, 11, 13]
-        a = skew.estimate_skew(make_profile(cols, heights))
-        b = skew.estimate_skew(make_profile(cols, [h + 17 for h in heights]))
+        a = skew.estimate_skew(*make_profile(cols, heights))
+        b = skew.estimate_skew(*make_profile(cols, [h + 17 for h in heights]))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_reflection_antisymmetry(self):
         cols = [0, 3, 7, 12, 20, 31, 45]
         heights = [2, 3, 5, 6, 8, 11, 13]
-        a = skew.estimate_skew(make_profile(cols, heights))
+        a = skew.estimate_skew(*make_profile(cols, heights))
         m = max(cols)
         rcols = [m - c for c in reversed(cols)]
         rheights = list(reversed(heights))
-        b = skew.estimate_skew(make_profile(rcols, rheights))
+        b = skew.estimate_skew(*make_profile(rcols, rheights))
         assert a == pytest.approx(-b, abs=1e-12)
 
     def test_linear_profile_pairwise_angles_agree(self):
@@ -239,14 +248,36 @@ class TestEstimate:
         cols = [0, 10, 20, 30, 40]
         heights = [0, 2, 4, 6, 8]
         line = math.degrees(math.atan(0.2))
-        assert skew.estimate_skew(make_profile(cols, heights)) == pytest.approx(line)
-        assert skew.estimate_skew(make_profile([0, 20, 40], [0, 4, 8])) == pytest.approx(line)
+        assert skew.estimate_skew(*make_profile(cols, heights)) == pytest.approx(line)
+        assert skew.estimate_skew(*make_profile([0, 20, 40], [0, 4, 8])) == pytest.approx(line)
         # moving the middle anchor off the line moves the estimate
-        assert skew.estimate_skew(make_profile([0, 20, 40], [0, 5, 8])) != pytest.approx(line)
+        assert skew.estimate_skew(*make_profile([0, 20, 40], [0, 5, 8])) != pytest.approx(line)
 
     def test_too_few_entries(self):
         with pytest.raises(DegenerateProfileError):
-            skew.estimate_skew(make_profile([0, 1], [0, 0]))
+            skew.estimate_skew(*make_profile([0, 1], [0, 0]))
+
+    def test_random_profiles_match_the_reference(self):
+        # the array form equals the anchor-by-anchor reference exactly, on
+        # int heights (as bottom_profile gives) and on float ones; some
+        # profiles hold two columns equally near the midpoint, where the
+        # first of them is the middle anchor
+        rng = np.random.default_rng(23)
+        ties = 0
+        for _ in range(1500):
+            n = int(rng.integers(3, 40))
+            cols = np.sort(rng.choice(int(rng.integers(n, 3 * n + 2)), n, replace=False))
+            if rng.random() < 0.3:
+                # mirror a column about the midpoint of the ends
+                i = int(rng.integers(1, n - 1))
+                cols = np.unique(np.append(cols, cols[0] + cols[-1] - cols[i]))
+            mid = (cols[0] + cols[-1]) / 2.0
+            ties += np.count_nonzero(np.abs(cols - mid) == np.abs(cols - mid).min()) == 2
+            heights = rng.integers(0, 60, len(cols))
+            if rng.random() < 0.5:
+                heights = heights + rng.random(len(cols))
+            assert skew.estimate_skew(cols, heights) == three_anchor_skew(cols, heights)
+        assert ties >= 100
 
 
 class TestDeskew:
@@ -282,8 +313,8 @@ class TestDeskew:
         img = self.band("Department of Computer Science and Engineering",
                         skew_deg=8.0, seed=5)
         corrected, angle = skew.deskew(img, CFG)
-        before = abs(skew.estimate_region_skew(pixels_of(img)))
-        after = abs(skew.estimate_region_skew(pixels_of(corrected)))
+        before = abs(skew.estimate_region_skew(*pixels_of(img)))
+        after = abs(skew.estimate_region_skew(*pixels_of(corrected)))
         assert after < max(before, 1.0)
 
     def test_no_text_passthrough(self):
@@ -305,7 +336,7 @@ class TestDeskew:
         img = self.band("Business Card Reader 2010", seed=7)
         angles = iter([-0.44, 0.0])
         monkeypatch.setattr(skew, "estimate_region_skew",
-                            lambda pixels, total: next(angles))
+                            lambda shape, rows, cols, total: next(angles))
         rotations = []
         rotate = skew.imaging.rotate
         monkeypatch.setattr(skew.imaging, "rotate",
@@ -313,8 +344,7 @@ class TestDeskew:
         out, angle = skew.deskew(img, CFG)
         assert angle == -0.44
         assert len(rotations) == 1
-        fill = skew.background_fill(img, imaging.dark_mask(img))
-        assert np.array_equal(out, rotate(img, 0.44, fill=fill))
+        assert np.array_equal(out, rotate(img, 0.44, fill=background_fill(img)))
 
     @pytest.mark.parametrize("passes", [1, 2, 3])
     def test_rotates_at_most_once(self, monkeypatch, passes):
@@ -326,8 +356,7 @@ class TestDeskew:
                             lambda *a, **k: rotations.append(a) or rotate(*a, **k))
         out, angle = skew.deskew(img, PipelineConfig(skew_passes=passes))
         assert len(rotations) <= 1
-        fill = skew.background_fill(img, imaging.dark_mask(img))
-        assert np.array_equal(out, rotate(img, -angle, fill=fill))
+        assert np.array_equal(out, rotate(img, -angle, fill=background_fill(img)))
 
     def test_every_pass_estimates_at_the_running_total(self, monkeypatch):
         # each pass is one estimate_region_skew call, made at the total so far
@@ -336,8 +365,8 @@ class TestDeskew:
         calls = []
         estimate = skew.estimate_region_skew
 
-        def recording(pixels, total):
-            angle = estimate(pixels, total)
+        def recording(shape, rows, cols, total):
+            angle = estimate(shape, rows, cols, total)
             calls.append((total, angle))
             return angle
 
