@@ -45,20 +45,16 @@ def _build_config(args):
     return replace(cfg, **{key: value for key, value in flags.items() if value})
 
 
-def _load_store(cfg):
+def _config_and_store(args):
+    cfg = _build_config(args)
     if not cfg.templates:
         raise StoreError("no template store given (use --templates or the config)")
-    return rec.load_store(cfg.templates)
-
-
-def _load_inputs(args):
-    cfg = _build_config(args)
-    store = _load_store(cfg)
-    return cfg, store, imaging.load_pnm_file(args.input)
+    return cfg, rec.load_store(cfg.templates)
 
 
 def cmd_run(args):
-    cfg, store, image = _load_inputs(args)
+    cfg, store = _config_and_store(args)
+    image = imaging.load_pnm_file(args.input)
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
     result = pipeline.run_pipeline(image, cfg, store)
@@ -103,8 +99,7 @@ def cmd_store_build(args):
 
 
 def cmd_eval(args):
-    cfg = _build_config(args)
-    store = _load_store(cfg)
+    cfg, store = _config_and_store(args)
     paths = synth.suite_card_paths(args.suite_dir)
     if not paths:
         raise PnmError(f"no cards found in {args.suite_dir}")
@@ -120,9 +115,12 @@ def cmd_eval(args):
 def cmd_bench(args):
     if args.runs < 1:
         raise ArgumentRangeError("--runs must be >= 1")
-    cfg, store, image = _load_inputs(args)
+    cfg, store = _config_and_store(args)
+    # the loader converts a PPM to gray, so the load is timed apart
+    image, load_ms, load_peak = pipeline.time_load(args.input, runs=args.runs)
     timer, _ = pipeline.time_pipeline(image, cfg, store, runs=args.runs)
-    sys.stdout.write(ev.format_report(timer.report_pairs()))
+    load = [("load_ms", load_ms), ("load_peak_bytes", load_peak)]
+    sys.stdout.write(ev.format_report(load + timer.report_pairs()))
     return EXIT_OK
 
 

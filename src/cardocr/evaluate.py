@@ -106,8 +106,8 @@ def evaluate_suite(paths, cfg, store):
     counts = EvalCounts()
     chars_total = chars_aligned = chars_correct = 0
     for base in paths:
-        color, truth_regions, transcript = synth.load_suite_card(base)
-        result = pipeline.run_pipeline(color, cfg, store)
+        gray, truth_regions, transcript = synth.load_suite_card(base)
+        result = pipeline.run_pipeline(gray, cfg, store)
         counts = counts + region_eval(
             [r.region for r in result.regions], truth_regions
         )

@@ -8,16 +8,20 @@ y = row:
 * binary image -- bool array of shape (height, width), True = foreground
 
 File I/O is limited to binary PGM ("P5") and PPM ("P6") with maxval 255,
-which round-trip bit-exactly without any third-party decoder.
+written bit-exactly without any third-party codec.  A file loads as a gray
+image: a PPM is converted to gray strip by strip as it is read, so its
+color image is never held whole.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_ROTATION_DEG = 45.0
+# Output pixels of one rotate strip.  Its temporaries take 72 bytes a pixel;
+# strips of 4096 pixels rotated the criterion-9 card's crops a third slower.
+ROTATE_STRIP_PX = 1 << 14
 
 
 class PnmError(ValueError):
@@ -72,6 +76,31 @@ GRAY_STRIP_BYTES = 1 << 19
 _GRAY_WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
 
 
+def _gray_rows(w):
+    """Rows of one grayscale strip of an image `w` pixels wide."""
+    return max(1, GRAY_STRIP_BYTES // (16 * w))
+
+
+def _gray_strips(strips, h, w):
+    """The (h, w) gray image of `strips`, an iterable of consecutive RGB
+    row strips of at most _gray_rows(w) rows, through one preallocated
+    float32 buffer into one preallocated output."""
+    out = np.empty((h, w), dtype=np.uint8)
+    rows = min(h, _gray_rows(w))
+    buf = np.empty((rows, w, 3), dtype=np.float32)
+    acc = np.empty((rows, w), dtype=np.float32)
+    y = 0
+    for strip in strips:
+        chans, total = buf[: len(strip)], acc[: len(strip)]
+        np.copyto(chans, strip, casting="unsafe")
+        np.matmul(chans, _GRAY_WEIGHTS, out=total)
+        total += 500
+        total *= np.float32(1 / 1000)
+        np.copyto(out[y : y + len(strip)], total, casting="unsafe")
+        y += len(strip)
+    return out
+
+
 def to_grayscale(img):
     """Convert an RGB image to gray with the 0.299/0.587/0.114 weighting.
 
@@ -79,36 +108,27 @@ def to_grayscale(img):
     (v, v, v) maps to exactly v.  The weighted sum is an integer below 2**24,
     so float32 holds it exactly; float32(1/1000) lies just above 1/1000, so
     the product truncates to the same integer as the floor division.  The
-    image is processed in row strips through one preallocated float32
-    buffer into one preallocated output.
+    image is processed in row strips, as load_pnm_file converts a PPM.
     """
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected an RGB array of shape (h, w, 3), got {img.shape}")
     h, w = img.shape[:2]
-    out = np.empty((h, w), dtype=np.uint8)
-    if out.size == 0:
-        return out
-    rows = min(h, max(1, GRAY_STRIP_BYTES // (16 * w)))
-    buf = np.empty((rows, w, 3), dtype=np.float32)
-    acc = np.empty((rows, w), dtype=np.float32)
-    for y in range(0, h, rows):
-        strip = img[y : y + rows]
-        chans, total = buf[: len(strip)], acc[: len(strip)]
-        np.copyto(chans, strip, casting="unsafe")
-        np.matmul(chans, _GRAY_WEIGHTS, out=total)
-        total += 500
-        total *= np.float32(1 / 1000)
-        np.copyto(out[y : y + rows], total, casting="unsafe")
-    return out
+    if h == 0 or w == 0:
+        return np.empty((h, w), dtype=np.uint8)
+    rows = _gray_rows(w)
+    return _gray_strips((img[y : y + rows] for y in range(0, h, rows)), h, w)
 
 
 _PNM_SPACE = frozenset(b" \t\n\r\v\f")  # the bytes bytes.isspace accepts
+# Bytes of a PNM file read for its header at first; a longer header (a long
+# comment) is read in doubling steps.
+HEADER_READ_BYTES = 1 << 8
 
 
 def _parse_header_tokens(data, count):
     """Read `count` whitespace-separated tokens after the magic, honoring
-    '#' comments.  Returns (tokens, offset of the payload)."""
-    data = memoryview(data)  # indexes to ints, not to numpy scalars
+    '#' comments.  Returns (tokens, offset of the payload).  Both errors
+    are raised only where the tokens run into the end of `data`."""
     tokens = []
     i = 2  # past the two magic bytes
     n = len(data)
@@ -124,23 +144,33 @@ def _parse_header_tokens(data, count):
             i += 1
         if i == start:
             raise PnmError("malformed header: ran out of data while reading dimensions")
-        tokens.append(bytes(data[start:i]))
+        tokens.append(data[start:i])
     if i >= n:
         raise PnmError("malformed header: missing payload")
     i += 1  # single whitespace byte after maxval
     return tokens, i
 
 
-def _pnm_pixels(data):
-    """View the pixels of binary PGM/PPM data (bytes or a uint8 array) in place."""
-    magic = bytes(data[:2])
+def _read_header(fh):
+    """Parse the header at the start of the open file `fh` and leave it at
+    the first payload byte.  Returns (height, width, channels)."""
+    head = fh.read(HEADER_READ_BYTES)
+    magic = head[:2]
     if magic == b"P5":
         channels = 1
     elif magic == b"P6":
         channels = 3
     else:
         raise PnmError(f"malformed header: unsupported magic {magic!r}")
-    tokens, offset = _parse_header_tokens(data, 3)
+    while True:
+        try:
+            tokens, offset = _parse_header_tokens(head, 3)
+            break
+        except PnmError:
+            more = fh.read(len(head))  # the header may go on past `head`
+            if not more:
+                raise
+            head += more
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -149,15 +179,8 @@ def _pnm_pixels(data):
         raise PnmError(f"malformed header: bad dimensions {width}x{height}")
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval} (only 255 is handled)")
-    expected = width * height * channels
-    available = len(data) - offset
-    if available < expected:
-        raise PnmError(f"truncated payload: expected {expected} bytes, got {available}")
-    # read the payload in place: slicing `data` would copy it once more
-    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
-    if channels == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, 3)
+    fh.seek(offset)
+    return height, width, channels
 
 
 def save_pnm(img):
@@ -181,13 +204,26 @@ def save_pnm(img):
 
 
 def load_pnm_file(path):
-    """Decode a PGM/PPM file.  The pixels are a writable view of the file's
-    bytes, read into an unfilled buffer, so the image is held in memory once
-    and written once."""
+    """Decode a PGM/PPM file to a gray image.  A PGM payload is read
+    straight into the image.  A PPM payload is read in row strips into one
+    strip buffer and converted to gray strip by strip, as to_grayscale
+    does, so the color image is never held whole."""
     with open(path, "rb") as fh:
-        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        data = data[: fh.readinto(data)]
-    return _pnm_pixels(data)
+        h, w, channels = _read_header(fh)
+        expected = h * w * channels
+
+        def read(buf, done):
+            got = fh.readinto(buf)
+            if got < buf.nbytes:
+                raise PnmError(f"truncated payload: expected {expected} bytes, got {done + got}")
+            return buf
+
+        if channels == 1:
+            return read(np.empty((h, w), dtype=np.uint8), 0)
+        rows = _gray_rows(w)
+        strip = np.empty((min(h, rows), w, 3), dtype=np.uint8)
+        return _gray_strips(
+            (read(strip[: h - y], y * w * 3) for y in range(0, h, rows)), h, w)
 
 
 def save_pnm_file(path, img):
@@ -227,7 +263,8 @@ def rotate(img, angle_deg, fill=255):
     The canvas grows to hold the rotated bounding box.  Resampling is
     inverse-mapped bilinear; destination pixels that fall outside the source
     take the fill intensity, which must lie in 0..255.  Angles beyond +/-45
-    degrees are rejected.
+    degrees are rejected.  The canvas is resampled in row strips of about
+    ROTATE_STRIP_PX pixels, so the temporaries are sized by the strip.
     """
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
@@ -242,49 +279,58 @@ def rotate(img, angle_deg, fill=255):
     # border blend into fill and far-outside taps clamp onto pure fill.
     padded = np.full((h + 2, w + 2), fill, dtype=np.float32)
     padded[1:-1, 1:-1] = img
+    flat = padded.ravel()
 
     cx_d, cy_d = (out_w - 1) / 2.0, (out_h - 1) / 2.0
     cx_s, cy_s = (w - 1) / 2.0, (h - 1) / 2.0
     dx = np.arange(out_w, dtype=np.float32) - np.float32(cx_d)
     dy = (np.arange(out_h, dtype=np.float32) - np.float32(cy_d))[:, None]
-    # Inverse of a counter-clockwise rotation in y-down pixel coordinates.
-    xs = np.float32(cx_s) + dx * np.float32(c) - dy * np.float32(s)
-    ys = np.float32(cy_s) + dx * np.float32(s) + dy * np.float32(c)
+    # Inverse of a counter-clockwise rotation in y-down pixel coordinates:
+    # source x = cx_s + dx c - dy s and y = cy_s + dx s + dy c, all float32,
+    # from a per-column and a per-row term each.
+    x_col = np.float32(cx_s) + dx * np.float32(c)
+    y_col = np.float32(cy_s) + dx * np.float32(s)
+    x_row, y_row = dy * np.float32(s), dy * np.float32(c)
 
-    xs += 1.0  # shift into padded coordinates
-    ys += 1.0
-    np.clip(xs, 0.0, w + 1 - 1e-4, out=xs)
-    np.clip(ys, 0.0, h + 1 - 1e-4, out=ys)
-    x0 = xs.astype(np.int32)
-    y0 = ys.astype(np.int32)
-    fx = xs - x0
-    fy = ys - y0
+    out = np.empty((out_h, out_w), dtype=np.uint8)
+    rows = max(1, ROTATE_STRIP_PX // out_w)
+    for y in range(0, out_h, rows):
+        xs = x_col - x_row[y : y + rows]
+        ys = y_col + y_row[y : y + rows]
+        xs += 1.0  # shift into padded coordinates
+        ys += 1.0
+        np.clip(xs, 0.0, w + 1 - 1e-4, out=xs)
+        np.clip(ys, 0.0, h + 1 - 1e-4, out=ys)
+        x0 = xs.astype(np.int32)
+        y0 = ys.astype(np.int32)
+        fx = xs - x0
+        fy = ys - y0
 
-    # Gather the four taps through one flat index array stepped in place,
-    # cheaper than 2-D fancy indexing, then blend in place.  fx and fy are
-    # float64, so this is top = p00 + (p01 - p00) * fx, bot likewise, and
-    # top + (bot - top) * fy, all in float64.  The taps are exact and
-    # rounding is monotone, so each blend stays between its two ends: the
-    # result lies in 0..255 without a clip.
-    flat = padded.ravel()
-    idx = y0.astype(np.intp)
-    idx *= w + 2
-    idx += x0
-    p00 = flat.take(idx)
-    idx += 1
-    p01 = flat.take(idx)
-    idx += w + 1
-    p10 = flat.take(idx)
-    idx += 1
-    p11 = flat.take(idx)
-    p01 -= p00
-    top = p01 * fx
-    top += p00
-    p11 -= p10
-    out = p11 * fx
-    out += p10
-    out -= top
-    out *= fy
-    out += top
-    np.rint(out, out=out)
-    return out.astype(np.uint8)
+        # Gather the four taps through one flat index array stepped in
+        # place, cheaper than 2-D fancy indexing, then blend in place.  fx
+        # and fy are float64, so this is top = p00 + (p01 - p00) * fx, bot
+        # likewise, and top + (bot - top) * fy, all in float64.  The taps
+        # are exact and rounding is monotone, so each blend stays between
+        # its two ends: the result lies in 0..255 without a clip.
+        idx = y0.astype(np.intp)
+        idx *= w + 2
+        idx += x0
+        p00 = flat.take(idx)
+        idx += 1
+        p01 = flat.take(idx)
+        idx += w + 1
+        p10 = flat.take(idx)
+        idx += 1
+        p11 = flat.take(idx)
+        p01 -= p00
+        top = p01 * fx
+        top += p00
+        p11 -= p10
+        blend = p11 * fx
+        blend += p10
+        blend -= top
+        blend *= fy
+        blend += top
+        np.rint(blend, out=blend)
+        np.copyto(out[y : y + rows], blend, casting="unsafe")
+    return out

@@ -14,6 +14,7 @@ which records each stage's wall time with tracing off and its tracemalloc
 peak in a separate pass.
 """
 
+import contextlib
 import os
 import time
 import tracemalloc
@@ -173,9 +174,6 @@ def time_pipeline(image, cfg, store, runs=1):
     timed without tracemalloc (unless the caller is already tracing); stage
     peaks come from one more pass under tracemalloc.  Returns the StageTimer
     and the last RunResult.
-
-    tracemalloc is started for the peak pass unless it is already tracing,
-    and stopped again only if it was started here.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -185,16 +183,43 @@ def time_pipeline(image, cfg, store, runs=1):
     for stage in STAGES:
         timer.times_ms[stage] /= runs
     peaks = StageTimer()
+    with _tracing():
+        result = run_pipeline(image, cfg, store, timer=peaks)
+    timer.peak_bytes = peaks.peak_bytes
+    return timer, result
+
+
+def time_load(path, runs=1):
+    """Benchmark imaging.load_pnm_file, which converts a PPM to gray as it
+    reads it.  The time is the mean of `runs` loads timed as time_pipeline
+    times its stages, the peak that of one more load above the allocation
+    at its start.  Returns (the image, ms, peak bytes)."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    t0 = time.perf_counter()
+    for _ in range(runs):
+        image = imaging.load_pnm_file(path)
+    ms = (time.perf_counter() - t0) * 1000.0 / runs
+    with _tracing():
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        imaging.load_pnm_file(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    return image, ms, peak
+
+
+@contextlib.contextmanager
+def _tracing():
+    """tracemalloc on for the block: started here unless it is already
+    tracing, and stopped again only if it was started here."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        result = run_pipeline(image, cfg, store, timer=peaks)
+        yield
     finally:
         if started:
             tracemalloc.stop()
-    timer.peak_bytes = peaks.peak_bytes
-    return timer, result
 
 
 def dump_stages(result, directory):

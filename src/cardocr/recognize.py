@@ -265,15 +265,18 @@ def save_store(store, directory):
 
 def load_store(directory):
     """Load a store directory written by save_store, in store order."""
+    path = os.path.join(directory, STORE_IMAGE)
     try:
-        image = imaging.load_pnm_file(os.path.join(directory, STORE_IMAGE))
+        with open(path, "rb") as fh:
+            magic = fh.read(2)  # the loader returns a PPM as gray too
+        image = imaging.load_pnm_file(path)
         with open(os.path.join(directory, STORE_LABELS), encoding="utf-8") as fh:
             labels = fh.read().splitlines()
     except FileNotFoundError as exc:
         raise StoreError(f"missing {os.path.basename(exc.filename)} in {directory}") from None
     except (OSError, imaging.PnmError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read store {directory}: {exc}") from None
-    if image.ndim != 2 or image.shape[1] != PATTERN_SIZE:
+    if magic != b"P5" or image.shape[1] != PATTERN_SIZE:
         raise StoreError(f"{STORE_IMAGE} is not a gray image 48 pixels wide")
     if image.shape[0] != PATTERN_SIZE * len(labels):
         raise StoreError(

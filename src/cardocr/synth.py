@@ -521,11 +521,12 @@ def truth_transcript(truth):
 def load_suite_card(base_path):
     """Load one card by its path prefix (without extension).
 
-    Returns (color image, truth regions, transcript text); the card's ink
-    mask stays on disk as `<base>.mask.pgm`.  A regions or truth file that
-    is not UTF-8 or not in the suite format raises SuiteFormatError.
+    Returns (gray image, truth regions, transcript text): the card's PPM
+    is converted to gray as it is read, and its ink mask stays on disk as
+    `<base>.mask.pgm`.  A regions or truth file that is not UTF-8 or not in
+    the suite format raises SuiteFormatError.
     """
-    color = imaging.load_pnm_file(base_path + ".ppm")
+    gray = imaging.load_pnm_file(base_path + ".ppm")
     path = base_path + ".regions.txt"
     try:
         with open(path, encoding="utf-8") as fh:
@@ -535,7 +536,7 @@ def load_suite_card(base_path):
             transcript = fh.read()
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise SuiteFormatError(f"malformed suite file {path}: {exc}") from None
-    return color, regions, transcript
+    return gray, regions, transcript
 
 
 def suite_card_paths(suite_dir):

@@ -8,7 +8,7 @@ import statistics
 import numpy as np
 
 from cardocr.evaluate import EvalCounts
-from cardocr.imaging import MAX_ROTATION_DEG, _pnm_pixels
+from cardocr.imaging import MAX_ROTATION_DEG, PnmError, _parse_header_tokens
 from cardocr.recognize import PATTERN_SIZE
 from cardocr.regions import NR, TR
 
@@ -192,15 +192,46 @@ def resample_mask(mask, fy, fx=None):
     return mask[np.ix_(yy, xx)]
 
 
+def _pnm_pixels(data):
+    """View the pixels of binary PGM/PPM bytes in place: the whole file in
+    memory, a color image for a PPM."""
+    magic = bytes(data[:2])
+    if magic == b"P5":
+        channels = 1
+    elif magic == b"P6":
+        channels = 3
+    else:
+        raise PnmError(f"malformed header: unsupported magic {magic!r}")
+    tokens, offset = _parse_header_tokens(data, 3)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise PnmError(f"malformed header: non-numeric fields {tokens!r}") from None
+    if width < 1 or height < 1:
+        raise PnmError(f"malformed header: bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise PnmError(f"unsupported maxval {maxval} (only 255 is handled)")
+    expected = width * height * channels
+    available = len(data) - offset
+    if available < expected:
+        raise PnmError(f"truncated payload: expected {expected} bytes, got {available}")
+    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
+    if channels == 1:
+        return arr.reshape(height, width)
+    return arr.reshape(height, width, 3)
+
+
 def load_pnm(data):
     """Decode binary PGM/PPM bytes into a gray or color array."""
     return _pnm_pixels(data).copy()
 
 
-def rotate(img, angle_deg, fill=255):
-    """Bilinear rotation that clips the blend to 0..255 at the end.  For a
-    fill in 0..255 `imaging.rotate`, which has no clip, must match it byte
-    for byte."""
+def rotate(img, angle_deg, fill=255, clip=True):
+    """Bilinear rotation of the whole canvas at once: every output pixel's
+    coordinates, taps and blend in one set of full-frame arrays.
+    `imaging.rotate`, which resamples row strips, must match it byte for
+    byte.  With `clip` the blend is clipped to 0..255 at the end, which for
+    a fill in 0..255 changes no byte either."""
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
     if img.ndim != 2:
@@ -263,5 +294,6 @@ def rotate(img, angle_deg, fill=255):
     out *= fy
     out += top
     np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
+    if clip:
+        np.clip(out, 0, 255, out=out)
     return out.astype(np.uint8)

@@ -86,8 +86,7 @@ def test_c03_region_extraction(tmp_path):
     decoy_clean_cards = 0
     decoy_cards = 0
     for base in synth.suite_card_paths(str(suite_dir)):
-        color, truth_regions, _ = synth.load_suite_card(base)
-        gray = imaging.to_grayscale(color)
+        gray, truth_regions, _ = synth.load_suite_card(base)
         predicted = [
             r for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR
         ]

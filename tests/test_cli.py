@@ -440,13 +440,19 @@ class TestBench:
         report = capsys.readouterr().out
         keys = [ln.split("=")[0] for ln in report.strip().splitlines()]
         assert keys == [
-            "extraction_ms", "skew_ms", "binarize_ms", "segment_ms",
+            "load_ms", "load_peak_bytes", "extraction_ms", "skew_ms", "binarize_ms", "segment_ms",
             "recognize_ms", "total_ms", "extraction_peak_bytes",
             "skew_peak_bytes", "binarize_peak_bytes", "segment_peak_bytes",
             "recognize_peak_bytes", "max_peak_bytes", "input_bytes", "runs",
         ]
         values = dict(ln.split("=") for ln in report.strip().splitlines())
         assert values["runs"] == "2"
+        # the loader returns the gray card: its bytes are the input, and
+        # loading it peaks at those plus the strip buffers
+        assert int(values["input_bytes"]) == 700 * 220
+        assert 700 * 220 <= int(values["load_peak_bytes"]) <= (
+            700 * 220 + 2 * imaging.GRAY_STRIP_BYTES)
+        assert float(values["load_ms"]) > 0
 
 
 class TestConfigCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cardocr import imaging
 from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
-from reference import load_pnm, rotate as clipping_rotate
+from reference import load_pnm, rotate as full_frame_rotate
 
 
 def box_blur(img, passes):
@@ -126,6 +128,11 @@ def decode(tmp_path, data):
     return imaging.load_pnm_file(path)
 
 
+def gray_of(img):
+    """What the file loader returns for a decoded PGM or PPM image."""
+    return img if img.ndim == 2 else imaging.to_grayscale(img)
+
+
 class TestPnm:
     def test_load_p5_minimal(self, tmp_path):
         img = decode(tmp_path, b"P5 2 1 255 " + bytes([0, 255]))
@@ -133,9 +140,10 @@ class TestPnm:
         assert list(img[0]) == [0, 255]
 
     def test_load_p6_single_pixel(self, tmp_path):
+        # a PPM loads as gray: (299 * 10 + 587 * 20 + 114 * 30 + 500) // 1000
         img = decode(tmp_path, b"P6 1 1 255 " + bytes([10, 20, 30]))
-        assert img.shape == (1, 1, 3)
-        assert tuple(img[0, 0]) == (10, 20, 30)
+        assert img.shape == (1, 1) and img.dtype == np.uint8
+        assert img.tolist() == [[18]]
 
     def test_load_honors_comments(self, tmp_path):
         img = decode(tmp_path, b"P5\n# a comment\n2 2\n255\n" + bytes(4))
@@ -168,9 +176,10 @@ class TestPnm:
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3)])
     def test_round_trip(self, shape, tmp_path):
+        # a PGM round-trips as written, a PPM comes back as its gray image
         rng = np.random.default_rng(11)
         img = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        assert np.array_equal(decode(tmp_path, imaging.save_pnm(img)), img)
+        assert np.array_equal(decode(tmp_path, imaging.save_pnm(img)), gray_of(img))
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -191,17 +200,18 @@ class TestPnm:
             data = imaging.save_pnm(img)
             (tmp_path / name).write_bytes(b"P" + data[1:2] + b" # comment\n" + data[3:])
             loaded = imaging.load_pnm_file(tmp_path / name)
-            assert np.array_equal(loaded, load_pnm((tmp_path / name).read_bytes()))
-            assert np.array_equal(loaded, img)
+            assert np.array_equal(loaded, gray_of(load_pnm((tmp_path / name).read_bytes())))
+            assert np.array_equal(loaded, gray_of(img))
             assert loaded.flags.writeable
             loaded[0, 0] = 0  # writing is allowed and leaves the file alone
-            assert np.array_equal(imaging.load_pnm_file(tmp_path / name), img)
+            assert np.array_equal(imaging.load_pnm_file(tmp_path / name), gray_of(img))
 
     @pytest.mark.parametrize(
         "data,expected",
         [
             (b"P5\t2\r3\v255\f" + bytes(range(6)), np.arange(6).reshape(3, 2)),
-            (b"P6\t\r\v\f1 \t1\r\n255\v" + bytes([7, 8, 9]), [[[7, 8, 9]]]),
+            # (299 * 7 + 587 * 8 + 114 * 9 + 500) // 1000
+            (b"P6\t\r\v\f1 \t1\r\n255\v" + bytes([7, 8, 9]), [[8]]),
             (b"P5#comment right after the magic\n2 1 255\n" + bytes([4, 5]), [[4, 5]]),
             (b"P5 2 1 255\n" + bytes([1, 2]) + b"trailing bytes", [[1, 2]]),
             (b"P6\n2", "malformed header: ran out of data while reading dimensions"),
@@ -211,8 +221,8 @@ class TestPnm:
              "cut-in-header", "cut-before-payload"],
     )
     def test_file_load_agrees_with_reference(self, tmp_path, data, expected):
-        # the file loader reads into an unfilled numpy buffer, the reference
-        # decodes `bytes`: same pixels or the same error message
+        # the file loader reads row strips into numpy buffers, the reference
+        # decodes `bytes`: the same gray pixels or the same error message
         if isinstance(expected, str):
             for load in (lambda d: decode(tmp_path, d), load_pnm):
                 with pytest.raises(PnmError) as exc:
@@ -220,9 +230,125 @@ class TestPnm:
                 assert str(exc.value) == expected
         else:
             loaded = decode(tmp_path, data)
-            assert np.array_equal(loaded, load_pnm(data))
+            assert np.array_equal(loaded, gray_of(load_pnm(data)))
             assert np.array_equal(loaded, np.array(expected, dtype=np.uint8))
             assert loaded.flags.writeable
+
+
+def traced_peak(fn):
+    """(result, tracemalloc peak of fn() above the allocation at its start)."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+class TestStripLoader:
+    """The file loader reads a PPM in row strips and converts each to gray;
+    it must agree with decoding the whole file's bytes and then converting
+    the color image."""
+
+    @staticmethod
+    def check(tmp_path, data):
+        """The loader and the bytes reference give the same gray pixels or
+        the same error message."""
+        try:
+            expected = gray_of(load_pnm(data))
+        except PnmError as exc:
+            with pytest.raises(PnmError) as got:
+                decode(tmp_path, data)
+            assert str(got.value) == str(exc)
+            return None
+        loaded = decode(tmp_path, data)
+        assert loaded.dtype == np.uint8 and loaded.flags.writeable
+        assert np.array_equal(loaded, expected)
+        return loaded
+
+    @pytest.mark.parametrize("strip_bytes", [imaging.GRAY_STRIP_BYTES, 16 * 7, 1])
+    def test_random_shapes(self, tmp_path, monkeypatch, strip_bytes):
+        # at the default budget and at budgets of a few rows or of one: most
+        # shapes end in a ragged strip
+        monkeypatch.setattr(imaging, "GRAY_STRIP_BYTES", strip_bytes)
+        rng = np.random.default_rng(40)
+        shapes = [(1, 1), (1, 2), (2, 1)] + [tuple(int(v) for v in rng.integers(1, 90, 2))
+                                             for _ in range(30)]
+        for h, w in shapes:
+            for channels in (1, 3):
+                size = (h, w) if channels == 1 else (h, w, 3)
+                img = rng.integers(0, 256, size=size, dtype=np.uint8)
+                assert self.check(tmp_path, imaging.save_pnm(img)).shape == (h, w)
+
+    def test_ragged_last_strip_at_default_budget(self, tmp_path):
+        rng = np.random.default_rng(41)
+        w = 1000
+        rows = imaging.GRAY_STRIP_BYTES // (16 * w)
+        for h in (rows - 1, rows, rows + 1, 3 * rows + 5):
+            img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            self.check(tmp_path, imaging.save_pnm(img))
+
+    def test_width_above_strip_budget(self, tmp_path):
+        # wider than a strip's budget: one row per strip
+        w = imaging.GRAY_STRIP_BYTES // 16 + 3
+        img = np.random.default_rng(42).integers(0, 256, size=(3, w, 3), dtype=np.uint8)
+        assert self.check(tmp_path, imaging.save_pnm(img)).shape == (3, w)
+
+    @pytest.mark.parametrize("extra", [-12, 0, 1, 9 * imaging.HEADER_READ_BYTES])
+    def test_header_longer_than_first_read(self, tmp_path, extra):
+        # a comment or a run of spaces `extra` bytes longer than the first read
+        img = np.random.default_rng(43).integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+        length = imaging.HEADER_READ_BYTES + extra
+        comment = b"#" + b"c" * length + b"\n"
+        for data in (b"P6\n" + comment + b"5 4\n255\n" + img.tobytes(),
+                     b"P6 5" + b" " * length + b"4 " + comment + b"255\n" + img.tobytes(),
+                     b"P5 5 4\n" + comment + b"255 " + img[:, :, 0].tobytes()):
+            assert self.check(tmp_path, data).shape == (4, 5)
+        for cut in (b"P6\n" + comment, b"P6\n" + comment + b"5 4 255"):  # header cut short
+            self.check(tmp_path, cut)
+        self.check(tmp_path, b"P6\n" + comment[:-1])
+
+    def test_truncated_in_a_later_strip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(imaging, "GRAY_STRIP_BYTES", 16 * 4 * 3)  # 3 rows of 4 pixels
+        img = np.random.default_rng(44).integers(0, 256, size=(10, 4, 3), dtype=np.uint8)
+        data = imaging.save_pnm(img)
+        header = len(data) - img.nbytes
+        for keep in (0, 1, 36, 37, 50, 107, 119):  # within the first to the last strip
+            with pytest.raises(PnmError, match="truncated payload: expected 120 bytes, "
+                                               f"got {keep}$"):
+                decode(tmp_path, data[: header + keep])
+            self.check(tmp_path, data[: header + keep])
+        gray = imaging.save_pnm(img[:, :, 0])
+        with pytest.raises(PnmError, match="expected 40 bytes, got 39$"):
+            decode(tmp_path, gray[:-1])
+
+    @pytest.mark.parametrize("data", [
+        b"", b"P", b"P6", b"P7 1 1 255 \0", b"P6 1 1 255", b"P6 0 1 255 ", b"P6 1 -1 255 ",
+        b"P6 1 1 254 \0\0\0", b"P6 a 1 255 \0\0\0", b"P6 1 1 255 \0\0",
+        b"P6 1 1 255\n\0\0\0\0\0\0", b"P6 1#x\n1 255 \1\2\3", b"P6 1 1 255#\1\2\3",
+    ])
+    def test_header_cases(self, tmp_path, data):
+        self.check(tmp_path, data)
+
+    def test_peak_is_gray_plus_strip_buffers(self, tmp_path):
+        # a 3 MP PPM: the gray image, one uint8 strip of the file, its
+        # float32 channels and sum, and the file object's read buffer
+        h, w = 1536, 2048
+        img = np.random.default_rng(45).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        path = tmp_path / "card.ppm"
+        imaging.save_pnm_file(path, img)
+        del img
+        rows = imaging.GRAY_STRIP_BYTES // (16 * w)
+        strips = rows * w * 3 + imaging.GRAY_STRIP_BYTES
+        gray, peak = traced_peak(lambda: imaging.load_pnm_file(path))
+        assert gray.shape == (h, w)
+        assert peak <= gray.nbytes + strips + (1 << 16)
 
 
 class TestCrop:
@@ -338,7 +464,7 @@ class TestRotate:
             imaging.rotate(np.zeros((4, 4), dtype=np.uint8), 5.0, fill=fill)
 
     def test_matches_clipping_reference(self):
-        # dropping the final clip changes no byte for an in-range fill
+        # the final clip changes no byte for an in-range fill
         rng = np.random.default_rng(21)
         for _ in range(200):
             h, w = (int(v) for v in rng.integers(1, 60, size=2))
@@ -348,8 +474,50 @@ class TestRotate:
             angle = float(rng.uniform(-45, 45))
             fill = int(rng.choice([0, 255, int(rng.integers(0, 256))]))
             assert np.array_equal(
-                imaging.rotate(img, angle, fill), clipping_rotate(img, angle, fill)
+                imaging.rotate(img, angle, fill), full_frame_rotate(img, angle, fill)
             )
+
+
+class TestRotateStrips:
+    """imaging.rotate resamples the canvas in row strips; its output must be
+    byte for byte that of the full-frame body in tests/reference.py."""
+
+    @pytest.mark.parametrize("strip_px", [imaging.ROTATE_STRIP_PX, 97, 1])
+    def test_matches_full_frame(self, monkeypatch, strip_px):
+        # 200 cases per budget: most canvases end in a ragged strip, and
+        # many are wider than the two small budgets (one row per strip)
+        monkeypatch.setattr(imaging, "ROTATE_STRIP_PX", strip_px)
+        rng = np.random.default_rng(50 + strip_px)
+        for _ in range(200):
+            h, w = (int(v) for v in rng.integers(1, 150, size=2))
+            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            angle = float(rng.uniform(-45, 45))
+            fill = int(rng.integers(0, 256))
+            assert np.array_equal(imaging.rotate(img, angle, fill),
+                                  full_frame_rotate(img, angle, fill, clip=False))
+
+    def test_canvas_wider_than_budget(self):
+        # at the shipped budget: a canvas row holds more than one strip's
+        # pixels, and a canvas of a few whole strips and a ragged one
+        rng = np.random.default_rng(51)
+        budget = imaging.ROTATE_STRIP_PX
+        for shape, angle in [((2, budget + 5), 0.0), ((5, 300), 44.0), ((190, 200), -3.5)]:
+            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            out = imaging.rotate(img, angle, 200)
+            assert np.array_equal(out, full_frame_rotate(img, angle, 200, clip=False))
+        assert out.shape[0] % (budget // out.shape[1]) != 0
+
+    def test_peak_is_bounded_by_the_strip(self):
+        # above its output and the padded float32 copy of its source, the
+        # peak is one strip's temporaries (72 bytes a pixel), numpy's cast
+        # buffers and the per-row and per-column terms, on canvases of 1 to
+        # 100 strips; the full frame took 72 bytes a canvas pixel
+        rng = np.random.default_rng(52)
+        for h, w in [(60, 200), (300, 900), (900, 1500)]:
+            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            out, peak = traced_peak(lambda: imaging.rotate(img, 7.0, 128))
+            assert peak - out.nbytes - 4 * (h + 2) * (w + 2) <= (
+                80 * imaging.ROTATE_STRIP_PX + (1 << 18))
 
 
 class TestRotatePoints:

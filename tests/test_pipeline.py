@@ -216,6 +216,28 @@ class TestTimePipeline:
         assert timer.max_peak_bytes > 0
 
 
+class TestTimeLoad:
+    def test_gray_image_time_and_peak(self, tmp_path):
+        color, _ = simple_card()
+        path = tmp_path / "card.ppm"
+        imaging.save_pnm_file(path, color)
+        assert not tracemalloc.is_tracing()
+        image, ms, peak = pipeline.time_load(path, runs=2)
+        assert not tracemalloc.is_tracing()
+        assert np.array_equal(image, imaging.to_grayscale(color))
+        assert ms > 0
+        # the gray image and the strip buffers: GRAY_STRIP_BYTES of float32
+        # and 3/16 of that of file bytes, which for a card this small hold
+        # more than its color image
+        assert image.nbytes <= peak <= image.nbytes + 2 * imaging.GRAY_STRIP_BYTES
+
+    def test_bad_runs(self, tmp_path):
+        path = tmp_path / "card.pgm"
+        imaging.save_pnm_file(path, np.zeros((4, 4), np.uint8))
+        with pytest.raises(ValueError):
+            pipeline.time_load(path, runs=0)
+
+
 class TestTimer:
     def test_stage_accounting(self):
         timer = pipeline.StageTimer()

@@ -546,8 +546,8 @@ class TestMatchesReference:
         )
         synth.generate_suite(tmp_path, params)
         for base in synth.suite_card_paths(tmp_path):
-            color, _, _ = synth.load_suite_card(base)
-            regions, _ = self.assert_matches(imaging.to_grayscale(color))
+            gray, _, _ = synth.load_suite_card(base)
+            regions, _ = self.assert_matches(gray)
             assert len(regions) > 50
 
     @pytest.mark.parametrize("block_h, block_w", [(5, 7), (4, 6)])

@@ -181,10 +181,10 @@ class TestSuite:
         synth.generate_suite(tmp_path / "s", params)
         paths = synth.suite_card_paths(str(tmp_path / "s"))
         assert len(paths) == 1
-        color, regions, transcript = synth.load_suite_card(paths[0])
-        assert color.ndim == 3
+        gray, regions, transcript = synth.load_suite_card(paths[0])
+        assert gray.shape == (params.height, params.width) and gray.dtype == np.uint8
         mask = imaging.load_pnm_file(paths[0] + ".mask.pgm") == 0
-        assert mask.shape == color.shape[:2]
+        assert mask.shape == gray.shape
         trs = [r for r in regions if r.kind == "TR"]
         assert len(trs) >= 1
         assert transcript.strip()
