@@ -440,8 +440,8 @@ class TestBench:
         report = capsys.readouterr().out
         keys = [ln.split("=")[0] for ln in report.strip().splitlines()]
         assert keys == [
-            "load_ms", "load_peak_bytes", "extraction_ms", "skew_ms", "binarize_ms", "segment_ms",
-            "recognize_ms", "total_ms", "extraction_peak_bytes",
+            "load_ms", "load_peak_bytes", "extraction_ms", "skew_ms",
+            "binarize_ms", "segment_ms", "recognize_ms", "total_ms", "extraction_peak_bytes",
             "skew_peak_bytes", "binarize_peak_bytes", "segment_peak_bytes",
             "recognize_peak_bytes", "max_peak_bytes", "input_bytes", "runs",
         ]
