@@ -14,6 +14,7 @@ color image is never held whole.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,10 +208,15 @@ def load_pnm_file(path):
     """Decode a PGM/PPM file to a gray image.  A PGM payload is read
     straight into the image.  A PPM payload is read in row strips into one
     strip buffer and converted to gray strip by strip, as to_grayscale
-    does, so the color image is never held whole."""
+    does, so the color image is never held whole.  The payload's length is
+    checked against the file's size before any pixel buffer is allocated;
+    each read is checked too, in case the file shrinks while it is read."""
     with open(path, "rb") as fh:
         h, w, channels = _read_header(fh)
         expected = h * w * channels
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
+            raise PnmError(f"truncated payload: expected {expected} bytes, got {available}")
 
         def read(buf, done):
             got = fh.readinto(buf)

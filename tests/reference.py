@@ -226,12 +226,12 @@ def load_pnm(data):
     return _pnm_pixels(data).copy()
 
 
-def rotate(img, angle_deg, fill=255, clip=True):
+def rotate(img, angle_deg, fill=255):
     """Bilinear rotation of the whole canvas at once: every output pixel's
-    coordinates, taps and blend in one set of full-frame arrays.
-    `imaging.rotate`, which resamples row strips, must match it byte for
-    byte.  With `clip` the blend is clipped to 0..255 at the end, which for
-    a fill in 0..255 changes no byte either."""
+    coordinates, taps and blend in one set of full-frame arrays, with the
+    blend clipped to 0..255 at the end.  For a fill in 0..255
+    `imaging.rotate`, which resamples row strips and has no clip, must
+    match it byte for byte."""
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
     if img.ndim != 2:
@@ -294,6 +294,5 @@ def rotate(img, angle_deg, fill=255, clip=True):
     out *= fy
     out += top
     np.rint(out, out=out)
-    if clip:
-        np.clip(out, 0, 255, out=out)
+    np.clip(out, 0, 255, out=out)
     return out.astype(np.uint8)

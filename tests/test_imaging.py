@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,8 +315,15 @@ class TestStripLoader:
             self.check(tmp_path, cut)
         self.check(tmp_path, b"P6\n" + comment[:-1])
 
-    def test_truncated_in_a_later_strip(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("shrinks", [False, True])
+    def test_truncated_in_a_later_strip(self, tmp_path, monkeypatch, shrinks):
+        # a short file is refused by its size before any read; one whose
+        # size says it is whole but that ends early (it shrinks while it is
+        # read) is refused by the read that comes up short
         monkeypatch.setattr(imaging, "GRAY_STRIP_BYTES", 16 * 4 * 3)  # 3 rows of 4 pixels
+        if shrinks:
+            monkeypatch.setattr(imaging, "os", SimpleNamespace(
+                fstat=lambda fd: SimpleNamespace(st_size=1 << 40)))
         img = np.random.default_rng(44).integers(0, 256, size=(10, 4, 3), dtype=np.uint8)
         data = imaging.save_pnm(img)
         header = len(data) - img.nbytes
@@ -331,10 +339,12 @@ class TestStripLoader:
     @pytest.mark.parametrize("data", [
         b"", b"P", b"P6", b"P6 0 1 255 ", b"P6 1 -1 255 ", b"P6 1 1 255 \0\0",
         b"P6 1 1 255\n\0\0\0\0\0\0", b"P6 1#x\n1 255 \1\2\3", b"P6 1 1 255#\1\2\3",
+        b"P5 9999999999 9999999999 255 \0\0\0", b"P6 1000000000 1 255 \0\0\0",
     ])
     def test_header_cases(self, tmp_path, data):
-        # short files, bad dimensions, a one-pixel PPM short or long, and
-        # '#' inside a token, which starts no comment
+        # short files, bad dimensions, a one-pixel PPM short or long, '#'
+        # inside a token, which starts no comment, and dimensions far beyond
+        # the payload, which are refused before any pixel buffer is made
         self.check(tmp_path, data)
 
     def test_peak_is_gray_plus_strip_buffers(self, tmp_path):
@@ -495,7 +505,7 @@ class TestRotateStrips:
             angle = float(rng.uniform(-45, 45))
             fill = int(rng.integers(0, 256))
             assert np.array_equal(imaging.rotate(img, angle, fill),
-                                  full_frame_rotate(img, angle, fill, clip=False))
+                                  full_frame_rotate(img, angle, fill))
 
     def test_canvas_wider_than_budget(self):
         # at the shipped budget: a canvas row holds more than one strip's
@@ -505,7 +515,7 @@ class TestRotateStrips:
         for shape, angle in [((2, budget + 5), 0.0), ((5, 300), 44.0), ((190, 200), -3.5)]:
             img = rng.integers(0, 256, size=shape, dtype=np.uint8)
             out = imaging.rotate(img, angle, 200)
-            assert np.array_equal(out, full_frame_rotate(img, angle, 200, clip=False))
+            assert np.array_equal(out, full_frame_rotate(img, angle, 200))
         assert out.shape[0] % (budget // out.shape[1]) != 0
 
     def test_peak_is_bounded_by_the_strip(self):
