@@ -474,6 +474,34 @@ class TestRotate:
         with pytest.raises(ValueError, match="fill"):
             imaging.rotate(np.zeros((4, 4), dtype=np.uint8), 5.0, fill=fill)
 
+    @pytest.mark.parametrize("fill", [128.0, 127.5, np.float32(3), "7"])
+    def test_fill_not_an_integer(self, fill):
+        with pytest.raises(ValueError, match="fill"):
+            imaging.rotate(np.zeros((4, 4), dtype=np.uint8), 5.0, fill=fill)
+
+    def test_integer_fill_types(self):
+        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        expected = imaging.rotate(img, 9.0, 40)
+        for fill in (np.uint8(40), np.int64(40)):
+            assert np.array_equal(imaging.rotate(img, 9.0, fill), expected)
+
+    @pytest.mark.parametrize("shape, angle", [((1536, 2048), -5.0), ((3, 2048), 30.0)])
+    def test_sources_2048_wide_or_tall(self, shape, angle):
+        # float32(w + 1 - 1e-4) is w + 1 once w + 1 >= 2048, which put the
+        # taps of far-outside points past the padding; the clip bound is the
+        # largest float32 below w + 1
+        out = imaging.rotate(np.zeros(shape, np.uint8), angle)
+        assert out.shape == imaging.rotate_points(shape, angle, np.zeros(0), np.zeros(0))[0]
+        assert out[0, 0] == out[-1, -1] == 255
+        oh, ow = out.shape
+        assert out[oh // 2, ow // 2] == 0
+
+    def test_clip_bound_at_the_padding_edge(self):
+        # the bound is below w + 1 in float32 and its cell is the last one
+        for n in (1, 2046, 2047, 2048, 4095, 1 << 14):
+            bound = np.nextafter(np.float32(n + 1), np.float32(0))
+            assert bound < n + 1 and int(np.floor(bound)) == n
+
     def test_matches_clipping_reference(self):
         # the final clip changes no byte for an in-range fill
         rng = np.random.default_rng(21)
@@ -519,8 +547,8 @@ class TestRotateStrips:
         assert out.shape[0] % (budget // out.shape[1]) != 0
 
     def test_peak_is_bounded_by_the_strip(self):
-        # above its output and the padded float32 copy of its source, the
-        # peak is one strip's temporaries (72 bytes a pixel), numpy's cast
+        # above its output and its tap table (4 bytes a source pixel), the
+        # peak is one set of strip buffers (64 bytes a pixel), numpy's cast
         # buffers and the per-row and per-column terms, on canvases of 1 to
         # 100 strips; the full frame took 72 bytes a canvas pixel
         rng = np.random.default_rng(52)
