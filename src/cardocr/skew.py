@@ -108,13 +108,13 @@ def deskew(region, cfg):
     Degenerate regions (no dark pixels, too-flat profiles, estimates beyond
     cfg.skew_clamp degrees) pass through unchanged with angle 0.
     """
-    dark = imaging.dark_mask(region)
+    dark = np.flatnonzero(imaging.dark_mask(region))
     # a flat nonzero and a divmod beat the 2-D np.nonzero by about 2x
-    rows, cols = np.divmod(np.flatnonzero(dark), dark.shape[1])
+    rows, cols = np.divmod(dark, region.shape[1])
     total = 0.0
     for _ in range(cfg.skew_passes):
         try:
-            angle = estimate_region_skew(dark.shape, rows, cols, total)
+            angle = estimate_region_skew(region.shape, rows, cols, total)
         except DegenerateProfileError as exc:
             log.debug("skew estimation degenerate, stopping at %.2f: %s", total, exc)
             break
@@ -129,9 +129,11 @@ def deskew(region, cfg):
             break
     if total == 0.0:
         return region, total
-    fill = int(round(float(region[~dark].mean())))
-    # hold neither the mask nor its coordinates through the rotation: its
-    # temporaries are the card's memory peak
+    # the mean of the light pixels, from exact integer sums: one correctly
+    # rounded division, as their float mean makes
+    light = int(region.sum()) - int(region.ravel()[dark].sum())
+    fill = round(light / (region.size - len(dark)))
+    # hold no dark-pixel coordinates through the rotation
     del dark, rows, cols
     return imaging.rotate(region, -total, fill=fill), total
 

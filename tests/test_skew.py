@@ -378,6 +378,22 @@ class TestDeskew:
             assert next_total == total + step
         assert angle == calls[-1][0] + calls[-1][1]
 
+    def test_fill_is_the_light_pixel_mean(self, monkeypatch):
+        # the fill from integer sums over the dark indices equals the float
+        # mean of the not-dark pixels, on seeded skewed, noisy bands
+        rng = np.random.default_rng(60)
+        crops = [self.band("Card Reader 2010", scale=int(rng.integers(2, 6)),
+                           skew_deg=float(rng.uniform(-8, 8)), sigma=float(rng.uniform(0, 12)),
+                           seed=seed) for seed in range(40)]
+        fills = []
+        rotate = skew.imaging.rotate
+        monkeypatch.setattr(skew.imaging, "rotate",
+                            lambda img, angle, fill: fills.append(fill) or rotate(img, angle, fill))
+        expected = [background_fill(img) for img in crops if skew.deskew(img, CFG)[1] != 0.0]
+        assert len(expected) >= 30
+        assert fills == expected
+        assert all(type(fill) is int for fill in fills)
+
     def test_single_pass_mode(self):
         img = self.band("Business Card Reader 2010", skew_deg=3.0, seed=6)
         _, angle = skew.deskew(img, PipelineConfig(skew_passes=1))
