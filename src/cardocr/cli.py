@@ -54,10 +54,10 @@ def _config_and_store(args):
 
 def cmd_run(args):
     cfg, store = _config_and_store(args)
-    image = imaging.load_pnm_file(args.input)
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
-    result = pipeline.run_pipeline(image, cfg, store)
+    # handed over as the only reference, the image is freed once cropped
+    result = pipeline.run_pipeline(imaging.load_pnm_file(args.input), cfg, store)
     if args.dump_stages:
         pipeline.dump_stages(result, args.dump_stages)
     sys.stdout.write(result.transcript + ("\n" if result.transcript else ""))

@@ -53,10 +53,6 @@ class Rect:
         return self.y + self.h
 
 
-def is_color(img):
-    return img.ndim == 3
-
-
 def midpoint(lo, hi):
     """The dark threshold of gray extremes lo <= hi: an integer pixel p is
     below (lo + hi) / 2 exactly when p < midpoint(lo, hi).  Works

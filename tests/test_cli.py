@@ -2,11 +2,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from cardocr import cli, imaging, pipeline, synth
+from cardocr import cli, imaging, pipeline, skew, synth
 from cardocr.synth import Band, CardSpec
 
 
@@ -33,6 +34,28 @@ class TestRun:
                          "--scheme", "full"])
         assert code == 0
         assert capsys.readouterr().out == "OCR 2010\n"
+
+    def test_image_freed_before_skew(self, store_dir, tmp_path, capsys, monkeypatch):
+        # `run` hands the loaded image over as the pipeline's only reference
+        card = tmp_path / "card.ppm"
+        write_card(card)
+        frames, alive = [], []
+        load, deskew = imaging.load_pnm_file, skew.deskew
+
+        def loading(path):
+            image = load(path)
+            frames.append(weakref.ref(image))
+            return image
+
+        def deskewing(crop, cfg):
+            alive.append(frames[-1]() is not None)  # the card, loaded after the store
+            return deskew(crop, cfg)
+
+        monkeypatch.setattr(imaging, "load_pnm_file", loading)
+        monkeypatch.setattr(skew, "deskew", deskewing)
+        assert cli.main(["run", str(card), "--templates", store_dir]) == 0
+        assert capsys.readouterr().out == "OCR 2OIO\n"
+        assert alive == [False]
 
     def test_blank_image_exit_4(self, store_dir, tmp_path, capsys):
         card = tmp_path / "blank.ppm"

@@ -1,14 +1,16 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from cardocr import cli, imaging, pipeline, synth
+from cardocr import cli, imaging, pipeline, skew, synth
 from cardocr import evaluate as ev
 from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec
+from test_skew import CRITERION_9_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +27,18 @@ def simple_card(text="OCR 2010", scale=5, **spec_kw):
 class TestRunPipeline:
     def test_merged_transcript_of_clean_card(self, cfg, store):
         color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         # merged scheme maps 0 -> O and 1 -> I
         assert result.transcript == "OCR 2OIO"
 
     def test_full_scheme_transcript(self, store):
         cfg = PipelineConfig(scheme="full").validate()
         color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert result.transcript == "OCR 2010"
 
     def test_blank_image_empty_transcript(self, cfg, store):
-        blank = np.full((256, 256, 3), 220, np.uint8)
+        blank = np.full((256, 256), 220, np.uint8)
         result = pipeline.run_pipeline(blank, cfg, store)
         assert result.transcript == ""
         assert result.regions == []
@@ -46,7 +48,7 @@ class TestRunPipeline:
                         bands=[Band(text="First Band", x=40, y=50, scale=4),
                                Band(text="Second 22", x=40, y=200, scale=4)])
         color, truth = synth.render_card(spec, seed=1)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert len(result.regions) == 2
         assert "\n\n" in result.transcript
         counts = ev.region_eval([r.region for r in result.regions], truth.regions)
@@ -57,10 +59,15 @@ class TestRunPipeline:
         result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert result.transcript == "OCR 2OIO"
 
+    def test_color_input_rejected(self, cfg, store):
+        color, _ = simple_card()
+        with pytest.raises(ValueError, match="gray image"):
+            pipeline.run_pipeline(color, cfg, store)
+
     def test_determinism(self, cfg, store):
         color, _ = simple_card(noise_sigma=6.0)
-        a = pipeline.run_pipeline(color, cfg, store)
-        b = pipeline.run_pipeline(color, cfg, store)
+        a = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
+        b = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert a.transcript == b.transcript
         assert len(a.regions) == len(b.regions)
 
@@ -68,7 +75,7 @@ class TestRunPipeline:
         spec = CardSpec(width=900, height=300, skew_deg=5.0,
                         bands=[Band(text="Skewed Text Band For Angle", x=60, y=60, scale=4)])
         color, _ = synth.render_card(spec, seed=4)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert len(result.regions) == 1
         assert result.regions[0].angle == pytest.approx(5.0, abs=3.0)
 
@@ -85,7 +92,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline.rec, "classify", recording)
         color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert len(result.regions) == 1
         assert result.bands.shape == (0, 3)
         assert result.transcript == ""
@@ -93,7 +100,7 @@ class TestRunPipeline:
 
     def test_glyph_count_and_flat_labels(self, cfg, store):
         color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert len(result.glyphs) == len(result.glyph_band) == 7
         assert result.labels == list("OCR2OIO")
 
@@ -107,7 +114,7 @@ class TestRunPipeline:
             Band("Phone: +91 33 2414 6666\nwww.jaduniv.edu.in", 80, 330, 4),
         ])
         color, _ = synth.render_card(spec, seed=5)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         bands = np.bincount(result.bands[:, 0], minlength=len(result.regions))
         assert bands.tolist() == [2, 2]
 
@@ -124,9 +131,52 @@ class TestRunPipeline:
             Band("www.jaduniv.edu.in", 100, 1150, 5),
         ])
         color, _ = synth.render_card(spec, seed=3)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         assert result.transcript.splitlines()[-1] == "WWW.jadUniV.edU.in"
 
+
+
+class TestFrameRelease:
+    """No stage after extraction reads the card image: handed over as the
+    only reference, it is freed before the skew stage, and the card's
+    memory peak is the load's own."""
+
+    def test_frame_freed_before_skew(self, cfg, store, monkeypatch):
+        holder = [imaging.to_grayscale(simple_card()[0])]
+        frame = weakref.ref(holder[0])
+        alive = []
+        deskew = skew.deskew
+
+        def recording(crop, stage_cfg):
+            alive.append(frame() is not None)
+            return deskew(crop, stage_cfg)
+
+        monkeypatch.setattr(skew, "deskew", recording)
+        result = pipeline.run_pipeline(holder.pop(), cfg, store)
+        assert result.transcript == "OCR 2OIO"
+        assert alive == [False]
+
+    def test_card_peak_is_the_load_peak(self, cfg, store, tmp_path):
+        # the criterion-9 card from its file: once the load's strip buffers
+        # are gone, every later stage holds less than they did
+        color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
+        path = tmp_path / "card.ppm"
+        imaging.save_pnm_file(path, color)
+        del color
+        pipeline.run_pipeline(imaging.load_pnm_file(path), cfg, store)  # warm up
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        load = peak(lambda: imaging.load_pnm_file(path))
+        card = peak(lambda: pipeline.run_pipeline(imaging.load_pnm_file(path), cfg, store))
+        assert load > 3_145_728  # the 2048x1536 gray image
+        assert card <= load + (1 << 18)
 
 class TestEmptyCard:
     """A card that keeps no line band: a blank card, which has no text
@@ -137,7 +187,8 @@ class TestEmptyCard:
     def test_empty_card_arrays_dumps_and_exit_4(self, store, store_dir, tmp_path, capsys, blank):
         image = np.full((256, 256, 3), 220, np.uint8) if blank else simple_card()[0]
         threshold = PipelineConfig.line_threshold if blank else 700
-        result = pipeline.run_pipeline(image, PipelineConfig(line_threshold=threshold), store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(image),
+                                       PipelineConfig(line_threshold=threshold), store)
         assert len(result.regions) == (0 if blank else 1)
         assert result.bands.shape == (0, 3)
         assert len(result.glyphs) == 0 and result.glyph_band.shape == (0,)
@@ -160,24 +211,24 @@ class TestEmptyCard:
 
 class TestTimePipeline:
     def test_timings_structure(self, cfg, store):
-        color, _ = simple_card()
-        timings, result = pipeline.time_pipeline(color, cfg, store, runs=2)
+        gray = imaging.to_grayscale(simple_card()[0])
+        timings, result = pipeline.time_pipeline(gray, cfg, store, runs=2)
         assert result.transcript == "OCR 2OIO"
         assert set(timings.times_ms) == set(pipeline.STAGES)
         assert timings.total_ms > 0
         assert timings.runs == 2
-        assert timings.input_bytes == color.nbytes
+        assert timings.input_bytes == gray.nbytes
         assert timings.total_ms >= timings.times_ms["extraction"]
 
     def test_bad_runs(self, cfg, store):
         color, _ = simple_card()
         with pytest.raises(ValueError):
-            pipeline.time_pipeline(color, cfg, store, runs=0)
+            pipeline.time_pipeline(imaging.to_grayscale(color), cfg, store, runs=0)
 
     def test_leaves_tracemalloc_off(self, cfg, store, monkeypatch):
         color, _ = simple_card()
         assert not tracemalloc.is_tracing()
-        pipeline.time_pipeline(color, cfg, store)
+        pipeline.time_pipeline(imaging.to_grayscale(color), cfg, store)
         assert not tracemalloc.is_tracing()
 
         def fail(*args):
@@ -185,7 +236,7 @@ class TestTimePipeline:
 
         monkeypatch.setattr("cardocr.recognize.classify", fail)
         with pytest.raises(RuntimeError, match="matcher failed"):
-            pipeline.time_pipeline(color, cfg, store)
+            pipeline.time_pipeline(imaging.to_grayscale(color), cfg, store)
         assert not tracemalloc.is_tracing()
 
     def test_times_with_tracing_off(self, cfg, store, monkeypatch):
@@ -199,7 +250,7 @@ class TestTimePipeline:
             return stage(results, stage_cfg)
 
         monkeypatch.setattr(pipeline, "_stage_segment", recording)
-        timer, result = pipeline.time_pipeline(color, cfg, store, runs=3)
+        timer, result = pipeline.time_pipeline(imaging.to_grayscale(color), cfg, store, runs=3)
         assert traced == [False, False, False, True]
         assert result.transcript == "OCR 2OIO"
         assert timer.times_ms["segment"] > 0
@@ -209,7 +260,7 @@ class TestTimePipeline:
         color, _ = simple_card()
         tracemalloc.start()
         try:
-            timer, _ = pipeline.time_pipeline(color, cfg, store)
+            timer, _ = pipeline.time_pipeline(imaging.to_grayscale(color), cfg, store)
             assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
@@ -269,7 +320,7 @@ class TestTimer:
 class TestDumps:
     def test_dump_stage_artifacts(self, cfg, store, tmp_path):
         color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
         out = tmp_path / "dumps"
         pipeline.dump_stages(result, out)
         names = {p.name for p in out.iterdir()}
@@ -302,7 +353,7 @@ class TestDumps:
     def test_dump_determinism(self, cfg, store, tmp_path):
         color, _ = simple_card(noise_sigma=3.0)
         for name in ("a", "b"):
-            result = pipeline.run_pipeline(color, cfg, store)
+            result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
             pipeline.dump_stages(result, tmp_path / name)
         for path in sorted((tmp_path / "a").iterdir()):
             other = tmp_path / "b" / path.name
