@@ -317,10 +317,10 @@ def rotate(img, angle_deg, fill=255):
                 a[:rows] for a in (xs, ys, base, idx, col, taps, p00, p01, p10, p11))
         np.subtract(x_col, x_row[y : y + rows], out=xs)
         np.add(y_col, y_row[y : y + rows], out=ys)
-        xs += np.float32(1)  # shift into padded coordinates
-        ys += np.float32(1)
-        np.clip(xs, np.float32(0), x_max, out=xs)
-        np.clip(ys, np.float32(0), y_max, out=ys)
+        xs += 1.0  # shift into padded coordinates
+        ys += 1.0
+        np.clip(xs, 0.0, x_max, out=xs)
+        np.clip(ys, 0.0, y_max, out=ys)
         # Split each coordinate into its cell and its fraction, in float32,
         # where a float32's fraction is exact; xs and ys keep the fractions.
         np.floor(xs, out=base)
