@@ -10,6 +10,7 @@ from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec
+from test_imaging import traced_peak
 from test_skew import CRITERION_9_SPEC
 
 
@@ -135,7 +136,6 @@ class TestRunPipeline:
         assert result.transcript.splitlines()[-1] == "WWW.jadUniV.edU.in"
 
 
-
 class TestFrameRelease:
     """No stage after extraction reads the card image: handed over as the
     only reference, it is freed before the skew stage, and the card's
@@ -157,24 +157,15 @@ class TestFrameRelease:
         assert alive == [False]
 
     def test_card_peak_is_the_load_peak(self, cfg, store, tmp_path):
-        # the criterion-9 card from its file: once the load's strip buffers
-        # are gone, every later stage holds less than they did
+        # the criterion-9 card from its file: the stages after extraction
+        # hold less than the load's strip buffers did
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
         path = tmp_path / "card.ppm"
         imaging.save_pnm_file(path, color)
         del color
         pipeline.run_pipeline(imaging.load_pnm_file(path), cfg, store)  # warm up
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        load = peak(lambda: imaging.load_pnm_file(path))
-        card = peak(lambda: pipeline.run_pipeline(imaging.load_pnm_file(path), cfg, store))
+        _, load = traced_peak(lambda: imaging.load_pnm_file(path))
+        _, card = traced_peak(lambda: pipeline.run_pipeline(imaging.load_pnm_file(path), cfg, store))
         assert load > 3_145_728  # the 2048x1536 gray image
         assert card <= load + (1 << 18)
 
