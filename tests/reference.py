@@ -229,9 +229,9 @@ def load_pnm(data):
 def rotate(img, angle_deg, fill=255):
     """Bilinear rotation of the whole canvas at once: every output pixel's
     coordinates, taps and blend in one set of full-frame arrays, with the
-    blend clipped to 0..255 at the end.  For an integer fill in 0..255
-    `imaging.rotate`, which resamples row strips from a table of uint8 taps
-    and has no clip, must match it byte for byte."""
+    blend clipped to 0..255 at the end.  For a fill in 0..255
+    `imaging.rotate`, which resamples row strips and has no clip, must
+    match it byte for byte."""
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
     if img.ndim != 2:
