@@ -52,12 +52,19 @@ def _config_and_store(args):
     return cfg, rec.load_store(cfg.templates)
 
 
-def cmd_run(args):
-    cfg, store = _config_and_store(args)
+def _load_card(args):
+    """The input image, once the dump directory, if any, is made: every
+    path is checked before the pipeline runs."""
+    image = imaging.load_pnm_file(args.input)
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
+    return image
+
+
+def cmd_run(args):
+    cfg, store = _config_and_store(args)
     # handed over as the only reference, the image is freed once cropped
-    result = pipeline.run_pipeline(imaging.load_pnm_file(args.input), cfg, store)
+    result = pipeline.run_pipeline(_load_card(args), cfg, store)
     if args.dump_stages:
         pipeline.dump_stages(result, args.dump_stages)
     sys.stdout.write(result.transcript + ("\n" if result.transcript else ""))

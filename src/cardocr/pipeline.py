@@ -142,29 +142,29 @@ def _stage_recognize(binaries, bands, glyphs, glyph_band, store, scheme):
     return labels, "".join(separators[k] + label for k, label in zip([0, *starts.tolist()], labels))
 
 
-def run_pipeline(gray, cfg, store, timer=None):
-    """Run the full pipeline on a gray image.
+def run_pipeline(image, cfg, store, timer=None):
+    """Run the full pipeline on a color or gray image.
 
     Once the text regions are cut out, no stage reads the image: the
     pipeline drops its reference to it there, so a caller that passes the
     only one, as in run_pipeline(imaging.load_pnm_file(path), ...), has it
-    freed before the skew stage.  `timer` is an optional StageTimer; when
-    given, each stage is timed and memory-profiled.
+    freed before the skew stage.  That takes CPython 3.11 or later, whose
+    calls hand the caller's reference to an argument over to the callee.
+    `timer` is an optional StageTimer; when given, each stage is timed and
+    memory-profiled.
     """
-    if gray.ndim != 2:
-        raise ValueError(f"run_pipeline expects a gray image of shape (h, w), got {gray.shape}")
-
     def timed(stage, fn):
         return timer.run(stage, fn) if timer is not None else fn()
 
     def extract():
+        gray = imaging.to_grayscale(image) if imaging.is_color(image) else image
         all_regions = rg.extract_regions(gray, cfg)
         regions = [all_regions[i] for i in np.flatnonzero(all_regions.text).tolist()]
         return all_regions, regions, [gray[r.bbox.y : r.bbox.y2, r.bbox.x : r.bbox.x2].copy()
                                       for r in regions]
 
     all_regions, regions, crops = timed("extraction", extract)
-    del gray
+    del image
     rotations = timed("skew", lambda: [skew.deskew(crop, cfg) for crop in crops])
     binaries = timed("binarize", lambda: [bz.binarize_region(d) for d, _ in rotations])
     bands, glyphs, glyph_band = timed("segment", lambda: _stage_segment(binaries, cfg))
@@ -175,22 +175,22 @@ def run_pipeline(gray, cfg, store, timer=None):
     return RunResult(all_regions, tr_results, bands, glyphs, glyph_band, labels, transcript)
 
 
-def time_pipeline(gray, cfg, store, runs=1):
-    """Benchmark the pipeline on a gray image.  Stage times are the mean of
-    `runs` passes timed without tracemalloc (unless the caller is already
-    tracing); stage peaks come from one more pass under tracemalloc.
-    Returns the StageTimer and the last RunResult.
+def time_pipeline(image, cfg, store, runs=1):
+    """Benchmark the pipeline.  Stage times are the mean of `runs` passes
+    timed without tracemalloc (unless the caller is already tracing); stage
+    peaks come from one more pass under tracemalloc.  Returns the StageTimer
+    and the last RunResult.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    timer = StageTimer(input_bytes=int(gray.nbytes), runs=runs)
+    timer = StageTimer(input_bytes=int(image.nbytes), runs=runs)
     for _ in range(runs):
-        run_pipeline(gray, cfg, store, timer=timer)
+        run_pipeline(image, cfg, store, timer=timer)
     for stage in STAGES:
         timer.times_ms[stage] /= runs
     peaks = StageTimer()
     with _tracing():
-        result = run_pipeline(gray, cfg, store, timer=peaks)
+        result = run_pipeline(image, cfg, store, timer=peaks)
     timer.peak_bytes = peaks.peak_bytes
     return timer, result
 

@@ -102,9 +102,9 @@ def compute_digests(store, workdir):
     """Every golden digest, keyed by file name, computed under `workdir`."""
     cfg = PipelineConfig()
     color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
-    digests = _card_digests("criterion9", imaging.to_grayscale(color), cfg, store, workdir)
+    digests = _card_digests("criterion9", color, cfg, store, workdir)
     color, _ = synth.render_card(TWO_LINE_SPEC, seed=5)
-    digests.update(_card_digests("two_line", imaging.to_grayscale(color), cfg, store, workdir))
+    digests.update(_card_digests("two_line", color, cfg, store, workdir))
     for name, (lines, scale) in MERGE_REGIONS.items():
         digests.update(_region_digests(name, lines, scale, cfg))
     for suite, params in SUITES.items():

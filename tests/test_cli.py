@@ -9,6 +9,7 @@ import pytest
 
 from cardocr import cli, imaging, pipeline, skew, synth
 from cardocr.synth import Band, CardSpec
+from test_pipeline import FRAME_RELEASE
 
 
 def write_card(path, text="OCR 2010", **spec_kw):
@@ -35,6 +36,7 @@ class TestRun:
         assert code == 0
         assert capsys.readouterr().out == "OCR 2010\n"
 
+    @FRAME_RELEASE
     def test_image_freed_before_skew(self, store_dir, tmp_path, capsys, monkeypatch):
         # `run` hands the loaded image over as the pipeline's only reference
         card = tmp_path / "card.ppm"
@@ -72,6 +74,14 @@ class TestRun:
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"JFIF not a pnm")
         assert cli.main(["run", str(bad), "--templates", store_dir]) == 2
+
+    def test_ill_formed_input_makes_no_dump_directory(self, store_dir, tmp_path):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"JFIF not a pnm")
+        dumps = tmp_path / "stages"
+        assert cli.main(["run", str(bad), "--templates", store_dir,
+                         "--dump-stages", str(dumps)]) == 2
+        assert not dumps.exists()
 
     def test_image_smaller_than_block_exit_2(self, store_dir, tmp_path, capsys):
         tiny = tmp_path / "tiny.pgm"

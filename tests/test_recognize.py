@@ -188,7 +188,7 @@ def card_glyphs(store):
         synth.Band(text="www.jaduniv.edu.in", x=60, y=500, scale=3),
     ])
     color, _ = synth.render_card(spec, seed=4)
-    return band_lines(pipeline.run_pipeline(imaging.to_grayscale(color), PipelineConfig(), store))
+    return band_lines(pipeline.run_pipeline(color, PipelineConfig(), store))
 
 
 def card_stack(card_glyphs):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardocr import imaging, pipeline
+from cardocr import pipeline
 from cardocr import segment as sg
 from cardocr import synth
 from cardocr.config import ConfigError, PipelineConfig
@@ -293,7 +293,7 @@ class TestSegmentCharactersReference:
 
     def test_criterion_9_card_lines(self, store):
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
-        result = pipeline.run_pipeline(imaging.to_grayscale(color), CFG, store)
+        result = pipeline.run_pipeline(color, CFG, store)
         lines = band_lines(result)
         assert sum(len(g) for _, g in lines) == 105
         for crop, glyphs in lines:

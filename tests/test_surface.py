@@ -1,7 +1,6 @@
 """Surface guards.  Every top-level name defined in src/cardocr is used by
-the package itself or by the benchmark, whose tracer also uses every layer
-it wraps by name: a helper that only tests call belongs with the tests (see
-tests/reference.py), not in the shipped package.
+the package itself or by the benchmark: a helper that only tests call
+belongs with the tests (see tests/reference.py), not in the shipped package.
 The same holds for every method of a class, other than dunder methods.
 Every PipelineConfig field is read by the package: a setting that nothing
 reads is a dead knob.  Imports sit at module level, never in a function
@@ -51,21 +50,8 @@ def referenced_names(tree):
     return refs
 
 
-def traced_layers(tree):
-    """Function names in the benchmark tracer's LAYERS table: the tracer
-    looks each one up by name (getattr) to wrap it, so it uses them all."""
-    return {
-        node.value
-        for assign in tree.body
-        if isinstance(assign, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYERS" for t in assign.targets)
-        for node in ast.walk(assign.value)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
-
-
 def unreferenced():
-    refs = traced_layers(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()))
+    refs = set()
     for path in USERS:
         refs |= referenced_names(ast.parse(path.read_text(), str(path)))
     missing = []
@@ -83,8 +69,6 @@ def test_scan_sees_the_package():
     assert defined_names(tree) == ["A", "f", "C"]
     assert referenced_names(tree) >= {"A"}
     assert "f" not in referenced_names(tree)
-    tree = ast.parse('LAYERS = ((m, "f"), (m, "g"))\nOTHER = ("h",)\n')
-    assert traced_layers(tree) == {"f", "g"}
 
 
 def test_every_package_name_is_used_outside_tests():

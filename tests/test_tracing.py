@@ -31,7 +31,7 @@ def card():
                synth.Band(text="Kolkata", x=40, y=150, scale=4)],
     )
     color, _ = synth.render_card(spec, seed=4)
-    return imaging.to_grayscale(color)
+    return color
 
 
 def test_traced_counts_equal_direct_counts(card, store):
@@ -39,7 +39,7 @@ def test_traced_counts_equal_direct_counts(card, store):
     tracer = load_tracing().Tracer()
     result, _ = tracer.run_card(0, lambda: pipeline.run_pipeline(card, cfg, store))
 
-    gray = card
+    gray = imaging.to_grayscale(card)
     grid = rg.classify_grid(gray, rg.partition_blocks(gray, cfg.block_h, cfg.block_w), cfg.t_var)
     boxes = rg.assemble_regions(grid)
     table = rg.extract_regions(gray, cfg)
