@@ -123,11 +123,8 @@ def cmd_bench(args):
     if args.runs < 1:
         raise ArgumentRangeError("--runs must be >= 1")
     cfg, store = _config_and_store(args)
-    # the loader converts a PPM to gray, so the load is timed apart
-    image, load_ms, load_peak = pipeline.time_load(args.input, runs=args.runs)
-    timer, _ = pipeline.time_pipeline(image, cfg, store, runs=args.runs)
-    load = [("load_ms", load_ms), ("load_peak_bytes", load_peak)]
-    sys.stdout.write(ev.format_report(load + timer.report_pairs()))
+    timer, _ = pipeline.time_pipeline(args.input, cfg, store, runs=args.runs)
+    sys.stdout.write(ev.format_report(timer.report_pairs()))
     return EXIT_OK
 
 

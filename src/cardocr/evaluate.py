@@ -8,7 +8,7 @@ suite, and character accuracy over scheme-mapped labels.
 
 from dataclasses import dataclass
 
-from . import pipeline, synth
+from . import imaging, pipeline, synth
 
 
 class MetricUndefinedError(ValueError):
@@ -106,13 +106,15 @@ def evaluate_suite(paths, cfg, store):
     counts = EvalCounts()
     chars_total = chars_aligned = chars_correct = 0
     for base in paths:
-        gray, truth_regions, transcript = synth.load_suite_card(base)
-        result = pipeline.run_pipeline(gray, cfg, store)
+        truth_regions, transcript = synth.load_suite_truth(base)
+        # handed over as the only reference, the image is freed once cropped
+        result = pipeline.run_pipeline(imaging.load_pnm_file(base + ".ppm"), cfg, store)
         counts = counts + region_eval(
             [r.region for r in result.regions], truth_regions
         )
         truth = [scheme.apply(ch) for ch in transcript if not ch.isspace()]
         predicted = result.labels
+        del result  # its crops would stay alive through the next card's load
         chars_total += len(truth)
         if len(predicted) == len(truth):
             chars_aligned += len(truth)

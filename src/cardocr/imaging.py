@@ -9,8 +9,8 @@ y = row:
 
 File I/O is limited to binary PGM ("P5") and PPM ("P6") with maxval 255,
 written bit-exactly without any third-party codec.  A file loads as a gray
-image: a PPM is converted to gray strip by strip as it is read, so its
-color image is never held whole.
+image, the pipeline's only input: to_grayscale converts a PPM strip by
+strip as it is read, so its color image is never held whole.
 """
 
 import math
@@ -53,10 +53,6 @@ class Rect:
         return self.y + self.h
 
 
-def is_color(img):
-    return img.ndim == 3
-
-
 def midpoint(lo, hi):
     """The dark threshold of gray extremes lo <= hi: an integer pixel p is
     below (lo + hi) / 2 exactly when p < midpoint(lo, hi).  Works
@@ -82,10 +78,17 @@ def _gray_rows(w):
     return max(1, GRAY_STRIP_BYTES // (16 * w))
 
 
-def _gray_strips(strips, h, w):
+def to_grayscale(strips, h, w):
     """The (h, w) gray image of `strips`, an iterable of consecutive RGB
     row strips of at most _gray_rows(w) rows, through one preallocated
-    float32 buffer into one preallocated output."""
+    float32 buffer into one preallocated output.
+
+    Computes (299r + 587g + 114b + 500) // 1000 with the 0.299/0.587/0.114
+    weighting, i.e. rounding half up, so (v, v, v) maps to exactly v.  The
+    weighted sum is an integer below 2**24, so float32 holds it exactly;
+    float32(1/1000) lies just above 1/1000, so the product truncates to the
+    same integer as the floor division.
+    """
     out = np.empty((h, w), dtype=np.uint8)
     rows = min(h, _gray_rows(w))
     buf = np.empty((rows, w, 3), dtype=np.float32)
@@ -100,24 +103,6 @@ def _gray_strips(strips, h, w):
         np.copyto(out[y : y + len(strip)], total, casting="unsafe")
         y += len(strip)
     return out
-
-
-def to_grayscale(img):
-    """Convert an RGB image to gray with the 0.299/0.587/0.114 weighting.
-
-    Computes (299r + 587g + 114b + 500) // 1000, i.e. rounding half up, so
-    (v, v, v) maps to exactly v.  The weighted sum is an integer below 2**24,
-    so float32 holds it exactly; float32(1/1000) lies just above 1/1000, so
-    the product truncates to the same integer as the floor division.  The
-    image is processed in row strips, as load_pnm_file converts a PPM.
-    """
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected an RGB array of shape (h, w, 3), got {img.shape}")
-    h, w = img.shape[:2]
-    if h == 0 or w == 0:
-        return np.empty((h, w), dtype=np.uint8)
-    rows = _gray_rows(w)
-    return _gray_strips((img[y : y + rows] for y in range(0, h, rows)), h, w)
 
 
 _PNM_SPACE = frozenset(b" \t\n\r\v\f")  # the bytes bytes.isspace accepts
@@ -207,8 +192,8 @@ def save_pnm(img):
 def load_pnm_file(path):
     """Decode a PGM/PPM file to a gray image.  A PGM payload is read
     straight into the image.  A PPM payload is read in row strips into one
-    strip buffer and converted to gray strip by strip, as to_grayscale
-    does, so the color image is never held whole.  The payload's length is
+    strip buffer, which to_grayscale converts to gray strip by strip, so
+    the color image is never held whole.  The payload's length is
     checked against the file's size before any pixel buffer is allocated;
     each read is checked too, in case the file shrinks while it is read."""
     with open(path, "rb") as fh:
@@ -228,7 +213,7 @@ def load_pnm_file(path):
             return read(np.empty((h, w), dtype=np.uint8), 0)
         rows = _gray_rows(w)
         strip = np.empty((min(h, rows), w, 3), dtype=np.uint8)
-        return _gray_strips(
+        return to_grayscale(
             (read(strip[: h - y], y * w * 3) for y in range(0, h, rows)), h, w)
 
 

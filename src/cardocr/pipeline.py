@@ -1,6 +1,7 @@
-"""End-to-end pipeline: extract text regions, de-skew, binarize, segment
-into lines and characters, classify each glyph under the config's class
-scheme, and join the labels into the transcript.
+"""End-to-end pipeline: from the gray image imaging.load_pnm_file reads
+from a card's file, extract text regions, de-skew, binarize, segment into
+lines and characters, classify each glyph under the config's class scheme,
+and join the labels into the transcript.
 
 Each stage returns values, and run_pipeline builds one frozen RunResult.
 Images are kept per text region (TR); the card's line bands, glyphs and
@@ -10,8 +11,8 @@ stage dumps and `eval` read them in slices.
 Every stage is a pure function of its inputs, so repeated runs on the same
 image and config are byte-identical.  The pipeline times its own stages:
 the same stage breakdown drives both the normal run path and the benchmark,
-which records each stage's wall time with tracing off and its tracemalloc
-peak in a separate pass.
+which times the load as the first stage and records each stage's wall time
+with tracing off and its tracemalloc peak in a separate pass.
 """
 
 import contextlib
@@ -56,7 +57,7 @@ class RunResult:
     transcript: str
 
 
-STAGES = ("extraction", "skew", "binarize", "segment", "recognize")
+STAGES = ("load", "extraction", "skew", "binarize", "segment", "recognize")
 
 
 @dataclass
@@ -143,7 +144,8 @@ def _stage_recognize(binaries, bands, glyphs, glyph_band, store, scheme):
 
 
 def run_pipeline(image, cfg, store, timer=None):
-    """Run the full pipeline on a color or gray image.
+    """Run the full pipeline on a gray image, as imaging.load_pnm_file
+    returns it.
 
     Once the text regions are cut out, no stage reads the image: the
     pipeline drops its reference to it there, so a caller that passes the
@@ -157,10 +159,9 @@ def run_pipeline(image, cfg, store, timer=None):
         return timer.run(stage, fn) if timer is not None else fn()
 
     def extract():
-        gray = imaging.to_grayscale(image) if imaging.is_color(image) else image
-        all_regions = rg.extract_regions(gray, cfg)
+        all_regions = rg.extract_regions(image, cfg)
         regions = [all_regions[i] for i in np.flatnonzero(all_regions.text).tolist()]
-        return all_regions, regions, [gray[r.bbox.y : r.bbox.y2, r.bbox.x : r.bbox.x2].copy()
+        return all_regions, regions, [image[r.bbox.y : r.bbox.y2, r.bbox.x : r.bbox.x2].copy()
                                       for r in regions]
 
     all_regions, regions, crops = timed("extraction", extract)
@@ -175,43 +176,32 @@ def run_pipeline(image, cfg, store, timer=None):
     return RunResult(all_regions, tr_results, bands, glyphs, glyph_band, labels, transcript)
 
 
-def time_pipeline(image, cfg, store, runs=1):
-    """Benchmark the pipeline.  Stage times are the mean of `runs` passes
-    timed without tracemalloc (unless the caller is already tracing); stage
-    peaks come from one more pass under tracemalloc.  Returns the StageTimer
-    and the last RunResult.
+def time_pipeline(path, cfg, store, runs=1):
+    """Benchmark a card from its PGM/PPM file: the load, then the pipeline
+    on the loaded image.  Stage times are the mean of `runs` passes timed
+    without tracemalloc (unless the caller is already tracing); stage peaks
+    come from one more pass under tracemalloc.  Each pass hands the loaded
+    image to run_pipeline as its only reference.  Returns the StageTimer,
+    whose input_bytes is the gray image's size, and the last RunResult.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    timer = StageTimer(input_bytes=int(image.nbytes), runs=runs)
+    timer = StageTimer(runs=runs)
+
+    def load():
+        image = imaging.load_pnm_file(path)
+        timer.input_bytes = image.nbytes
+        return image
+
     for _ in range(runs):
-        run_pipeline(image, cfg, store, timer=timer)
+        run_pipeline(timer.run("load", load), cfg, store, timer=timer)
     for stage in STAGES:
         timer.times_ms[stage] /= runs
     peaks = StageTimer()
     with _tracing():
-        result = run_pipeline(image, cfg, store, timer=peaks)
+        result = run_pipeline(peaks.run("load", load), cfg, store, timer=peaks)
     timer.peak_bytes = peaks.peak_bytes
     return timer, result
-
-
-def time_load(path, runs=1):
-    """Benchmark imaging.load_pnm_file, which converts a PPM to gray as it
-    reads it.  The time is the mean of `runs` loads timed as time_pipeline
-    times its stages, the peak that of one more load above the allocation
-    at its start.  Returns (the image, ms, peak bytes)."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        image = imaging.load_pnm_file(path)
-    ms = (time.perf_counter() - t0) * 1000.0 / runs
-    with _tracing():
-        tracemalloc.reset_peak()
-        start, _ = tracemalloc.get_traced_memory()
-        imaging.load_pnm_file(path)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    return image, ms, peak
 
 
 @contextlib.contextmanager

@@ -370,6 +370,10 @@ class SuiteParams:
             raise ValueError("noise sigma must be finite and >= 0")
         if not (0.0 <= self.salt_pepper_min <= 1.0 and 0.0 <= self.salt_pepper_max <= 1.0):
             raise ValueError("salt-and-pepper fractions must be in [0, 1]")
+        for name in ("skew", "sigma", "salt_pepper", "bands", "decoys"):
+            low, high = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
+            if low > high:
+                raise ValueError(f"{name}_min {low} is above {name}_max {high}")
 
 
 def _text_width(card_width, scale):
@@ -518,15 +522,12 @@ def truth_transcript(truth):
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def load_suite_card(base_path):
-    """Load one card by its path prefix (without extension).
-
-    Returns (gray image, truth regions, transcript text): the card's PPM
-    is converted to gray as it is read, and its ink mask stays on disk as
-    `<base>.mask.pgm`.  A regions or truth file that is not UTF-8 or not in
-    the suite format raises SuiteFormatError.
+def load_suite_truth(base_path):
+    """The truth of one suite card by its path prefix (without extension):
+    (truth regions, transcript text).  The card's image is `<base>.ppm`
+    and its ink mask `<base>.mask.pgm`.  A regions or truth file that is
+    not UTF-8 or not in the suite format raises SuiteFormatError.
     """
-    gray = imaging.load_pnm_file(base_path + ".ppm")
     path = base_path + ".regions.txt"
     try:
         with open(path, encoding="utf-8") as fh:
@@ -536,7 +537,7 @@ def load_suite_card(base_path):
             transcript = fh.read()
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise SuiteFormatError(f"malformed suite file {path}: {exc}") from None
-    return gray, regions, transcript
+    return regions, transcript
 
 
 def suite_card_paths(suite_dir):

@@ -192,6 +192,14 @@ def resample_mask(mask, fy, fx=None):
     return mask[np.ix_(yy, xx)]
 
 
+def to_gray(rgb):
+    """The gray image of an RGB array by the integer rule
+    (299r + 587g + 114b + 500) // 1000, which the loader's float32 kernel
+    imaging.to_grayscale must match exactly."""
+    r, g, b = (rgb[..., k].astype(np.int64) for k in range(3))
+    return ((299 * r + 587 * g + 114 * b + 500) // 1000).astype(np.uint8)
+
+
 def _pnm_pixels(data):
     """View the pixels of binary PGM/PPM bytes in place: the whole file in
     memory, a color image for a PPM."""

@@ -86,9 +86,10 @@ def test_c03_region_extraction(tmp_path):
     decoy_clean_cards = 0
     decoy_cards = 0
     for base in synth.suite_card_paths(str(suite_dir)):
-        gray, truth_regions, _ = synth.load_suite_card(base)
+        truth_regions, _ = synth.load_suite_truth(base)
         predicted = [
-            r for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR
+            r for r in rg.extract_regions(imaging.load_pnm_file(base + ".ppm"), CFG)
+            if r.kind == rg.TR
         ]
         counts = counts + ev.region_eval(predicted, truth_regions)
         decoys = [r for r in truth_regions if r.kind == "NR"]

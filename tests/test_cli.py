@@ -202,6 +202,9 @@ class TestArgumentErrors:
         ["--count", "1", "--scales", ""],
         ["--count", "1", "--scales", "a"],
         ["--count", "1", "--scales", "400"],
+        # a minimum above its maximum (the default --sigma-max is 5)
+        ["--count", "1", "--sigma-min", "7"],
+        ["--count", "1", "--skew-min", "6", "--skew-max", "-6"],
     ])
     def test_synth_argument_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "suite"
@@ -473,8 +476,8 @@ class TestBench:
         report = capsys.readouterr().out
         keys = [ln.split("=")[0] for ln in report.strip().splitlines()]
         assert keys == [
-            "load_ms", "load_peak_bytes", "extraction_ms", "skew_ms",
-            "binarize_ms", "segment_ms", "recognize_ms", "total_ms", "extraction_peak_bytes",
+            "load_ms", "extraction_ms", "skew_ms", "binarize_ms", "segment_ms",
+            "recognize_ms", "total_ms", "load_peak_bytes", "extraction_peak_bytes",
             "skew_peak_bytes", "binarize_peak_bytes", "segment_peak_bytes",
             "recognize_peak_bytes", "max_peak_bytes", "input_bytes", "runs",
         ]

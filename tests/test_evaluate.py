@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from cardocr import evaluate as ev
+from cardocr import imaging, pipeline, synth
+from cardocr.config import PipelineConfig
 from cardocr.evaluate import EvalCounts, MetricUndefinedError
 from cardocr.imaging import Rect
 from cardocr.recognize import FULL, MERGED
 from cardocr.regions import Region
 
 from reference import char_accuracy, pixel_eval
+from test_imaging import traced_peak
+from test_pipeline import FRAME_RELEASE
 
 
 def tr(x, y, w, h):
@@ -168,6 +172,24 @@ class TestCharAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             char_accuracy(["A"], ["A", "B"], FULL)
+
+
+@FRAME_RELEASE
+class TestEvaluateSuite:
+    def test_peak_is_one_cards_peak(self, store, tmp_path):
+        # each card's image is handed to run_pipeline as its only reference
+        # and its result, about 110 KB of crops here, dropped before the next
+        # card loads, so the suite never holds two frames
+        params = synth.SuiteParams(count=2, seed=1, width=2048, height=1536, scales=(6,))
+        synth.generate_suite(tmp_path, params)
+        paths = synth.suite_card_paths(tmp_path)
+        cfg = PipelineConfig()
+        ev.evaluate_suite(paths, cfg, store)  # warm up
+        _, suite = traced_peak(lambda: ev.evaluate_suite(paths, cfg, store))
+        card = max(traced_peak(lambda: pipeline.run_pipeline(
+            imaging.load_pnm_file(base + ".ppm"), cfg, store))[1] for base in paths)
+        assert card > 3_145_728  # the 2048x1536 gray image
+        assert suite <= card + (1 << 16)
 
 
 class TestCounts:

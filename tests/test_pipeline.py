@@ -11,6 +11,7 @@ from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec
+from reference import to_gray
 from test_imaging import traced_peak
 from test_skew import CRITERION_9_SPEC
 
@@ -26,27 +27,40 @@ def cfg():
     return PipelineConfig().validate()
 
 
-def simple_card(text="OCR 2010", scale=5, **spec_kw):
-    spec = CardSpec(width=700, height=220,
+def simple_spec(text="OCR 2010", scale=5, **spec_kw):
+    return CardSpec(width=700, height=220,
                     bands=[Band(text=text, x=40, y=60, scale=scale)], **spec_kw)
-    return synth.render_card(spec, seed=2)
+
+
+def simple_card(**spec_kw):
+    """The gray card and its truth."""
+    color, truth = synth.render_card(simple_spec(**spec_kw), seed=2)
+    return to_gray(color), truth
+
+
+@pytest.fixture
+def card_file(tmp_path):
+    """The card of simple_card as the generator writes it, a PPM file."""
+    path = tmp_path / "card.ppm"
+    imaging.save_pnm_file(path, synth.render_card(simple_spec(), seed=2)[0])
+    return path
 
 
 class TestRunPipeline:
     def test_merged_transcript_of_clean_card(self, cfg, store):
-        color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        gray, _ = simple_card()
+        result = pipeline.run_pipeline(gray, cfg, store)
         # merged scheme maps 0 -> O and 1 -> I
         assert result.transcript == "OCR 2OIO"
 
     def test_full_scheme_transcript(self, store):
         cfg = PipelineConfig(scheme="full").validate()
-        color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        gray, _ = simple_card()
+        result = pipeline.run_pipeline(gray, cfg, store)
         assert result.transcript == "OCR 2010"
 
     def test_blank_image_empty_transcript(self, cfg, store):
-        blank = np.full((256, 256, 3), 220, np.uint8)
+        blank = np.full((256, 256), 220, np.uint8)
         result = pipeline.run_pipeline(blank, cfg, store)
         assert result.transcript == ""
         assert result.regions == []
@@ -56,21 +70,21 @@ class TestRunPipeline:
                         bands=[Band(text="First Band", x=40, y=50, scale=4),
                                Band(text="Second 22", x=40, y=200, scale=4)])
         color, truth = synth.render_card(spec, seed=1)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(to_gray(color), cfg, store)
         assert len(result.regions) == 2
         assert "\n\n" in result.transcript
         counts = ev.region_eval([r.region for r in result.regions], truth.regions)
         assert counts.fp == 0 and counts.fn == 0
 
-    def test_gray_input_accepted(self, cfg, store):
-        color, _ = simple_card()
-        result = pipeline.run_pipeline(imaging.to_grayscale(color), cfg, store)
+    def test_gray_input_accepted(self, cfg, store, card_file):
+        # the gray image the loader makes of the card's PPM
+        result = pipeline.run_pipeline(imaging.load_pnm_file(card_file), cfg, store)
         assert result.transcript == "OCR 2OIO"
 
     def test_determinism(self, cfg, store):
-        color, _ = simple_card(noise_sigma=6.0)
-        a = pipeline.run_pipeline(color, cfg, store)
-        b = pipeline.run_pipeline(color, cfg, store)
+        gray, _ = simple_card(noise_sigma=6.0)
+        a = pipeline.run_pipeline(gray, cfg, store)
+        b = pipeline.run_pipeline(gray, cfg, store)
         assert a.transcript == b.transcript
         assert len(a.regions) == len(b.regions)
 
@@ -78,7 +92,7 @@ class TestRunPipeline:
         spec = CardSpec(width=900, height=300, skew_deg=5.0,
                         bands=[Band(text="Skewed Text Band For Angle", x=60, y=60, scale=4)])
         color, _ = synth.render_card(spec, seed=4)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(to_gray(color), cfg, store)
         assert len(result.regions) == 1
         assert result.regions[0].angle == pytest.approx(5.0, abs=3.0)
 
@@ -94,16 +108,16 @@ class TestRunPipeline:
             return classify(patterns, store)
 
         monkeypatch.setattr(pipeline.rec, "classify", recording)
-        color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        gray, _ = simple_card()
+        result = pipeline.run_pipeline(gray, cfg, store)
         assert len(result.regions) == 1
         assert result.bands.shape == (0, 3)
         assert result.transcript == ""
         assert stacks in ([], [0])
 
     def test_glyph_count_and_flat_labels(self, cfg, store):
-        color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        gray, _ = simple_card()
+        result = pipeline.run_pipeline(gray, cfg, store)
         assert len(result.glyphs) == len(result.glyph_band) == 7
         assert result.labels == list("OCR2OIO")
 
@@ -117,7 +131,7 @@ class TestRunPipeline:
             Band("Phone: +91 33 2414 6666\nwww.jaduniv.edu.in", 80, 330, 4),
         ])
         color, _ = synth.render_card(spec, seed=5)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(to_gray(color), cfg, store)
         bands = np.bincount(result.bands[:, 0], minlength=len(result.regions))
         assert bands.tolist() == [2, 2]
 
@@ -134,7 +148,7 @@ class TestRunPipeline:
             Band("www.jaduniv.edu.in", 100, 1150, 5),
         ])
         color, _ = synth.render_card(spec, seed=3)
-        result = pipeline.run_pipeline(color, cfg, store)
+        result = pipeline.run_pipeline(to_gray(color), cfg, store)
         assert result.transcript.splitlines()[-1] == "WWW.jadUniV.edU.in"
 
 
@@ -144,11 +158,8 @@ class TestFrameRelease:
     only reference, it is freed before the skew stage, and the card's
     memory peak is the load's own."""
 
-    @pytest.mark.parametrize("gray", [True, False], ids=["gray", "color"])
-    def test_frame_freed_before_skew(self, cfg, store, monkeypatch, gray):
-        color, _ = simple_card()
-        holder = [imaging.to_grayscale(color) if gray else color]
-        del color
+    def test_frame_freed_before_skew(self, cfg, store, monkeypatch):
+        holder = [simple_card()[0]]
         frame = weakref.ref(holder[0])
         alive = []
         deskew = skew.deskew
@@ -183,7 +194,7 @@ class TestEmptyCard:
 
     @pytest.mark.parametrize("blank", [True, False], ids=["no TR", "TR without band"])
     def test_empty_card_arrays_dumps_and_exit_4(self, store, store_dir, tmp_path, capsys, blank):
-        image = np.full((256, 256, 3), 220, np.uint8) if blank else simple_card()[0]
+        image = np.full((256, 256), 220, np.uint8) if blank else simple_card()[0]
         threshold = PipelineConfig.line_threshold if blank else 700
         result = pipeline.run_pipeline(image, PipelineConfig(line_threshold=threshold), store)
         assert len(result.regions) == (0 if blank else 1)
@@ -193,7 +204,7 @@ class TestEmptyCard:
         # the empty arrays are shared constants, not built per card
         assert result.bands is pipeline.NO_BANDS and result.glyphs is pipeline.NO_GLYPHS
 
-        card, config, dumps = tmp_path / "card.ppm", tmp_path / "card.cfg", tmp_path / "dumps"
+        card, config, dumps = tmp_path / "card.pgm", tmp_path / "card.cfg", tmp_path / "dumps"
         imaging.save_pnm_file(card, image)
         config.write_text(f"line_threshold = {threshold}\n")
         code = cli.main(["run", str(card), "--templates", store_dir, "--config", str(config),
@@ -207,25 +218,22 @@ class TestEmptyCard:
 
 
 class TestTimePipeline:
-    def test_timings_structure(self, cfg, store):
-        color, _ = simple_card()
-        timings, result = pipeline.time_pipeline(color, cfg, store, runs=2)
+    def test_timings_structure(self, cfg, store, card_file):
+        timings, result = pipeline.time_pipeline(card_file, cfg, store, runs=2)
         assert result.transcript == "OCR 2OIO"
         assert set(timings.times_ms) == set(pipeline.STAGES)
         assert timings.total_ms > 0
         assert timings.runs == 2
-        assert timings.input_bytes == color.nbytes
-        assert timings.total_ms >= timings.times_ms["extraction"]
+        assert timings.input_bytes == 700 * 220  # the gray card
+        assert timings.total_ms >= timings.times_ms["load"] + timings.times_ms["extraction"]
 
-    def test_bad_runs(self, cfg, store):
-        color, _ = simple_card()
+    def test_bad_runs(self, cfg, store, card_file):
         with pytest.raises(ValueError):
-            pipeline.time_pipeline(color, cfg, store, runs=0)
+            pipeline.time_pipeline(card_file, cfg, store, runs=0)
 
-    def test_leaves_tracemalloc_off(self, cfg, store, monkeypatch):
-        color, _ = simple_card()
+    def test_leaves_tracemalloc_off(self, cfg, store, card_file, monkeypatch):
         assert not tracemalloc.is_tracing()
-        pipeline.time_pipeline(color, cfg, store)
+        pipeline.time_pipeline(card_file, cfg, store)
         assert not tracemalloc.is_tracing()
 
         def fail(*args):
@@ -233,12 +241,11 @@ class TestTimePipeline:
 
         monkeypatch.setattr("cardocr.recognize.classify", fail)
         with pytest.raises(RuntimeError, match="matcher failed"):
-            pipeline.time_pipeline(color, cfg, store)
+            pipeline.time_pipeline(card_file, cfg, store)
         assert not tracemalloc.is_tracing()
 
-    def test_times_with_tracing_off(self, cfg, store, monkeypatch):
+    def test_times_with_tracing_off(self, cfg, store, card_file, monkeypatch):
         # the timed passes run untraced; only one extra pass traces the peaks
-        color, _ = simple_card()
         traced = []
         stage = pipeline._stage_segment
 
@@ -247,17 +254,16 @@ class TestTimePipeline:
             return stage(results, stage_cfg)
 
         monkeypatch.setattr(pipeline, "_stage_segment", recording)
-        timer, result = pipeline.time_pipeline(color, cfg, store, runs=3)
+        timer, result = pipeline.time_pipeline(card_file, cfg, store, runs=3)
         assert traced == [False, False, False, True]
         assert result.transcript == "OCR 2OIO"
         assert timer.times_ms["segment"] > 0
         assert timer.max_peak_bytes > 0
 
-    def test_leaves_tracemalloc_on(self, cfg, store):
-        color, _ = simple_card()
+    def test_leaves_tracemalloc_on(self, cfg, store, card_file):
         tracemalloc.start()
         try:
-            timer, _ = pipeline.time_pipeline(color, cfg, store)
+            timer, _ = pipeline.time_pipeline(card_file, cfg, store)
             assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
@@ -265,25 +271,14 @@ class TestTimePipeline:
 
 
 class TestTimeLoad:
-    def test_gray_image_time_and_peak(self, tmp_path):
-        color, _ = simple_card()
-        path = tmp_path / "card.ppm"
-        imaging.save_pnm_file(path, color)
-        assert not tracemalloc.is_tracing()
-        image, ms, peak = pipeline.time_load(path, runs=2)
-        assert not tracemalloc.is_tracing()
-        assert np.array_equal(image, imaging.to_grayscale(color))
-        assert ms > 0
+    def test_gray_image_time_and_peak(self, cfg, store, card_file):
+        # the card's PPM is loaded as the first stage
+        timer, _ = pipeline.time_pipeline(card_file, cfg, store, runs=2)
+        assert timer.times_ms["load"] > 0
         # the gray image and the strip buffers: GRAY_STRIP_BYTES of float32
         # and 3/16 of that of file bytes, which for a card this small hold
         # more than its color image
-        assert image.nbytes <= peak <= image.nbytes + 2 * imaging.GRAY_STRIP_BYTES
-
-    def test_bad_runs(self, tmp_path):
-        path = tmp_path / "card.pgm"
-        imaging.save_pnm_file(path, np.zeros((4, 4), np.uint8))
-        with pytest.raises(ValueError):
-            pipeline.time_load(path, runs=0)
+        assert 700 * 220 <= timer.peak_bytes["load"] <= 700 * 220 + 2 * imaging.GRAY_STRIP_BYTES
 
 
 class TestTimer:
@@ -307,17 +302,17 @@ class TestTimer:
         timer.peak_bytes = {s: 10 for s in pipeline.STAGES}
         text = ev.format_report(timer.report_pairs())
         lines = text.strip().splitlines()
-        assert lines[0] == "extraction_ms=1.00"
-        assert lines[5] == "total_ms=5.00"
-        assert lines[6] == "extraction_peak_bytes=10"
+        assert lines[0] == "load_ms=1.00"
+        assert lines[6] == "total_ms=6.00"
+        assert lines[7] == "load_peak_bytes=10"
         assert lines[-2] == "input_bytes=99"
         assert lines[-1] == "runs=1"
 
 
 class TestDumps:
     def test_dump_stage_artifacts(self, cfg, store, tmp_path):
-        color, _ = simple_card()
-        result = pipeline.run_pipeline(color, cfg, store)
+        gray, _ = simple_card()
+        result = pipeline.run_pipeline(gray, cfg, store)
         out = tmp_path / "dumps"
         pipeline.dump_stages(result, out)
         names = {p.name for p in out.iterdir()}
@@ -348,9 +343,9 @@ class TestDumps:
         assert (tmp_path / "region_0.bands.txt").read_bytes() == b""
 
     def test_dump_determinism(self, cfg, store, tmp_path):
-        color, _ = simple_card(noise_sigma=3.0)
+        gray, _ = simple_card(noise_sigma=3.0)
         for name in ("a", "b"):
-            result = pipeline.run_pipeline(color, cfg, store)
+            result = pipeline.run_pipeline(gray, cfg, store)
             pipeline.dump_stages(result, tmp_path / name)
         for path in sorted((tmp_path / "a").iterdir()):
             other = tmp_path / "b" / path.name

@@ -14,7 +14,7 @@ from cardocr.recognize import (
     StoreError,
     TemplateStore,
 )
-from reference import dissimilarity, nearest_templates, resample_48
+from reference import dissimilarity, nearest_templates, resample_48, to_gray
 from test_segment import band_lines
 
 
@@ -188,7 +188,7 @@ def card_glyphs(store):
         synth.Band(text="www.jaduniv.edu.in", x=60, y=500, scale=3),
     ])
     color, _ = synth.render_card(spec, seed=4)
-    return band_lines(pipeline.run_pipeline(color, PipelineConfig(), store))
+    return band_lines(pipeline.run_pipeline(to_gray(color), PipelineConfig(), store))
 
 
 def card_stack(card_glyphs):

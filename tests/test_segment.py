@@ -6,7 +6,7 @@ from cardocr import segment as sg
 from cardocr import synth
 from cardocr.config import ConfigError, PipelineConfig
 
-from reference import merge_thin_bands, segment_glyphs
+from reference import merge_thin_bands, segment_glyphs, to_gray
 from test_skew import CRITERION_9_SPEC
 
 CFG = PipelineConfig()
@@ -293,7 +293,7 @@ class TestSegmentCharactersReference:
 
     def test_criterion_9_card_lines(self, store):
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
-        result = pipeline.run_pipeline(color, CFG, store)
+        result = pipeline.run_pipeline(to_gray(color), CFG, store)
         lines = band_lines(result)
         assert sum(len(g) for _, g in lines) == 105
         for crop, glyphs in lines:

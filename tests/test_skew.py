@@ -9,7 +9,7 @@ from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.skew import DegenerateProfileError
 from cardocr.synth import Band, CardSpec
-from reference import three_anchor_skew
+from reference import three_anchor_skew, to_gray
 
 CFG = PipelineConfig()
 
@@ -439,7 +439,7 @@ class TestCriterion9Card:
     @pytest.fixture(scope="class")
     def crops(self):
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
-        gray = imaging.to_grayscale(color)
+        gray = to_gray(color)
         return [gray[r.bbox.y:r.bbox.y2, r.bbox.x:r.bbox.x2]
                 for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR]
 

@@ -8,7 +8,7 @@ from cardocr import imaging, synth
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec, Decoy, SuiteParams
 
-from reference import region_dump, resample_mask, truth_region_rows
+from reference import region_dump, resample_mask, to_gray, truth_region_rows
 
 
 class TestGlyphRendering:
@@ -55,7 +55,7 @@ class TestRenderCard:
         spec = CardSpec(width=400, height=120,
                         bands=[Band(text="OCR 2010", x=20, y=20, scale=4)])
         color, truth = synth.render_card(spec)
-        gray = imaging.to_grayscale(color)
+        gray = to_gray(color)
         assert np.array_equal(truth.mask, gray == spec.foreground)
         assert truth.regions[0].kind == "TR"
         assert truth.regions[0].lines == [["OCR", "2010"]]
@@ -88,7 +88,7 @@ class TestRenderCard:
         color, truth = synth.render_card(spec)
         assert [r.kind for r in truth.regions] == ["NR", "NR"]
         assert not truth.mask.any()  # decoys are not text ink
-        gray = imaging.to_grayscale(color)
+        gray = to_gray(color)
         assert (gray[60, 60] == 60) and (gray[220, 100] == 60)
 
     def test_noise_determinism(self):
@@ -181,7 +181,8 @@ class TestSuite:
         synth.generate_suite(tmp_path / "s", params)
         paths = synth.suite_card_paths(str(tmp_path / "s"))
         assert len(paths) == 1
-        gray, regions, transcript = synth.load_suite_card(paths[0])
+        gray = imaging.load_pnm_file(paths[0] + ".ppm")
+        regions, transcript = synth.load_suite_truth(paths[0])
         assert gray.shape == (params.height, params.width) and gray.dtype == np.uint8
         mask = imaging.load_pnm_file(paths[0] + ".mask.pgm") == 0
         assert mask.shape == gray.shape
@@ -199,6 +200,14 @@ class TestSuite:
     def test_scales_validation(self, scales):
         with pytest.raises(ValueError, match="scales must be a non-empty tuple of integers >= 1"):
             SuiteParams(count=1, scales=scales)
+
+    @pytest.mark.parametrize("name, low, high", [
+        ("skew", 6.0, -6.0), ("sigma", 7.0, 5.0), ("salt_pepper", 0.2, 0.1),
+        ("bands", 3, 2), ("decoys", 2, 1),
+    ])
+    def test_inverted_range_rejected(self, name, low, high):
+        with pytest.raises(ValueError, match=f"{name}_min {low} is above {name}_max {high}"):
+            SuiteParams(count=1, **{f"{name}_min": low, f"{name}_max": high})
 
     def test_scales_drawn_per_band(self):
         params = SuiteParams(count=4, seed=5, scales=(1, 8))

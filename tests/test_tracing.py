@@ -2,7 +2,8 @@
 reads its work counts from the results of the layers it wraps (the grid of
 classify_grid, the length of assemble_regions' boxes, the kinds of
 extract_regions' table, the size of each rotation, the length of each
-line's glyphs).  A traced card must count what the same card computes."""
+line's glyphs).  A traced card must count what the same card computes, and
+every traced layer must run on it."""
 
 import importlib.util
 import pathlib
@@ -24,22 +25,43 @@ def load_tracing():
 
 
 @pytest.fixture(scope="module")
-def card():
+def card(tmp_path_factory):
+    """The card's PPM file, as the generator writes it."""
     spec = synth.CardSpec(
         width=480, height=240, skew_deg=2.0, salt_pepper=0.001,
         bands=[synth.Band(text="Mobile Computing", x=40, y=60, scale=3),
                synth.Band(text="Kolkata", x=40, y=150, scale=4)],
     )
     color, _ = synth.render_card(spec, seed=4)
-    return color
+    path = tmp_path_factory.mktemp("tracing") / "card.ppm"
+    imaging.save_pnm_file(path, color)
+    return path
 
 
-def test_traced_counts_equal_direct_counts(card, store):
+@pytest.fixture(scope="module")
+def tracing():
+    return load_tracing()
+
+
+@pytest.fixture(scope="module")
+def traced(tracing, card, store):
+    """The tracer and the result of the card run as perfbench's card op
+    runs it: the load, then the pipeline on its image."""
+    tracer = tracing.Tracer()
+    result, _ = tracer.run_card(0, lambda: pipeline.run_pipeline(
+        imaging.load_pnm_file(card), PipelineConfig(), store))
+    return tracer, result
+
+
+def test_every_traced_layer_runs(tracing, traced):
+    tracer, _ = traced
+    assert [name for name in tracing.LAYER_NAMES if not tracer.counts[name + ".calls"]] == []
+
+
+def test_traced_counts_equal_direct_counts(card, traced):
     cfg = PipelineConfig()
-    tracer = load_tracing().Tracer()
-    result, _ = tracer.run_card(0, lambda: pipeline.run_pipeline(card, cfg, store))
-
-    gray = imaging.to_grayscale(card)
+    tracer, result = traced
+    gray = imaging.load_pnm_file(card)
     grid = rg.classify_grid(gray, rg.partition_blocks(gray, cfg.block_h, cfg.block_w), cfg.t_var)
     boxes = rg.assemble_regions(grid)
     table = rg.extract_regions(gray, cfg)
