@@ -280,6 +280,17 @@ class TestTimeLoad:
         # more than its color image
         assert 700 * 220 <= timer.peak_bytes["load"] <= 700 * 220 + 2 * imaging.GRAY_STRIP_BYTES
 
+    def test_bad_runs(self, cfg, store, tmp_path, monkeypatch):
+        # runs=0 is refused before the card's file is read
+        path = tmp_path / "card.pgm"
+        imaging.save_pnm_file(path, np.zeros((4, 4), np.uint8))
+        loads = []
+        load = imaging.load_pnm_file
+        monkeypatch.setattr(imaging, "load_pnm_file", lambda p: loads.append(p) or load(p))
+        with pytest.raises(ValueError):
+            pipeline.time_pipeline(path, cfg, store, runs=0)
+        assert loads == []
+
 
 class TestTimer:
     def test_stage_accounting(self):
