@@ -20,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ROTATION_DEG = 45.0
-# Output pixels of one rotate strip.  Its temporaries take 72 bytes a pixel;
-# strips of 4096 pixels rotated the criterion-9 card's crops a third slower.
+# Output pixels of one rotate strip.  Its temporaries take 24 bytes a pixel.
+# Strips of 8192 or 32768 pixels moved the criterion-9 card's time by under
+# 4% either way, in alternating in-process rounds.
 ROTATE_STRIP_PX = 1 << 14
+# Fraction bits of rotate's fixed-point coordinates and weights (OpenCV's
+# INTER_BITS is 5).  Its int32 blend holds 255 * 2**(2 bits), so at most 10.
+ROTATE_FRAC_BITS = 10
 
 
 class PnmError(ValueError):
@@ -222,7 +226,7 @@ def save_pnm_file(path, img):
         fh.write(save_pnm(img))
 
 
-def _rotation_frame(h, w, angle_deg):
+def rotation_frame(h, w, angle_deg):
     """cos, sin and the canvas (out_h, out_w) of rotating an h x w image."""
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
@@ -240,7 +244,7 @@ def rotate_points(shape, angle_deg, rows, cols):
     rotate inverts.  Returns ((out_h, out_w), rows, cols), the mapped
     coordinates as float64 arrays; angle 0 maps every pixel onto itself."""
     h, w = shape
-    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
+    c, s, out_h, out_w = rotation_frame(h, w, angle_deg)
     u = cols - (w - 1) / 2.0
     v = rows - (h - 1) / 2.0
     out_cols = (out_w - 1) / 2.0 + c * u + s * v
@@ -252,80 +256,102 @@ def rotate(img, angle_deg, fill=255):
     """Rotate a gray image by `angle_deg` counter-clockwise (as displayed).
 
     The canvas grows to hold the rotated bounding box.  Resampling is
-    inverse-mapped bilinear; destination pixels that fall outside the source
-    take the fill intensity, which must lie in 0..255.  Angles beyond +/-45
-    degrees are rejected.  The canvas is resampled in row strips of about
-    ROTATE_STRIP_PX pixels, so the temporaries are sized by the strip.
+    inverse-mapped bilinear in fixed point, as OpenCV's remap does: source
+    coordinates in units of 2**-ROTATE_FRAC_BITS px and an integer blend,
+    which stays within 1 gray level of the generator's float renderer,
+    synth.rotate_gray, and equals it at angle 0.  Destination pixels that
+    fall outside the source take the fill intensity, an integer in 0..255.
+    Angles beyond +/-45 degrees are rejected.  The canvas is resampled in
+    row strips of about ROTATE_STRIP_PX pixels, so the temporaries are sized
+    by the strip.
     """
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
     if img.ndim != 2:
         raise ValueError("rotate expects a gray image of shape (h, w)")
-    if not 0 <= fill <= 255:
-        raise ValueError(f"fill intensity {fill} outside 0..255")
+    if not (0 <= fill <= 255 and fill == int(fill)):
+        raise ValueError(f"fill intensity {fill} is not an integer in 0..255")
     h, w = img.shape
-    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
+    c, s, out_h, out_w = rotation_frame(h, w, angle_deg)
 
-    # Pad the source with one ring of fill so bilinear taps that straddle the
-    # border blend into fill and far-outside taps clamp onto pure fill.
-    padded = np.full((h + 2, w + 2), fill, dtype=np.float32)
-    padded[1:-1, 1:-1] = img
-    flat = padded.ravel()
+    # The tap table: entry (y, x) packs the four bilinear taps at (y, x) of
+    # the source padded with one ring of fill, pixels (y, x), (y, x + 1),
+    # (y + 1, x) and (y + 1, x + 1), a byte each, so that one int32 gather
+    # fetches all four.  Taps that straddle the border blend into fill.
+    taps = np.full((h + 1, w + 1, 4), fill, dtype=np.uint8)
+    taps[1:, 1:, 0] = img
+    taps[1:, :w, 1] = img
+    taps[:h, 1:, 2] = img
+    taps[:h, :w, 3] = img
+    flat = taps.view("<i4").ravel()
 
+    bits = ROTATE_FRAC_BITS
     cx_d, cy_d = (out_w - 1) / 2.0, (out_h - 1) / 2.0
     cx_s, cy_s = (w - 1) / 2.0, (h - 1) / 2.0
-    dx = np.arange(out_w, dtype=np.float32) - np.float32(cx_d)
-    dy = (np.arange(out_h, dtype=np.float32) - np.float32(cy_d))[:, None]
+    dx = np.arange(out_w) - cx_d
+    dy = (np.arange(out_h) - cy_d)[:, None]
     # Inverse of a counter-clockwise rotation in y-down pixel coordinates:
-    # source x = cx_s + dx c - dy s and y = cy_s + dx s + dy c, all float32,
-    # from a per-column and a per-row term each.
-    x_col = np.float32(cx_s) + dx * np.float32(c)
-    y_col = np.float32(cy_s) + dx * np.float32(s)
-    x_row, y_row = dy * np.float32(s), dy * np.float32(c)
-    # Padded coordinates are clipped below w + 1 and h + 1, so the taps stay
-    # inside the padding; far-outside points clamp onto pure fill.
-    x_max = np.nextafter(np.float32(w + 1), np.float32(0))
-    y_max = np.nextafter(np.float32(h + 1), np.float32(0))
+    # padded source x = cx_s + 1 + dx c - dy s and y = cy_s + 1 + dx s + dy c,
+    # each from a per-column and a per-row term rounded from float64 to
+    # units of 2**-bits px.  int32 holds them and the table indices unless
+    # the canvas or the table is huge; then they are int64.
+    wide = max((out_h + out_w + 2) << bits, (h + 1) * (w + 1)) >= 1 << 31
+    coord = np.int64 if wide else np.int32
+    x_col = np.rint((cx_s + 1 + dx * c) * (1 << bits)).astype(coord)
+    y_col = np.rint((cy_s + 1 + dx * s) * (1 << bits)).astype(coord)
+    x_row = np.rint(dy * (s * (1 << bits))).astype(coord)
+    y_row = np.rint(dy * (c * (1 << bits))).astype(coord)
 
     out = np.empty((out_h, out_w), dtype=np.uint8)
     rows = max(1, ROTATE_STRIP_PX // max(1, out_w))
     for y in range(0, out_h, rows):
-        xs = x_col - x_row[y : y + rows]
-        ys = y_col + y_row[y : y + rows]
-        xs += 1.0  # shift into padded coordinates
-        ys += 1.0
-        np.clip(xs, 0.0, x_max, out=xs)
-        np.clip(ys, 0.0, y_max, out=ys)
-        x0 = xs.astype(np.int32)
-        y0 = ys.astype(np.int32)
-        fx = xs - x0
-        fy = ys - y0
-
-        # Gather the four taps through one flat index array stepped in
-        # place, cheaper than 2-D fancy indexing, then blend in place.  fx
-        # and fy are float64, so this is top = p00 + (p01 - p00) * fx, bot
-        # likewise, and top + (bot - top) * fy, all in float64.  The taps
-        # are exact and rounding is monotone, so each blend stays between
-        # its two ends: the result lies in 0..255 without a clip.
-        idx = y0.astype(np.intp)
-        idx *= w + 2
-        idx += x0
-        p00 = flat.take(idx)
-        idx += 1
-        p01 = flat.take(idx)
-        idx += w + 1
-        p10 = flat.take(idx)
-        idx += 1
-        p11 = flat.take(idx)
-        p01 -= p00
-        top = p01 * fx
-        top += p00
-        p11 -= p10
-        blend = p11 * fx
-        blend += p10
-        blend -= top
-        blend *= fy
-        blend += top
-        np.rint(blend, out=blend)
-        np.copyto(out[y : y + rows], blend, casting="unsafe")
+        out[y : y + rows] = _blend_strip(
+            flat, h, w, x_col - x_row[y : y + rows], y_col + y_row[y : y + rows])
     return out
+
+
+def _blend_strip(flat, h, w, xs, ys):
+    """One strip of rotate's canvas, as int32 in 0..255, from the flat tap
+    table of an h x w source and the strip's padded source coordinates xs
+    and ys in units of 2**-ROTATE_FRAC_BITS px, which it overwrites.  Its
+    temporaries are freed on return, before the next strip's are made."""
+    bits = ROTATE_FRAC_BITS
+    # Coordinates are clipped below w + 1 and h + 1, so the taps stay inside
+    # the table; far-outside points clamp onto pure fill.
+    np.clip(xs, 0, ((w + 1) << bits) - 1, out=xs)
+    np.clip(ys, 0, ((h + 1) << bits) - 1, out=ys)
+    idx = ys >> bits
+    idx *= w + 1
+    idx += xs >> bits
+    xs &= (1 << bits) - 1  # the fractions fx and fy
+    ys &= (1 << bits) - 1
+
+    # Unpack the gathered taps a byte at a time, then blend in int32:
+    # top = p00 2**bits + (p01 - p00) fx, bottom likewise, and
+    # (top 2**bits + (bottom - top) fy + 2**(2 bits - 1)) >> 2 bits, rounding
+    # half up.  Every sum lies in 0..255 * 2**(2 bits) + 2**(2 bits - 1),
+    # below 2**31 for bits <= 10, and the result in 0..255.
+    bot = flat.take(idx)
+    del idx
+    top = bot & 255
+    bot >>= 8
+    p01 = bot & 255
+    bot >>= 8
+    p11 = bot >> 8
+    p11 &= 255
+    bot &= 255
+    p01 -= top
+    p01 *= xs
+    top <<= bits
+    top += p01
+    p11 -= bot
+    p11 *= xs
+    bot <<= bits
+    bot += p11
+    bot -= top
+    bot *= ys
+    top <<= bits
+    top += bot
+    top += 1 << (2 * bits - 1)
+    top >>= 2 * bits
+    return top

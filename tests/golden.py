@@ -3,10 +3,12 @@
 The digests cover the transcript and every `run --dump-stages` file of the
 criterion-9 card, of a card whose regions hold two lines each and of the
 first cards of six synthetic suites, the `eval` report of one of those
-suites, and the band and glyph dumps of two rendered regions in which a thin
-candidate band merges into a neighbour.  tests/test_golden.py recomputes them
-and compares with tests/golden.txt, so any change to a transcript, a stage
-dump or an `eval` report fails tier-1 until the file is rewritten.
+suites, the band and glyph dumps of two rendered regions in which a thin
+candidate band merges into a neighbour, and the files of the default
+template store.  tests/test_golden.py recomputes them and compares with
+tests/golden.txt, so any change to a transcript, a stage dump, an `eval`
+report or the generator's output (the store, and the cards whose crops are
+dumped) fails tier-1 until the file is rewritten.
 
 Rewrite the file after an intended behaviour change with
 
@@ -24,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from cardocr import binarize, evaluate, imaging, pipeline, segment, synth
+from cardocr import binarize, evaluate, imaging, pipeline, recognize, segment, synth
 from cardocr.config import PipelineConfig
 from cardocr.synth import Band, CardSpec
 from reference import to_gray
@@ -99,11 +101,24 @@ def _region_digests(name, lines, scale, cfg):
             f"{name}.glyphs.txt": _sha256(segment.format_glyph_dump(glyphs).encode())}
 
 
+def _store_digests(store, workdir):
+    """{'store/<file>': sha256} of the store's files, as save_store writes them."""
+    out = os.path.join(workdir, "store")
+    recognize.save_store(store, out)
+    digests = {}
+    for file in sorted(os.listdir(out)):
+        with open(os.path.join(out, file), "rb") as fh:
+            digests[f"store/{file}"] = _sha256(fh.read())
+    return digests
+
+
 def compute_digests(store, workdir):
-    """Every golden digest, keyed by file name, computed under `workdir`."""
+    """Every golden digest, keyed by file name, computed under `workdir`;
+    `store` is the default one, synth.build_font_store(seed=7)."""
     cfg = PipelineConfig()
     color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
     digests = _card_digests("criterion9", to_gray(color), cfg, store, workdir)
+    digests.update(_store_digests(store, workdir))
     color, _ = synth.render_card(TWO_LINE_SPEC, seed=5)
     digests.update(_card_digests("two_line", to_gray(color), cfg, store, workdir))
     for name, (lines, scale) in MERGE_REGIONS.items():

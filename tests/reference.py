@@ -8,7 +8,7 @@ import statistics
 import numpy as np
 
 from cardocr.evaluate import EvalCounts
-from cardocr.imaging import MAX_ROTATION_DEG, PnmError, _parse_header_tokens
+from cardocr.imaging import MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError, _parse_header_tokens
 from cardocr.recognize import PATTERN_SIZE
 from cardocr.regions import NR, TR
 
@@ -234,12 +234,8 @@ def load_pnm(data):
     return _pnm_pixels(data).copy()
 
 
-def rotate(img, angle_deg, fill=255):
-    """Bilinear rotation of the whole canvas at once: every output pixel's
-    coordinates, taps and blend in one set of full-frame arrays, with the
-    blend clipped to 0..255 at the end.  For a fill in 0..255
-    `imaging.rotate`, which resamples row strips and has no clip, must
-    match it byte for byte."""
+def _canvas(img, angle_deg):
+    """cos, sin and the canvas (out_h, out_w) of rotating `img`, checked."""
     if abs(angle_deg) > MAX_ROTATION_DEG:
         raise ValueError(f"rotation angle {angle_deg} outside +/-{MAX_ROTATION_DEG}")
     if img.ndim != 2:
@@ -252,8 +248,49 @@ def rotate(img, angle_deg, fill=255):
     # back onto exact integer positions.
     pad_x = max(0, int(math.ceil((w * abs(c) + h * abs(s) - w) / 2 - 1e-9)))
     pad_y = max(0, int(math.ceil((w * abs(s) + h * abs(c) - h) / 2 - 1e-9)))
-    out_w = w + 2 * pad_x
-    out_h = h + 2 * pad_y
+    return c, s, h + 2 * pad_y, w + 2 * pad_x
+
+
+def fixed_rotate(img, angle_deg, fill=255):
+    """Fixed-point bilinear rotation of the whole canvas at once, in int64:
+    every output pixel's source coordinates in units of 2**-b px (b =
+    imaging.ROTATE_FRAC_BITS), each a per-column and a per-row term rounded
+    from float64, clipped into a one-pixel ring of fill; its four taps by
+    2-D indexing, weighted by (2**b - fx)(2**b - fy), fx (2**b - fy),
+    (2**b - fx) fy and fx fy; and their sum rounded half up.
+    `imaging.rotate`, which gathers packed taps in row strips and blends in
+    int32, must match it byte for byte."""
+    c, s, out_h, out_w = _canvas(img, angle_deg)
+    h, w = img.shape
+    one = 1 << ROTATE_FRAC_BITS
+    padded = np.full((h + 2, w + 2), fill, dtype=np.int64)
+    padded[1:-1, 1:-1] = img
+    dx = np.arange(out_w) - (out_w - 1) / 2.0
+    dy = (np.arange(out_h) - (out_h - 1) / 2.0)[:, None]
+
+    def fixed(v):
+        return np.rint(v * one).astype(np.int64)
+
+    # padded source x = cx + 1 + dx c - dy s and y = cy + 1 + dx s + dy c
+    xs = fixed((w - 1) / 2.0 + 1 + dx * c) - fixed(dy * s)
+    ys = fixed((h - 1) / 2.0 + 1 + dx * s) + fixed(dy * c)
+    x0, fx = np.divmod(np.clip(xs, 0, (w + 1) * one - 1), one)
+    y0, fy = np.divmod(np.clip(ys, 0, (h + 1) * one - 1), one)
+    total = (padded[y0, x0] * (one - fx) * (one - fy)
+             + padded[y0, x0 + 1] * fx * (one - fy)
+             + padded[y0 + 1, x0] * (one - fx) * fy
+             + padded[y0 + 1, x0 + 1] * fx * fy)
+    return ((total + one * one // 2) // (one * one)).astype(np.uint8)
+
+
+def float_rotate(img, angle_deg, fill=255):
+    """Bilinear rotation of the whole canvas at once in floating point: every
+    output pixel's float32 coordinates, taps and float64 blend in one set of
+    full-frame arrays, with the blend clipped to 0..255 at the end.  For a
+    fill in 0..255 `synth.rotate_gray`, the generator's renderer, which
+    resamples row strips and has no clip, must match it byte for byte."""
+    c, s, out_h, out_w = _canvas(img, angle_deg)
+    h, w = img.shape
 
     # Pad the source with one ring of fill so bilinear taps that straddle the
     # border blend into fill and far-outside taps clamp onto pure fill.

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cardocr import imaging
+from cardocr import imaging, synth
 from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
-from reference import load_pnm, rotate as full_frame_rotate, to_gray
+from reference import fixed_rotate, float_rotate, load_pnm, to_gray
 
 
 def box_blur(img, passes):
@@ -463,8 +463,9 @@ class TestRotate:
         diff = np.abs(back[oy : oy + h, ox : ox + w].astype(int) - img.astype(int))
         assert diff.mean() <= 8.0
 
-    @pytest.mark.parametrize("fill", [-1, 256, 300, float("nan")])
+    @pytest.mark.parametrize("fill", [-1, 256, 300, float("nan"), 127.5])
     def test_fill_out_of_range(self, fill):
+        # the tap table holds the fill as a byte, so it must be an integer
         with pytest.raises(ValueError, match="fill"):
             imaging.rotate(np.zeros((4, 4), dtype=np.uint8), 5.0, fill=fill)
 
@@ -474,7 +475,7 @@ class TestRotate:
         # an empty source gives the canvas of its bounding box, all fill
         out = imaging.rotate(np.zeros(shape, np.uint8), angle, 90)
         assert out.shape == imaging.rotate_points(shape, angle, np.zeros(0), np.zeros(0))[0]
-        assert np.array_equal(out, full_frame_rotate(np.zeros(shape, np.uint8), angle, 90))
+        assert np.array_equal(out, fixed_rotate(np.zeros(shape, np.uint8), angle, 90))
         assert (out == 90).all()
 
     @pytest.mark.parametrize("shape, angle", [((1536, 2048), -5.0), ((3, 2048), 30.0)])
@@ -489,37 +490,72 @@ class TestRotate:
         assert out[oh // 2, ow // 2] == 0
 
     def test_matches_clipping_reference(self):
-        # the final clip changes no byte for an in-range fill
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            h, w = (int(v) for v in rng.integers(1, 60, size=2))
-            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            if rng.random() < 0.3:
-                img = np.where(rng.random((h, w)) < 0.5, 0, 255).astype(np.uint8)
-            angle = float(rng.uniform(-45, 45))
-            fill = int(rng.choice([0, 255, int(rng.integers(0, 256))]))
-            assert np.array_equal(
-                imaging.rotate(img, angle, fill), full_frame_rotate(img, angle, fill)
-            )
+        # coordinates clipped into the fill ring, on sources up to 60 px
+        for img, angle, fill in clipping_cases():
+            assert np.array_equal(imaging.rotate(img, angle, fill), fixed_rotate(img, angle, fill))
+
+    def test_within_one_level_of_the_float_renderer(self):
+        # the fixed-point kernel against the generator's float one: at most 1
+        # gray level apart on every random case, and equal at angle 0
+        cases = [*clipping_cases(), *(case for budget in STRIP_BUDGETS
+                                      for case in strip_cases(budget))]
+        for img, angle, fill in cases:
+            diff = imaging.rotate(img, angle, fill).astype(int) - synth.rotate_gray(img, angle, fill)
+            assert np.abs(diff).max() <= 1
+            assert np.array_equal(imaging.rotate(img, 0.0, fill), synth.rotate_gray(img, 0.0, fill))
+
+    def test_coordinates_beyond_int32(self):
+        # a canvas 2**21 px tall puts its coordinates in units of 2**-10 px
+        # past int32; they go to int64, and angle 0 stays the identity
+        img = np.arange(1 << 21, dtype=np.uint8)[:, None]
+        assert np.array_equal(imaging.rotate(img, 0.0, fill=7), img)
+
+
+def clipping_cases():
+    """(img, angle, fill) of 200 random rotations of sources up to 60 px,
+    a third of them black and white."""
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 60, size=2))
+        img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        if rng.random() < 0.3:
+            img = np.where(rng.random((h, w)) < 0.5, 0, 255).astype(np.uint8)
+        angle = float(rng.uniform(-45, 45))
+        fill = int(rng.choice([0, 255, int(rng.integers(0, 256))]))
+        yield img, angle, fill
+
+
+STRIP_BUDGETS = [imaging.ROTATE_STRIP_PX, 97, 1]
+
+
+def strip_cases(budget):
+    """(img, angle, fill) of 200 random rotations of sources up to 150 px,
+    drawn per strip budget: most canvases end in a ragged strip, and many
+    are wider than the two small budgets (one row per strip)."""
+    rng = np.random.default_rng(50 + budget)
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 150, size=2))
+        img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        yield img, float(rng.uniform(-45, 45)), int(rng.integers(0, 256))
 
 
 class TestRotateStrips:
-    """imaging.rotate resamples the canvas in row strips; its output must be
-    byte for byte that of the full-frame body in tests/reference.py."""
+    """imaging.rotate and the generator's synth.rotate_gray resample the
+    canvas in row strips; their outputs must be byte for byte those of the
+    full-frame fixed-point and float bodies in tests/reference.py."""
 
-    @pytest.mark.parametrize("strip_px", [imaging.ROTATE_STRIP_PX, 97, 1])
+    @pytest.mark.parametrize("strip_px", STRIP_BUDGETS)
     def test_matches_full_frame(self, monkeypatch, strip_px):
-        # 200 cases per budget: most canvases end in a ragged strip, and
-        # many are wider than the two small budgets (one row per strip)
         monkeypatch.setattr(imaging, "ROTATE_STRIP_PX", strip_px)
-        rng = np.random.default_rng(50 + strip_px)
-        for _ in range(200):
-            h, w = (int(v) for v in rng.integers(1, 150, size=2))
-            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            angle = float(rng.uniform(-45, 45))
-            fill = int(rng.integers(0, 256))
-            assert np.array_equal(imaging.rotate(img, angle, fill),
-                                  full_frame_rotate(img, angle, fill))
+        for img, angle, fill in strip_cases(strip_px):
+            assert np.array_equal(imaging.rotate(img, angle, fill), fixed_rotate(img, angle, fill))
+
+    @pytest.mark.parametrize("strip_px", STRIP_BUDGETS)
+    def test_generator_renderer_matches_full_frame(self, monkeypatch, strip_px):
+        monkeypatch.setattr(imaging, "ROTATE_STRIP_PX", strip_px)
+        for img, angle, fill in strip_cases(strip_px):
+            assert np.array_equal(synth.rotate_gray(img, angle, fill),
+                                  float_rotate(img, angle, fill))
 
     def test_canvas_wider_than_budget(self):
         # at the shipped budget: a canvas row holds more than one strip's
@@ -529,20 +565,20 @@ class TestRotateStrips:
         for shape, angle in [((2, budget + 5), 0.0), ((5, 300), 44.0), ((190, 200), -3.5)]:
             img = rng.integers(0, 256, size=shape, dtype=np.uint8)
             out = imaging.rotate(img, angle, 200)
-            assert np.array_equal(out, full_frame_rotate(img, angle, 200))
+            assert np.array_equal(out, fixed_rotate(img, angle, 200))
         assert out.shape[0] % (budget // out.shape[1]) != 0
 
     def test_peak_is_bounded_by_the_strip(self):
-        # above its output and the padded float32 copy of its source, the
-        # peak is one strip's temporaries (72 bytes a pixel), numpy's cast
-        # buffers and the per-row and per-column terms, on canvases of 1 to
-        # 100 strips; the full frame took 72 bytes a canvas pixel
+        # above its output and its tap table (4 bytes a padded source pixel),
+        # the peak is one strip's temporaries (24 bytes a pixel), numpy's
+        # cast buffers and the per-row and per-column terms, on canvases of
+        # 1 to 100 strips
         rng = np.random.default_rng(52)
         for h, w in [(60, 200), (300, 900), (900, 1500)]:
             img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
             out, peak = traced_peak(lambda: imaging.rotate(img, 7.0, 128))
             assert peak - out.nbytes - 4 * (h + 2) * (w + 2) <= (
-                80 * imaging.ROTATE_STRIP_PX + (1 << 18))
+                24 * imaging.ROTATE_STRIP_PX + (1 << 18))
 
 
 class TestRotatePoints:
