@@ -144,8 +144,8 @@ def build_parser():
     def add_common(p):
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--templates", help="template store directory")
-        p.add_argument("--scheme", choices=["merged", "full"],
-                       help="class scheme (default merged)")
+        p.add_argument("--scheme", choices=list(rec.SCHEMES),
+                       help=f"class scheme (default {PipelineConfig.scheme})")
 
     p_run = sub.add_parser("run", help="recognize one PGM/PPM image")
     p_run.add_argument("input")
@@ -154,26 +154,27 @@ def build_parser():
                        help="write per-stage debug artifacts to DIR")
     p_run.set_defaults(fn=cmd_run)
 
+    suite = synth.SuiteParams  # the class attributes hold the field defaults
     p_synth = sub.add_parser("synth", help="generate a synthetic card suite")
     p_synth.add_argument("out_dir")
-    p_synth.add_argument("--seed", type=int, default=1)
-    p_synth.add_argument("--count", type=int, default=100)
-    p_synth.add_argument("--width", type=int, default=1024)
-    p_synth.add_argument("--height", type=int, default=768)
-    p_synth.add_argument("--scales", default=",".join(map(str, synth.SuiteParams.scales)),
+    p_synth.add_argument("--seed", type=int, default=suite.seed)
+    p_synth.add_argument("--count", type=int, default=suite.count)
+    p_synth.add_argument("--width", type=int, default=suite.width)
+    p_synth.add_argument("--height", type=int, default=suite.height)
+    p_synth.add_argument("--scales", default=",".join(map(str, suite.scales)),
                          help="comma-separated text scales, one drawn per band "
                               "(default %(default)s)")
-    p_synth.add_argument("--skew-min", type=float, default=0.0)
-    p_synth.add_argument("--skew-max", type=float, default=0.0)
-    p_synth.add_argument("--sigma-min", type=float, default=0.0)
-    p_synth.add_argument("--sigma-max", type=float, default=5.0)
-    p_synth.add_argument("--salt-pepper", type=float, default=0.0)
+    p_synth.add_argument("--skew-min", type=float, default=suite.skew_min)
+    p_synth.add_argument("--skew-max", type=float, default=suite.skew_max)
+    p_synth.add_argument("--sigma-min", type=float, default=suite.sigma_min)
+    p_synth.add_argument("--sigma-max", type=float, default=suite.sigma_max)
+    p_synth.add_argument("--salt-pepper", type=float, default=suite.salt_pepper_min)
     p_synth.set_defaults(fn=cmd_synth)
 
     p_store = sub.add_parser("store-build", help="build the template store")
     p_store.add_argument("out_dir")
-    p_store.add_argument("--seed", type=int, default=7)
-    p_store.add_argument("--samples", type=int, default=12,
+    p_store.add_argument("--seed", type=int, default=synth.FONT_STORE_SEED)
+    p_store.add_argument("--samples", type=int, default=synth.FONT_STORE_SAMPLES,
                          help="perturbed samples rendered per class")
     p_store.set_defaults(fn=cmd_store_build)
 

@@ -10,7 +10,7 @@ unknown keys are rejected so typos fail loudly.
 
 from dataclasses import dataclass, fields
 
-from .recognize import FULL, MERGED
+from .recognize import SCHEMES, ClassScheme
 
 
 class ConfigError(ValueError):
@@ -66,12 +66,12 @@ class PipelineConfig:
             raise ConfigError("r_min must be in [0, 1]")
         if not self.word_gap_factor >= 1.0:
             raise ConfigError("word_gap_factor must be >= 1")
-        if self.scheme not in ("merged", "full"):
-            raise ConfigError("scheme must be 'merged' or 'full'")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be {' or '.join(map(repr, SCHEMES))}")
         return self
 
     def class_scheme(self):
-        return FULL if self.scheme == "full" else MERGED
+        return ClassScheme(self.scheme)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

@@ -226,7 +226,7 @@ def save_pnm_file(path, img):
         fh.write(save_pnm(img))
 
 
-def rotation_frame(h, w, angle_deg):
+def _rotation_frame(h, w, angle_deg):
     """cos, sin and the canvas (out_h, out_w) of rotating an h x w image."""
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
@@ -244,7 +244,7 @@ def rotate_points(shape, angle_deg, rows, cols):
     rotate inverts.  Returns ((out_h, out_w), rows, cols), the mapped
     coordinates as float64 arrays; angle 0 maps every pixel onto itself."""
     h, w = shape
-    c, s, out_h, out_w = rotation_frame(h, w, angle_deg)
+    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
     u = cols - (w - 1) / 2.0
     v = rows - (h - 1) / 2.0
     out_cols = (out_w - 1) / 2.0 + c * u + s * v
@@ -257,10 +257,10 @@ def rotate(img, angle_deg, fill=255):
 
     The canvas grows to hold the rotated bounding box.  Resampling is
     inverse-mapped bilinear in fixed point, as OpenCV's remap does: source
-    coordinates in units of 2**-ROTATE_FRAC_BITS px and an integer blend,
-    which stays within 1 gray level of the generator's float renderer,
-    synth.rotate_gray, and equals it at angle 0.  Destination pixels that
-    fall outside the source take the fill intensity, an integer in 0..255.
+    coordinates in units of 2**-ROTATE_FRAC_BITS px and an integer blend.
+    The synthetic generator renders skewed bands and perturbed store glyphs
+    through it too.  Destination pixels that fall outside the source take
+    the fill intensity, an integer in 0..255.
     Angles beyond +/-45 degrees are rejected.  The canvas is resampled in
     row strips of about ROTATE_STRIP_PX pixels, so the temporaries are sized
     by the strip.
@@ -272,7 +272,7 @@ def rotate(img, angle_deg, fill=255):
     if not (0 <= fill <= 255 and fill == int(fill)):
         raise ValueError(f"fill intensity {fill} is not an integer in 0..255")
     h, w = img.shape
-    c, s, out_h, out_w = rotation_frame(h, w, angle_deg)
+    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
 
     # The tap table: entry (y, x) packs the four bilinear taps at (y, x) of
     # the source padded with one ring of fill, pixels (y, x), (y, x + 1),

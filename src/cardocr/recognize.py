@@ -56,6 +56,10 @@ MERGE_GROUPS = (
 
 MERGE_MAP = {ch: group[0] for group in MERGE_GROUPS for ch in group}
 
+# The class schemes by name, each as its map from a store label to its
+# class; a label the map lacks is its own class.
+SCHEMES = {"merged": MERGE_MAP, "full": {}}
+
 
 class StoreError(ValueError):
     """Template store is missing, inconsistent or too small."""
@@ -63,20 +67,14 @@ class StoreError(ValueError):
 
 @dataclass(frozen=True)
 class ClassScheme:
-    mode: str = "merged"  # "merged" or "full"
+    mode: str = "merged"  # a key of SCHEMES
 
     def __post_init__(self):
-        if self.mode not in ("merged", "full"):
+        if self.mode not in SCHEMES:
             raise ValueError(f"unknown class scheme {self.mode!r}")
 
     def apply(self, label):
-        if self.mode == "merged":
-            return MERGE_MAP.get(label, label)
-        return label
-
-
-MERGED = ClassScheme("merged")
-FULL = ClassScheme("full")
+        return SCHEMES[self.mode].get(label, label)
 
 
 def normalize_pattern(mask):

@@ -27,6 +27,9 @@ WORD_GAP_CELLS = 3
 LINE_GAP_CELLS = 2
 MAX_SKEW_DEG = 20
 CARD_MARGIN = 48  # px kept clear around generated bands and decoys
+# The default template store: its seed and perturbed samples per class.
+FONT_STORE_SEED = 7
+FONT_STORE_SAMPLES = 12
 
 
 class SuiteFormatError(ValueError):
@@ -67,8 +70,10 @@ class CardSpec:
             raise ValueError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.salt_pepper <= 1.0:
             raise ValueError("salt_pepper must be a probability")
-        if self.foreground >= self.background:
-            raise ValueError("foreground must be darker than background")
+        if not all(type(v) is int for v in (self.foreground, self.background)):
+            raise ValueError("foreground and background must be integers")
+        if not 0 <= self.foreground < self.background <= 255:
+            raise ValueError("need 0 <= foreground < background <= 255")
         for band in self.bands:
             for ch in band.text.replace(" ", "").replace("\n", ""):
                 if ch not in GLYPHS:
@@ -194,90 +199,13 @@ def apply_noise(img, rng, sigma=0.0, salt_pepper=0.0):
     return out
 
 
-def rotate_gray(gray, angle_deg, fill):
-    """The generator's rotation of a gray image by `angle_deg` degrees
-    counter-clockwise onto imaging.rotation_frame's canvas: inverse-mapped
-    bilinear from float32 coordinates with a float64 blend, in row strips
-    of about imaging.ROTATE_STRIP_PX pixels.  Every suite card, crop and
-    template store is rendered through it, so its bytes are part of what a
-    seed reproduces; imaging.rotate, the pipeline's fixed-point kernel,
-    stays within 1 gray level of it.  `fill` lies in 0..255.
-    """
-    h, w = gray.shape
-    c, s, out_h, out_w = imaging.rotation_frame(h, w, angle_deg)
-
-    # Pad the source with one ring of fill so bilinear taps that straddle the
-    # border blend into fill and far-outside taps clamp onto pure fill.
-    padded = np.full((h + 2, w + 2), fill, dtype=np.float32)
-    padded[1:-1, 1:-1] = gray
-    flat = padded.ravel()
-
-    cx_d, cy_d = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    cx_s, cy_s = (w - 1) / 2.0, (h - 1) / 2.0
-    dx = np.arange(out_w, dtype=np.float32) - np.float32(cx_d)
-    dy = (np.arange(out_h, dtype=np.float32) - np.float32(cy_d))[:, None]
-    # Inverse of a counter-clockwise rotation in y-down pixel coordinates:
-    # source x = cx_s + dx c - dy s and y = cy_s + dx s + dy c, all float32,
-    # from a per-column and a per-row term each.
-    x_col = np.float32(cx_s) + dx * np.float32(c)
-    y_col = np.float32(cy_s) + dx * np.float32(s)
-    x_row, y_row = dy * np.float32(s), dy * np.float32(c)
-    # Padded coordinates are clipped below w + 1 and h + 1, so the taps stay
-    # inside the padding; far-outside points clamp onto pure fill.
-    x_max = np.nextafter(np.float32(w + 1), np.float32(0))
-    y_max = np.nextafter(np.float32(h + 1), np.float32(0))
-
-    out = np.empty((out_h, out_w), dtype=np.uint8)
-    rows = max(1, imaging.ROTATE_STRIP_PX // max(1, out_w))
-    for y in range(0, out_h, rows):
-        xs = x_col - x_row[y : y + rows]
-        ys = y_col + y_row[y : y + rows]
-        xs += 1.0  # shift into padded coordinates
-        ys += 1.0
-        np.clip(xs, 0.0, x_max, out=xs)
-        np.clip(ys, 0.0, y_max, out=ys)
-        x0 = xs.astype(np.int32)
-        y0 = ys.astype(np.int32)
-        fx = xs - x0
-        fy = ys - y0
-
-        # Gather the four taps through one flat index array stepped in
-        # place, cheaper than 2-D fancy indexing, then blend in place.  fx
-        # and fy are float64, so this is top = p00 + (p01 - p00) * fx, bot
-        # likewise, and top + (bot - top) * fy, all in float64.  The taps
-        # are exact and rounding is monotone, so each blend stays between
-        # its two ends: the result lies in 0..255 without a clip.
-        idx = y0.astype(np.intp)
-        idx *= w + 2
-        idx += x0
-        p00 = flat.take(idx)
-        idx += 1
-        p01 = flat.take(idx)
-        idx += w + 1
-        p10 = flat.take(idx)
-        idx += 1
-        p11 = flat.take(idx)
-        p01 -= p00
-        top = p01 * fx
-        top += p00
-        p11 -= p10
-        blend = p11 * fx
-        blend += p10
-        blend -= top
-        blend *= fy
-        blend += top
-        np.rint(blend, out=blend)
-        np.copyto(out[y : y + rows], blend, casting="unsafe")
-    return out
-
-
 def render_region(lines, scale, skew_deg=0.0, sigma=0.0, salt_pepper=0.0,
                   seed=0, fg=30, bg=220, margin_cells=2):
     """Render a standalone text region (the per-band building block)."""
     mask, spans, words, counts = render_region_mask(lines, scale, margin_cells)
     gray = mask_to_gray(mask, fg, bg)
     if skew_deg != 0.0:
-        gray = rotate_gray(gray, skew_deg, fill=bg)
+        gray = imaging.rotate(gray, skew_deg, fill=bg)
         mask = gray < (fg + bg) / 2.0
     if sigma > 0 or salt_pepper > 0:
         rng = np.random.default_rng(seed)
@@ -363,7 +291,7 @@ def rotate_mask(mask, angle_deg):
     if angle_deg == 0.0:
         return mask
     gray = mask_to_gray(mask, 0, 255)
-    rotated = rotate_gray(gray, angle_deg, fill=255)
+    rotated = imaging.rotate(gray, angle_deg, fill=255)
     return rotated < 128
 
 
@@ -389,7 +317,8 @@ def perturbed_glyph_mask(ch, rng, scales=(4, 5, 6), rotate_range=1.5,
     return tight
 
 
-def font_store_samples(samples_per_class=12, seed=7, scales=(4, 5, 6)):
+def font_store_samples(samples_per_class=FONT_STORE_SAMPLES, seed=FONT_STORE_SEED,
+                       scales=(4, 5, 6)):
     """Deterministic labeled samples for building the default template store."""
     seeds = np.random.SeedSequence(seed).spawn(len(ALPHABET))
     out = []
@@ -400,7 +329,7 @@ def font_store_samples(samples_per_class=12, seed=7, scales=(4, 5, 6)):
     return out
 
 
-def build_font_store(seed=7, samples_per_class=12):
+def build_font_store(seed=FONT_STORE_SEED, samples_per_class=FONT_STORE_SAMPLES):
     """Build the default template store from the bundled font."""
     return build_store(font_store_samples(samples_per_class, seed))
 

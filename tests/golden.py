@@ -8,7 +8,10 @@ candidate band merges into a neighbour, and the files of the default
 template store.  tests/test_golden.py recomputes them and compares with
 tests/golden.txt, so any change to a transcript, a stage dump, an `eval`
 report or the generator's output (the store, and the cards whose crops are
-dumped) fails tier-1 until the file is rewritten.
+dumped) fails tier-1 until the file is rewritten.  The generator rotates
+through imaging.rotate, the pipeline's only rotation kernel, so a change to
+that kernel moves the store and the skewed cards as well as the deskewed
+crops.
 
 Rewrite the file after an intended behaviour change with
 

@@ -281,64 +281,3 @@ def fixed_rotate(img, angle_deg, fill=255):
              + padded[y0 + 1, x0] * (one - fx) * fy
              + padded[y0 + 1, x0 + 1] * fx * fy)
     return ((total + one * one // 2) // (one * one)).astype(np.uint8)
-
-
-def float_rotate(img, angle_deg, fill=255):
-    """Bilinear rotation of the whole canvas at once in floating point: every
-    output pixel's float32 coordinates, taps and float64 blend in one set of
-    full-frame arrays, with the blend clipped to 0..255 at the end.  For a
-    fill in 0..255 `synth.rotate_gray`, the generator's renderer, which
-    resamples row strips and has no clip, must match it byte for byte."""
-    c, s, out_h, out_w = _canvas(img, angle_deg)
-    h, w = img.shape
-
-    # Pad the source with one ring of fill so bilinear taps that straddle the
-    # border blend into fill and far-outside taps clamp onto pure fill.
-    padded = np.full((h + 2, w + 2), fill, dtype=np.float32)
-    padded[1:-1, 1:-1] = img
-
-    cx_d, cy_d = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    cx_s, cy_s = (w - 1) / 2.0, (h - 1) / 2.0
-    dx = np.arange(out_w, dtype=np.float32) - np.float32(cx_d)
-    dy = (np.arange(out_h, dtype=np.float32) - np.float32(cy_d))[:, None]
-    # Inverse of a counter-clockwise rotation in y-down pixel coordinates.
-    xs = np.float32(cx_s) + dx * np.float32(c) - dy * np.float32(s)
-    ys = np.float32(cy_s) + dx * np.float32(s) + dy * np.float32(c)
-
-    xs += 1.0  # shift into padded coordinates
-    ys += 1.0
-    # below w + 1 and h + 1, so that the taps stay inside the padding
-    np.clip(xs, 0.0, np.nextafter(np.float32(w + 1), np.float32(0)), out=xs)
-    np.clip(ys, 0.0, np.nextafter(np.float32(h + 1), np.float32(0)), out=ys)
-    x0 = xs.astype(np.int32)
-    y0 = ys.astype(np.int32)
-    fx = xs - x0
-    fy = ys - y0
-
-    # Gather the four taps through one flat index array stepped in place,
-    # cheaper than 2-D fancy indexing, then blend in place.  fx and fy are
-    # float64, so this is top = p00 + (p01 - p00) * fx, bot likewise, and
-    # top + (bot - top) * fy, all in float64.
-    flat = padded.ravel()
-    idx = y0.astype(np.intp)
-    idx *= w + 2
-    idx += x0
-    p00 = flat.take(idx)
-    idx += 1
-    p01 = flat.take(idx)
-    idx += w + 1
-    p10 = flat.take(idx)
-    idx += 1
-    p11 = flat.take(idx)
-    p01 -= p00
-    top = p01 * fx
-    top += p00
-    p11 -= p10
-    out = p11 * fx
-    out += p10
-    out -= top
-    out *= fy
-    out += top
-    np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8)

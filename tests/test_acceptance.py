@@ -23,6 +23,7 @@ from cardocr.synth import Band, CardSpec, SuiteParams
 from reference import char_accuracy, dissimilarity, pixel_eval, resample_mask
 
 CFG = PipelineConfig().validate()
+MERGED, FULL = rec.ClassScheme("merged"), rec.ClassScheme("full")
 
 CAPS = [c for c in rec.ALPHABET if c.isupper() or c.isdigit()]
 LOWER = [c for c in rec.ALPHABET if c.islower()]
@@ -206,7 +207,7 @@ def test_c07_recognition_properties(store):
     best, dist = rec.classify(store.patterns(), store)
     for label, i, score in zip(store.labels, best.tolist(), dist.tolist()):
         assert score == 0
-        assert rec.MERGED.apply(store.labels[i]) == rec.MERGED.apply(label)
+        assert MERGED.apply(store.labels[i]) == MERGED.apply(label)
 
     # metric axioms on 10^5 random triples, in batches; the batch distance
     # formula (ink-only/background-only disagreement split) independently
@@ -253,8 +254,8 @@ def _perturbed_eval(store, count, seed):
         [best], _ = rec.classify(pattern[None], store)
         raw_predictions.append(store.labels[best])
         truth.append(ch)
-    merged_acc = char_accuracy(raw_predictions, truth, rec.MERGED)
-    full_acc = char_accuracy(raw_predictions, truth, rec.FULL)
+    merged_acc = char_accuracy(raw_predictions, truth, MERGED)
+    full_acc = char_accuracy(raw_predictions, truth, FULL)
     return merged_acc, full_acc, len(truth)
 
 

@@ -176,6 +176,15 @@ class TestSynthCommand:
         assert cli.main(["synth", str(tmp_path / "suite"), "--count", "1"]) == 0
         assert "scales=3,4,5\n" in capsys.readouterr().out
 
+    def test_defaults_are_suite_params(self):
+        args = cli.build_parser().parse_args(["synth", "out"])
+        params = synth.SuiteParams()
+        for name in ("count", "seed", "width", "height",
+                     "skew_min", "skew_max", "sigma_min", "sigma_max"):
+            assert getattr(args, name) == getattr(params, name), name
+        assert args.scales == ",".join(map(str, params.scales))
+        assert args.salt_pepper == params.salt_pepper_min == params.salt_pepper_max
+
 
 class TestArgumentErrors:
     """Out-of-range synth, store-build and bench arguments exit 2 with one
@@ -262,6 +271,10 @@ class TestStoreBuild:
         assert sorted(p.name for p in out.iterdir()) == ["labels.txt", "templates.pgm"]
         assert imaging.load_pnm_file(out / "templates.pgm").shape == (730 * 48, 48)
         assert len((out / "labels.txt").read_text().splitlines()) == 730
+
+    def test_defaults_are_the_font_store_defaults(self):
+        args = cli.build_parser().parse_args(["store-build", "out"])
+        assert (args.seed, args.samples) == (synth.FONT_STORE_SEED, synth.FONT_STORE_SAMPLES)
 
     def test_rebuild_is_byte_identical(self, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"

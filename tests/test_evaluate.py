@@ -6,12 +6,14 @@ from cardocr import imaging, pipeline, synth
 from cardocr.config import PipelineConfig
 from cardocr.evaluate import EvalCounts, MetricUndefinedError
 from cardocr.imaging import Rect
-from cardocr.recognize import FULL, MERGED
+from cardocr.recognize import ClassScheme
 from cardocr.regions import Region
 
 from reference import char_accuracy, pixel_eval
 from test_imaging import traced_peak
 from test_pipeline import FRAME_RELEASE
+
+MERGED, FULL = ClassScheme("merged"), ClassScheme("full")
 
 
 def tr(x, y, w, h):

@@ -2,9 +2,11 @@
 
 A change that alters a transcript, a stage dump or an `eval` report on
 purpose rewrites the file with `PYTHONPATH=src python tests/golden.py`.
-numpy's float paths (bilinear rotation, float32 gray) may differ between
-numpy versions, so a failure names the versions that made the file and
-this run; it is not skipped on a version mismatch."""
+Rotation is fixed-point in the pipeline and in the generator alike, with
+no float bilinear path; numpy's float paths that remain (the float32 gray
+conversion, the float64 coordinate terms rotate rounds, the noise draws)
+may differ between numpy versions, so a failure names the versions that
+made the file and this run; it is not skipped on a version mismatch."""
 
 import golden
 

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cardocr import imaging, synth
+from cardocr import imaging
 from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
-from reference import fixed_rotate, float_rotate, load_pnm, to_gray
+from reference import fixed_rotate, load_pnm, to_gray
 
 
 def box_blur(img, passes):
@@ -494,16 +494,6 @@ class TestRotate:
         for img, angle, fill in clipping_cases():
             assert np.array_equal(imaging.rotate(img, angle, fill), fixed_rotate(img, angle, fill))
 
-    def test_within_one_level_of_the_float_renderer(self):
-        # the fixed-point kernel against the generator's float one: at most 1
-        # gray level apart on every random case, and equal at angle 0
-        cases = [*clipping_cases(), *(case for budget in STRIP_BUDGETS
-                                      for case in strip_cases(budget))]
-        for img, angle, fill in cases:
-            diff = imaging.rotate(img, angle, fill).astype(int) - synth.rotate_gray(img, angle, fill)
-            assert np.abs(diff).max() <= 1
-            assert np.array_equal(imaging.rotate(img, 0.0, fill), synth.rotate_gray(img, 0.0, fill))
-
     def test_coordinates_beyond_int32(self):
         # a canvas 2**21 px tall puts its coordinates in units of 2**-10 px
         # past int32; they go to int64, and angle 0 stays the identity
@@ -540,22 +530,15 @@ def strip_cases(budget):
 
 
 class TestRotateStrips:
-    """imaging.rotate and the generator's synth.rotate_gray resample the
-    canvas in row strips; their outputs must be byte for byte those of the
-    full-frame fixed-point and float bodies in tests/reference.py."""
+    """imaging.rotate resamples the canvas in row strips; its output must be
+    byte for byte that of the full-frame fixed-point body in
+    tests/reference.py."""
 
     @pytest.mark.parametrize("strip_px", STRIP_BUDGETS)
     def test_matches_full_frame(self, monkeypatch, strip_px):
         monkeypatch.setattr(imaging, "ROTATE_STRIP_PX", strip_px)
         for img, angle, fill in strip_cases(strip_px):
             assert np.array_equal(imaging.rotate(img, angle, fill), fixed_rotate(img, angle, fill))
-
-    @pytest.mark.parametrize("strip_px", STRIP_BUDGETS)
-    def test_generator_renderer_matches_full_frame(self, monkeypatch, strip_px):
-        monkeypatch.setattr(imaging, "ROTATE_STRIP_PX", strip_px)
-        for img, angle, fill in strip_cases(strip_px):
-            assert np.array_equal(synth.rotate_gray(img, angle, fill),
-                                  float_rotate(img, angle, fill))
 
     def test_canvas_wider_than_budget(self):
         # at the shipped budget: a canvas row holds more than one strip's

@@ -3,19 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cardocr import imaging, pipeline, synth
+from cardocr import cli, imaging, pipeline, synth
 from cardocr import segment as sg
-from cardocr.config import PipelineConfig
+from cardocr.config import ConfigError, PipelineConfig
 from cardocr import recognize as rec
-from cardocr.recognize import (
-    FULL,
-    MERGED,
-    ClassScheme,
-    StoreError,
-    TemplateStore,
-)
+from cardocr.recognize import ClassScheme, StoreError, TemplateStore
 from reference import dissimilarity, nearest_templates, resample_48, to_gray
 from test_segment import band_lines
+
+MERGED, FULL = ClassScheme("merged"), ClassScheme("full")
 
 
 def pattern_from(mask_rows):
@@ -115,6 +111,19 @@ class TestScheme:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             ClassScheme("fuzzy")
+
+    def test_schemes_are_the_config_and_cli_choices(self):
+        # the config, its scheme object and the --scheme flag read SCHEMES
+        assert list(rec.SCHEMES) == ["merged", "full"]
+        for name in rec.SCHEMES:
+            assert PipelineConfig(scheme=name).class_scheme() == ClassScheme(name)
+        with pytest.raises(ConfigError, match="^scheme must be 'merged' or 'full'$"):
+            PipelineConfig(scheme="fuzzy")
+        parser = cli.build_parser()
+        for name in rec.SCHEMES:
+            assert parser.parse_args(["config", "--scheme", name]).scheme == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["config", "--scheme", "fuzzy"])
 
 
 class TestClassify:

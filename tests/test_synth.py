@@ -81,6 +81,25 @@ class TestRenderCard:
         with pytest.raises(ValueError, match="noise_sigma"):
             CardSpec(width=100, height=100, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("colours, match", [
+        (dict(background=300), "0 <= foreground < background <= 255"),
+        (dict(foreground=-1), "0 <= foreground < background <= 255"),
+        (dict(foreground=220), "0 <= foreground < background <= 255"),
+        (dict(background=220.5), "integers"),
+        (dict(foreground=30.0), "integers"),
+        (dict(background=True), "integers"),
+    ])
+    def test_colours_are_gray_levels(self, colours, match):
+        # checked when the spec is built, not deep in the renderer
+        with pytest.raises(ValueError, match=match):
+            CardSpec(width=100, height=100, **colours)
+
+    def test_extreme_colours_render(self):
+        spec = CardSpec(width=200, height=80, skew_deg=3.0, foreground=0, background=255,
+                        bands=[Band(text="Edge", x=10, y=10, scale=3)])
+        color, truth = synth.render_card(spec)
+        assert color.min() == 0 and color.max() == 255 and truth.mask.any()
+
     def test_decoys_recorded_as_nr(self):
         spec = CardSpec(width=300, height=300,
                         decoys=[Decoy(shape="rect", rect=Rect(40, 40, 100, 100)),
