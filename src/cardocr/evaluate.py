@@ -61,11 +61,11 @@ def overlap_over_union(a, b):
 MATCH_THRESHOLD = 0.5
 
 
-def region_eval(predicted, truth, threshold=MATCH_THRESHOLD):
+def region_eval(predicted, truth):
     """Region-level confusion counts.
 
     `predicted` and `truth` are Region-like objects with .bbox and .kind.
-    A predicted TR matches a truth TR at overlap/union >= threshold,
+    A predicted TR matches a truth TR at overlap/union >= MATCH_THRESHOLD,
     assigned greedily one-to-one by overlap.  Truth NRs are not counted: a
     predicted TR over one is a false positive.
     """
@@ -76,7 +76,7 @@ def region_eval(predicted, truth, threshold=MATCH_THRESHOLD):
     for i, p in enumerate(pred_tr):
         for j, t in enumerate(truth_tr):
             oou = overlap_over_union(p, t)
-            if oou >= threshold:
+            if oou >= MATCH_THRESHOLD:
                 pairs.append((oou, i, j))
     pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
     used_p, used_t = set(), set()

@@ -8,9 +8,11 @@ y = row:
 * binary image -- bool array of shape (height, width), True = foreground
 
 File I/O is limited to binary PGM ("P5") and PPM ("P6") with maxval 255,
-written bit-exactly without any third-party codec.  A file loads as a gray
-image, the pipeline's only input: to_grayscale converts a PPM strip by
-strip as it is read, so its color image is never held whole.
+written bit-exactly without any third-party codec.  A file's header is read
+in one forward pass, a byte at a time, so a '#' comment may be any length
+and the file is left at the payload.  A file loads as a gray image, the
+pipeline's only input: to_grayscale converts a PPM strip by strip as it is
+read, so its color image is never held whole.
 """
 
 import math
@@ -109,58 +111,33 @@ def to_grayscale(strips, h, w):
     return out
 
 
-_PNM_SPACE = frozenset(b" \t\n\r\v\f")  # the bytes bytes.isspace accepts
-# Bytes of a PNM file read for its header at first; a longer header (a long
-# comment) is read in doubling steps.
-HEADER_READ_BYTES = 1 << 8
-
-
-def _parse_header_tokens(data, count):
-    """Read `count` whitespace-separated tokens after the magic, honoring
-    '#' comments.  Returns (tokens, offset of the payload).  Both errors
-    are raised only where the tokens run into the end of `data`."""
-    tokens = []
-    i = 2  # past the two magic bytes
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i] in _PNM_SPACE:
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and data[i] not in _PNM_SPACE:
-            i += 1
-        if i == start:
-            raise PnmError("malformed header: ran out of data while reading dimensions")
-        tokens.append(data[start:i])
-    if i >= n:
-        raise PnmError("malformed header: missing payload")
-    i += 1  # single whitespace byte after maxval
-    return tokens, i
-
-
 def _read_header(fh):
-    """Parse the header at the start of the open file `fh` and leave it at
-    the first payload byte.  Returns (height, width, channels)."""
-    head = fh.read(HEADER_READ_BYTES)
-    magic = head[:2]
+    """Parse the header at the start of the open file `fh` in one forward
+    pass, a byte at a time, and leave it at the first payload byte.
+    Returns (height, width, channels)."""
+    magic = fh.read(2)
     if magic == b"P5":
         channels = 1
     elif magic == b"P6":
         channels = 3
     else:
         raise PnmError(f"malformed header: unsupported magic {magic!r}")
-    while True:
-        try:
-            tokens, offset = _parse_header_tokens(head, 3)
-            break
-        except PnmError:
-            more = fh.read(len(head))  # the header may go on past `head`
-            if not more:
-                raise
-            head += more
+    tokens = []
+    while len(tokens) < 3:
+        byte = fh.read(1)
+        if byte.isspace():
+            continue
+        if byte == b"#":  # a comment only where a token would start
+            fh.readline()
+            continue
+        if not byte:
+            raise PnmError("malformed header: ran out of data while reading dimensions")
+        token = bytearray(byte)
+        while (byte := fh.read(1)) and not byte.isspace():
+            token += byte
+        tokens.append(bytes(token))
+    if not byte:  # maxval must end in the single whitespace byte just read
+        raise PnmError("malformed header: missing payload")
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -169,7 +146,6 @@ def _read_header(fh):
         raise PnmError(f"malformed header: bad dimensions {width}x{height}")
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval} (only 255 is handled)")
-    fh.seek(offset)
     return height, width, channels
 
 

@@ -205,11 +205,11 @@ def classify(patterns, store):
     return best, exact[np.arange(len(best)), best]
 
 
-def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
+def build_store(labeled_samples):
     """Select the most central samples per class as templates.
 
     `labeled_samples` yields (label, binary mask) pairs; masks are
-    normalized here.  Per class, the `samples_per_class` samples with the
+    normalized here.  Per class, the SAMPLES_PER_CLASS samples with the
     smallest summed dissimilarity to their classmates, each sample's row
     computed by the matcher's kernel, are kept, preserving input order.
     Classes with fewer samples than that are an error.
@@ -222,15 +222,15 @@ def build_store(labeled_samples, samples_per_class=SAMPLES_PER_CLASS):
     stacks, labels = [], []
     for label in sorted(by_class, key=CLASS_INDEX.__getitem__):
         stack = np.stack(by_class[label])
-        if len(stack) < samples_per_class:
+        if len(stack) < SAMPLES_PER_CLASS:
             raise StoreError(
-                f"class {label!r} has {len(stack)} samples, needs {samples_per_class}"
+                f"class {label!r} has {len(stack)} samples, needs {SAMPLES_PER_CLASS}"
             )
         words, every = _pack_words(stack), np.arange(len(stack))
         scores = [
             _pair_distances(words, np.full_like(every, i), words, every).sum() for i in every
         ]
-        keep = sorted(np.argsort(scores, kind="stable")[:samples_per_class])
+        keep = sorted(np.argsort(scores, kind="stable")[:SAMPLES_PER_CLASS])
         stacks.append(stack[keep])
         labels += [label] * len(keep)
     store = TemplateStore(np.concatenate(stacks), labels)

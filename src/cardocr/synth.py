@@ -4,7 +4,9 @@ Cards are composed from the bundled bitmap font: text bands (optionally
 multi-line), filled decoy shapes standing in for logos, a global skew
 rotation per card, and additive Gaussian plus salt-and-pepper noise.  The
 ground truth (region boxes, skew angle, ink mask, transcript) is recorded
-before noise, so it is exact by construction.
+before noise, so it is exact by construction.  A line is laid out once, at
+one pixel per font cell; a rotated band's or glyph's ink is what falls below
+imaging.midpoint of its two gray levels, the pipeline's own dark rule.
 """
 
 import math
@@ -27,9 +29,16 @@ WORD_GAP_CELLS = 3
 LINE_GAP_CELLS = 2
 MAX_SKEW_DEG = 20
 CARD_MARGIN = 48  # px kept clear around generated bands and decoys
+DECOY_INTENSITY = 60  # gray level of a decoy's fill
+MAX_LINE_WORDS = 3  # words of a random text line, at most
 # The default template store: its seed and perturbed samples per class.
 FONT_STORE_SEED = 7
 FONT_STORE_SAMPLES = 12
+# A perturbed store glyph: its scales, its rotation range in degrees and
+# the share of its bounding box's pixels flipped.
+GLYPH_SCALES = (4, 5, 6)
+GLYPH_ROTATE_DEG = 1.5
+GLYPH_FLIP_FRACTION = 0.02
 
 
 class SuiteFormatError(ValueError):
@@ -48,7 +57,6 @@ class Band:
 class Decoy:
     shape: str  # "rect" or "ellipse"
     rect: Rect
-    intensity: int = 60
 
 
 @dataclass
@@ -75,9 +83,14 @@ class CardSpec:
         if not 0 <= self.foreground < self.background <= 255:
             raise ValueError("need 0 <= foreground < background <= 255")
         for band in self.bands:
-            for ch in band.text.replace(" ", "").replace("\n", ""):
+            chars = band.text.replace(" ", "").replace("\n", "")
+            if not chars:
+                raise ValueError(f"band text {band.text!r} has no characters")
+            for ch in chars:
                 if ch not in GLYPHS:
                     raise ValueError(f"character {ch!r} outside the supported alphabet")
+            if not (all(type(v) is int for v in (band.x, band.y, band.scale)) and band.scale >= 1):
+                raise ValueError("band x, y and scale must be integers, with scale >= 1")
 
 
 @dataclass
@@ -105,7 +118,6 @@ class RegionRender:
     line_spans: list         # (top, bottom) ink rows per line (pre-rotation layout)
     words_per_line: list     # list of word lists
     glyph_counts: list       # glyphs per line
-    skew_deg: float
 
 
 def render_glyph(ch, scale):
@@ -115,43 +127,34 @@ def render_glyph(ch, scale):
     return np.kron(glyph_mask(ch), np.ones((scale, scale), dtype=bool))
 
 
+def _line_cells(text):
+    """One line's layout at one pixel per font cell: its bool ink mask,
+    GLYPH_ROWS high, glyphs CHAR_GAP_CELLS apart and words WORD_GAP_CELLS
+    apart, and its words."""
+    words = [w for w in text.split(" ") if w]
+    cells = [np.zeros((GLYPH_ROWS, 0), dtype=bool)]
+    for wi, word in enumerate(words):
+        for ci, ch in enumerate(word):
+            if wi or ci:
+                gap = CHAR_GAP_CELLS if ci else WORD_GAP_CELLS
+                cells.append(np.zeros((GLYPH_ROWS, gap), dtype=bool))
+            cells.append(glyph_mask(ch))
+    return np.hstack(cells), words
+
+
 def measure_line(text, scale):
     """Rendered pixel width of a one-line string."""
-    width = 0
-    first = True
-    for word in text.split(" "):
-        if not word:
-            continue
-        if not first:
-            width += WORD_GAP_CELLS * scale
-        first = False
-        for i, ch in enumerate(word):
-            if i:
-                width += CHAR_GAP_CELLS * scale
-            width += glyph_mask(ch).shape[1] * scale
-    return width
+    return _line_cells(text)[0].shape[1] * scale
 
 
 def render_line_mask(text, scale):
     """Render one line of text.  Returns (mask, words, glyph_count)."""
-    words = [w for w in text.split(" ") if w]
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    cells, words = _line_cells(text)
     if not words:
         raise ValueError("line has no words")
-    width = measure_line(text, scale)
-    mask = np.zeros((GLYPH_ROWS * scale, width), dtype=bool)
-    x = 0
-    glyphs = 0
-    for wi, word in enumerate(words):
-        if wi:
-            x += WORD_GAP_CELLS * scale
-        for ci, ch in enumerate(word):
-            if ci:
-                x += CHAR_GAP_CELLS * scale
-            g = render_glyph(ch, scale)
-            mask[:, x : x + g.shape[1]] |= g
-            x += g.shape[1]
-            glyphs += 1
-    return mask, words, glyphs
+    return np.kron(cells, np.ones((scale, scale), dtype=bool)), words, sum(map(len, words))
 
 
 def render_region_mask(lines, scale, margin_cells=2):
@@ -199,31 +202,20 @@ def apply_noise(img, rng, sigma=0.0, salt_pepper=0.0):
     return out
 
 
-def render_region(lines, scale, skew_deg=0.0, sigma=0.0, salt_pepper=0.0,
-                  seed=0, fg=30, bg=220, margin_cells=2):
-    """Render a standalone text region (the per-band building block)."""
+def render_region(lines, scale, skew_deg=0.0, sigma=0.0, seed=0, fg=30, bg=220,
+                  margin_cells=2):
+    """Render a standalone text region (the per-band building block): the
+    lines in `fg` on `bg`, rotated by `skew_deg` with `bg` fill, then
+    Gaussian noise of `sigma` drawn from `seed`.  Its mask is the ink
+    before noise: after a rotation, the pixels below imaging.midpoint(fg, bg)."""
     mask, spans, words, counts = render_region_mask(lines, scale, margin_cells)
     gray = mask_to_gray(mask, fg, bg)
     if skew_deg != 0.0:
         gray = imaging.rotate(gray, skew_deg, fill=bg)
-        mask = gray < (fg + bg) / 2.0
-    if sigma > 0 or salt_pepper > 0:
-        rng = np.random.default_rng(seed)
-        image = apply_noise(gray, rng, sigma, salt_pepper)
-    else:
-        image = gray
-    return RegionRender(
-        image=image, mask=mask, line_spans=spans, words_per_line=words,
-        glyph_counts=counts, skew_deg=skew_deg,
-    )
-
-
-def _tight_bbox(mask):
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    if len(rows) == 0:
-        return None
-    return Rect(int(cols[0]), int(rows[0]), int(cols[-1] - cols[0] + 1), int(rows[-1] - rows[0] + 1))
+        mask = gray < imaging.midpoint(fg, bg)
+    image = apply_noise(gray, np.random.default_rng(seed), sigma) if sigma > 0 else gray
+    return RegionRender(image=image, mask=mask, line_spans=spans, words_per_line=words,
+                        glyph_counts=counts)
 
 
 def render_card(spec, seed=0):
@@ -231,7 +223,6 @@ def render_card(spec, seed=0):
     canvas = np.full((spec.height, spec.width), spec.background, dtype=np.uint8)
     mask = np.zeros((spec.height, spec.width), dtype=bool)
     truth = GroundTruth(regions=[], mask=None)
-    midpoint = (spec.foreground + spec.background) / 2.0
 
     for band in spec.bands:
         lines = [ln for ln in band.text.split("\n") if ln.strip()]
@@ -246,15 +237,15 @@ def render_card(spec, seed=0):
             )
         window = canvas[band.y : band.y + h, band.x : band.x + w]
         np.minimum(window, stamp, out=window)
-        stamp_mask = stamp < midpoint
-        mask[band.y : band.y + h, band.x : band.x + w] |= stamp_mask
+        mask[band.y : band.y + h, band.x : band.x + w] |= render.mask
         # truth rect: the ink bounding box plus the band's natural margin
-        tight = _tight_bbox(stamp_mask)
+        rows = np.flatnonzero(render.mask.any(axis=1))
+        cols = np.flatnonzero(render.mask.any(axis=0))
         pad = band.scale
-        x1 = max(0, band.x + tight.x - pad)
-        y1 = max(0, band.y + tight.y - pad)
-        x2 = min(spec.width, band.x + tight.x + tight.w + pad)
-        y2 = min(spec.height, band.y + tight.y + tight.h + pad)
+        x1 = max(0, band.x + int(cols[0]) - pad)
+        y1 = max(0, band.y + int(rows[0]) - pad)
+        x2 = min(spec.width, band.x + int(cols[-1]) + 1 + pad)
+        y2 = min(spec.height, band.y + int(rows[-1]) + 1 + pad)
         rect = Rect(x1, y1, x2 - x1, y2 - y1)
         truth.regions.append(TruthRegion(bbox=rect, kind="TR",
                                          skew_deg=spec.skew_deg,
@@ -265,12 +256,12 @@ def render_card(spec, seed=0):
         if r.x < 0 or r.y < 0 or r.x2 > spec.width or r.y2 > spec.height:
             raise ValueError(f"decoy {r} exceeds the canvas")
         if decoy.shape == "rect":
-            canvas[r.y : r.y2, r.x : r.x2] = decoy.intensity
+            canvas[r.y : r.y2, r.x : r.x2] = DECOY_INTENSITY
         elif decoy.shape == "ellipse":
             yy, xx = np.mgrid[r.y : r.y2, r.x : r.x2]
             cy, cx = r.y + (r.h - 1) / 2.0, r.x + (r.w - 1) / 2.0
             inside = ((xx - cx) / (r.w / 2.0)) ** 2 + ((yy - cy) / (r.h / 2.0)) ** 2 <= 1.0
-            canvas[r.y : r.y2, r.x : r.x2][inside] = decoy.intensity
+            canvas[r.y : r.y2, r.x : r.x2][inside] = DECOY_INTENSITY
         else:
             raise ValueError(f"unknown decoy shape {decoy.shape!r}")
         truth.regions.append(TruthRegion(bbox=r, kind="NR"))
@@ -292,23 +283,22 @@ def rotate_mask(mask, angle_deg):
         return mask
     gray = mask_to_gray(mask, 0, 255)
     rotated = imaging.rotate(gray, angle_deg, fill=255)
-    return rotated < 128
+    return rotated < imaging.midpoint(0, 255)
 
 
-def perturbed_glyph_mask(ch, rng, scales=(4, 5, 6), rotate_range=1.5,
-                         flip_fraction=0.02):
+def perturbed_glyph_mask(ch, rng):
     """One perturbed rendering of a font glyph: random scale, small rotation,
     and a few pixel flips inside the bounding box (so even solid glyphs like
     '-' yield distinct patterns)."""
-    scale = int(scales[int(rng.integers(0, len(scales)))])
+    scale = GLYPH_SCALES[int(rng.integers(0, len(GLYPH_SCALES)))]
     mask = render_glyph(ch, scale)
-    angle = float(rng.uniform(-rotate_range, rotate_range))
+    angle = float(rng.uniform(-GLYPH_ROTATE_DEG, GLYPH_ROTATE_DEG))
     mask = rotate_mask(mask, angle)
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     tight = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
     h, w = tight.shape
-    flips = max(3, int(round(flip_fraction * h * w)))
+    flips = max(3, int(round(GLYPH_FLIP_FRACTION * h * w)))
     ys = rng.integers(0, h, flips)
     xs = rng.integers(0, w, flips)
     tight[ys, xs] = ~tight[ys, xs]
@@ -317,15 +307,14 @@ def perturbed_glyph_mask(ch, rng, scales=(4, 5, 6), rotate_range=1.5,
     return tight
 
 
-def font_store_samples(samples_per_class=FONT_STORE_SAMPLES, seed=FONT_STORE_SEED,
-                       scales=(4, 5, 6)):
+def font_store_samples(samples_per_class=FONT_STORE_SAMPLES, seed=FONT_STORE_SEED):
     """Deterministic labeled samples for building the default template store."""
     seeds = np.random.SeedSequence(seed).spawn(len(ALPHABET))
     out = []
     for ch, ss in zip(ALPHABET, seeds):
         rng = np.random.default_rng(ss)
         for _ in range(samples_per_class):
-            out.append((ch, perturbed_glyph_mask(ch, rng, scales=scales)))
+            out.append((ch, perturbed_glyph_mask(ch, rng)))
     return out
 
 
@@ -402,11 +391,11 @@ _WORD_CHARS = sorted(GLYPHS)
 _TALL_LIST = sorted(TALL_CHARS)
 
 
-def random_line_text(rng, max_width, scale, max_words=3):
+def random_line_text(rng, max_width, scale):
     """Random words over the alphabet; every line gets at least one tall
     character so text lines have full vertical extent."""
     words = []
-    n_words = int(rng.integers(1, max_words + 1))
+    n_words = int(rng.integers(1, MAX_LINE_WORDS + 1))
     for _ in range(n_words):
         length = int(rng.integers(3, 9))
         chars = [_WORD_CHARS[int(i)] for i in rng.integers(0, len(_WORD_CHARS), length)]

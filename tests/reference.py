@@ -8,7 +8,7 @@ import statistics
 import numpy as np
 
 from cardocr.evaluate import EvalCounts
-from cardocr.imaging import MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError, _parse_header_tokens
+from cardocr.imaging import MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError
 from cardocr.recognize import PATTERN_SIZE
 from cardocr.regions import NR, TR
 
@@ -198,6 +198,36 @@ def to_gray(rgb):
     imaging.to_grayscale must match exactly."""
     r, g, b = (rgb[..., k].astype(np.int64) for k in range(3))
     return ((299 * r + 587 * g + 114 * b + 500) // 1000).astype(np.uint8)
+
+
+_PNM_SPACE = frozenset(b" \t\n\r\v\f")  # the bytes bytes.isspace accepts
+
+
+def _parse_header_tokens(data, count):
+    """Read `count` whitespace-separated tokens after the magic of the
+    whole file's bytes `data`, by index, honoring '#' comments.  Returns
+    (tokens, offset of the payload).  Both errors are raised only where the
+    tokens run into the end of `data`."""
+    tokens = []
+    i = 2  # past the two magic bytes
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i] in _PNM_SPACE:
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] != ord("\n"):
+                i += 1
+            continue
+        start = i
+        while i < n and data[i] not in _PNM_SPACE:
+            i += 1
+        if i == start:
+            raise PnmError("malformed header: ran out of data while reading dimensions")
+        tokens.append(data[start:i])
+    if i >= n:
+        raise PnmError("malformed header: missing payload")
+    i += 1  # single whitespace byte after maxval
+    return tokens, i
 
 
 def _pnm_pixels(data):

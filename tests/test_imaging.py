@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,6 +10,9 @@ from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
 from reference import fixed_rotate, load_pnm, to_gray
+
+# Longer than the buffer of a file opened for binary reads.
+LONG_RUN = io.DEFAULT_BUFFER_SIZE + 100
 
 
 def box_blur(img, passes):
@@ -295,11 +299,11 @@ class TestStripLoader:
         img = np.random.default_rng(42).integers(0, 256, size=(3, w, 3), dtype=np.uint8)
         assert self.check(tmp_path, imaging.save_pnm(img)).shape == (3, w)
 
-    @pytest.mark.parametrize("extra", [-12, 0, 1, 9 * imaging.HEADER_READ_BYTES])
+    @pytest.mark.parametrize("extra", [-12, 0, 1, 9 * 256])
     def test_header_longer_than_first_read(self, tmp_path, extra):
-        # a comment or a run of spaces `extra` bytes longer than the first read
+        # a comment or a run of spaces 256 + `extra` bytes long
         img = np.random.default_rng(43).integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
-        length = imaging.HEADER_READ_BYTES + extra
+        length = 256 + extra
         comment = b"#" + b"c" * length + b"\n"
         for data in (b"P6\n" + comment + b"5 4\n255\n" + img.tobytes(),
                      b"P6 5" + b" " * length + b"4 " + comment + b"255\n" + img.tobytes(),
@@ -308,6 +312,21 @@ class TestStripLoader:
         for cut in (b"P6\n" + comment, b"P6\n" + comment + b"5 4 255"):  # header cut short
             self.check(tmp_path, cut)
         self.check(tmp_path, b"P6\n" + comment[:-1])
+
+    @pytest.mark.parametrize("head,loads", [
+        (b"P6 5 #" + b"c" * LONG_RUN + b"\n4 255\n", True),
+        (b"P6 5" + b" " * LONG_RUN + b"4 255\n", True),
+        (b"P6 " + b"0" * LONG_RUN + b"5 4 255\n", False),
+    ], ids=["comment", "whitespace", "digits"])
+    def test_header_longer_than_the_file_buffer(self, tmp_path, head, loads):
+        # a comment, a whitespace run or a digit run longer than the file
+        # object's buffer, so the header's read crosses a buffer refill,
+        # whole and cut in the run, after it and before the payload; the
+        # digit run is too many digits for int(), so it is non-numeric
+        img = np.random.default_rng(46).integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+        assert (self.check(tmp_path, head + img.tobytes()) is not None) == loads
+        for cut in (LONG_RUN // 2, LONG_RUN + 8, len(head) - 1):
+            self.check(tmp_path, head[:cut])
 
     @pytest.mark.parametrize("shrinks", [False, True])
     def test_truncated_in_a_later_strip(self, tmp_path, monkeypatch, shrinks):

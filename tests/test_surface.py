@@ -3,8 +3,10 @@ the package itself or by the benchmark: a helper that only tests call
 belongs with the tests (see tests/reference.py), not in the shipped package.
 The same holds for every method of a class, other than dunder methods.
 Every PipelineConfig field is read by the package: a setting that nothing
-reads is a dead knob.  Imports sit at module level, never in a function
-body, so a module's dependencies are all in its header.
+reads is a dead knob.  So is a parameter default that no call in the
+package, the benchmark or the tests overrides.  Imports sit at module
+level, never in a function body, so a module's dependencies are all in its
+header.
 """
 
 import ast
@@ -169,3 +171,74 @@ def test_no_function_local_imports():
     for path in PACKAGE:
         found += local_imports(ast.parse(path.read_text(), str(path)), path.stem)
     assert found == []
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) for each parameter with a default of
+    every top-level function and method of a module.  The position counts
+    the arguments a call passes before it, so a method's self is not
+    counted; a keyword-only parameter has none."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(item, True) for item in node.body if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append((node, False))
+    found = []
+    for fn, bound in functions:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        found += [(fn.name, positional[i].arg, i - bound)
+                  for i in range(len(positional) - len(args.defaults), len(positional))]
+        found += [(fn.name, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return found
+
+
+def passed_parameters(tree):
+    """(callee, parameter or position) for each argument of every call in a
+    module, by the callee's name or attribute; a call that unpacks *args or
+    **kwargs passes every parameter, marked '*'."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            passed.add((name, "*"))
+        passed.update((name, i) for i in range(len(node.args)))
+        passed.update((name, k.arg) for k in node.keywords)
+    return passed
+
+
+def unset_defaults(package, users):
+    """'<module>.<function>(<parameter>)' for each defaulted parameter of a
+    `package` module that no call in a `users` module passes; both map
+    names to trees."""
+    passed = set().union(*(passed_parameters(tree) for tree in users.values()))
+    return [
+        f"{name}.{fn}({param})"
+        for name, tree in package.items()
+        for fn, param, pos in defaulted_parameters(tree)
+        if not {(fn, param), (fn, pos), (fn, "*")} & passed
+    ]
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that every caller keeps is a constant spelled as a knob
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "class C:\n    def m(self, x=0, y=0):\n        pass\n"
+        "def g(e=0, h=0):\n    pass\n"
+        "f(0, c=1)\nC().m(1)\ng(**{})\n"
+    )
+    assert defaulted_parameters(tree) == [
+        ("f", "b", 1), ("f", "c", None), ("f", "d", None), ("m", "x", 0), ("m", "y", 1),
+        ("g", "e", 0), ("g", "h", 1)]
+    assert unset_defaults({"m": tree}, {"m": tree}) == ["m.f(b)", "m.f(d)", "m.m(y)"]
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in USERS + sorted((ROOT / "tests").glob("*.py"))}
+    package = {path.stem: trees[path] for path in PACKAGE}
+    assert unset_defaults(package, trees) == []

@@ -32,6 +32,11 @@ class TestGlyphRendering:
         assert words == ["OCR", "2010"]
         assert glyphs == 7
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_line_scale_below_one(self, scale):
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            synth.render_line_mask("OCR", scale)
+
     def test_region_line_spans(self):
         mask, spans, words, counts = synth.render_region_mask(["Top", "Bottom"], 3)
         assert len(spans) == 2
@@ -93,6 +98,23 @@ class TestRenderCard:
         # checked when the spec is built, not deep in the renderer
         with pytest.raises(ValueError, match=match):
             CardSpec(width=100, height=100, **colours)
+
+    @pytest.mark.parametrize("band, match", [
+        (dict(text="  "), "no characters"),
+        (dict(text="\n"), "no characters"),
+        (dict(text=" \n "), "no characters"),
+        (dict(x=10.5), "integers"),
+        (dict(y=-0.0), "integers"),
+        (dict(scale=True), "integers"),
+        (dict(scale=2.5), "integers"),
+        (dict(scale=0), "scale >= 1"),
+        (dict(scale=-1), "scale >= 1"),
+    ])
+    def test_bands_are_renderable(self, band, match):
+        # checked when the spec is built, not when NumPy fails to render it
+        fields = dict(text="Ok", x=10, y=10, scale=3) | band
+        with pytest.raises(ValueError, match=match):
+            CardSpec(width=100, height=100, bands=[Band(**fields)])
 
     def test_extreme_colours_render(self):
         spec = CardSpec(width=200, height=80, skew_deg=3.0, foreground=0, background=255,
