@@ -31,6 +31,11 @@ ROTATE_STRIP_PX = 1 << 14
 ROTATE_FRAC_BITS = 10
 
 
+# Bytes a width, height or maxval token of a PNM header may hold.  A longer
+# token is refused as soon as it passes this, and its bytes are not echoed.
+HEADER_TOKEN_BYTES = 32
+
+
 class PnmError(ValueError):
     """Raised for malformed, truncated or unsupported PNM data."""
 
@@ -135,6 +140,10 @@ def _read_header(fh):
         token = bytearray(byte)
         while (byte := fh.read(1)) and not byte.isspace():
             token += byte
+            if len(token) > HEADER_TOKEN_BYTES:
+                field = ("width", "height", "maxval")[len(tokens)]
+                raise PnmError(
+                    f"malformed header: {field} longer than {HEADER_TOKEN_BYTES} bytes")
         tokens.append(bytes(token))
     if not byte:  # maxval must end in the single whitespace byte just read
         raise PnmError("malformed header: missing payload")

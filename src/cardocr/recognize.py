@@ -122,10 +122,12 @@ def _pack_words(patterns):
 
 def _zone_counts(words):
     """(n, 9) int16 set-pixel counts per zone, in raster order, of (n, 36)
-    packed words."""
+    packed words.  The 16 rows of a zone are summed as the outer axis of
+    a transposed copy of the row counts, not as a short strided one."""
     n = len(words)
     rows = np.bitwise_count(words.view(np.uint16)).reshape(n, ZONE_GRID, 16, ZONE_GRID)
-    return rows.sum(axis=2, dtype=np.int16).reshape(n, ZONE_GRID * ZONE_GRID)
+    zones = rows.transpose(2, 0, 1, 3).copy().sum(axis=0, dtype=np.int16)
+    return zones.reshape(n, ZONE_GRID * ZONE_GRID)
 
 
 def _pair_distances(a, rows, b, cols):

@@ -112,11 +112,16 @@ def classify_grid(img, grid, t_var):
     A ragged image is edge-padded to whole blocks first; repeating an edge
     pixel leaves every tile's max and min unchanged.  The per-block max and
     min stay on the grid for compute_features.
+
+    Each extreme is reduced over the rows of a block first, a pass over
+    whole image rows.  The block's columns are then a last axis only
+    block_w long, which numpy would reduce one block at a time, so they
+    are reduced from a transposed copy of that result instead, 1/block_h
+    of the image, whose outer axis they are.
     """
     tiles = _tiles(img, grid, mode="edge")
-    # reducing the row axis first keeps the inner loop on contiguous memory
-    grid.block_max = tiles.max(axis=1).max(axis=2)
-    grid.block_min = tiles.min(axis=1).min(axis=2)
+    grid.block_max = tiles.max(axis=1).transpose(2, 0, 1).copy().max(axis=0)
+    grid.block_min = tiles.min(axis=1).transpose(2, 0, 1).copy().min(axis=0)
     grid.labels = (grid.block_max.astype(np.int16) - grid.block_min) >= t_var
     return grid
 

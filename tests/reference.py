@@ -8,7 +8,7 @@ import statistics
 import numpy as np
 
 from cardocr.evaluate import EvalCounts
-from cardocr.imaging import MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError
+from cardocr.imaging import HEADER_TOKEN_BYTES, MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError
 from cardocr.recognize import PATTERN_SIZE
 from cardocr.regions import NR, TR
 
@@ -30,6 +30,13 @@ def nearest_templates(patterns, store):
         best = int(dists.argmin())
         found.append((store.labels[best], int(dists[best])))
     return found
+
+
+def zone_counts(patterns):
+    """(n, 9) set-pixel counts of the 3x3 grid of 16x16 zones of an
+    (n, 48, 48) bool stack, zones in raster order, one zone at a time."""
+    return np.array([[int(np.count_nonzero(p[16 * zr : 16 * zr + 16, 16 * zc : 16 * zc + 16]))
+                      for zr in range(3) for zc in range(3)] for p in patterns])
 
 
 def resample_48(tight):
@@ -206,7 +213,8 @@ _PNM_SPACE = frozenset(b" \t\n\r\v\f")  # the bytes bytes.isspace accepts
 def _parse_header_tokens(data, count):
     """Read `count` whitespace-separated tokens after the magic of the
     whole file's bytes `data`, by index, honoring '#' comments.  Returns
-    (tokens, offset of the payload).  Both errors are raised only where the
+    (tokens, offset of the payload).  A token is refused where it passes
+    HEADER_TOKEN_BYTES; the other two errors are raised only where the
     tokens run into the end of `data`."""
     tokens = []
     i = 2  # past the two magic bytes
@@ -221,6 +229,10 @@ def _parse_header_tokens(data, count):
         start = i
         while i < n and data[i] not in _PNM_SPACE:
             i += 1
+            if i - start > HEADER_TOKEN_BYTES:
+                field = ("width", "height", "maxval")[len(tokens)]
+                raise PnmError(
+                    f"malformed header: {field} longer than {HEADER_TOKEN_BYTES} bytes")
         if i == start:
             raise PnmError("malformed header: ran out of data while reading dimensions")
         tokens.append(data[start:i])

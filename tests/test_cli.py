@@ -75,6 +75,16 @@ class TestRun:
         bad.write_bytes(b"JFIF not a pnm")
         assert cli.main(["run", str(bad), "--templates", store_dir]) == 2
 
+    def test_overlong_header_token_exit_2(self, store_dir, tmp_path, capsys):
+        # a width of 9000 zeros and a 5 is refused by its length, and the
+        # message names the field instead of echoing the token
+        bad = tmp_path / "long.ppm"
+        bad.write_bytes(b"P6 " + b"0" * 9000 + b"5 4 255\n" + bytes(60))
+        assert cli.main(["run", str(bad), "--templates", store_dir]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: malformed header: width longer than 32 bytes\n"
+        assert len(err.encode()) < 200
+
     def test_ill_formed_input_makes_no_dump_directory(self, store_dir, tmp_path):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"JFIF not a pnm")

@@ -322,7 +322,8 @@ class TestStripLoader:
         # a comment, a whitespace run or a digit run longer than the file
         # object's buffer, so the header's read crosses a buffer refill,
         # whole and cut in the run, after it and before the payload; the
-        # digit run is too many digits for int(), so it is non-numeric
+        # digit run is refused as too long where it passes
+        # HEADER_TOKEN_BYTES
         img = np.random.default_rng(46).integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
         assert (self.check(tmp_path, head + img.tobytes()) is not None) == loads
         for cut in (LONG_RUN // 2, LONG_RUN + 8, len(head) - 1):
@@ -353,12 +354,29 @@ class TestStripLoader:
         b"", b"P", b"P6", b"P6 0 1 255 ", b"P6 1 -1 255 ", b"P6 1 1 255 \0\0",
         b"P6 1 1 255\n\0\0\0\0\0\0", b"P6 1#x\n1 255 \1\2\3", b"P6 1 1 255#\1\2\3",
         b"P5 9999999999 9999999999 255 \0\0\0", b"P6 1000000000 1 255 \0\0\0",
+        b"P5 " + b"0" * 31 + b"1 1 255 \0", b"P5 1 1 " + b"0" * 29 + b"255 \0",
+        b"P5 " + b"0" * 32 + b"1 1 255 \0", b"P5 1 " + b"0" * 32 + b"1 255 \0",
+        b"P5 1 1 " + b"0" * 30 + b"255 \0", b"P5 " + b"9" * 32, b"P5 " + b"9" * 33,
     ])
     def test_header_cases(self, tmp_path, data):
         # short files, bad dimensions, a one-pixel PPM short or long, '#'
-        # inside a token, which starts no comment, and dimensions far beyond
-        # the payload, which are refused before any pixel buffer is made
+        # inside a token, which starts no comment, dimensions far beyond
+        # the payload, which are refused before any pixel buffer is made,
+        # and width, height and maxval tokens of HEADER_TOKEN_BYTES, which
+        # load, or one byte longer, which are refused even where the file
+        # ends right after them
         self.check(tmp_path, data)
+
+    @pytest.mark.parametrize("field,head", [
+        ("width", b"P5 " + b"0" * 33 + b"1 1 255 "),
+        ("height", b"P5 1 " + b"0" * 33 + b"1 255 "),
+        ("maxval", b"P5 1 1 " + b"0" * 33 + b"255 "),
+    ])
+    def test_long_token_is_named_not_echoed(self, tmp_path, field, head):
+        assert imaging.HEADER_TOKEN_BYTES == 32
+        message = f"malformed header: {field} longer than 32 bytes"
+        with pytest.raises(PnmError, match=f"^{message}$"):
+            decode(tmp_path, head + b"\0")
 
     def test_peak_is_gray_plus_strip_buffers(self, tmp_path):
         # a 3 MP PPM: the gray image, one uint8 strip of the file, its

@@ -8,7 +8,7 @@ from cardocr import segment as sg
 from cardocr.config import ConfigError, PipelineConfig
 from cardocr import recognize as rec
 from cardocr.recognize import ClassScheme, StoreError, TemplateStore
-from reference import dissimilarity, nearest_templates, resample_48, to_gray
+from reference import dissimilarity, nearest_templates, resample_48, to_gray, zone_counts
 from test_segment import band_lines
 
 MERGED, FULL = ClassScheme("merged"), ClassScheme("full")
@@ -234,6 +234,25 @@ class TestBatch:
         monkeypatch.setattr(rec, "_zone_counts", fail)
         best, dist = rec.classify(stack, store)
         assert best.shape == dist.shape == (0,)
+
+
+class TestZoneCounts:
+    """The matcher's zone counts, summed over a transposed copy of the
+    packed row counts, equal a per-zone popcount of the pattern."""
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(24)
+        density = rng.random((40, 1, 1))
+        stack = rng.random((40, 48, 48)) < density
+        stack[0], stack[1] = False, True
+        got = rec._zone_counts(rec._pack_words(stack))
+        assert got.dtype == np.int16 and got.shape == (40, 9)
+        assert np.array_equal(got, zone_counts(stack))
+
+    def test_store_words(self, store):
+        expected = zone_counts(store.patterns())
+        assert np.array_equal(rec._zone_counts(store._words), expected)
+        assert np.array_equal(store._zones, expected.T)
 
 
 class TestPrunedSearch:

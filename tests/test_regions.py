@@ -8,6 +8,7 @@ from cardocr import imaging, regions as rg, synth
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from reference import classify_region, region_dump, to_gray
+from test_imaging import traced_peak
 
 
 def tile_rect(grid, r, c):
@@ -253,21 +254,28 @@ class TestClassifyBlock:
             assert not any(labels[first_bb:])
 
     def test_classify_grid_matches_per_block(self):
+        # each block size on whole blocks, then a ragged edge on both axes,
+        # a 1-pixel remainder on each axis and on one; the frames are not
+        # square in blocks, so a swapped block_h and block_w shows
         rng = np.random.default_rng(4)
-        # a ragged edge, exact block multiples, a 1-pixel remainder on each axis
-        for shape in [(37, 51), (32, 48), (16, 16), (33, 49), (17, 32)]:
-            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
-            grid = rg.partition_blocks(img, 16, 16)
-            rg.classify_grid(img, grid, 40)
-            assert grid.labels.shape == (grid.rows, grid.cols)
-            for r in range(grid.rows):
-                for c in range(grid.cols):
-                    rect = tile_rect(grid, r, c)
-                    window = img[rect.y : rect.y2, rect.x : rect.x2]
-                    assert grid.block_max[r, c] == window.max()
-                    assert grid.block_min[r, c] == window.min()
-                    spread = int(window.max()) - int(window.min())
-                    assert grid.labels[r, c] == (spread >= 40)
+        for bh, bw in [(16, 16), (4, 4), (5, 7), (8, 24), (24, 8)]:
+            shapes = [(bh, bw), (2 * bh, 3 * bw), (3 * bh, 2 * bw), (2 * bh + bh // 2, 3 * bw + 3),
+                      (2 * bh + 1, 3 * bw + 1), (bh + 1, 2 * bw), (3 * bh, bw + 1)]
+            for shape in shapes:
+                img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+                grid = rg.partition_blocks(img, bh, bw)
+                rg.classify_grid(img, grid, 40)
+                assert grid.block_max.dtype == grid.block_min.dtype == np.uint8
+                assert (grid.labels.shape == grid.block_max.shape == grid.block_min.shape
+                        == (grid.rows, grid.cols)), (bh, bw, shape)
+                for r in range(grid.rows):
+                    for c in range(grid.cols):
+                        rect = tile_rect(grid, r, c)
+                        window = img[rect.y : rect.y2, rect.x : rect.x2]
+                        assert grid.block_max[r, c] == window.max(), (bh, bw, shape, r, c)
+                        assert grid.block_min[r, c] == window.min(), (bh, bw, shape, r, c)
+                        spread = int(window.max()) - int(window.min())
+                        assert grid.labels[r, c] == (spread >= 40)
 
 
 class TestAssemble:
@@ -619,6 +627,23 @@ class TestFeatureMemory:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak <= self.COUNT_NONZERO_PEAK_BYTES
+
+
+class TestGridMemory:
+    # classify_grid's peak on a whole-block 2048x1536 frame, numpy 2.4, was
+    # 405,984 bytes: 2.06 x (h / block_h) x w, the row reduction and its
+    # transposed copy at 196,608 bytes each, plus the per-block results.
+    PEAK_PER_BLOCK_ROW_BYTE = 2.25
+
+    def test_no_frame_sized_temporary(self):
+        h, w = 1536, 2048
+        img = np.random.default_rng(47).integers(0, 256, size=(h, w), dtype=np.uint8)
+        cfg = PipelineConfig()
+        rg.classify_grid(img, rg.partition_blocks(img, cfg.block_h, cfg.block_w), cfg.t_var)
+        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
+        _, peak = traced_peak(lambda: rg.classify_grid(img, grid, cfg.t_var))
+        assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // cfg.block_h) * w
+        assert peak < img.nbytes / 4
 
 
 def criterion9_card():
