@@ -9,6 +9,7 @@ suite, and character accuracy over scheme-mapped labels.
 from dataclasses import dataclass
 
 from . import imaging, pipeline, synth
+from .regions import TR
 
 
 class MetricUndefinedError(ValueError):
@@ -69,8 +70,8 @@ def region_eval(predicted, truth):
     assigned greedily one-to-one by overlap.  Truth NRs are not counted: a
     predicted TR over one is a false positive.
     """
-    pred_tr = [r.bbox for r in predicted if r.kind == "TR"]
-    truth_tr = [r.bbox for r in truth if r.kind == "TR"]
+    pred_tr = [r.bbox for r in predicted if r.kind == TR]
+    truth_tr = [r.bbox for r in truth if r.kind == TR]
 
     pairs = []
     for i, p in enumerate(pred_tr):

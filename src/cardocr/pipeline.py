@@ -1,7 +1,8 @@
 """End-to-end pipeline: from the gray image imaging.load_pnm_file reads
 from a card's file, extract text regions, de-skew, binarize, segment into
 lines and characters, classify each glyph under the config's class scheme,
-and join the labels into the transcript.
+and join the labels into the transcript.  The scheme is the one setting a
+stage reads; every threshold is a constant of its stage's module.
 
 Each stage returns values, and run_pipeline builds one frozen RunResult.
 Images are kept per text region (TR); the card's line bands, glyphs and
@@ -110,11 +111,11 @@ NO_BANDS = np.empty((0, 3), dtype=np.intp)
 NO_GLYPHS = sg.Glyphs(*[np.empty(0, dtype=np.intp)] * 6)
 
 
-def _stage_segment(binaries, cfg):
+def _stage_segment(binaries):
     """The card's bands, glyphs and glyph_band, as RunResult holds them."""
     bands = [(i, top, bottom) for i, binary in enumerate(binaries)
-             for top, bottom in sg.segment_lines(binary, cfg).tolist()]
-    lines = [sg.segment_characters(binaries[i][top : bottom + 1], cfg) for i, top, bottom in bands]
+             for top, bottom in sg.segment_lines(binary).tolist()]
+    lines = [sg.segment_characters(binaries[i][top : bottom + 1]) for i, top, bottom in bands]
     if not lines:
         return NO_BANDS, NO_GLYPHS, NO_GLYPHS.x1
     glyphs = sg.Glyphs(*map(np.concatenate, zip(*(vars(g).values() for g in lines))))
@@ -145,7 +146,7 @@ def _stage_recognize(binaries, bands, glyphs, glyph_band, store, scheme):
 
 def run_pipeline(image, cfg, store, timer=None):
     """Run the full pipeline on a gray image, as imaging.load_pnm_file
-    returns it.
+    returns it, under the class scheme of the PipelineConfig `cfg`.
 
     Once the text regions are cut out, no stage reads the image: the
     pipeline drops its reference to it there, so a caller that passes the
@@ -159,16 +160,16 @@ def run_pipeline(image, cfg, store, timer=None):
         return timer.run(stage, fn) if timer is not None else fn()
 
     def extract():
-        all_regions = rg.extract_regions(image, cfg)
+        all_regions = rg.extract_regions(image)
         regions = [all_regions[i] for i in np.flatnonzero(all_regions.text).tolist()]
         return all_regions, regions, [image[r.bbox.y : r.bbox.y2, r.bbox.x : r.bbox.x2].copy()
                                       for r in regions]
 
     all_regions, regions, crops = timed("extraction", extract)
     del image
-    rotations = timed("skew", lambda: [skew.deskew(crop, cfg) for crop in crops])
+    rotations = timed("skew", lambda: [skew.deskew(crop) for crop in crops])
     binaries = timed("binarize", lambda: [bz.binarize_region(d) for d, _ in rotations])
-    bands, glyphs, glyph_band = timed("segment", lambda: _stage_segment(binaries, cfg))
+    bands, glyphs, glyph_band = timed("segment", lambda: _stage_segment(binaries))
     labels, transcript = timed("recognize", lambda: _stage_recognize(
         binaries, bands, glyphs, glyph_band, store, cfg.class_scheme()))
     tr_results = [RegionResult(region, crop, *rotation, binary)

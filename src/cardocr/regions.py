@@ -19,6 +19,15 @@ from .imaging import Rect, midpoint
 TR = "TR"  # text region
 NR = "NR"  # non-text region
 
+# The paper's fixed parameters, read by extract_regions and classify_region
+# when they are called.
+BLOCK_SIZE = 16  # block height and width in pixels
+T_VAR = 40  # min max - min intensity of an information block
+MIN_AREA_BLOCKS = 4  # min member blocks of a TR
+AR_MIN, AR_MAX = 1.2, 40.0  # accepted box aspect ratio (w / h) of a TR
+DENS_MIN, DENS_MAX = 0.03, 0.6  # accepted dark-pixel density of a TR
+COV_MIN = 0.5  # min share of a TR's box that its member blocks cover
+
 
 @dataclass
 class BlockGrid:
@@ -257,32 +266,32 @@ def compute_features(img, grid, boxes):
     )
 
 
-def classify_region(table, cfg):
-    """The text gate: a bool array, True (TR) where every geometric gate of
-    the PipelineConfig passes and False (NR) otherwise; every bound is
-    inclusive.  `table` maps the feature column names of Regions to
-    parallel arrays: compute_features' dict, or vars() of a table."""
+def classify_region(table):
+    """The text gate: a bool array, True (TR) where every geometric gate
+    passes and False (NR) otherwise; every bound is inclusive.  `table`
+    maps the feature column names of Regions to parallel arrays:
+    compute_features' dict, or vars() of a table."""
     aspect, density = table["aspect_ratio"], table["info_pixel_density"]
     return (
-        (table["area"] >= cfg.min_area_blocks)
-        & (aspect >= cfg.ar_min)
-        & (aspect <= cfg.ar_max)
-        & (density >= cfg.dens_min)
-        & (density <= cfg.dens_max)
-        & (table["coverage_ratio"] >= cfg.cov_min)
+        (table["area"] >= MIN_AREA_BLOCKS)
+        & (aspect >= AR_MIN)
+        & (aspect <= AR_MAX)
+        & (density >= DENS_MIN)
+        & (density <= DENS_MAX)
+        & (table["coverage_ratio"] >= COV_MIN)
     )
 
 
-def extract_regions(img, cfg):
-    """Full block pipeline under a PipelineConfig; returns the Regions table
+def extract_regions(img):
+    """Full block pipeline on BLOCK_SIZE blocks; returns the Regions table
     of every region (TR and NR), ordered top-to-bottom then left-to-right by
     bounding box origin."""
-    grid = partition_blocks(img, cfg.block_h, cfg.block_w)
-    classify_grid(img, grid, cfg.t_var)
+    grid = partition_blocks(img, BLOCK_SIZE, BLOCK_SIZE)
+    classify_grid(img, grid, T_VAR)
     boxes = assemble_regions(grid)
     features = compute_features(img, grid, boxes)
     x, y, w, h = boxes.T
-    return Regions(x=x, y=y, w=w, h=h, **features, text=classify_region(features, cfg))
+    return Regions(x=x, y=y, w=w, h=h, **features, text=classify_region(features))
 
 
 def format_region_dump(regions):

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+LINE_THRESHOLD = 0  # a row with at most this many ink pixels separates lines
+R_MIN = 0.5  # min band height, as a share of the median band's
+WORD_GAP_FACTOR = 2.0  # a gap this many times the median gap breaks a word
+
 
 @dataclass(frozen=True)
 class Glyphs:
@@ -83,26 +87,26 @@ def reject_false_separators(top, bottom, r_min):
     return top, bottom
 
 
-def segment_lines(region, cfg):
+def segment_lines(region):
     """Split a binarized region into text lines.
 
-    Runs of rows with more than cfg.line_threshold foreground pixels are
-    candidate lines, and bands thinner than cfg.r_min times the median are
+    Runs of rows with more than LINE_THRESHOLD foreground pixels are
+    candidate lines, and bands thinner than R_MIN times the median are
     merged.  Returns an (n, 2) int array of inclusive (top, bottom) rows of
     the region, one row per line in top-down order; a region with no row
     above the threshold has zero bands.  Every band starts and ends on a row
     above the threshold, so `region[top : bottom + 1]` is tight to rows that
     hold foreground.
     """
-    top, bottom = candidate_bands(horizontal_histogram(region), cfg.line_threshold)
-    return np.column_stack(reject_false_separators(top, bottom, cfg.r_min))
+    top, bottom = candidate_bands(horizontal_histogram(region), LINE_THRESHOLD)
+    return np.column_stack(reject_false_separators(top, bottom, R_MIN))
 
 
-def segment_characters(line, cfg):
+def segment_characters(line):
     """Split one line into Glyphs.
 
     Characters are separated by zero-count column runs; a gap at least
-    cfg.word_gap_factor times the median interior gap width is a word break.
+    WORD_GAP_FACTOR times the median interior gap width is a word break.
     Each glyph's rows run from the first to the last row with foreground in
     its columns.  A line with no foreground has no glyphs.
     """
@@ -110,7 +114,7 @@ def segment_characters(line, cfg):
     gaps = x1[1:] - x2[:-1] - 1
     first = np.ones(len(x1), dtype=bool)  # the first glyph of a word
     if len(gaps):
-        first[1:] = gaps >= cfg.word_gap_factor * np.median(gaps)
+        first[1:] = gaps >= WORD_GAP_FACTOR * np.median(gaps)
     word = np.cumsum(first) - 1
     # Gap columns hold no foreground, so the columns from one run's start
     # to the next run's start hold exactly that run's ink.

@@ -93,35 +93,37 @@ def estimate_region_skew(shape, rows, cols, total=0.0):
 
 
 CONVERGENCE_DEG = 0.05
+SKEW_CLAMP = 20.0  # degrees; an estimate beyond it stops the refinement
+SKEW_PASSES = 3  # most estimation passes per region
 
 
-def deskew(region, cfg):
+def deskew(region):
     """Rotate the region upright.  Returns (corrected image, estimated angle).
 
     The three-anchor estimator underestimates large angles (the mu +/- tau
     band flattens steep profiles), so the estimate is refined up to
-    cfg.skew_passes times.  Pass 1 reads the crop itself; each later pass
+    SKEW_PASSES times.  Pass 1 reads the crop itself; each later pass
     reads the crop's dark pixels mapped through the rotation by the total so
     far, so its dark rule is the crop's own midpoint, not the midpoint of a
     resampled image.  The region is rotated once, by the final total.
 
     Degenerate regions (no dark pixels, too-flat profiles, estimates beyond
-    cfg.skew_clamp degrees) pass through unchanged with angle 0.
+    SKEW_CLAMP degrees) pass through unchanged with angle 0.
     """
     dark = np.flatnonzero(imaging.dark_mask(region))
     # a flat nonzero and a divmod beat the 2-D np.nonzero by about 2x
     rows, cols = np.divmod(dark, region.shape[1])
     total = 0.0
-    for _ in range(cfg.skew_passes):
+    for _ in range(SKEW_PASSES):
         try:
             angle = estimate_region_skew(region.shape, rows, cols, total)
         except DegenerateProfileError as exc:
             log.debug("skew estimation degenerate, stopping at %.2f: %s", total, exc)
             break
-        if abs(total + angle) > cfg.skew_clamp:
+        if abs(total + angle) > SKEW_CLAMP:
             log.debug(
                 "skew estimate %.2f beyond +/-%.1f clamp, stopping at %.2f",
-                angle, cfg.skew_clamp, total,
+                angle, SKEW_CLAMP, total,
             )
             break
         total += angle

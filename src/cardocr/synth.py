@@ -20,7 +20,7 @@ from . import imaging
 from .fontdata import ALPHABET, GLYPH_ROWS, GLYPHS, TALL_CHARS, glyph_mask
 from .imaging import Rect
 from .recognize import build_store
-from .regions import TR, Regions, format_region_dump, parse_region_dump
+from .regions import BLOCK_SIZE, NR, TR, Regions, format_region_dump, parse_region_dump
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -96,7 +96,7 @@ class CardSpec:
 @dataclass
 class TruthRegion:
     bbox: Rect
-    kind: str  # "TR" or "NR"
+    kind: str  # TR or NR
     skew_deg: float = 0.0
     lines: list = field(default_factory=list)  # list of word lists
 
@@ -108,7 +108,7 @@ class GroundTruth:
 
     @property
     def text_regions(self):
-        return [r for r in self.regions if r.kind == "TR"]
+        return [r for r in self.regions if r.kind == TR]
 
 
 @dataclass
@@ -247,7 +247,7 @@ def render_card(spec, seed=0):
         x2 = min(spec.width, band.x + int(cols[-1]) + 1 + pad)
         y2 = min(spec.height, band.y + int(rows[-1]) + 1 + pad)
         rect = Rect(x1, y1, x2 - x1, y2 - y1)
-        truth.regions.append(TruthRegion(bbox=rect, kind="TR",
+        truth.regions.append(TruthRegion(bbox=rect, kind=TR,
                                          skew_deg=spec.skew_deg,
                                          lines=render.words_per_line))
 
@@ -264,7 +264,7 @@ def render_card(spec, seed=0):
             canvas[r.y : r.y2, r.x : r.x2][inside] = DECOY_INTENSITY
         else:
             raise ValueError(f"unknown decoy shape {decoy.shape!r}")
-        truth.regions.append(TruthRegion(bbox=r, kind="NR"))
+        truth.regions.append(TruthRegion(bbox=r, kind=NR))
 
     truth.mask = mask
     if spec.noise_sigma > 0 or spec.salt_pepper > 0:
@@ -493,14 +493,14 @@ def generate_suite(out_dir, params):
 
 def format_truth_regions(truth):
     """Ground-truth regions in the region dump format.  Only the boxes and
-    kinds are truth; the other fields are informational: the 16-pixel
+    kinds are truth; the other fields are informational: the BLOCK_SIZE
     blocks the box spans, its aspect ratio, the ink share of the box and 1."""
     boxes = [r.bbox for r in truth.regions]
     x, y, w, h = (np.array([getattr(b, k) for b in boxes], dtype=np.intp) for k in "xywh")
     windows = [truth.mask[b.y : b.y2, b.x : b.x2] for b in boxes]
     return format_region_dump(Regions(
         x=x, y=y, w=w, h=h,
-        area=-(-w // 16) * -(-h // 16),
+        area=-(-w // BLOCK_SIZE) * -(-h // BLOCK_SIZE),
         aspect_ratio=w / h,
         info_pixel_density=np.array([win.mean() if win.size else 0.0 for win in windows]),
         coverage_ratio=np.ones(len(boxes)),

@@ -95,11 +95,11 @@ def _card_digests(name, image, cfg, store, workdir):
     return digests
 
 
-def _region_digests(name, lines, scale, cfg):
+def _region_digests(name, lines, scale):
     """{'<name>.bands.txt' and '<name>.glyphs.txt': sha256} of a rendered
     region's segmentation, as the stage dumps write it."""
     binary = binarize.binarize_region(synth.render_region(lines, scale).image)
-    bands, glyphs, _ = pipeline._stage_segment([binary], cfg)
+    bands, glyphs, _ = pipeline._stage_segment([binary])
     return {f"{name}.bands.txt": _sha256(segment.format_band_dump(bands[:, 1:]).encode()),
             f"{name}.glyphs.txt": _sha256(segment.format_glyph_dump(glyphs).encode())}
 
@@ -125,7 +125,7 @@ def compute_digests(store, workdir):
     color, _ = synth.render_card(TWO_LINE_SPEC, seed=5)
     digests.update(_card_digests("two_line", to_gray(color), cfg, store, workdir))
     for name, (lines, scale) in MERGE_REGIONS.items():
-        digests.update(_region_digests(name, lines, scale, cfg))
+        digests.update(_region_digests(name, lines, scale))
     for suite, params in SUITES.items():
         suite_dir = os.path.join(workdir, "suites", suite)
         synth.generate_suite(suite_dir, params)

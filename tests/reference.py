@@ -7,6 +7,7 @@ import statistics
 
 import numpy as np
 
+from cardocr import regions
 from cardocr.evaluate import EvalCounts
 from cardocr.imaging import HEADER_TOKEN_BYTES, MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError
 from cardocr.recognize import PATTERN_SIZE
@@ -119,15 +120,15 @@ def three_anchor_skew(cols, heights):
     ) / 3.0
 
 
-def classify_region(row, cfg):
-    """TR iff every geometric gate of the PipelineConfig passes, NR
-    otherwise, for one region's scalar features (a dict keyed by the
-    Regions column names)."""
+def classify_region(row):
+    """TR iff every geometric gate of the regions module's constants
+    passes, NR otherwise, for one region's scalar features (a dict keyed by
+    the Regions column names)."""
     ok = (
-        row["area"] >= cfg.min_area_blocks
-        and cfg.ar_min <= row["aspect_ratio"] <= cfg.ar_max
-        and cfg.dens_min <= row["info_pixel_density"] <= cfg.dens_max
-        and row["coverage_ratio"] >= cfg.cov_min
+        row["area"] >= regions.MIN_AREA_BLOCKS
+        and regions.AR_MIN <= row["aspect_ratio"] <= regions.AR_MAX
+        and regions.DENS_MIN <= row["info_pixel_density"] <= regions.DENS_MAX
+        and row["coverage_ratio"] >= regions.COV_MIN
     )
     return TR if ok else NR
 

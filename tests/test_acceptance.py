@@ -17,12 +17,10 @@ from cardocr import regions as rg
 from cardocr import segment as sg
 from cardocr import skew
 from cardocr import synth
-from cardocr.config import PipelineConfig
 from cardocr.synth import Band, CardSpec, SuiteParams
 
 from reference import char_accuracy, dissimilarity, pixel_eval, resample_mask
 
-CFG = PipelineConfig().validate()
 MERGED, FULL = rec.ClassScheme("merged"), rec.ClassScheme("full")
 
 CAPS = [c for c in rec.ALPHABET if c.isupper() or c.isdigit()]
@@ -58,7 +56,7 @@ def test_c02_skew_accuracy():
         text = card_line(rng, n_words=5)
         render = synth.render_region([text], 3, skew_deg=true_deg,
                                      sigma=sigma, seed=1000 + i)
-        _, estimate = skew.deskew(render.image, CFG)
+        _, estimate = skew.deskew(render.image)
         errors.append(abs(estimate - true_deg))
     elapsed = time.process_time() - t0
     within = float(np.mean(np.array(errors) <= 3.0))
@@ -66,7 +64,7 @@ def test_c02_skew_accuracy():
     # flat profile: exactly zero
     flat = np.full((12, 40), 220, np.uint8)
     flat[8, :] = 30
-    _, angle = skew.deskew(flat, CFG)
+    _, angle = skew.deskew(flat)
 
     assert within >= 0.95
     assert angle == 0.0
@@ -89,7 +87,7 @@ def test_c03_region_extraction(tmp_path):
     for base in synth.suite_card_paths(str(suite_dir)):
         truth_regions, _ = synth.load_suite_truth(base)
         predicted = [
-            r for r in rg.extract_regions(imaging.load_pnm_file(base + ".ppm"), CFG)
+            r for r in rg.extract_regions(imaging.load_pnm_file(base + ".ppm"))
             if r.kind == rg.TR
         ]
         counts = counts + ev.region_eval(predicted, truth_regions)
@@ -151,7 +149,7 @@ def _line_count_run(sigma, count, seed):
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
         render = synth.render_region(lines, scale, sigma=sigma, seed=seed * 100 + i)
         binary = bz.binarize_region(render.image)
-        bands = sg.segment_lines(binary, CFG).tolist()
+        bands = sg.segment_lines(binary).tolist()
         if len(bands) != n_lines:
             continue
         # one band per truth line and one truth line per band (no merge/split)
@@ -189,8 +187,8 @@ def test_c06_character_segmentation():
         text = card_line(rng, n_words=int(rng.integers(1, 4)))
         render = synth.render_region([text], scale, sigma=10.0, seed=500 + i)
         binary = bz.binarize_region(render.image)
-        top, bottom = sg.segment_lines(binary, CFG)[0]
-        glyphs = sg.segment_characters(binary[top : bottom + 1], CFG)
+        top, bottom = sg.segment_lines(binary)[0]
+        glyphs = sg.segment_characters(binary[top : bottom + 1])
         if len(glyphs) == render.glyph_counts[0]:
             correct += 1
     rate = correct / total

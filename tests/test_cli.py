@@ -49,9 +49,9 @@ class TestRun:
             frames.append(weakref.ref(image))
             return image
 
-        def deskewing(crop, cfg):
+        def deskewing(crop):
             alive.append(frames[-1]() is not None)  # the card, loaded after the store
-            return deskew(crop, cfg)
+            return deskew(crop)
 
         monkeypatch.setattr(imaging, "load_pnm_file", loading)
         monkeypatch.setattr(skew, "deskew", deskewing)
@@ -110,7 +110,7 @@ class TestRun:
         write_card(card)
         assert cli.main(["run", str(card)]) == 3
 
-    def test_bad_config_exit_5(self, store_dir, tmp_path):
+    def test_bad_config_exit_5(self, store_dir, tmp_path, capsys):
         card = tmp_path / "card.ppm"
         write_card(card)
         cfg = tmp_path / "bad.cfg"
@@ -118,12 +118,19 @@ class TestRun:
         code = cli.main(["run", str(card), "--templates", store_dir,
                          "--config", str(cfg)])
         assert code == 5
+        # a former setting: the paper's thresholds are stage constants now
+        cfg.write_text("t_var = 40\n")
+        capsys.readouterr()
+        code = cli.main(["run", str(card), "--templates", store_dir,
+                         "--config", str(cfg)])
+        assert code == 5
+        assert "unknown key 't_var'" in capsys.readouterr().err
 
     def test_config_not_utf8_exit_5(self, store_dir, tmp_path, capsys):
         card = tmp_path / "card.ppm"
         write_card(card)
         cfg = tmp_path / "latin1.cfg"
-        cfg.write_bytes(b"\xffblock_h = 32\n")
+        cfg.write_bytes(b"\xffscheme = full\n")
         code = cli.main(["run", str(card), "--templates", store_dir,
                          "--config", str(cfg)])
         assert code == 5
@@ -516,28 +523,13 @@ class TestBench:
 
 class TestConfigCommand:
     def test_prints_effective_config(self, capsys):
-        assert cli.main(["config"]) == 0
-        out = capsys.readouterr().out
-        assert "block_h = 16" in out
-        assert "scheme = merged" in out
+        # the flags override the defaults
+        assert cli.main(["config", "--scheme", "full", "--templates", "store"]) == 0
+        assert capsys.readouterr().out == "scheme = full\ntemplates = store\n"
 
     def test_default_output_golden(self, capsys):
         assert cli.main(["config"]) == 0
         assert capsys.readouterr().out == (
-            "block_h = 16\n"
-            "block_w = 16\n"
-            "t_var = 40\n"
-            "min_area_blocks = 4\n"
-            "ar_min = 1.2\n"
-            "ar_max = 40.0\n"
-            "dens_min = 0.03\n"
-            "dens_max = 0.6\n"
-            "cov_min = 0.5\n"
-            "skew_clamp = 20.0\n"
-            "skew_passes = 3\n"
-            "line_threshold = 0\n"
-            "r_min = 0.5\n"
-            "word_gap_factor = 2.0\n"
             "scheme = merged\n"
             "templates = \n"
         )

@@ -8,6 +8,7 @@ import pytest
 from cardocr import cli, imaging, pipeline, skew, synth
 from cardocr import evaluate as ev
 from cardocr import regions as rg
+from cardocr import segment as sg
 from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from cardocr.synth import Band, CardSpec
@@ -96,10 +97,10 @@ class TestRunPipeline:
         assert len(result.regions) == 1
         assert result.regions[0].angle == pytest.approx(5.0, abs=3.0)
 
-    def test_card_whose_regions_keep_no_line(self, store, monkeypatch):
+    def test_card_whose_regions_keep_no_line(self, cfg, store, monkeypatch):
         # no row of a region holds more foreground than the whole card is
         # wide, so segment_lines finds zero bands in every region
-        cfg = PipelineConfig(line_threshold=700)
+        monkeypatch.setattr(sg, "LINE_THRESHOLD", 700)
         stacks = []
         classify = pipeline.rec.classify
 
@@ -164,9 +165,9 @@ class TestFrameRelease:
         alive = []
         deskew = skew.deskew
 
-        def recording(crop, stage_cfg):
+        def recording(crop):
             alive.append(frame() is not None)
-            return deskew(crop, stage_cfg)
+            return deskew(crop)
 
         monkeypatch.setattr(skew, "deskew", recording)
         result = pipeline.run_pipeline(holder.pop(), cfg, store)
@@ -189,14 +190,16 @@ class TestFrameRelease:
 
 class TestEmptyCard:
     """A card that keeps no line band: a blank card, which has no text
-    region, and the line_threshold=700 card of
+    region, and the LINE_THRESHOLD = 700 card of
     test_card_whose_regions_keep_no_line, whose text region keeps none."""
 
     @pytest.mark.parametrize("blank", [True, False], ids=["no TR", "TR without band"])
-    def test_empty_card_arrays_dumps_and_exit_4(self, store, store_dir, tmp_path, capsys, blank):
+    def test_empty_card_arrays_dumps_and_exit_4(self, cfg, store, store_dir, tmp_path, capsys,
+                                               monkeypatch, blank):
         image = np.full((256, 256), 220, np.uint8) if blank else simple_card()[0]
-        threshold = PipelineConfig.line_threshold if blank else 700
-        result = pipeline.run_pipeline(image, PipelineConfig(line_threshold=threshold), store)
+        if not blank:
+            monkeypatch.setattr(sg, "LINE_THRESHOLD", 700)
+        result = pipeline.run_pipeline(image, cfg, store)
         assert len(result.regions) == (0 if blank else 1)
         assert result.bands.shape == (0, 3)
         assert len(result.glyphs) == 0 and result.glyph_band.shape == (0,)
@@ -204,11 +207,9 @@ class TestEmptyCard:
         # the empty arrays are shared constants, not built per card
         assert result.bands is pipeline.NO_BANDS and result.glyphs is pipeline.NO_GLYPHS
 
-        card, config, dumps = tmp_path / "card.pgm", tmp_path / "card.cfg", tmp_path / "dumps"
+        card, dumps = tmp_path / "card.pgm", tmp_path / "dumps"
         imaging.save_pnm_file(card, image)
-        config.write_text(f"line_threshold = {threshold}\n")
-        code = cli.main(["run", str(card), "--templates", store_dir, "--config", str(config),
-                         "--dump-stages", str(dumps)])
+        code = cli.main(["run", str(card), "--templates", store_dir, "--dump-stages", str(dumps)])
         assert code == cli.EXIT_NO_TEXT
         assert capsys.readouterr().out == ""
         assert len(list(dumps.glob("region_*.bands.txt"))) == len(result.regions)
@@ -249,9 +250,9 @@ class TestTimePipeline:
         traced = []
         stage = pipeline._stage_segment
 
-        def recording(results, stage_cfg):
+        def recording(results):
             traced.append(tracemalloc.is_tracing())
-            return stage(results, stage_cfg)
+            return stage(results)
 
         monkeypatch.setattr(pipeline, "_stage_segment", recording)
         timer, result = pipeline.time_pipeline(card_file, cfg, store, runs=3)

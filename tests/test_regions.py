@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cardocr import imaging, regions as rg, synth
-from cardocr.config import PipelineConfig
 from cardocr.imaging import Rect
 from reference import classify_region, region_dump, to_gray
 from test_imaging import traced_peak
@@ -46,13 +45,14 @@ def flood_fill_oracle(labels):
     return set(comps)
 
 
-def reference_extract(img, cfg):
-    """Per-block reference for extract_regions: a BFS over blocks, then two
-    slicing passes over each region's blocks for its features.  Returns the
-    regions as rows, dicts keyed by the Regions column names, and, for
-    each, its member blocks as a sorted (row, col) list."""
-    grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
-    labels = rg.classify_grid(img, grid, cfg.t_var).labels
+def reference_extract(img, block_h, block_w, t_var):
+    """Per-block reference for extract_regions on a block_h x block_w grid
+    labelled at t_var: a BFS over blocks, then two slicing passes over each
+    region's blocks for its features.  Returns the regions as rows, dicts
+    keyed by the Regions column names, and, for each, its member blocks as
+    a sorted (row, col) list."""
+    grid = rg.partition_blocks(img, block_h, block_w)
+    labels = rg.classify_grid(img, grid, t_var).labels
     seen = np.zeros_like(labels)
     found = []
     for r in range(grid.rows):
@@ -92,7 +92,7 @@ def reference_extract(img, cfg):
             area=len(blocks),
             coverage_ratio=member_pixels / (row["w"] * row["h"]),
         )
-        row["text"] = classify_region(row, cfg) == rg.TR
+        row["text"] = classify_region(row) == rg.TR
     return [row for _, row in found], [blocks for blocks, _ in found]
 
 
@@ -361,7 +361,7 @@ def features(**columns):
 
 class TestClassifyRegion:
     def kind(self, **columns):
-        text = rg.classify_region(features(**columns), PipelineConfig())
+        text = rg.classify_region(features(**columns))
         assert text.shape == (1,) and text.dtype == bool
         return rg.TR if text[0] else rg.NR
 
@@ -380,11 +380,11 @@ class TestClassifyRegion:
 
     def test_empty_table(self):
         table = rg.parse_region_dump("")
-        assert rg.classify_region(vars(table), PipelineConfig()).shape == (0,)
+        assert rg.classify_region(vars(table)).shape == (0,)
 
-    # (feature, config field, side): the region outside the bound lies one
-    # float step (one block for area) below a lower bound or above an upper
-    # one
+    # (feature, bound, side): the bound is the regions constant
+    # bound.upper(), and the region outside it lies one float step (one
+    # block for area) below a lower bound or above an upper one
     BOUNDS = [
         ("area", "min_area_blocks", -1),
         ("aspect_ratio", "ar_min", -1),
@@ -396,26 +396,25 @@ class TestClassifyRegion:
 
     @pytest.mark.parametrize("feature, bound, side", BOUNDS)
     def test_each_bound_is_inclusive(self, feature, bound, side):
-        cfg = PipelineConfig()
-        at = getattr(cfg, bound)
+        at = getattr(rg, bound.upper())
         if feature == "area":
             outside = at + side
         else:
             outside = float(np.nextafter(at, side * np.inf))
         f = features(**{feature: np.array([at, outside])})
-        assert rg.classify_region(f, cfg).tolist() == [True, False]
+        assert rg.classify_region(f).tolist() == [True, False]
         rows = [{k: v[i].item() for k, v in f.items()} for i in range(2)]
-        assert [classify_region(row, cfg) for row in rows] == [rg.TR, rg.NR]
+        assert [classify_region(row) for row in rows] == [rg.TR, rg.NR]
 
 
-def text_regions(img, cfg):
-    return [r for r in rg.extract_regions(img, cfg) if r.kind == rg.TR]
+def text_regions(img):
+    return [r for r in rg.extract_regions(img) if r.kind == rg.TR]
 
 
 class TestExtract:
     def test_blank_image(self):
         img = np.full((128, 256), 200, np.uint8)
-        assert text_regions(img, PipelineConfig()) == []
+        assert text_regions(img) == []
 
     def test_two_bands_and_decoy(self):
         rng = np.random.default_rng(21)
@@ -426,17 +425,16 @@ class TestExtract:
         speckle_band(img, band2, rng)
         # big filled square: only its boundary blocks carry variation
         img[240:312, 320:392] = 60
-        cfg = PipelineConfig()
-        all_regions = rg.extract_regions(img, cfg)
+        all_regions = rg.extract_regions(img)
         trs = [r for r in all_regions if r.kind == rg.TR]
         nrs = [r for r in all_regions if r.kind == rg.NR]
         assert len(trs) == 2
         assert len(nrs) >= 1
         for truth, got in zip([band1, band2], trs):
-            assert abs(got.bbox.y - truth.y) <= cfg.block_h
-            assert abs(got.bbox.x - truth.x) <= cfg.block_w
-            assert abs(got.bbox.y2 - truth.y2) <= cfg.block_h
-            assert abs(got.bbox.x2 - truth.x2) <= cfg.block_w
+            assert abs(got.bbox.y - truth.y) <= rg.BLOCK_SIZE
+            assert abs(got.bbox.x - truth.x) <= rg.BLOCK_SIZE
+            assert abs(got.bbox.y2 - truth.y2) <= rg.BLOCK_SIZE
+            assert abs(got.bbox.x2 - truth.x2) <= rg.BLOCK_SIZE
 
     def test_ordering_and_determinism(self):
         rng = np.random.default_rng(22)
@@ -444,9 +442,8 @@ class TestExtract:
         speckle_band(img, Rect(200, 220, 200, 32), rng)
         speckle_band(img, Rect(16, 32, 200, 32), rng)
         speckle_band(img, Rect(16, 120, 280, 32), rng)
-        cfg = PipelineConfig()
-        first = text_regions(img, cfg)
-        second = text_regions(img, cfg)
+        first = text_regions(img)
+        second = text_regions(img)
         origins = [(r.bbox.y, r.bbox.x) for r in first]
         assert origins == sorted(origins)
         assert [(r.bbox, r.kind) for r in first] == [(r.bbox, r.kind) for r in second]
@@ -455,16 +452,15 @@ class TestExtract:
         rng = np.random.default_rng(23)
         img = np.full((320, 480), 220, np.uint8)
         speckle_band(img, Rect(32, 64, 320, 32), rng)
-        cfg = PipelineConfig()
-        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
-        rg.classify_grid(img, grid, cfg.t_var)
+        grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
+        rg.classify_grid(img, grid, rg.T_VAR)
         for blocks in assemble(grid)[1]:
             interior = all(r < grid.rows - 1 and c < grid.cols - 1 for r, c in blocks)
             if interior:
                 pixels = sum(
                     tile_rect(grid, r, c).w * tile_rect(grid, r, c).h for r, c in blocks
                 )
-                assert pixels % (cfg.block_h * cfg.block_w) == 0
+                assert pixels % rg.BLOCK_SIZE ** 2 == 0
 
 
 def row_region(row):
@@ -486,16 +482,31 @@ def assert_table_matches(table, want):
     assert rg.format_region_dump(table) == region_dump(want)
 
 
+def stage_table(img, block_h, block_w, t_var):
+    """The Regions table that extract_regions' stages build on a block_h x
+    block_w grid labelled at t_var."""
+    grid = rg.partition_blocks(img, block_h, block_w)
+    rg.classify_grid(img, grid, t_var)
+    boxes = rg.assemble_regions(grid)
+    features = rg.compute_features(img, grid, boxes)
+    x, y, w, h = boxes.T
+    return rg.Regions(x=x, y=y, w=w, h=h, **features, text=rg.classify_region(features))
+
+
 class TestMatchesReference:
-    def assert_matches(self, img, cfg=None):
+    def assert_matches(self, img, block_h=rg.BLOCK_SIZE, block_w=rg.BLOCK_SIZE, t_var=rg.T_VAR):
         """extract_regions against the reference: the same table, dump and
-        member blocks per region.  Returns the table and the blocks."""
-        cfg = cfg or PipelineConfig()
-        got = rg.extract_regions(img, cfg)
-        want, want_blocks = reference_extract(img, cfg)
+        member blocks per region.  On another grid than its own, the table
+        is the one its stages build on that grid.  Returns the table and the
+        blocks."""
+        if (block_h, block_w, t_var) == (rg.BLOCK_SIZE, rg.BLOCK_SIZE, rg.T_VAR):
+            got = rg.extract_regions(img)
+        else:
+            got = stage_table(img, block_h, block_w, t_var)
+        want, want_blocks = reference_extract(img, block_h, block_w, t_var)
         assert_table_matches(got, want)
-        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
-        rg.classify_grid(img, grid, cfg.t_var)
+        grid = rg.partition_blocks(img, block_h, block_w)
+        rg.classify_grid(img, grid, t_var)
         boxes, blocks = assemble(grid)
         assert boxes == [row_region(row).bbox for row in want]
         assert blocks == want_blocks
@@ -510,7 +521,7 @@ class TestMatchesReference:
             img[mask] = rng.integers(0, 256, size=int(mask.sum()))
             # small blocks give many regions with ragged edge tiles
             block = int(rng.integers(4, 17))
-            self.assert_matches(img, PipelineConfig(block_h=block, block_w=block))
+            self.assert_matches(img, block, block)
             self.assert_matches(img)
 
     def test_ragged_image(self):
@@ -562,31 +573,29 @@ class TestMatchesReference:
         # a 5x7 block's dark mask ends in a partial byte when bit-packed, a
         # 4x6 block's does not; no image is a whole number of blocks
         rng = np.random.default_rng(34)
-        cfg = PipelineConfig(block_h=block_h, block_w=block_w)
         for shape in [(37, 53), (41, 50), (23, 29)]:
             for _ in range(5):
                 img = np.full(shape, 220, np.uint8)
                 mask = rng.random(shape) < rng.uniform(0.01, 0.05)
                 img[mask] = rng.integers(0, 256, size=int(mask.sum()))
-                table, _ = self.assert_matches(img, cfg)
+                table, _ = self.assert_matches(img, block_h, block_w)
                 assert len(table) > 0
 
     def test_every_block_is_information(self):
         # t_var=0 makes every block an IB, so an image is one region
-        cfg = PipelineConfig(t_var=0)
         for value in (0, 255):
-            table, _ = self.assert_matches(np.full((37, 53), value, np.uint8), cfg)
+            table, _ = self.assert_matches(np.full((37, 53), value, np.uint8), t_var=0)
             assert len(table) == 1 and table.info_pixel_density[0] == 0
         # extremes 254 and 255 put the threshold at 255: every 254 is dark,
         # the 255 padding of the ragged edge tiles is not
         img = np.full((37, 53), 255, np.uint8)
         img[np.random.default_rng(35).random(img.shape) < 0.3] = 254
-        table, _ = self.assert_matches(img, cfg)
+        table, _ = self.assert_matches(img, t_var=0)
         assert table.info_pixel_density[0] == np.count_nonzero(img == 254) / img.size
         rng = np.random.default_rng(36)
         for _ in range(5):
             img = rng.integers(0, 256, size=(41, 50), dtype=np.uint8)
-            table, _ = self.assert_matches(img, cfg)
+            table, _ = self.assert_matches(img, t_var=0)
             assert len(table) == 1
 
     def test_shared_origin_keeps_raster_order(self):
@@ -610,9 +619,8 @@ class TestFeatureMemory:
 
     def test_peak_no_higher_than_before(self):
         img = salt_and_pepper_card()
-        cfg = PipelineConfig()
-        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
-        rg.classify_grid(img, grid, cfg.t_var)
+        grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
+        rg.classify_grid(img, grid, rg.T_VAR)
         boxes = rg.assemble_regions(grid)
         rg.compute_features(img, grid, boxes)
         was_tracing = tracemalloc.is_tracing()
@@ -638,11 +646,11 @@ class TestGridMemory:
     def test_no_frame_sized_temporary(self):
         h, w = 1536, 2048
         img = np.random.default_rng(47).integers(0, 256, size=(h, w), dtype=np.uint8)
-        cfg = PipelineConfig()
-        rg.classify_grid(img, rg.partition_blocks(img, cfg.block_h, cfg.block_w), cfg.t_var)
-        grid = rg.partition_blocks(img, cfg.block_h, cfg.block_w)
-        _, peak = traced_peak(lambda: rg.classify_grid(img, grid, cfg.t_var))
-        assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // cfg.block_h) * w
+        block = rg.BLOCK_SIZE
+        rg.classify_grid(img, rg.partition_blocks(img, block, block), rg.T_VAR)
+        grid = rg.partition_blocks(img, block, block)
+        _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
+        assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // block) * w
         assert peak < img.nbytes / 4
 
 
@@ -693,15 +701,15 @@ class TestDump:
         return back
 
     def test_round_trip_criterion9_card(self):
-        table = rg.extract_regions(criterion9_card(), PipelineConfig())
+        table = rg.extract_regions(criterion9_card())
         assert np.count_nonzero(self.assert_round_trip(table).text) == 5
 
     def test_round_trip_nr_regions(self):
-        table = rg.extract_regions(salt_and_pepper_card(), PipelineConfig())
+        table = rg.extract_regions(salt_and_pepper_card())
         assert not self.assert_round_trip(table).text.all()
 
     def test_round_trip_empty_table(self):
-        table = rg.extract_regions(np.full((96, 128), 220, np.uint8), PipelineConfig())
+        table = rg.extract_regions(np.full((96, 128), 220, np.uint8))
         assert len(self.assert_round_trip(table)) == 0
 
     # the shapes tests/test_cli.py does not run through `eval`

@@ -4,12 +4,10 @@ import pytest
 from cardocr import pipeline
 from cardocr import segment as sg
 from cardocr import synth
-from cardocr.config import ConfigError, PipelineConfig
+from cardocr.config import ConfigError, PipelineConfig, parse_config_text
 
 from reference import merge_thin_bands, segment_glyphs, to_gray
 from test_skew import CRITERION_9_SPEC
-
-CFG = PipelineConfig()
 
 
 def band_lines(result):
@@ -95,9 +93,11 @@ class TestCandidateBands:
             previous = rows
 
     def test_negative_threshold(self):
-        # the config rejects it, so segment_lines never sees one
-        with pytest.raises(ConfigError):
-            PipelineConfig(line_threshold=-1)
+        # no config reaches segment_lines: a file that sets the threshold is
+        # refused, so segment_lines sees LINE_THRESHOLD only, never a negative one
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text("line_threshold = -1\n")
+        assert sg.LINE_THRESHOLD >= 0
 
 
 class TestRejectFalseSeparators:
@@ -163,7 +163,7 @@ class TestSegmentLines:
         render = synth.render_region(
             ["Ayatullah Faruk", "Jadavpur University", "Kolkata 700032"], 4
         )
-        lines = sg.segment_lines(render.mask, CFG)
+        lines = sg.segment_lines(render.mask)
         assert len(lines) == 3
         for (top, bottom), (true_top, true_bottom) in zip(lines.tolist(), render.line_spans):
             assert abs(top - true_top) <= 1
@@ -171,15 +171,15 @@ class TestSegmentLines:
 
     def test_single_line(self):
         render = synth.render_region(["Mobile: 9830098300"], 3)
-        lines = sg.segment_lines(render.mask, CFG)
+        lines = sg.segment_lines(render.mask)
         assert len(lines) == 1
 
     def test_blank_region(self):
-        assert sg.segment_lines(np.zeros((10, 10), dtype=bool), CFG).shape == (0, 2)
+        assert sg.segment_lines(np.zeros((10, 10), dtype=bool)).shape == (0, 2)
 
     def test_bands_disjoint_ordered_nonempty(self):
         render = synth.render_region(["First Line", "Second Line 22"], 5)
-        lines = sg.segment_lines(render.mask, CFG)
+        lines = sg.segment_lines(render.mask)
         counts = sg.horizontal_histogram(render.mask)
         previous_bottom = -1
         for top, bottom in lines.tolist():
@@ -192,44 +192,44 @@ class TestSegmentCharacters:
     def test_two_blobs_one_word(self):
         # one 3-wide gap, no other gaps: not a word break (3 < 2 * 3)
         line = line_from_spans([(1, 5), (9, 13)])
-        glyphs = sg.segment_characters(line, CFG)
+        glyphs = sg.segment_characters(line)
         assert len(glyphs) == 2
         assert glyphs.word.tolist() == [0, 0]
         assert glyphs.char.tolist() == [0, 1]
 
-    def test_word_break_on_wide_gap(self):
+    def test_word_break_on_wide_gap(self, monkeypatch):
         # gaps 2, 2, 8: median 2, 8 >= 2*2 -> word break at the wide gap
         spans = [(0, 3), (6, 9), (12, 15), (24, 27)]
-        glyphs = sg.segment_characters(line_from_spans(spans), CFG)
+        glyphs = sg.segment_characters(line_from_spans(spans))
         assert glyphs.word.tolist() == [0, 0, 0, 1]
         assert glyphs.char.tolist() == [0, 1, 2, 0]
-        # 8 < 5 * 2: a larger word_gap_factor keeps one word
-        wide = PipelineConfig(word_gap_factor=5.0)
-        glyphs = sg.segment_characters(line_from_spans(spans), wide)
+        # 8 < 5 * 2: a larger WORD_GAP_FACTOR keeps one word
+        monkeypatch.setattr(sg, "WORD_GAP_FACTOR", 5.0)
+        glyphs = sg.segment_characters(line_from_spans(spans))
         assert glyphs.word.tolist() == [0, 0, 0, 0]
 
     def test_single_blob(self):
-        glyphs = sg.segment_characters(line_from_spans([(2, 6)]), CFG)
+        glyphs = sg.segment_characters(line_from_spans([(2, 6)]))
         assert len(glyphs) == 1
         assert (glyphs.word.tolist(), glyphs.char.tolist()) == ([0], [0])
 
     def test_empty_line(self):
-        glyphs = sg.segment_characters(np.zeros((5, 9), dtype=bool), CFG)
+        glyphs = sg.segment_characters(np.zeros((5, 9), dtype=bool))
         assert len(glyphs) == 0
         assert all(a.shape == (0,) for a in vars(glyphs).values())
 
     def test_glyphs_tightened_vertically(self):
         line = np.zeros((10, 6), dtype=bool)
         line[3:7, 1:4] = True
-        g = sg.segment_characters(line, CFG)
+        g = sg.segment_characters(line)
         assert (g.top.tolist(), g.bottom.tolist()) == ([3], [6])
         assert (g.x1.tolist(), g.x2.tolist()) == ([1], [3])
 
     def test_cover_and_disjoint(self):
         render = synth.render_region(["Phone: +91-33 2414"], 4)
-        for top, bottom in sg.segment_lines(render.mask, CFG).tolist():
+        for top, bottom in sg.segment_lines(render.mask).tolist():
             crop = render.mask[top : bottom + 1]
-            glyphs = sg.segment_characters(crop, CFG)
+            glyphs = sg.segment_characters(crop)
             covered = np.zeros(crop.shape[1], dtype=int)
             for x1, x2 in zip(glyphs.x1, glyphs.x2):
                 covered[x1 : x2 + 1] += 1
@@ -240,8 +240,8 @@ class TestSegmentCharacters:
     def test_rendered_text_counts(self):
         for text in ("OCR 2010", "Business Card Reader", "a1 b2 c3"):
             render = synth.render_region([text], 4)
-            top, bottom = sg.segment_lines(render.mask, CFG)[0]
-            glyphs = sg.segment_characters(render.mask[top : bottom + 1], CFG)
+            top, bottom = sg.segment_lines(render.mask)[0]
+            glyphs = sg.segment_characters(render.mask[top : bottom + 1])
             expected = len(text.replace(" ", ""))
             assert len(glyphs) == expected
             words = [w for w in text.split(" ") if w]
@@ -258,7 +258,7 @@ def glyph_rows(glyphs):
 class TestSegmentCharactersReference:
     """segment_characters against the per-glyph loop in reference.py."""
 
-    def test_random_lines(self):
+    def test_random_lines(self, monkeypatch):
         rng = np.random.default_rng(41)
         seen = dict.fromkeys(
             ("first column", "last column", "single glyph", "even gaps", "gap at the factor",
@@ -270,7 +270,8 @@ class TestSegmentCharactersReference:
             line[rng.integers(h), rng.integers(w)] = True
             factor = float(rng.choice([1.0, 1.5, 2.0, 2.5]))
             want = segment_glyphs(line, factor)
-            assert glyph_rows(sg.segment_characters(line, PipelineConfig(word_gap_factor=factor))) == want
+            monkeypatch.setattr(sg, "WORD_GAP_FACTOR", factor)
+            assert glyph_rows(sg.segment_characters(line)) == want
             gaps = [b[0] - a[1] - 1 for a, b in zip(want, want[1:])]
             seen["first column"] += want[0][0] == 0
             seen["last column"] += want[-1][1] == w - 1
@@ -287,18 +288,18 @@ class TestSegmentCharactersReference:
         # gaps 1, 3, 7, 4: median (3 + 4) / 2 = 3.5, and 7 = 2 * 3.5 breaks
         spans = [(0, 1), (3, 4), (8, 9), (17, 18), (23, 24)]
         line = line_from_spans(spans)
-        got = sg.segment_characters(line, CFG)
+        got = sg.segment_characters(line)
         assert got.word.tolist() == [0, 0, 0, 1, 1]
-        assert glyph_rows(got) == segment_glyphs(line, CFG.word_gap_factor)
+        assert glyph_rows(got) == segment_glyphs(line, sg.WORD_GAP_FACTOR)
 
     def test_criterion_9_card_lines(self, store):
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
-        result = pipeline.run_pipeline(to_gray(color), CFG, store)
+        result = pipeline.run_pipeline(to_gray(color), PipelineConfig(), store)
         lines = band_lines(result)
         assert sum(len(g) for _, g in lines) == 105
         for crop, glyphs in lines:
-            assert glyph_rows(glyphs) == glyph_rows(sg.segment_characters(crop, CFG))
-            assert glyph_rows(glyphs) == segment_glyphs(crop, CFG.word_gap_factor)
+            assert glyph_rows(glyphs) == glyph_rows(sg.segment_characters(crop))
+            assert glyph_rows(glyphs) == segment_glyphs(crop, sg.WORD_GAP_FACTOR)
 
 
 class TestDumps:
@@ -306,6 +307,6 @@ class TestDumps:
         assert sg.format_band_dump(np.array([[1, 4]])) == "band 1 4\n"
 
     def test_glyph_dump(self):
-        glyphs = sg.segment_characters(line_from_spans([(1, 3)]), CFG)
+        glyphs = sg.segment_characters(line_from_spans([(1, 3)]))
         dump = sg.format_glyph_dump(glyphs)
         assert dump == "glyph 1 2 3 4 0 0\n"

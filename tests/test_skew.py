@@ -6,12 +6,9 @@ import pytest
 
 from cardocr import imaging, skew, synth
 from cardocr import regions as rg
-from cardocr.config import PipelineConfig
 from cardocr.skew import DegenerateProfileError
 from cardocr.synth import Band, CardSpec
 from reference import three_anchor_skew, to_gray
-
-CFG = PipelineConfig()
 
 
 def pixels_of(img):
@@ -287,46 +284,48 @@ class TestDeskew:
 
     def test_upright_band_near_zero(self):
         img = self.band("Jadavpur University Kolkata 700032")
-        _, angle = skew.deskew(img, CFG)
+        _, angle = skew.deskew(img)
         assert abs(angle) <= 0.5
 
     def test_flat_profile_exactly_zero(self):
         img = np.full((12, 30), 220, np.uint8)
         img[8, :] = 30
-        out, angle = skew.deskew(img, CFG)
+        out, angle = skew.deskew(img)
         assert angle == 0.0
         assert out is img
 
     def test_seven_degree_band(self):
         img = self.band("Center for Microprocessor Application 2010",
                         skew_deg=7.0, sigma=4.0, seed=3)
-        _, angle = skew.deskew(img, CFG)
+        _, angle = skew.deskew(img)
         assert angle == pytest.approx(7.0, abs=3.0)
 
     def test_negative_skew(self):
         img = self.band("School of Mobile Computing JU 2010",
                         skew_deg=-6.0, sigma=2.0, seed=4)
-        _, angle = skew.deskew(img, CFG)
+        _, angle = skew.deskew(img)
         assert angle == pytest.approx(-6.0, abs=3.0)
 
     def test_residual_smaller_after_correction(self):
         img = self.band("Department of Computer Science and Engineering",
                         skew_deg=8.0, seed=5)
-        corrected, angle = skew.deskew(img, CFG)
+        corrected, angle = skew.deskew(img)
         before = abs(skew.estimate_region_skew(*pixels_of(img)))
         after = abs(skew.estimate_region_skew(*pixels_of(corrected)))
         assert after < max(before, 1.0)
 
     def test_no_text_passthrough(self):
         img = np.full((20, 20), 130, np.uint8)
-        out, angle = skew.deskew(img, CFG)
+        out, angle = skew.deskew(img)
         assert angle == 0.0
         assert out is img
 
-    def test_beyond_clamp_passthrough(self):
+    def test_beyond_clamp_passthrough(self, monkeypatch):
+        monkeypatch.setattr(skew, "SKEW_PASSES", 1)
         heights = [round(i * math.tan(math.radians(30))) for i in range(80)]
         img = region_from_heights(heights, height=60)
-        out, angle = skew.deskew(img, PipelineConfig(skew_clamp=20.0, skew_passes=1))
+        assert skew.SKEW_CLAMP == 20.0
+        out, angle = skew.deskew(img)
         assert angle == 0.0
         assert out is img
 
@@ -341,7 +340,7 @@ class TestDeskew:
         rotate = skew.imaging.rotate
         monkeypatch.setattr(skew.imaging, "rotate",
                             lambda *a, **k: rotations.append(a) or rotate(*a, **k))
-        out, angle = skew.deskew(img, CFG)
+        out, angle = skew.deskew(img)
         assert angle == -0.44
         assert len(rotations) == 1
         assert np.array_equal(out, rotate(img, 0.44, fill=background_fill(img)))
@@ -354,7 +353,8 @@ class TestDeskew:
         rotate = skew.imaging.rotate
         monkeypatch.setattr(skew.imaging, "rotate",
                             lambda *a, **k: rotations.append(a) or rotate(*a, **k))
-        out, angle = skew.deskew(img, PipelineConfig(skew_passes=passes))
+        monkeypatch.setattr(skew, "SKEW_PASSES", passes)
+        out, angle = skew.deskew(img)
         assert len(rotations) <= 1
         assert np.array_equal(out, rotate(img, -angle, fill=background_fill(img)))
 
@@ -371,8 +371,8 @@ class TestDeskew:
             return angle
 
         monkeypatch.setattr(skew, "estimate_region_skew", recording)
-        _, angle = skew.deskew(img, CFG)
-        assert len(calls) == CFG.skew_passes
+        _, angle = skew.deskew(img)
+        assert len(calls) == skew.SKEW_PASSES
         assert calls[0][0] == 0.0
         for (total, step), (next_total, _) in zip(calls, calls[1:]):
             assert next_total == total + step
@@ -389,14 +389,15 @@ class TestDeskew:
         rotate = skew.imaging.rotate
         monkeypatch.setattr(skew.imaging, "rotate",
                             lambda img, angle, fill: fills.append(fill) or rotate(img, angle, fill))
-        expected = [background_fill(img) for img in crops if skew.deskew(img, CFG)[1] != 0.0]
+        expected = [background_fill(img) for img in crops if skew.deskew(img)[1] != 0.0]
         assert len(expected) >= 30
         assert fills == expected
         assert all(type(fill) is int for fill in fills)
 
-    def test_single_pass_mode(self):
+    def test_single_pass_mode(self, monkeypatch):
+        monkeypatch.setattr(skew, "SKEW_PASSES", 1)
         img = self.band("Business Card Reader 2010", skew_deg=3.0, seed=6)
-        _, angle = skew.deskew(img, PipelineConfig(skew_passes=1))
+        _, angle = skew.deskew(img)
         assert angle == pytest.approx(3.0, abs=3.0)
 
 
@@ -441,20 +442,21 @@ class TestCriterion9Card:
         color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
         gray = to_gray(color)
         return [gray[r.bbox.y:r.bbox.y2, r.bbox.x:r.bbox.x2]
-                for r in rg.extract_regions(gray, CFG) if r.kind == rg.TR]
+                for r in rg.extract_regions(gray) if r.kind == rg.TR]
 
     def test_totals(self, crops):
-        totals = [skew.deskew(crop, CFG)[1] for crop in crops]
+        totals = [skew.deskew(crop)[1] for crop in crops]
         assert totals == pytest.approx([
             -0.006999117648930501, 0.44481619736766637, -0.39908690712006356,
             0.484696410803685, -0.5943770118940949,
         ], abs=1e-9)
 
-    def test_single_pass_keeps_total_and_output(self, crops):
+    def test_single_pass_keeps_total_and_output(self, crops, monkeypatch):
         # pass 1 reads the crop itself: a loop that ends after it keeps the
         # estimate and the rotated bytes
-        cfg = PipelineConfig(skew_passes=1)
-        outs = [skew.deskew(crop, cfg) for crop in crops]
+        with monkeypatch.context() as patch:
+            patch.setattr(skew, "SKEW_PASSES", 1)
+            outs = [skew.deskew(crop) for crop in crops]
         assert [angle for _, angle in outs] == pytest.approx([
             -0.006999117648930501, 0.44481619736766637, -0.39879136391234016,
             0.48579735925592193, -0.6143291937788531,
@@ -464,6 +466,6 @@ class TestCriterion9Card:
             "647d73098f79f10d", "33e89cb6a54b78f3",
         ]
         # the first region converges after one pass with the default passes
-        out, angle = skew.deskew(crops[0], CFG)
+        out, angle = skew.deskew(crops[0])
         assert angle == outs[0][1]
         assert np.array_equal(out, outs[0][0])

@@ -3,7 +3,9 @@ the package itself or by the benchmark: a helper that only tests call
 belongs with the tests (see tests/reference.py), not in the shipped package.
 The same holds for every method of a class, other than dunder methods.
 Every PipelineConfig field is read by the package: a setting that nothing
-reads is a dead knob.  So is a parameter default that no call in the
+reads is a dead knob.  Every field is also a flag of each subcommand that
+takes a config: a field that only a file or a test sets is a constant
+spelled as a setting.  So is a parameter default that no call in the
 package, the benchmark or the tests overrides.  Imports sit at module
 level, never in a function body, so a module's dependencies are all in its
 header.
@@ -13,6 +15,7 @@ import ast
 import pathlib
 from dataclasses import fields
 
+from cardocr import cli
 from cardocr.config import PipelineConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -149,6 +152,16 @@ def test_every_config_field_is_read():
     for path in PACKAGE:
         reads |= attributes_read(ast.parse(path.read_text(), str(path)))
     assert [f.name for f in fields(PipelineConfig) if f.name not in reads] == []
+
+
+def test_every_config_field_is_a_flag():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    missing = [f"{name} --{f.name}"
+               for name in ("run", "eval", "bench", "config")
+               for f in fields(PipelineConfig)
+               if f"--{f.name}" not in commands[name]._option_string_actions]
+    assert missing == []
 
 
 def local_imports(tree, name):

@@ -59,12 +59,11 @@ def test_every_traced_layer_runs(tracing, traced):
 
 
 def test_traced_counts_equal_direct_counts(card, traced):
-    cfg = PipelineConfig()
     tracer, result = traced
     gray = imaging.load_pnm_file(card)
-    grid = rg.classify_grid(gray, rg.partition_blocks(gray, cfg.block_h, cfg.block_w), cfg.t_var)
+    grid = rg.classify_grid(gray, rg.partition_blocks(gray, rg.BLOCK_SIZE, rg.BLOCK_SIZE), rg.T_VAR)
     boxes = rg.assemble_regions(grid)
-    table = rg.extract_regions(gray, cfg)
+    table = rg.extract_regions(gray)
     rotated = [r.deskewed for r in result.regions if r.angle != 0.0]
     direct = {
         "regions.blocks": grid.rows * grid.cols,
