@@ -17,19 +17,19 @@ log = logging.getLogger(__name__)
 
 
 def neighbor_counts(mask):
-    """Number of True values among each pixel's existing 8 neighbors."""
-    counts = np.zeros(mask.shape, dtype=np.uint8)
-    m = mask.astype(np.uint8)
-    h, w = mask.shape
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == dx == 0:
-                continue
-            ys = slice(max(0, dy), h + min(0, dy))
-            xs = slice(max(0, dx), w + min(0, dx))
-            yd = slice(max(0, -dy), h + min(0, -dy))
-            xd = slice(max(0, -dx), w + min(0, -dx))
-            counts[yd, xd] += m[ys, xs]
+    """Number of True values among each pixel's existing 8 neighbors: the
+    sum over its 3x3 window, taken as a sum of three across each row and
+    then of three down each column, less the pixel itself."""
+    m = np.asarray(mask, dtype=bool).view(np.uint8)
+    rows = np.empty_like(m)
+    np.add(m[:, 1:], m[:, :-1], out=rows[:, 1:])
+    rows[:, :1] = m[:, :1]
+    rows[:, :-1] += m[:, 1:]
+    counts = np.empty_like(m)
+    np.add(rows[1:], rows[:-1], out=counts[1:])
+    counts[:1] = rows[:1]
+    counts[:-1] += rows[1:]
+    counts -= m
     return counts
 
 

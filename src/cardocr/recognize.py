@@ -195,14 +195,15 @@ def classify(patterns, store):
         np.subtract(zones[:, z, None], store._zones[z], out=diff)
         bound += np.abs(diff, out=diff)
     upper = _pair_distances(words, np.arange(len(words)), store._words, bound.argmin(axis=1))
-    rows, cols = np.nonzero(bound <= upper[:, None])
+    pairs = np.flatnonzero(bound <= upper[:, None])
+    rows, cols = np.divmod(pairs, len(store))
     # The bounds are spent, and the exact distances reuse their scratch
     # buffer; pairs left out score above any distance, so argmin picks a
     # candidate.
     del bound
     exact = diff
     exact.fill(PATTERN_SIZE * PATTERN_SIZE + 1)
-    exact[rows, cols] = _pair_distances(words, rows, store._words, cols)
+    exact.ravel()[pairs] = _pair_distances(words, rows, store._words, cols)
     best = exact.argmin(axis=1)
     return best, exact[np.arange(len(best)), best]
 

@@ -42,8 +42,8 @@ class BlockGrid:
     labels: np.ndarray = None  # bool (rows, cols), True = information block (IB)
     block_max: np.ndarray = None  # uint8 (rows, cols), brightest pixel per block
     block_min: np.ndarray = None  # uint8 (rows, cols), darkest pixel per block
-    # intp, one per IB in raster order (the order np.nonzero(labels) lists
-    # them in): index of the block's region among the boxes
+    # intp, one per IB in raster order (the order np.flatnonzero(labels)
+    # lists them in): index of the block's region among the boxes
     # assemble_regions returned
     block_region: np.ndarray = None
 
@@ -106,21 +106,33 @@ def partition_blocks(img, block_h, block_w):
 
 
 def _tiles(img, grid, **pad):
-    """View the image as (rows, block_h, cols, block_w) tiles.  A ragged
-    image is first padded to whole blocks by np.pad with `pad`."""
-    pad_h = grid.rows * grid.block_h - grid.image_h
-    pad_w = grid.cols * grid.block_w - grid.image_w
-    if pad_h or pad_w:
-        img = np.pad(img, ((0, pad_h), (0, pad_w)), **pad)
-    return img.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
+    """The grid's blocks as a list of (r0, c0, tiles) parts, `tiles` a
+    (r, block_h, c, block_w) array of the blocks from block row r0 and
+    block column c0 on.  The whole blocks are one view of the image.  A
+    ragged image adds its last block column, then its last block row, each
+    a copy of that strip padded to whole blocks by np.pad with `pad`, so
+    the image itself is never copied."""
+    bh, bw = grid.block_h, grid.block_w
+    rows, cols = grid.image_h // bh, grid.image_w // bw
+    pad_h = grid.rows * bh - grid.image_h
+    pad_w = grid.cols * bw - grid.image_w
+    parts = [(0, 0, img[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw))]
+    if pad_w:
+        strip = np.pad(img[: rows * bh, cols * bw :], ((0, 0), (0, pad_w)), **pad)
+        parts.append((0, cols, strip.reshape(rows, bh, 1, bw)))
+    if pad_h:
+        strip = np.pad(img[rows * bh :], ((0, pad_h), (0, pad_w)), **pad)
+        parts.append((rows, 0, strip.reshape(1, bh, grid.cols, bw)))
+    return parts
 
 
 def classify_grid(img, grid, t_var):
     """Label every block of the grid in one vectorized pass.
 
-    A ragged image is edge-padded to whole blocks first; repeating an edge
-    pixel leaves every tile's max and min unchanged.  The per-block max and
-    min stay on the grid for compute_features.
+    A ragged image's last block row and column are edge-padded to whole
+    blocks (_tiles); repeating an edge pixel leaves every tile's max and
+    min unchanged.  The per-block max and min stay on the grid for
+    compute_features.
 
     Each extreme is reduced over the rows of a block first, a pass over
     whole image rows.  The block's columns are then a last axis only
@@ -128,9 +140,12 @@ def classify_grid(img, grid, t_var):
     are reduced from a transposed copy of that result instead, 1/block_h
     of the image, whose outer axis they are.
     """
-    tiles = _tiles(img, grid, mode="edge")
-    grid.block_max = tiles.max(axis=1).transpose(2, 0, 1).copy().max(axis=0)
-    grid.block_min = tiles.min(axis=1).transpose(2, 0, 1).copy().min(axis=0)
+    grid.block_max = np.empty((grid.rows, grid.cols), dtype=np.uint8)
+    grid.block_min = np.empty_like(grid.block_max)
+    for r0, c0, tiles in _tiles(img, grid, mode="edge"):
+        at = np.s_[r0 : r0 + tiles.shape[0], c0 : c0 + tiles.shape[2]]
+        tiles.max(axis=1).transpose(2, 0, 1).copy().max(axis=0, out=grid.block_max[at])
+        tiles.min(axis=1).transpose(2, 0, 1).copy().min(axis=0, out=grid.block_min[at])
     grid.labels = (grid.block_max.astype(np.int16) - grid.block_min) >= t_var
     return grid
 
@@ -229,12 +244,13 @@ def compute_features(img, grid, boxes):
 
     `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
     when it is below the midpoint of its region's extremes.  The IB tiles
-    are gathered as one (IBs, block_h, block_w) array and compared with
-    their region's uint8 threshold; the mask is bit-packed per IB and its
-    set bits counted with np.bitwise_count, one path for any block size.
+    of each part of _tiles are gathered as one (IBs, block_h, block_w)
+    array and compared with their region's uint8 threshold; the mask is
+    bit-packed per IB and its set bits counted with np.bitwise_count, one
+    path for any block size.
     """
     m = len(boxes)
-    br, bc = np.nonzero(grid.labels)
+    br, bc = np.divmod(np.flatnonzero(grid.labels), grid.cols)
     region = grid.block_region
     # A run's IBs are consecutive in raster order and share a region, so the
     # extremes are reduced per stretch of one region first, then per region.
@@ -247,13 +263,19 @@ def compute_features(img, grid, boxes):
     threshold = midpoint(vmin.astype(np.int16), vmax).astype(np.uint8)
 
     # 255 is never below a midpoint, so padding is never dark.  Releasing
-    # the tiles before the mask is packed keeps them out of the peak.
+    # each part's tiles before their mask is packed keeps them out of the
+    # peak.
     bh, bw = grid.block_h, grid.block_w
-    tiles = _tiles(img, grid, constant_values=255).transpose(0, 2, 1, 3)[br, bc]
-    below = tiles.reshape(len(region), bh * bw) < threshold[region][:, None]
-    del tiles
-    dark_per_block = np.bitwise_count(np.packbits(below, axis=1)).sum(axis=1)
-    dark = np.bincount(region, weights=dark_per_block, minlength=m)
+    dark = np.zeros(m)
+    for r0, c0, tiles in _tiles(img, grid, constant_values=255):
+        inside = ((br >= r0) & (br < r0 + tiles.shape[0])
+                  & (bc >= c0) & (bc < c0 + tiles.shape[2]))
+        limit = threshold[region[inside]][:, None]
+        tiles = tiles.transpose(0, 2, 1, 3)[br[inside] - r0, bc[inside] - c0]
+        below = tiles.reshape(len(limit), bh * bw) < limit
+        del tiles
+        counts = np.bitwise_count(np.packbits(below, axis=1)).sum(axis=1)
+        dark += np.bincount(region[inside], weights=counts, minlength=m)
     block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
     block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
     pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)

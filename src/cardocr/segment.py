@@ -5,7 +5,7 @@ runs of rows above a low threshold (deliberately over-segmenting), and
 implausibly thin bands are merged back into a neighbor.  A region's lines
 are one (n, 2) int array of inclusive (top, bottom) rows; a region with no
 row above the threshold has zero bands.  Words and characters come from the
-vertical profile of each line: zero-count column runs split characters, and
+vertical profile of each line: columns with no ink split characters, and
 gaps much wider than the median split words.  A line's glyphs are one set
 of parallel arrays (Glyphs), built in one pass over its column runs, and
 read as arrays up to the matcher.
@@ -44,11 +44,6 @@ class Glyphs:
 def horizontal_histogram(region):
     """Foreground count per row."""
     return np.count_nonzero(region, axis=1)
-
-
-def vertical_histogram(region):
-    """Foreground count per column."""
-    return np.count_nonzero(region, axis=0)
 
 
 def _runs(mask):
@@ -105,12 +100,12 @@ def segment_lines(region):
 def segment_characters(line):
     """Split one line into Glyphs.
 
-    Characters are separated by zero-count column runs; a gap at least
+    Characters are separated by runs of columns with no ink; a gap at least
     WORD_GAP_FACTOR times the median interior gap width is a word break.
     Each glyph's rows run from the first to the last row with foreground in
     its columns.  A line with no foreground has no glyphs.
     """
-    x1, x2 = _runs(vertical_histogram(line) > 0)
+    x1, x2 = _runs(line.any(axis=0))
     gaps = x1[1:] - x2[:-1] - 1
     first = np.ones(len(x1), dtype=bool)  # the first glyph of a word
     if len(gaps):

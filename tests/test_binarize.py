@@ -114,6 +114,30 @@ class TestAgainstReference:
         got = bz.binarize_region(region)
         assert np.array_equal(got, reference_binarize(region))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (1, 2), (2, 1)])
+    def test_degenerate_shapes_match_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            region = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            assert np.array_equal(bz.binarize_region(region), reference_binarize(region))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_masks_match_oracle(self, seed):
+        # about 70% dark: many background pixels have five or more dark
+        # neighbours, so pass 2 promotes
+        rng = np.random.default_rng(100 + seed)
+        region = np.where(rng.random((17, 23)) < 0.7, 0, 255).astype(np.uint8)
+        got = bz.binarize_region(region)
+        assert (got & ~bz.threshold_region(region)).any()
+        assert np.array_equal(got, reference_binarize(region))
+
+    def test_all_true_mask_counts(self):
+        counts = bz.neighbor_counts(np.ones((5, 7), dtype=bool))
+        expected = np.full((5, 7), 8)
+        expected[[0, -1], :] = expected[:, [0, -1]] = 5
+        expected[[0, 0, -1, -1], [0, -1, 0, -1]] = 3
+        assert np.array_equal(counts, expected)
+
     def test_two_level_pass_one_is_exact(self):
         # on a {0, 255} image pass 1 recovers exactly the 0-pixels
         rng = np.random.default_rng(42)

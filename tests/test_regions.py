@@ -638,8 +638,8 @@ class TestFeatureMemory:
 
 
 class TestGridMemory:
-    # classify_grid's peak on a whole-block 2048x1536 frame, numpy 2.4, was
-    # 405,984 bytes: 2.06 x (h / block_h) x w, the row reduction and its
+    # classify_grid's peak on a whole-block 2048x1536 frame, numpy 2.4, is
+    # 418,536 bytes: 2.13 x (h / block_h) x w, the row reduction and its
     # transposed copy at 196,608 bytes each, plus the per-block results.
     PEAK_PER_BLOCK_ROW_BYTE = 2.25
 
@@ -652,6 +652,37 @@ class TestGridMemory:
         _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
         assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // block) * w
         assert peak < img.nbytes / 4
+
+    # Peaks on a 1000x1500 frame, 62.5 x 93.75 blocks, numpy 2.4: 238,212
+    # bytes for classify_grid on a random frame and 991,648 for
+    # compute_features on a sparse one (1,774 IBs).  Padding the whole
+    # frame, they peaked at 1,712,538 and 2,011,248 bytes.
+    RAGGED_GRID_PEAK_BYTES = 250_000
+    RAGGED_FEATURES_PEAK_BYTES = 1_040_000
+
+    def test_ragged_frame_copies_only_its_edge(self):
+        rng = np.random.default_rng(48)
+        img = rng.integers(0, 256, size=(1000, 1500), dtype=np.uint8)
+        grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
+        # the whole blocks are a view; only the last block column and row
+        # are copied
+        (r0, c0, whole), *edges = rg._tiles(img, grid, mode="edge")
+        assert (r0, c0) == (0, 0) and np.shares_memory(whole, img)
+        assert [(r, c, t.shape) for r, c, t in edges] == [
+            (0, 93, (62, 16, 1, 16)), (62, 0, (1, 16, 94, 16))]
+        rg.classify_grid(img, grid, rg.T_VAR)
+        _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
+        assert peak <= self.RAGGED_GRID_PEAK_BYTES
+
+        sparse = np.full(img.shape, 220, np.uint8)
+        noise = rng.random(img.shape) < 0.002
+        sparse[noise] = rng.integers(0, 256, size=int(noise.sum()))
+        grid = rg.partition_blocks(sparse, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
+        rg.classify_grid(sparse, grid, rg.T_VAR)
+        boxes = rg.assemble_regions(grid)
+        rg.compute_features(sparse, grid, boxes)
+        _, peak = traced_peak(lambda: rg.compute_features(sparse, grid, boxes))
+        assert peak <= self.RAGGED_FEATURES_PEAK_BYTES
 
 
 def criterion9_card():

@@ -58,8 +58,18 @@ class TestHistogram:
         region = rng.random((4, 4)) < 0.5
         expected = [sum(1 for x in range(4) if region[y, x]) for y in range(4)]
         assert list(sg.horizontal_histogram(region)) == expected
-        expected_v = [sum(1 for y in range(4) if region[y, x]) for x in range(4)]
-        assert list(sg.vertical_histogram(region)) == expected_v
+        # the glyphs' columns are the maximal runs of columns with ink; the
+        # sparser line has gaps, and runs of one and of several columns
+        for line in (region, rng.random((4, 16)) < 0.2):
+            inked = [line[:, x].any() for x in range(line.shape[1])]
+            runs = []
+            for x, ink in enumerate(inked):
+                if ink and x > 0 and inked[x - 1]:
+                    runs[-1][1] = x
+                elif ink:
+                    runs.append([x, x])
+            glyphs = sg.segment_characters(line)
+            assert [list(r) for r in zip(glyphs.x1.tolist(), glyphs.x2.tolist())] == runs
 
     def test_conservation(self):
         rng = np.random.default_rng(2)
