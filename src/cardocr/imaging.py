@@ -11,8 +11,9 @@ File I/O is limited to binary PGM ("P5") and PPM ("P6") with maxval 255,
 written bit-exactly without any third-party codec.  A file's header is read
 in one forward pass, a byte at a time, so a '#' comment may be any length
 and the file is left at the payload.  A file loads as a gray image, the
-pipeline's only input: to_grayscale converts a PPM strip by strip as it is
-read, so its color image is never held whole.
+pipeline's only input: a PPM is read strip by strip into to_grayscale's
+buffers and converted as it is read, so its color image is never held
+whole and its load costs the gray image plus GRAY_STRIP_BYTES.
 """
 
 import math
@@ -77,9 +78,10 @@ def dark_mask(gray):
     return gray < midpoint(int(gray.min()), int(gray.max()))
 
 
-# Bytes of the float32 temporaries of one grayscale strip: the strip's
-# three channels (12 bytes a pixel) and their weighted sum (4 bytes a
-# pixel), however large the image.
+# Bytes of the float32 buffers of one grayscale strip: the strip's three
+# channels (12 bytes a pixel) and their weighted sum (4 bytes a pixel),
+# however large the image.  The strip's file bytes are read into the sum
+# buffer, so it needs no buffer of its own.
 GRAY_STRIP_BYTES = 1 << 19
 # The gray weights folded with the 1/1000 scale, and the rounding bias: a
 # hair above 1/2, see to_grayscale.
@@ -92,10 +94,14 @@ def _gray_rows(w):
     return max(1, GRAY_STRIP_BYTES // (16 * w))
 
 
-def to_grayscale(strips, h, w):
-    """The (h, w) gray image of `strips`, an iterable of consecutive RGB
-    row strips of at most _gray_rows(w) rows, through one preallocated
-    float32 buffer into one preallocated output.
+def to_grayscale(read, h, w):
+    """The (h, w) gray image of an RGB image whose rows `read(strip, y)`
+    writes, strip by strip: `strip` is a C-contiguous uint8 (n, w, 3)
+    array for rows y to y + n, at most _gray_rows(w) rows, and the strips
+    come in order.  It lies in the first 3 bytes a pixel of the float32
+    sum buffer, so a strip costs the two float32 buffers alone: its bytes
+    are converted into the channel buffer before the weighted sum
+    overwrites them.
 
     Computes (299r + 587g + 114b + 500) // 1000 with the 0.299/0.587/0.114
     weighting, i.e. rounding half up, so (v, v, v) maps to exactly v, as
@@ -114,14 +120,15 @@ def to_grayscale(strips, h, w):
     rows = min(h, _gray_rows(w))
     buf = np.empty((rows, w, 3), dtype=np.float32)
     acc = np.empty((rows, w), dtype=np.float32)
-    y = 0
-    for strip in strips:
+    raw = acc.reshape(-1).view(np.uint8)[: rows * w * 3].reshape(rows, w, 3)
+    for y in range(0, h, rows):
+        strip = raw[: h - y]
+        read(strip, y)
         chans, total = buf[: len(strip)], acc[: len(strip)]
         np.copyto(chans, strip, casting="unsafe")
         np.matmul(chans, _GRAY_WEIGHTS, out=total)
         total += _GRAY_BIAS
         np.copyto(out[y : y + len(strip)], total, casting="unsafe")
-        y += len(strip)
     return out
 
 
@@ -189,11 +196,12 @@ def save_pnm(img):
 
 def load_pnm_file(path):
     """Decode a PGM/PPM file to a gray image.  A PGM payload is read
-    straight into the image.  A PPM payload is read in row strips into one
-    strip buffer, which to_grayscale converts to gray strip by strip, so
-    the color image is never held whole.  The payload's length is
-    checked against the file's size before any pixel buffer is allocated;
-    each read is checked too, in case the file shrinks while it is read."""
+    straight into the image.  A PPM payload is read in row strips into
+    to_grayscale's own strip buffers and converted to gray strip by strip,
+    so the color image is never held whole and loading it costs the gray
+    image plus GRAY_STRIP_BYTES.  The payload's length is checked against
+    the file's size before any pixel buffer is allocated; each read is
+    checked too, in case the file shrinks while it is read."""
     with open(path, "rb") as fh:
         h, w, channels = _read_header(fh)
         expected = h * w * channels
@@ -201,18 +209,16 @@ def load_pnm_file(path):
         if available < expected:
             raise PnmError(f"truncated payload: expected {expected} bytes, got {available}")
 
-        def read(buf, done):
+        def read(buf, y):
             got = fh.readinto(buf)
             if got < buf.nbytes:
-                raise PnmError(f"truncated payload: expected {expected} bytes, got {done + got}")
+                raise PnmError(f"truncated payload: expected {expected} bytes, "
+                               f"got {y * w * channels + got}")
             return buf
 
         if channels == 1:
             return read(np.empty((h, w), dtype=np.uint8), 0)
-        rows = _gray_rows(w)
-        strip = np.empty((min(h, rows), w, 3), dtype=np.uint8)
-        return to_grayscale(
-            (read(strip[: h - y], y * w * 3) for y in range(0, h, rows)), h, w)
+        return to_grayscale(read, h, w)
 
 
 def save_pnm_file(path, img):

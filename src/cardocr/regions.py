@@ -28,6 +28,15 @@ AR_MIN, AR_MAX = 1.2, 40.0  # accepted box aspect ratio (w / h) of a TR
 DENS_MIN, DENS_MAX = 0.03, 0.6  # accepted dark-pixel density of a TR
 COV_MIN = 0.5  # min share of a TR's box that its member blocks cover
 
+# Bytes of one chunk of classify_grid's row reduction, and of its
+# transposed copy: a chunk of block rows whose reduction holds at most
+# this, or one block row.
+GRID_CHUNK_BYTES = 1 << 16
+# Bytes of the gathered tiles of one chunk of compute_features' IBs, 512
+# IBs of 16 x 16; their dark mask takes as many again.  Chunks of 256 IBs
+# read 2-3% slower on 1024 x 768 cards.
+FEATURE_CHUNK_BYTES = 1 << 17
+
 
 @dataclass
 class BlockGrid:
@@ -106,24 +115,23 @@ def partition_blocks(img, block_h, block_w):
 
 
 def _tiles(img, grid, **pad):
-    """The grid's blocks as a list of (r0, c0, tiles) parts, `tiles` a
+    """Yield the grid's blocks as (r0, c0, tiles) parts, `tiles` a
     (r, block_h, c, block_w) array of the blocks from block row r0 and
     block column c0 on.  The whole blocks are one view of the image.  A
     ragged image adds its last block column, then its last block row, each
-    a copy of that strip padded to whole blocks by np.pad with `pad`, so
-    the image itself is never copied."""
+    a copy of that strip padded to whole blocks by np.pad with `pad`, made
+    when it is reached, so the image itself is never copied."""
     bh, bw = grid.block_h, grid.block_w
     rows, cols = grid.image_h // bh, grid.image_w // bw
     pad_h = grid.rows * bh - grid.image_h
     pad_w = grid.cols * bw - grid.image_w
-    parts = [(0, 0, img[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw))]
+    yield 0, 0, img[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw)
     if pad_w:
         strip = np.pad(img[: rows * bh, cols * bw :], ((0, 0), (0, pad_w)), **pad)
-        parts.append((0, cols, strip.reshape(rows, bh, 1, bw)))
+        yield 0, cols, strip.reshape(rows, bh, 1, bw)
     if pad_h:
         strip = np.pad(img[rows * bh :], ((0, pad_h), (0, pad_w)), **pad)
-        parts.append((rows, 0, strip.reshape(1, bh, grid.cols, bw)))
-    return parts
+        yield rows, 0, strip.reshape(1, bh, grid.cols, bw)
 
 
 def classify_grid(img, grid, t_var):
@@ -137,16 +145,23 @@ def classify_grid(img, grid, t_var):
     Each extreme is reduced over the rows of a block first, a pass over
     whole image rows.  The block's columns are then a last axis only
     block_w long, which numpy would reduce one block at a time, so they
-    are reduced from a transposed copy of that result instead, 1/block_h
-    of the image, whose outer axis they are.
+    are reduced from a transposed copy of that result instead, whose outer
+    axis they are.  Both are taken a chunk of block rows at a time, at
+    most GRID_CHUNK_BYTES each, so the peak does not grow with the image's
+    height.
     """
     grid.block_max = np.empty((grid.rows, grid.cols), dtype=np.uint8)
     grid.block_min = np.empty_like(grid.block_max)
     for r0, c0, tiles in _tiles(img, grid, mode="edge"):
-        at = np.s_[r0 : r0 + tiles.shape[0], c0 : c0 + tiles.shape[2]]
-        tiles.max(axis=1).transpose(2, 0, 1).copy().max(axis=0, out=grid.block_max[at])
-        tiles.min(axis=1).transpose(2, 0, 1).copy().min(axis=0, out=grid.block_min[at])
-    grid.labels = (grid.block_max.astype(np.int16) - grid.block_min) >= t_var
+        rows, cols = tiles.shape[0], tiles.shape[2]
+        step = max(1, GRID_CHUNK_BYTES // (cols * grid.block_w))
+        for r in range(0, rows, step):
+            part = tiles[r : r + step]
+            at = np.s_[r0 + r : r0 + r + len(part), c0 : c0 + cols]
+            part.max(axis=1).transpose(2, 0, 1).copy().max(axis=0, out=grid.block_max[at])
+            part.min(axis=1).transpose(2, 0, 1).copy().min(axis=0, out=grid.block_min[at])
+    # a block's max is never below its min, so the uint8 range cannot wrap
+    grid.labels = grid.block_max - grid.block_min >= t_var
     return grid
 
 
@@ -244,10 +259,15 @@ def compute_features(img, grid, boxes):
 
     `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
     when it is below the midpoint of its region's extremes.  The IB tiles
-    of each part of _tiles are gathered as one (IBs, block_h, block_w)
-    array and compared with their region's uint8 threshold; the mask is
-    bit-packed per IB and its set bits counted with np.bitwise_count, one
-    path for any block size.
+    of each part of _tiles are gathered a chunk of FEATURE_CHUNK_BYTES at a
+    time, each tile row as one block_w-byte item (a byte-wise gather costs
+    about six times as much), and compared as an (IBs, block_h * block_w)
+    array with their region's uint8 threshold; the mask is bit-packed per
+    IB and its set bits counted with np.bitwise_count, one path for any
+    block size.  So the tiles and their mask never hold more than a chunk
+    each, and the rest of the peak is a few arrays with one entry per IB,
+    among them the dark count of each IB, which one np.bincount sums per
+    region.
     """
     m = len(boxes)
     br, bc = np.divmod(np.flatnonzero(grid.labels), grid.cols)
@@ -262,20 +282,24 @@ def compute_features(img, grid, boxes):
     # lo + hi + 1 overflows uint8, the midpoint itself is at most 255
     threshold = midpoint(vmin.astype(np.int16), vmax).astype(np.uint8)
 
-    # 255 is never below a midpoint, so padding is never dark.  Releasing
-    # each part's tiles before their mask is packed keeps them out of the
-    # peak.
+    # 255 is never below a midpoint, so padding is never dark.  A tile row
+    # is gathered as one block_w-byte item, which needs contiguous image
+    # rows: a loaded image has them, and only a strided view is copied.
+    img = np.ascontiguousarray(img)
     bh, bw = grid.block_h, grid.block_w
-    dark = np.zeros(m)
+    chunk = max(1, FEATURE_CHUNK_BYTES // (bh * bw))
+    dark = np.empty(len(region), dtype=np.intp)
     for r0, c0, tiles in _tiles(img, grid, constant_values=255):
-        inside = ((br >= r0) & (br < r0 + tiles.shape[0])
-                  & (bc >= c0) & (bc < c0 + tiles.shape[2]))
-        limit = threshold[region[inside]][:, None]
-        tiles = tiles.transpose(0, 2, 1, 3)[br[inside] - r0, bc[inside] - c0]
-        below = tiles.reshape(len(limit), bh * bw) < limit
-        del tiles
-        counts = np.bitwise_count(np.packbits(below, axis=1)).sum(axis=1)
-        dark += np.bincount(region[inside], weights=counts, minlength=m)
+        inside = np.flatnonzero((br >= r0) & (br < r0 + tiles.shape[0])
+                                & (bc >= c0) & (bc < c0 + tiles.shape[2]))
+        tile_rows = tiles.view(np.dtype((np.void, bw)))[..., 0]
+        # One expression a chunk, so that each temporary is freed once it
+        # is read and none outlives its chunk.
+        for start in range(0, len(inside), chunk):
+            ib = inside[start : start + chunk]
+            dark[ib] = np.bitwise_count(np.packbits(
+                tile_rows[br[ib] - r0, :, bc[ib] - c0].view(np.uint8)
+                < threshold[region[ib]][:, None], axis=1)).sum(axis=1)
     block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
     block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
     pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)
@@ -283,7 +307,7 @@ def compute_features(img, grid, boxes):
     return dict(
         area=np.bincount(region, minlength=m),
         aspect_ratio=w / h,
-        info_pixel_density=dark / pixels,
+        info_pixel_density=np.bincount(region, weights=dark, minlength=m) / pixels,
         coverage_ratio=pixels / (w * h),
     )
 

@@ -531,6 +531,17 @@ class TestMatchesReference:
         table, _ = self.assert_matches(img)
         assert len(table) > 0
 
+    def test_strided_views(self):
+        # a column-strided view, a Fortran-ordered copy and a crop, ragged
+        # or not: views whose rows are not contiguous bytes, or not whole
+        rng = np.random.default_rng(33)
+        big = np.full((100, 2 * 131), 220, np.uint8)
+        big[rng.random(big.shape) < 0.03] = 20
+        for img in (big[:, ::2], np.asfortranarray(big[:, :128]), big[4:, 3:140]):
+            assert not img.flags.c_contiguous
+            table, _ = self.assert_matches(img)
+            assert len(table) > 0
+
     def test_all_background(self):
         table, blocks = self.assert_matches(np.full((96, 128), 220, np.uint8))
         assert len(table) == 0 and blocks == []
@@ -613,9 +624,17 @@ class TestMatchesReference:
 class TestFeatureMemory:
     # compute_features' transient peak on this card when it counted dark
     # pixels with np.count_nonzero over the gathered tiles (c00164b, numpy
-    # 2.4, after one warm-up call).  The bit-packed count stays below it
-    # only because the tiles are released before the mask is packed.
+    # 2.4, after one warm-up call).  Counted a chunk of IBs at a time, its
+    # 708 IBs peak at 301,411 bytes.
     COUNT_NONZERO_PEAK_BYTES = 451_676
+    # Bytes of compute_features' peak per IB beyond one chunk's tiles and
+    # mask, and beyond a fixed part: IB rows, columns, part indices and
+    # dark counts of 8 bytes each, and a few bytes of masks.  Every block
+    # of a random frame is an IB; at 1024 x 1024 and at 2048 x 1536 the
+    # peak was 35.0 bytes an IB above the chunk (numpy 2.4), against 469
+    # and 510 when all IBs were gathered at once.
+    PEAK_PER_IB_BYTES = 36
+    PEAK_FIXED_BYTES = 1 << 14
 
     def test_peak_no_higher_than_before(self):
         img = salt_and_pepper_card()
@@ -636,12 +655,30 @@ class TestFeatureMemory:
                 tracemalloc.stop()
         assert peak <= self.COUNT_NONZERO_PEAK_BYTES
 
+    def test_dense_frame_peak_is_one_chunk_plus_per_ib(self):
+        chunk = 2 * rg.FEATURE_CHUNK_BYTES  # a chunk's tiles and their mask
+        assert chunk // (2 * rg.BLOCK_SIZE ** 2) == 512
+        for h, w in [(1024, 1024), (1536, 2048)]:
+            img = np.random.default_rng(50).integers(0, 256, size=(h, w), dtype=np.uint8)
+            grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
+            rg.classify_grid(img, grid, rg.T_VAR)
+            assert grid.labels.all()
+            boxes = rg.assemble_regions(grid)
+            rg.compute_features(img, grid, boxes)
+            _, peak = traced_peak(lambda: rg.compute_features(img, grid, boxes))
+            ibs = grid.labels.size
+            assert peak <= chunk + self.PEAK_PER_IB_BYTES * ibs + self.PEAK_FIXED_BYTES
+
 
 class TestGridMemory:
     # classify_grid's peak on a whole-block 2048x1536 frame, numpy 2.4, is
-    # 418,536 bytes: 2.13 x (h / block_h) x w, the row reduction and its
-    # transposed copy at 196,608 bytes each, plus the per-block results.
-    PEAK_PER_BLOCK_ROW_BYTE = 2.25
+    # 156,848 bytes: 0.80 x (h / block_h) x w, the block max and min
+    # (24,576 bytes), and one chunk's row reduction and its transposed copy
+    # at 65,536 bytes each.  Reduced whole, it was 418,536 bytes.
+    PEAK_PER_BLOCK_ROW_BYTE = 1.0
+    # What the scratch holds beyond one chunk's reduction and copy: 1,200
+    # bytes at 1536 and at 3072 rows.
+    CHUNK_SLACK_BYTES = 1 << 12
 
     def test_no_frame_sized_temporary(self):
         h, w = 1536, 2048
@@ -653,12 +690,26 @@ class TestGridMemory:
         assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // block) * w
         assert peak < img.nbytes / 4
 
-    # Peaks on a 1000x1500 frame, 62.5 x 93.75 blocks, numpy 2.4: 238,212
-    # bytes for classify_grid on a random frame and 991,648 for
+    def test_peak_does_not_grow_with_height(self):
+        # the scratch above the block max and min is one chunk, whatever
+        # the frame's height; reduced whole, it grew from 393,960 to
+        # 787,176 bytes
+        scratch = []
+        for h in (1536, 3072):
+            img = np.random.default_rng(47).integers(0, 256, size=(h, 2048), dtype=np.uint8)
+            grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
+            _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
+            scratch.append(peak - grid.block_max.nbytes - grid.block_min.nbytes)
+            assert scratch[-1] <= 2 * rg.GRID_CHUNK_BYTES + self.CHUNK_SLACK_BYTES
+        assert abs(scratch[1] - scratch[0]) < 1 << 10
+
+    # Peaks on a 1000x1500 frame, 62.5 x 93.75 blocks, numpy 2.4: 143,932
+    # bytes for classify_grid on a random frame and 338,680 for
     # compute_features on a sparse one (1,774 IBs).  Padding the whole
-    # frame, they peaked at 1,712,538 and 2,011,248 bytes.
-    RAGGED_GRID_PEAK_BYTES = 250_000
-    RAGGED_FEATURES_PEAK_BYTES = 1_040_000
+    # frame, they peaked at 1,712,538 and 2,011,248 bytes, and padding
+    # only the edge but without chunks, at 238,212 and 991,648.
+    RAGGED_GRID_PEAK_BYTES = 150_000
+    RAGGED_FEATURES_PEAK_BYTES = 350_000
 
     def test_ragged_frame_copies_only_its_edge(self):
         rng = np.random.default_rng(48)
