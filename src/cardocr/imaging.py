@@ -78,6 +78,14 @@ def dark_mask(gray):
     return gray < midpoint(int(gray.min()), int(gray.max()))
 
 
+def runs(mask):
+    """Maximal runs of True in a 1-D bool array as (starts, ends) int
+    arrays, ends inclusive."""
+    idx = np.flatnonzero(mask)
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    return np.concatenate((idx[:1], idx[breaks + 1])), np.concatenate((idx[breaks], idx[-1:]))
+
+
 # Bytes of the float32 buffers of one grayscale strip: the strip's three
 # channels (12 bytes a pixel) and their weighted sum (4 bytes a pixel),
 # however large the image.  The strip's file bytes are read into the sum

@@ -105,8 +105,9 @@ def normalize_glyph(line, x1, x2, top, bottom):
 
 PATTERN_WORDS = PATTERN_SIZE * PATTERN_SIZE // 64
 
-# Bytes of the uint64 XOR temporary of one matcher batch; exact distances
-# are computed in batches of pairs that keep it under this.
+# Bytes of the uint64 words one matcher batch gathers: the XOR temporary
+# (the gathered a[rows]) and the gathered b[cols] beside it.  Exact
+# distances are computed in batches of pairs that keep both under this.
 MATCH_BATCH_BYTES = 1 << 20
 
 # A pattern is a ZONE_GRID x ZONE_GRID grid of 16x16 zones: a packed zone
@@ -132,10 +133,10 @@ def _zone_counts(words):
 
 def _pair_distances(a, rows, b, cols):
     """int16 Hamming distances of the packed words a[rows] against
-    b[cols], pair by pair, in batches whose uint64 XOR temporary stays
-    under MATCH_BATCH_BYTES."""
+    b[cols], pair by pair, in batches whose two gathered uint64 operands,
+    the XOR temporary and b[cols], stay under MATCH_BATCH_BYTES together."""
     out = np.empty(len(rows), dtype=np.int16)
-    step = max(1, MATCH_BATCH_BYTES // (8 * PATTERN_WORDS))
+    step = max(1, MATCH_BATCH_BYTES // (2 * 8 * PATTERN_WORDS))
     for lo in range(0, len(rows), step):
         xor = a[rows[lo : lo + step]]
         xor ^= b[cols[lo : lo + step]]

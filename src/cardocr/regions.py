@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Rect, midpoint
+from .imaging import Rect, midpoint, runs
 
 TR = "TR"  # text region
 NR = "NR"  # non-text region
 
-# The paper's fixed parameters, read by extract_regions and classify_region
-# when they are called.
+# The paper's fixed parameters, read by the stage functions below when they
+# are called.
 BLOCK_SIZE = 16  # block height and width in pixels
 T_VAR = 40  # min max - min intensity of an information block
 MIN_AREA_BLOCKS = 4  # min member blocks of a TR
@@ -40,17 +40,14 @@ FEATURE_CHUNK_BYTES = 1 << 17
 
 @dataclass
 class BlockGrid:
-    """Disjoint tiling of an image; edge tiles shrink to the image bounds."""
+    """The labelled BLOCK_SIZE tiling of an image, as classify_grid builds
+    it; edge tiles shrink to the image bounds."""
 
-    block_h: int
-    block_w: int
-    rows: int
-    cols: int
     image_h: int
     image_w: int
-    labels: np.ndarray = None  # bool (rows, cols), True = information block (IB)
-    block_max: np.ndarray = None  # uint8 (rows, cols), brightest pixel per block
-    block_min: np.ndarray = None  # uint8 (rows, cols), darkest pixel per block
+    labels: np.ndarray  # bool (rows, cols), True = information block (IB)
+    block_max: np.ndarray  # uint8 (rows, cols), brightest pixel per block
+    block_min: np.ndarray  # uint8 (rows, cols), darkest pixel per block
     # intp, one per IB in raster order (the order np.flatnonzero(labels)
     # lists them in): index of the block's region among the boxes
     # assemble_regions returned
@@ -102,40 +99,30 @@ class ImageTooSmallError(ValueError):
     """The image cannot hold a single block of the grid."""
 
 
-def partition_blocks(img, block_h, block_w):
-    """Lay out the block grid for an image (no classification yet)."""
-    if block_h < 4 or block_w < 4:
-        raise ValueError(f"block size must be at least 4, got {block_h}x{block_w}")
-    h, w = img.shape[:2]
-    if block_h > h or block_w > w:
-        raise ImageTooSmallError(f"block {block_h}x{block_w} larger than image {h}x{w}")
-    rows = -(-h // block_h)
-    cols = -(-w // block_w)
-    return BlockGrid(block_h, block_w, rows, cols, h, w)
-
-
-def _tiles(img, grid, **pad):
-    """Yield the grid's blocks as (r0, c0, tiles) parts, `tiles` a
-    (r, block_h, c, block_w) array of the blocks from block row r0 and
-    block column c0 on.  The whole blocks are one view of the image.  A
-    ragged image adds its last block column, then its last block row, each
-    a copy of that strip padded to whole blocks by np.pad with `pad`, made
-    when it is reached, so the image itself is never copied."""
-    bh, bw = grid.block_h, grid.block_w
-    rows, cols = grid.image_h // bh, grid.image_w // bw
-    pad_h = grid.rows * bh - grid.image_h
-    pad_w = grid.cols * bw - grid.image_w
-    yield 0, 0, img[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw)
+def _tiles(img, **pad):
+    """Yield the BLOCK_SIZE blocks of an image as (r0, c0, tiles) parts,
+    `tiles` a (r, BLOCK_SIZE, c, BLOCK_SIZE) array of the blocks from block
+    row r0 and block column c0 on.  The whole blocks are one view of the
+    image.  A ragged image adds its last block column, then its last block
+    row, each a copy of that strip padded to whole blocks by np.pad with
+    `pad`, made when it is reached, so the image itself is never copied."""
+    b = BLOCK_SIZE
+    h, w = img.shape
+    rows, cols = h // b, w // b
+    pad_h, pad_w = -h % b, -w % b
+    yield 0, 0, img[: rows * b, : cols * b].reshape(rows, b, cols, b)
     if pad_w:
-        strip = np.pad(img[: rows * bh, cols * bw :], ((0, 0), (0, pad_w)), **pad)
-        yield 0, cols, strip.reshape(rows, bh, 1, bw)
+        strip = np.pad(img[: rows * b, cols * b :], ((0, 0), (0, pad_w)), **pad)
+        yield 0, cols, strip.reshape(rows, b, 1, b)
     if pad_h:
-        strip = np.pad(img[rows * bh :], ((0, pad_h), (0, pad_w)), **pad)
-        yield rows, 0, strip.reshape(1, bh, grid.cols, bw)
+        strip = np.pad(img[rows * b :], ((0, pad_h), (0, pad_w)), **pad)
+        yield rows, 0, strip.reshape(1, b, -(-w // b), b)
 
 
-def classify_grid(img, grid, t_var):
-    """Label every block of the grid in one vectorized pass.
+def classify_grid(img):
+    """Tile the image into BLOCK_SIZE blocks and label each one in one
+    vectorized pass: a block is an IB when its max - min is at least
+    T_VAR.  Returns the BlockGrid.
 
     A ragged image's last block row and column are edge-padded to whole
     blocks (_tiles); repeating an edge pixel leaves every tile's max and
@@ -144,25 +131,27 @@ def classify_grid(img, grid, t_var):
 
     Each extreme is reduced over the rows of a block first, a pass over
     whole image rows.  The block's columns are then a last axis only
-    block_w long, which numpy would reduce one block at a time, so they
+    BLOCK_SIZE long, which numpy would reduce one block at a time, so they
     are reduced from a transposed copy of that result instead, whose outer
     axis they are.  Both are taken a chunk of block rows at a time, at
     most GRID_CHUNK_BYTES each, so the peak does not grow with the image's
     height.
     """
-    grid.block_max = np.empty((grid.rows, grid.cols), dtype=np.uint8)
-    grid.block_min = np.empty_like(grid.block_max)
-    for r0, c0, tiles in _tiles(img, grid, mode="edge"):
+    h, w = img.shape
+    if BLOCK_SIZE > h or BLOCK_SIZE > w:
+        raise ImageTooSmallError(f"block {BLOCK_SIZE}x{BLOCK_SIZE} larger than image {h}x{w}")
+    block_max = np.empty((-(-h // BLOCK_SIZE), -(-w // BLOCK_SIZE)), dtype=np.uint8)
+    block_min = np.empty_like(block_max)
+    for r0, c0, tiles in _tiles(img, mode="edge"):
         rows, cols = tiles.shape[0], tiles.shape[2]
-        step = max(1, GRID_CHUNK_BYTES // (cols * grid.block_w))
+        step = max(1, GRID_CHUNK_BYTES // (cols * BLOCK_SIZE))
         for r in range(0, rows, step):
             part = tiles[r : r + step]
             at = np.s_[r0 + r : r0 + r + len(part), c0 : c0 + cols]
-            part.max(axis=1).transpose(2, 0, 1).copy().max(axis=0, out=grid.block_max[at])
-            part.min(axis=1).transpose(2, 0, 1).copy().min(axis=0, out=grid.block_min[at])
+            part.max(axis=1).transpose(2, 0, 1).copy().max(axis=0, out=block_max[at])
+            part.min(axis=1).transpose(2, 0, 1).copy().min(axis=0, out=block_min[at])
     # a block's max is never below its min, so the uint8 range cannot wrap
-    grid.labels = grid.block_max - grid.block_min >= t_var
-    return grid
+    return BlockGrid(h, w, block_max - block_min >= T_VAR, block_max, block_min)
 
 
 def _component_roots(n, a, b):
@@ -196,20 +185,19 @@ def assemble_regions(grid):
     blocks: a run [s, e) in row r touches a run [s2, e2) in row r + 1 iff
     s2 <= e and s <= e2 (ends exclusive, diagonals included).  Each run is
     found as a pair of raster keys row * (cols + 1) + column, its start and
-    its end, by one np.flatnonzero over the raveled step of the zero-padded
-    label rows.  Regions are numbered by their first block in raster order
-    (the root mask of _component_roots and its cumsum), then stably sorted
-    by bounding-box origin (y, x).  The region of every IB, in raster order,
+    its end, by imaging.runs over the raveled label rows with one
+    background column after each row, which keeps every run inside its
+    row.  Regions are numbered by their first block in raster order (the
+    root mask of _component_roots and its cumsum), then stably sorted by
+    bounding-box origin (y, x).  The region of every IB, in raster order,
     is recorded in grid.block_region.
     """
-    rows, cols = grid.rows, grid.cols
-    padded = np.zeros((rows, cols + 2), dtype=np.int8)
-    padded[:, 1:-1] = grid.labels
-    # Every run steps up at its start and down at its end, in this order
-    # and within its row, so the steps alternate start, end.
+    rows, cols = grid.labels.shape
     width = cols + 1
-    keys = np.flatnonzero(np.diff(padded, axis=1))
-    key_start, key_end = keys[0::2], keys[1::2]
+    padded = np.zeros((rows, width), dtype=bool)
+    padded[:, :cols] = grid.labels
+    key_start, key_end = runs(padded.ravel())
+    key_end += 1
     run_row, run_start = np.divmod(key_start, width)
     run_end = key_end - run_row * width
 
@@ -244,11 +232,10 @@ def assemble_regions(grid):
     # length is the region of every IB in raster order.
     grid.block_region = np.repeat(rank[comp], key_end - key_start)
 
-    bh, bw = grid.block_h, grid.block_w
-    x = left[order] * bw
-    y = top[order] * bh
-    w = np.minimum(right[order] * bw, grid.image_w) - x
-    h = np.minimum((bottom[order] + 1) * bh, grid.image_h) - y
+    x = left[order] * BLOCK_SIZE
+    y = top[order] * BLOCK_SIZE
+    w = np.minimum(right[order] * BLOCK_SIZE, grid.image_w) - x
+    h = np.minimum((bottom[order] + 1) * BLOCK_SIZE, grid.image_h) - y
     return np.stack((x, y, w, h), axis=1)
 
 
@@ -260,17 +247,17 @@ def compute_features(img, grid, boxes):
     `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
     when it is below the midpoint of its region's extremes.  The IB tiles
     of each part of _tiles are gathered a chunk of FEATURE_CHUNK_BYTES at a
-    time, each tile row as one block_w-byte item (a byte-wise gather costs
-    about six times as much), and compared as an (IBs, block_h * block_w)
+    time, each tile row as one BLOCK_SIZE-byte item (a byte-wise gather
+    costs about six times as much), and compared as an (IBs, BLOCK_SIZE**2)
     array with their region's uint8 threshold; the mask is bit-packed per
-    IB and its set bits counted with np.bitwise_count, one path for any
-    block size.  So the tiles and their mask never hold more than a chunk
-    each, and the rest of the peak is a few arrays with one entry per IB,
-    among them the dark count of each IB, which one np.bincount sums per
-    region.
+    IB and its set bits counted with np.bitwise_count.  So the tiles and
+    their mask never hold more than a chunk each, and the rest of the peak
+    is a few arrays with one entry per IB, among them the dark count of
+    each IB, which one np.bincount sums per region.
     """
     m = len(boxes)
-    br, bc = np.divmod(np.flatnonzero(grid.labels), grid.cols)
+    rows, cols = grid.labels.shape
+    br, bc = np.divmod(np.flatnonzero(grid.labels), cols)
     region = grid.block_region
     # A run's IBs are consecutive in raster order and share a region, so the
     # extremes are reduced per stretch of one region first, then per region.
@@ -283,16 +270,15 @@ def compute_features(img, grid, boxes):
     threshold = midpoint(vmin.astype(np.int16), vmax).astype(np.uint8)
 
     # 255 is never below a midpoint, so padding is never dark.  A tile row
-    # is gathered as one block_w-byte item, which needs contiguous image
+    # is gathered as one BLOCK_SIZE-byte item, which needs contiguous image
     # rows: a loaded image has them, and only a strided view is copied.
     img = np.ascontiguousarray(img)
-    bh, bw = grid.block_h, grid.block_w
-    chunk = max(1, FEATURE_CHUNK_BYTES // (bh * bw))
+    chunk = max(1, FEATURE_CHUNK_BYTES // BLOCK_SIZE**2)
     dark = np.empty(len(region), dtype=np.intp)
-    for r0, c0, tiles in _tiles(img, grid, constant_values=255):
+    for r0, c0, tiles in _tiles(img, constant_values=255):
         inside = np.flatnonzero((br >= r0) & (br < r0 + tiles.shape[0])
                                 & (bc >= c0) & (bc < c0 + tiles.shape[2]))
-        tile_rows = tiles.view(np.dtype((np.void, bw)))[..., 0]
+        tile_rows = tiles.view(np.dtype((np.void, BLOCK_SIZE)))[..., 0]
         # One expression a chunk, so that each temporary is freed once it
         # is read and none outlives its chunk.
         for start in range(0, len(inside), chunk):
@@ -300,9 +286,9 @@ def compute_features(img, grid, boxes):
             dark[ib] = np.bitwise_count(np.packbits(
                 tile_rows[br[ib] - r0, :, bc[ib] - c0].view(np.uint8)
                 < threshold[region[ib]][:, None], axis=1)).sum(axis=1)
-    block_h = np.minimum(bh, grid.image_h - bh * np.arange(grid.rows))
-    block_w = np.minimum(bw, grid.image_w - bw * np.arange(grid.cols))
-    pixels = np.bincount(region, weights=block_h[br] * block_w[bc], minlength=m)
+    tile_h = np.minimum(BLOCK_SIZE, grid.image_h - BLOCK_SIZE * np.arange(rows))
+    tile_w = np.minimum(BLOCK_SIZE, grid.image_w - BLOCK_SIZE * np.arange(cols))
+    pixels = np.bincount(region, weights=tile_h[br] * tile_w[bc], minlength=m)
     w, h = boxes[:, 2], boxes[:, 3]
     return dict(
         area=np.bincount(region, minlength=m),
@@ -332,8 +318,7 @@ def extract_regions(img):
     """Full block pipeline on BLOCK_SIZE blocks; returns the Regions table
     of every region (TR and NR), ordered top-to-bottom then left-to-right by
     bounding box origin."""
-    grid = partition_blocks(img, BLOCK_SIZE, BLOCK_SIZE)
-    classify_grid(img, grid, T_VAR)
+    grid = classify_grid(img)
     boxes = assemble_regions(grid)
     features = compute_features(img, grid, boxes)
     x, y, w, h = boxes.T

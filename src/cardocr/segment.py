@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imaging import runs
+
 LINE_THRESHOLD = 0  # a row with at most this many ink pixels separates lines
 R_MIN = 0.5  # min band height, as a share of the median band's
 WORD_GAP_FACTOR = 2.0  # a gap this many times the median gap breaks a word
@@ -41,30 +43,11 @@ class Glyphs:
         return Glyphs(*(a[index] for a in vars(self).values()))
 
 
-def horizontal_histogram(region):
-    """Foreground count per row."""
-    return np.count_nonzero(region, axis=1)
-
-
-def _runs(mask):
-    """Maximal runs of True as (starts, ends) int arrays, ends inclusive."""
-    idx = np.flatnonzero(mask)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    return np.concatenate((idx[:1], idx[breaks + 1])), np.concatenate((idx[breaks], idx[-1:]))
-
-
-def candidate_bands(counts, threshold):
-    """Maximal runs of rows with count > threshold as (top, bottom) int
-    arrays of inclusive rows, including any runs that touch the top or
-    bottom edge."""
-    return _runs(np.asarray(counts) > threshold)
-
-
-def reject_false_separators(top, bottom, r_min):
+def reject_false_separators(top, bottom):
     """Merge implausibly thin candidate bands into a neighbor.
 
     `top` and `bottom` are the inclusive rows of bands in top-down order.
-    While the thinnest band is thinner than r_min times the median band
+    While the thinnest band is thinner than R_MIN times the median band
     height, it is merged across the narrower of its two adjacent gaps.  Of
     equally thin bands the first merges first; a band with equal gaps on
     both sides merges into the band above; the first band merges into the
@@ -74,7 +57,7 @@ def reject_false_separators(top, bottom, r_min):
     while len(top) > 1:
         height = bottom - top + 1
         i = height.argmin()
-        if height[i] >= r_min * np.median(height):
+        if height[i] >= R_MIN * np.median(height):
             break
         gap = top[1:] - bottom[:-1] - 1  # gap[k] lies between bands k and k + 1
         k = i if i == 0 or (i < len(gap) and gap[i] < gap[i - 1]) else i - 1
@@ -93,8 +76,8 @@ def segment_lines(region):
     above the threshold, so `region[top : bottom + 1]` is tight to rows that
     hold foreground.
     """
-    top, bottom = candidate_bands(horizontal_histogram(region), LINE_THRESHOLD)
-    return np.column_stack(reject_false_separators(top, bottom, R_MIN))
+    top, bottom = runs(np.count_nonzero(region, axis=1) > LINE_THRESHOLD)
+    return np.column_stack(reject_false_separators(top, bottom))
 
 
 def segment_characters(line):
@@ -105,7 +88,7 @@ def segment_characters(line):
     Each glyph's rows run from the first to the last row with foreground in
     its columns.  A line with no foreground has no glyphs.
     """
-    x1, x2 = _runs(line.any(axis=0))
+    x1, x2 = runs(line.any(axis=0))
     gaps = x1[1:] - x2[:-1] - 1
     first = np.ones(len(x1), dtype=bool)  # the first glyph of a word
     if len(gaps):

@@ -92,7 +92,7 @@ def estimate_region_skew(shape, rows, cols, total=0.0):
     return estimate_skew(cols[keep], heights[keep])
 
 
-CONVERGENCE_DEG = 0.05
+CONVERGENCE_DEG = 0.05  # degrees; a smaller residual estimate ends the passes
 SKEW_CLAMP = 20.0  # degrees; an estimate beyond it stops the refinement
 SKEW_PASSES = 3  # most estimation passes per region
 

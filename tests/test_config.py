@@ -20,6 +20,7 @@ FIXED = [
     (regions, "COV_MIN", 0.5),
     (skew, "SKEW_CLAMP", 20.0),
     (skew, "SKEW_PASSES", 3),
+    (skew, "CONVERGENCE_DEG", 0.05),
     (segment, "LINE_THRESHOLD", 0),
     (segment, "R_MIN", 0.5),
     (segment, "WORD_GAP_FACTOR", 2.0),

@@ -9,6 +9,7 @@ from cardocr.config import ConfigError, PipelineConfig
 from cardocr import recognize as rec
 from cardocr.recognize import ClassScheme, StoreError, TemplateStore
 from reference import dissimilarity, nearest_templates, resample_48, to_gray, zone_counts
+from test_imaging import traced_peak
 from test_segment import band_lines
 
 MERGED, FULL = ClassScheme("merged"), ClassScheme("full")
@@ -269,6 +270,19 @@ class TestPrunedSearch:
         noisy = store.patterns()[picks] ^ (rng.random((300, 48, 48)) < 0.08)
         assert classified(noisy, store) == nearest_templates(noisy, store)
 
+    # What classify holds beyond one batch's gathered words, at the 9,083
+    # candidate pairs below: the pair indices and distances and the two
+    # (13, 730) int16 bound buffers, 263,698 bytes (numpy 2.4).  When a
+    # batch was sized by its XOR temporary alone, the gathered b[cols]
+    # beside it doubled the batch, and the call peaked at 2,360,594 bytes.
+    BEYOND_BATCH_BYTES = 1 << 19
+
+    def test_batch_peak_counts_both_operands(self, store):
+        patterns = np.random.default_rng(0).random((13, 48, 48)) < 0.3
+        rec.classify(patterns, store)
+        _, peak = traced_peak(lambda: rec.classify(patterns, store))
+        assert peak <= rec.MATCH_BATCH_BYTES + self.BEYOND_BATCH_BYTES
+
     def test_equal_zone_counts_prune_nothing(self, monkeypatch):
         # every template shuffles the pixels of one pattern inside each
         # 16x16 zone, so all lower bounds of a probe are equal and every
@@ -284,7 +298,7 @@ class TestPrunedSearch:
         counts = stack.reshape(-1, 3, 16, 3, 16).sum(axis=(2, 4))
         assert (counts == counts[0]).all()
         store = TemplateStore(stack, list(rec.ALPHABET[:24]))
-        monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", 7 * 8 * rec.PATTERN_WORDS)
+        monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", 2 * 7 * 8 * rec.PATTERN_WORDS)
         probes = np.concatenate([stack[[5, 17, 0]], stack[:10] ^ (rng.random((10, 48, 48)) < 0.1)])
         got = classified(probes, store)
         assert got[:3] == [(store.labels[5], 0), (store.labels[5], 0), (store.labels[0], 0)]
@@ -326,7 +340,8 @@ class TestBuildStore:
     def test_medoids_match_reference_ranking(self, monkeypatch, batch_pairs):
         # with seven pairs per batch, each sample's 16 pairs span three
         if batch_pairs:
-            monkeypatch.setattr(rec, "MATCH_BATCH_BYTES", batch_pairs * 8 * rec.PATTERN_WORDS)
+            monkeypatch.setattr(rec, "MATCH_BATCH_BYTES",
+                                2 * batch_pairs * 8 * rec.PATTERN_WORDS)
         rng = np.random.default_rng(15)
         samples = [("E", synth.perturbed_glyph_mask("E", rng)) for _ in range(16)]
         patterns = [rec.normalize_pattern(mask) for _, mask in samples]

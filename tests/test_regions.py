@@ -12,8 +12,9 @@ from test_imaging import traced_peak
 
 def tile_rect(grid, r, c):
     """Pixel rectangle of block (r, c); edge tiles shrink to the image."""
-    y, x = r * grid.block_h, c * grid.block_w
-    return Rect(x, y, min(grid.block_w, grid.image_w - x), min(grid.block_h, grid.image_h - y))
+    b = rg.BLOCK_SIZE
+    y, x = r * b, c * b
+    return Rect(x, y, min(b, grid.image_w - x), min(b, grid.image_h - y))
 
 
 def flood_fill_oracle(labels):
@@ -45,18 +46,19 @@ def flood_fill_oracle(labels):
     return set(comps)
 
 
-def reference_extract(img, block_h, block_w, t_var):
-    """Per-block reference for extract_regions on a block_h x block_w grid
-    labelled at t_var: a BFS over blocks, then two slicing passes over each
+def reference_extract(img):
+    """Per-block reference for extract_regions on the BLOCK_SIZE grid
+    labelled at T_VAR: a BFS over blocks, then two slicing passes over each
     region's blocks for its features.  Returns the regions as rows, dicts
     keyed by the Regions column names, and, for each, its member blocks as
     a sorted (row, col) list."""
-    grid = rg.partition_blocks(img, block_h, block_w)
-    labels = rg.classify_grid(img, grid, t_var).labels
+    grid = rg.classify_grid(img)
+    labels = grid.labels
+    rows, cols = labels.shape
     seen = np.zeros_like(labels)
     found = []
-    for r in range(grid.rows):
-        for c in range(grid.cols):
+    for r in range(rows):
+        for c in range(cols):
             if not labels[r, c] or seen[r, c]:
                 continue
             queue = deque([(r, c)])
@@ -65,8 +67,8 @@ def reference_extract(img, block_h, block_w, t_var):
             while queue:
                 br, bc = queue.popleft()
                 blocks.append((br, bc))
-                for nr in range(max(br - 1, 0), min(br + 2, grid.rows)):
-                    for nc in range(max(bc - 1, 0), min(bc + 2, grid.cols)):
+                for nr in range(max(br - 1, 0), min(br + 2, rows)):
+                    for nc in range(max(bc - 1, 0), min(bc + 2, cols)):
                         if labels[nr, nc] and not seen[nr, nc]:
                             seen[nr, nc] = True
                             queue.append((nr, nc))
@@ -112,9 +114,7 @@ def assemble(grid):
 def make_grid(labels):
     labels = np.asarray(labels, dtype=bool)
     rows, cols = labels.shape
-    grid = rg.BlockGrid(16, 16, rows, cols, rows * 16, cols * 16)
-    grid.labels = labels
-    return grid
+    return rg.BlockGrid(rows * 16, cols * 16, labels, block_max=None, block_min=None)
 
 
 def double_spiral(n):
@@ -192,31 +192,30 @@ def speckle_band(img, rect, rng, dark=30, p=0.3):
 
 
 class TestPartition:
+    """The layout of classify_grid's BLOCK_SIZE grid."""
+
     def test_exact_tiling(self):
-        grid = rg.partition_blocks(np.zeros((32, 32), np.uint8), 16, 16)
-        assert (grid.rows, grid.cols) == (2, 2)
+        grid = rg.classify_grid(np.zeros((32, 32), np.uint8))
+        assert grid.labels.shape == (2, 2)
 
     def test_ragged_tiling(self):
-        grid = rg.partition_blocks(np.zeros((32, 33), np.uint8), 16, 16)
-        assert (grid.rows, grid.cols) == (2, 3)
+        grid = rg.classify_grid(np.zeros((32, 33), np.uint8))
+        assert grid.labels.shape == (2, 3)
         assert tile_rect(grid, 0, 2).w == 1
 
     def test_block_too_large(self):
-        with pytest.raises(ValueError, match="larger"):
-            rg.partition_blocks(np.zeros((10, 10), np.uint8), 16, 16)
-
-    def test_block_too_small(self):
-        with pytest.raises(ValueError, match="at least"):
-            rg.partition_blocks(np.zeros((32, 32), np.uint8), 2, 16)
+        with pytest.raises(rg.ImageTooSmallError, match="^block 16x16 larger than image 10x10$"):
+            rg.classify_grid(np.zeros((10, 10), np.uint8))
 
     @pytest.mark.parametrize("h", [16, 17, 31, 32, 33])
     @pytest.mark.parametrize("w", [16, 20, 32, 47])
     def test_blocks_cover_image_exactly(self, h, w):
-        grid = rg.partition_blocks(np.zeros((h, w), np.uint8), 16, 16)
+        grid = rg.classify_grid(np.zeros((h, w), np.uint8))
         total = 0
         hits = np.zeros((h, w), dtype=int)
-        for r in range(grid.rows):
-            for c in range(grid.cols):
+        rows, cols = grid.labels.shape
+        for r in range(rows):
+            for c in range(cols):
                 rect = tile_rect(grid, r, c)
                 total += rect.w * rect.h
                 hits[rect.y : rect.y2, rect.x : rect.x2] += 1
@@ -224,56 +223,60 @@ class TestPartition:
         assert (hits == 1).all()
 
 
-def block_is_information(pixels, t_var):
-    """classify_grid's label for an image that is exactly one block."""
-    grid = rg.partition_blocks(pixels, *pixels.shape)
-    return bool(rg.classify_grid(pixels, grid, t_var).labels[0, 0])
+def block_is_information(monkeypatch, pixels, t_var):
+    """classify_grid's label, at T_VAR = t_var, for a square image that is
+    exactly one block."""
+    monkeypatch.setattr(rg, "BLOCK_SIZE", len(pixels))
+    monkeypatch.setattr(rg, "T_VAR", t_var)
+    return bool(rg.classify_grid(pixels).labels[0, 0])
 
 
 class TestClassifyBlock:
-    def test_constant_block_is_background(self):
-        assert not block_is_information(np.full((4, 4), 9, np.uint8), 40)
+    def test_constant_block_is_background(self, monkeypatch):
+        assert not block_is_information(monkeypatch, np.full((4, 4), 9, np.uint8), 40)
 
-    def test_full_range_block_is_information(self):
+    def test_full_range_block_is_information(self, monkeypatch):
         block = np.zeros((4, 4), np.uint8)
         block[0, 0] = 255
-        assert block_is_information(block, 255)
+        assert block_is_information(monkeypatch, block, 255)
 
-    def test_spread_below_threshold(self):
+    def test_spread_below_threshold(self, monkeypatch):
         block = np.full((4, 4), 100, np.uint8)
         block[1, 1] = 135  # spread 35 < 40
-        assert not block_is_information(block, 40)
+        assert not block_is_information(monkeypatch, block, 40)
 
-    def test_monotone_in_threshold(self):
+    def test_monotone_in_threshold(self, monkeypatch):
         rng = np.random.default_rng(2)
         for _ in range(50):
             block = rng.integers(0, 256, size=(5, 5), dtype=np.uint8)
-            labels = [block_is_information(block, t) for t in range(0, 260, 20)]
+            labels = [block_is_information(monkeypatch, block, t) for t in range(0, 260, 20)]
             # once BB, raising the threshold can never flip back to IB
             first_bb = labels.index(False) if False in labels else len(labels)
             assert not any(labels[first_bb:])
 
-    def test_classify_grid_matches_per_block(self):
+    def test_classify_grid_matches_per_block(self, monkeypatch):
         # each block size on whole blocks, then a ragged edge on both axes,
         # a 1-pixel remainder on each axis and on one; the frames are not
-        # square in blocks, so a swapped block_h and block_w shows
+        # square in blocks, so swapped rows and columns show
         rng = np.random.default_rng(4)
-        for bh, bw in [(16, 16), (4, 4), (5, 7), (8, 24), (24, 8)]:
-            shapes = [(bh, bw), (2 * bh, 3 * bw), (3 * bh, 2 * bw), (2 * bh + bh // 2, 3 * bw + 3),
-                      (2 * bh + 1, 3 * bw + 1), (bh + 1, 2 * bw), (3 * bh, bw + 1)]
+        for b in [16, 4, 5, 7, 8, 24]:
+            monkeypatch.setattr(rg, "BLOCK_SIZE", b)
+            shapes = [(b, b), (2 * b, 3 * b), (3 * b, 2 * b), (2 * b + b // 2, 3 * b + 3),
+                      (2 * b + 1, 3 * b + 1), (b + 1, 2 * b), (3 * b, b + 1)]
             for shape in shapes:
                 img = rng.integers(0, 256, size=shape, dtype=np.uint8)
-                grid = rg.partition_blocks(img, bh, bw)
-                rg.classify_grid(img, grid, 40)
+                grid = rg.classify_grid(img)
                 assert grid.block_max.dtype == grid.block_min.dtype == np.uint8
+                rows, cols = -(-shape[0] // b), -(-shape[1] // b)
                 assert (grid.labels.shape == grid.block_max.shape == grid.block_min.shape
-                        == (grid.rows, grid.cols)), (bh, bw, shape)
-                for r in range(grid.rows):
-                    for c in range(grid.cols):
+                        == (rows, cols)), (b, shape)
+                assert (grid.image_h, grid.image_w) == shape
+                for r in range(rows):
+                    for c in range(cols):
                         rect = tile_rect(grid, r, c)
                         window = img[rect.y : rect.y2, rect.x : rect.x2]
-                        assert grid.block_max[r, c] == window.max(), (bh, bw, shape, r, c)
-                        assert grid.block_min[r, c] == window.min(), (bh, bw, shape, r, c)
+                        assert grid.block_max[r, c] == window.max(), (b, shape, r, c)
+                        assert grid.block_min[r, c] == window.min(), (b, shape, r, c)
                         spread = int(window.max()) - int(window.min())
                         assert grid.labels[r, c] == (spread >= 40)
 
@@ -452,10 +455,10 @@ class TestExtract:
         rng = np.random.default_rng(23)
         img = np.full((320, 480), 220, np.uint8)
         speckle_band(img, Rect(32, 64, 320, 32), rng)
-        grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
-        rg.classify_grid(img, grid, rg.T_VAR)
+        grid = rg.classify_grid(img)
+        rows, cols = grid.labels.shape
         for blocks in assemble(grid)[1]:
-            interior = all(r < grid.rows - 1 and c < grid.cols - 1 for r, c in blocks)
+            interior = all(r < rows - 1 and c < cols - 1 for r, c in blocks)
             if interior:
                 pixels = sum(
                     tile_rect(grid, r, c).w * tile_rect(grid, r, c).h for r, c in blocks
@@ -482,37 +485,22 @@ def assert_table_matches(table, want):
     assert rg.format_region_dump(table) == region_dump(want)
 
 
-def stage_table(img, block_h, block_w, t_var):
-    """The Regions table that extract_regions' stages build on a block_h x
-    block_w grid labelled at t_var."""
-    grid = rg.partition_blocks(img, block_h, block_w)
-    rg.classify_grid(img, grid, t_var)
-    boxes = rg.assemble_regions(grid)
-    features = rg.compute_features(img, grid, boxes)
-    x, y, w, h = boxes.T
-    return rg.Regions(x=x, y=y, w=w, h=h, **features, text=rg.classify_region(features))
-
-
 class TestMatchesReference:
-    def assert_matches(self, img, block_h=rg.BLOCK_SIZE, block_w=rg.BLOCK_SIZE, t_var=rg.T_VAR):
+    """A test that needs another BLOCK_SIZE or T_VAR sets the constant with
+    monkeypatch; extract_regions and the reference both read it."""
+
+    def assert_matches(self, img):
         """extract_regions against the reference: the same table, dump and
-        member blocks per region.  On another grid than its own, the table
-        is the one its stages build on that grid.  Returns the table and the
-        blocks."""
-        if (block_h, block_w, t_var) == (rg.BLOCK_SIZE, rg.BLOCK_SIZE, rg.T_VAR):
-            got = rg.extract_regions(img)
-        else:
-            got = stage_table(img, block_h, block_w, t_var)
-        want, want_blocks = reference_extract(img, block_h, block_w, t_var)
+        member blocks per region.  Returns the table and the blocks."""
+        got = rg.extract_regions(img)
+        want, want_blocks = reference_extract(img)
         assert_table_matches(got, want)
-        grid = rg.partition_blocks(img, block_h, block_w)
-        rg.classify_grid(img, grid, t_var)
-        boxes, blocks = assemble(grid)
+        boxes, blocks = assemble(rg.classify_grid(img))
         assert boxes == [row_region(row).bbox for row in want]
         assert blocks == want_blocks
         return got, blocks
 
-    def test_random_images(self):
+    def test_random_images(self, monkeypatch):
         rng = np.random.default_rng(31)
         shapes = [(37, 51), (33, 49), (17, 32), (64, 64), (96, 160), (130, 75)]
         for i in range(60):
@@ -520,8 +508,9 @@ class TestMatchesReference:
             mask = rng.random(img.shape) < rng.uniform(0.0, 0.05)
             img[mask] = rng.integers(0, 256, size=int(mask.sum()))
             # small blocks give many regions with ragged edge tiles
-            block = int(rng.integers(4, 17))
-            self.assert_matches(img, block, block)
+            with monkeypatch.context() as m:
+                m.setattr(rg, "BLOCK_SIZE", int(rng.integers(4, 17)))
+                self.assert_matches(img)
             self.assert_matches(img)
 
     def test_ragged_image(self):
@@ -579,34 +568,36 @@ class TestMatchesReference:
             regions, _ = self.assert_matches(imaging.load_pnm_file(base + ".ppm"))
             assert len(regions) > 50
 
-    @pytest.mark.parametrize("block_h, block_w", [(5, 7), (4, 6)])
-    def test_non_square_blocks_on_ragged_images(self, block_h, block_w):
-        # a 5x7 block's dark mask ends in a partial byte when bit-packed, a
-        # 4x6 block's does not; no image is a whole number of blocks
+    @pytest.mark.parametrize("block", [5, 4])
+    def test_small_blocks_on_ragged_images(self, monkeypatch, block):
+        # a 5x5 block's dark mask ends in a partial byte when bit-packed, a
+        # 4x4 block's does not; no image is a whole number of blocks
+        monkeypatch.setattr(rg, "BLOCK_SIZE", block)
         rng = np.random.default_rng(34)
         for shape in [(37, 53), (41, 50), (23, 29)]:
             for _ in range(5):
                 img = np.full(shape, 220, np.uint8)
                 mask = rng.random(shape) < rng.uniform(0.01, 0.05)
                 img[mask] = rng.integers(0, 256, size=int(mask.sum()))
-                table, _ = self.assert_matches(img, block_h, block_w)
+                table, _ = self.assert_matches(img)
                 assert len(table) > 0
 
-    def test_every_block_is_information(self):
-        # t_var=0 makes every block an IB, so an image is one region
+    def test_every_block_is_information(self, monkeypatch):
+        # T_VAR = 0 makes every block an IB, so an image is one region
+        monkeypatch.setattr(rg, "T_VAR", 0)
         for value in (0, 255):
-            table, _ = self.assert_matches(np.full((37, 53), value, np.uint8), t_var=0)
+            table, _ = self.assert_matches(np.full((37, 53), value, np.uint8))
             assert len(table) == 1 and table.info_pixel_density[0] == 0
         # extremes 254 and 255 put the threshold at 255: every 254 is dark,
         # the 255 padding of the ragged edge tiles is not
         img = np.full((37, 53), 255, np.uint8)
         img[np.random.default_rng(35).random(img.shape) < 0.3] = 254
-        table, _ = self.assert_matches(img, t_var=0)
+        table, _ = self.assert_matches(img)
         assert table.info_pixel_density[0] == np.count_nonzero(img == 254) / img.size
         rng = np.random.default_rng(36)
         for _ in range(5):
             img = rng.integers(0, 256, size=(41, 50), dtype=np.uint8)
-            table, _ = self.assert_matches(img, t_var=0)
+            table, _ = self.assert_matches(img)
             assert len(table) == 1
 
     def test_shared_origin_keeps_raster_order(self):
@@ -638,8 +629,7 @@ class TestFeatureMemory:
 
     def test_peak_no_higher_than_before(self):
         img = salt_and_pepper_card()
-        grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
-        rg.classify_grid(img, grid, rg.T_VAR)
+        grid = rg.classify_grid(img)
         boxes = rg.assemble_regions(grid)
         rg.compute_features(img, grid, boxes)
         was_tracing = tracemalloc.is_tracing()
@@ -660,8 +650,7 @@ class TestFeatureMemory:
         assert chunk // (2 * rg.BLOCK_SIZE ** 2) == 512
         for h, w in [(1024, 1024), (1536, 2048)]:
             img = np.random.default_rng(50).integers(0, 256, size=(h, w), dtype=np.uint8)
-            grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
-            rg.classify_grid(img, grid, rg.T_VAR)
+            grid = rg.classify_grid(img)
             assert grid.labels.all()
             boxes = rg.assemble_regions(grid)
             rg.compute_features(img, grid, boxes)
@@ -672,7 +661,7 @@ class TestFeatureMemory:
 
 class TestGridMemory:
     # classify_grid's peak on a whole-block 2048x1536 frame, numpy 2.4, is
-    # 156,848 bytes: 0.80 x (h / block_h) x w, the block max and min
+    # 156,848 bytes: 0.80 x (h / BLOCK_SIZE) x w, the block max and min
     # (24,576 bytes), and one chunk's row reduction and its transposed copy
     # at 65,536 bytes each.  Reduced whole, it was 418,536 bytes.
     PEAK_PER_BLOCK_ROW_BYTE = 1.0
@@ -683,11 +672,9 @@ class TestGridMemory:
     def test_no_frame_sized_temporary(self):
         h, w = 1536, 2048
         img = np.random.default_rng(47).integers(0, 256, size=(h, w), dtype=np.uint8)
-        block = rg.BLOCK_SIZE
-        rg.classify_grid(img, rg.partition_blocks(img, block, block), rg.T_VAR)
-        grid = rg.partition_blocks(img, block, block)
-        _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
-        assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // block) * w
+        rg.classify_grid(img)
+        _, peak = traced_peak(lambda: rg.classify_grid(img))
+        assert peak <= self.PEAK_PER_BLOCK_ROW_BYTE * (h // rg.BLOCK_SIZE) * w
         assert peak < img.nbytes / 4
 
     def test_peak_does_not_grow_with_height(self):
@@ -697,8 +684,7 @@ class TestGridMemory:
         scratch = []
         for h in (1536, 3072):
             img = np.random.default_rng(47).integers(0, 256, size=(h, 2048), dtype=np.uint8)
-            grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
-            _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
+            grid, peak = traced_peak(lambda: rg.classify_grid(img))
             scratch.append(peak - grid.block_max.nbytes - grid.block_min.nbytes)
             assert scratch[-1] <= 2 * rg.GRID_CHUNK_BYTES + self.CHUNK_SLACK_BYTES
         assert abs(scratch[1] - scratch[0]) < 1 << 10
@@ -714,22 +700,20 @@ class TestGridMemory:
     def test_ragged_frame_copies_only_its_edge(self):
         rng = np.random.default_rng(48)
         img = rng.integers(0, 256, size=(1000, 1500), dtype=np.uint8)
-        grid = rg.partition_blocks(img, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
         # the whole blocks are a view; only the last block column and row
         # are copied
-        (r0, c0, whole), *edges = rg._tiles(img, grid, mode="edge")
+        (r0, c0, whole), *edges = rg._tiles(img, mode="edge")
         assert (r0, c0) == (0, 0) and np.shares_memory(whole, img)
         assert [(r, c, t.shape) for r, c, t in edges] == [
             (0, 93, (62, 16, 1, 16)), (62, 0, (1, 16, 94, 16))]
-        rg.classify_grid(img, grid, rg.T_VAR)
-        _, peak = traced_peak(lambda: rg.classify_grid(img, grid, rg.T_VAR))
+        rg.classify_grid(img)
+        _, peak = traced_peak(lambda: rg.classify_grid(img))
         assert peak <= self.RAGGED_GRID_PEAK_BYTES
 
         sparse = np.full(img.shape, 220, np.uint8)
         noise = rng.random(img.shape) < 0.002
         sparse[noise] = rng.integers(0, 256, size=int(noise.sum()))
-        grid = rg.partition_blocks(sparse, rg.BLOCK_SIZE, rg.BLOCK_SIZE)
-        rg.classify_grid(sparse, grid, rg.T_VAR)
+        grid = rg.classify_grid(sparse)
         boxes = rg.assemble_regions(grid)
         rg.compute_features(sparse, grid, boxes)
         _, peak = traced_peak(lambda: rg.compute_features(sparse, grid, boxes))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardocr import pipeline
+from cardocr import imaging, pipeline
 from cardocr import segment as sg
 from cardocr import synth
 from cardocr.config import ConfigError, PipelineConfig, parse_config_text
@@ -21,10 +21,10 @@ def band_rows(top_bottom):
     return list(zip(*(a.tolist() for a in top_bottom)))
 
 
-def merged(bands, r_min):
+def merged(bands):
     """reject_false_separators on a list of (top, bottom) tuples."""
     top, bottom = np.array(bands, dtype=np.intp).reshape(-1, 2).T
-    return band_rows(sg.reject_false_separators(top, bottom, r_min))
+    return band_rows(sg.reject_false_separators(top, bottom))
 
 
 def region_from_row_counts(counts, width=20):
@@ -44,63 +44,58 @@ def line_from_spans(spans, height=8, width=None):
     return line
 
 
-class TestHistogram:
-    def test_all_background(self):
-        assert list(sg.horizontal_histogram(np.zeros((4, 5), bool))) == [0] * 4
-
-    def test_full_row(self):
-        region = np.zeros((4, 5), dtype=bool)
-        region[2] = True
-        assert list(sg.horizontal_histogram(region)) == [0, 0, 5, 0]
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        region = rng.random((4, 4)) < 0.5
-        expected = [sum(1 for x in range(4) if region[y, x]) for y in range(4)]
-        assert list(sg.horizontal_histogram(region)) == expected
-        # the glyphs' columns are the maximal runs of columns with ink; the
-        # sparser line has gaps, and runs of one and of several columns
-        for line in (region, rng.random((4, 16)) < 0.2):
-            inked = [line[:, x].any() for x in range(line.shape[1])]
-            runs = []
-            for x, ink in enumerate(inked):
-                if ink and x > 0 and inked[x - 1]:
-                    runs[-1][1] = x
-                elif ink:
-                    runs.append([x, x])
-            glyphs = sg.segment_characters(line)
-            assert [list(r) for r in zip(glyphs.x1.tolist(), glyphs.x2.tolist())] == runs
-
-    def test_conservation(self):
-        rng = np.random.default_rng(2)
-        region = rng.random((9, 7)) < 0.3
-        assert sg.horizontal_histogram(region).sum() == region.sum()
-
-
 class TestCandidateBands:
+    """The candidate bands of segment_lines are the imaging.runs of its rows
+    with more than LINE_THRESHOLD ink pixels."""
+
     def test_hand_case(self):
-        counts = [0, 0, 5, 6, 0, 0, 7, 8, 0]
-        assert band_rows(sg.candidate_bands(counts, 0)) == [(2, 3), (6, 7)]
+        counts = np.array([0, 0, 5, 6, 0, 0, 7, 8, 0])
+        assert band_rows(imaging.runs(counts > 0)) == [(2, 3), (6, 7)]
         # runs that touch the top and bottom edge are bands too
-        counts = [4, 0, 0, 5, 0, 3, 3]
-        assert band_rows(sg.candidate_bands(counts, 0)) == [(0, 0), (3, 3), (5, 6)]
+        counts = np.array([4, 0, 0, 5, 0, 3, 3])
+        assert band_rows(imaging.runs(counts > 0)) == [(0, 0), (3, 3), (5, 6)]
 
     def test_no_separators(self):
-        assert band_rows(sg.candidate_bands([3, 4, 5], 0)) == [(0, 2)]
+        assert band_rows(imaging.runs(np.array([3, 4, 5]) > 0)) == [(0, 2)]
 
     def test_everything_is_separator(self):
-        assert band_rows(sg.candidate_bands([1, 2, 1], 2)) == []
+        assert band_rows(imaging.runs(np.array([1, 2, 1]) > 2)) == []
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 10, 30)
         previous = len(counts) + 1
         for t in range(0, 10):
-            bands = band_rows(sg.candidate_bands(counts, t))
+            bands = band_rows(imaging.runs(counts > t))
             rows = sum(bottom - top + 1 for top, bottom in bands)
             assert rows <= previous
             assert all((counts[top : bottom + 1] > t).all() for top, bottom in bands)
             previous = rows
+
+    def test_matches_brute_force(self):
+        # the maximal runs of a mask, and the glyphs' columns are the runs
+        # of columns with ink; the sparser mask has gaps, and runs of one
+        # and of several entries
+        rng = np.random.default_rng(1)
+        for line in (rng.random((4, 4)) < 0.5, rng.random((4, 16)) < 0.2):
+            inked = [line[:, x].any() for x in range(line.shape[1])]
+            want = []
+            for x, ink in enumerate(inked):
+                if ink and x > 0 and inked[x - 1]:
+                    want[-1][1] = x
+                elif ink:
+                    want.append([x, x])
+            assert [list(r) for r in band_rows(imaging.runs(np.array(inked)))] == want
+            glyphs = sg.segment_characters(line)
+            assert [list(r) for r in zip(glyphs.x1.tolist(), glyphs.x2.tolist())] == want
+
+    def test_bands_at_another_line_threshold(self, monkeypatch):
+        # rows of 1, 3, 0, 2 and 4 ink pixels: at LINE_THRESHOLD 2 only the
+        # rows of 3 and 4 are bands
+        region = region_from_row_counts([1, 3, 0, 2, 4])
+        assert sg.segment_lines(region).tolist() == [[0, 1], [3, 4]]
+        monkeypatch.setattr(sg, "LINE_THRESHOLD", 2)
+        assert sg.segment_lines(region).tolist() == [[1, 1], [4, 4]]
 
     def test_negative_threshold(self):
         # no config reaches segment_lines: a file that sets the threshold is
@@ -113,34 +108,35 @@ class TestCandidateBands:
 class TestRejectFalseSeparators:
     def test_equal_bands_unchanged(self):
         bands = [(1, 10), (12, 21), (23, 32)]
-        assert merged(bands, 0.5) == bands
+        assert merged(bands) == bands
 
     def test_thin_band_merges(self):
-        # heights 10, 2, 10 with r_min 0.5: the 2-row strip merges
+        # heights 10, 2, 10 with R_MIN 0.5: the 2-row strip merges
         bands = [(0, 9), (12, 13), (16, 25)]
-        assert len(merged(bands, 0.5)) == 2
+        assert sg.R_MIN == 0.5
+        assert len(merged(bands)) == 2
 
     def test_merge_prefers_smaller_gap(self):
         # gaps of 4 above and 1 below the thin band: merge goes down
         top, bottom = np.array([0, 14, 17]), np.array([9, 15, 26])
-        assert band_rows(sg.reject_false_separators(top, bottom, 0.5)) == [(0, 9), (14, 26)]
+        assert band_rows(sg.reject_false_separators(top, bottom)) == [(0, 9), (14, 26)]
         assert (top.tolist(), bottom.tolist()) == ([0, 14, 17], [9, 15, 26])
 
     def test_single_band_unchanged(self):
-        assert merged([(1, 3)], 0.5) == [(1, 3)]
+        assert merged([(1, 3)]) == [(1, 3)]
 
     def test_zero_bands(self):
-        assert merged([], 0.5) == []
+        assert merged([]) == []
 
     def test_edge_thin_band_merges_inward(self):
         bands = [(0, 1), (4, 13), (16, 25)]
-        assert merged(bands, 0.5) == [(0, 13), (16, 25)]
+        assert merged(bands) == [(0, 13), (16, 25)]
 
 
 class TestRejectFalseSeparatorsReference:
     """reject_false_separators against the list merge in reference.py."""
 
-    def test_random_band_sets(self):
+    def test_random_band_sets(self, monkeypatch):
         rng = np.random.default_rng(43)
         seen = dict.fromkeys(
             ("single band", "tied heights", "tied gaps", "thin first", "thin last",
@@ -154,7 +150,8 @@ class TestRejectFalseSeparatorsReference:
             r_min = float(rng.choice([0.0, 0.3, 0.5, 0.75, 1.0]))
             bands = list(zip(top.tolist(), bottom.tolist()))
             want = merge_thin_bands(bands, r_min)
-            assert band_rows(sg.reject_false_separators(top, bottom, r_min)) == want
+            monkeypatch.setattr(sg, "R_MIN", r_min)
+            assert band_rows(sg.reject_false_separators(top, bottom)) == want
             thin = heights < r_min * np.median(heights)
             seen["single band"] += n == 1
             seen["tied heights"] += n > 1 and thin.any() and (heights == heights.min()).sum() > 1
@@ -190,7 +187,7 @@ class TestSegmentLines:
     def test_bands_disjoint_ordered_nonempty(self):
         render = synth.render_region(["First Line", "Second Line 22"], 5)
         lines = sg.segment_lines(render.mask)
-        counts = sg.horizontal_histogram(render.mask)
+        counts = np.count_nonzero(render.mask, axis=1)
         previous_bottom = -1
         for top, bottom in lines.tolist():
             assert top > previous_bottom

@@ -6,7 +6,9 @@ Every PipelineConfig field is read by the package: a setting that nothing
 reads is a dead knob.  Every field is also a flag of each subcommand that
 takes a config: a field that only a file or a test sets is a constant
 spelled as a setting.  So is a parameter default that no call in the
-package, the benchmark or the tests overrides.  Imports sit at module
+package, the benchmark or the tests overrides, and so is a function
+argument that a call fills with one of the paper's fixed parameters (see
+tests/test_config.py).  Imports sit at module
 level, never in a function body, so a module's dependencies are all in its
 header.
 """
@@ -17,6 +19,7 @@ from dataclasses import fields
 
 from cardocr import cli
 from cardocr.config import PipelineConfig
+from test_config import FIXED
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "cardocr").glob("*.py"))
@@ -255,3 +258,56 @@ def test_every_parameter_default_is_overridden_somewhere():
              for path in USERS + sorted((ROOT / "tests").glob("*.py"))}
     package = {path.stem: trees[path] for path in PACKAGE}
     assert unset_defaults(package, trees) == []
+
+
+def defined_callables(tree):
+    """Names of the top-level functions and classes of a module and of the
+    methods of its classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return names
+
+
+def constant_arguments(tree, callables, constants):
+    """'<callee>(<constant>)' for each argument of a call in a module that
+    is one of `constants`, by name or as a module attribute, passed to a
+    callee, by its name or attribute, in `callables`."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if callee not in callables:
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "attr", None)
+            if name in constants:
+                found.append(f"{callee}({name})")
+    return found
+
+
+def test_no_fixed_parameter_is_passed_to_a_package_function():
+    # a stage reads the paper's fixed parameters itself: a function that
+    # takes one as an argument is a knob that every caller fills with the
+    # constant; calls outside the package, a log call say, are not checked
+    tree = ast.parse(
+        "T = 1\ndef f(x, t):\n    log.debug('%d', T)\n    return g(x, t)\n"
+        "def g(x, t=T):\n    pass\n"
+        "f(0, T)\nf(0, t=m.T)\nf(T + 1, 2)\n"
+    )
+    assert defined_callables(tree) == {"f", "g"}
+    assert constant_arguments(tree, {"f", "g"}, {"T"}) == ["f(T)", "f(T)"]
+    callables = set().union(*(defined_callables(ast.parse(p.read_text(), str(p)))
+                              for p in PACKAGE))
+    constants = {name for _, name, _ in FIXED}
+    found = [f"{path.stem}: {call}"
+             for path in USERS
+             for call in constant_arguments(ast.parse(path.read_text(), str(path)),
+                                            callables, constants)]
+    assert found == []

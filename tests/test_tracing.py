@@ -61,12 +61,12 @@ def test_every_traced_layer_runs(tracing, traced):
 def test_traced_counts_equal_direct_counts(card, traced):
     tracer, result = traced
     gray = imaging.load_pnm_file(card)
-    grid = rg.classify_grid(gray, rg.partition_blocks(gray, rg.BLOCK_SIZE, rg.BLOCK_SIZE), rg.T_VAR)
+    grid = rg.classify_grid(gray)
     boxes = rg.assemble_regions(grid)
     table = rg.extract_regions(gray)
     rotated = [r.deskewed for r in result.regions if r.angle != 0.0]
     direct = {
-        "regions.blocks": grid.rows * grid.cols,
+        "regions.blocks": grid.labels.size,
         "regions.ib_blocks": int(np.count_nonzero(grid.labels)),
         "regions.count": boxes.shape[0],
         "regions.tr": int(np.count_nonzero(table.text)),
