@@ -4,9 +4,11 @@ Cards are composed from the bundled bitmap font: text bands (optionally
 multi-line), filled decoy shapes standing in for logos, a global skew
 rotation per card, and additive Gaussian plus salt-and-pepper noise.  The
 ground truth (region boxes, skew angle, ink mask, transcript) is recorded
-before noise, so it is exact by construction.  A line is laid out once, at
-one pixel per font cell; a rotated band's or glyph's ink is what falls below
+before noise, so it is exact by construction.  render_region draws all text:
+a region is laid out once in font cells and scaled once, and a store glyph
+is a one-glyph region.  A rotated region's ink is what falls below
 imaging.midpoint of its two gray levels, the pipeline's own dark rule.
+Noise is apply_noise's alone, drawn over the whole card.
 """
 
 import math
@@ -31,6 +33,7 @@ MAX_SKEW_DEG = 20
 CARD_MARGIN = 48  # px kept clear around generated bands and decoys
 DECOY_INTENSITY = 60  # gray level of a decoy's fill
 MAX_LINE_WORDS = 3  # words of a random text line, at most
+BANDS_MIN, BANDS_MAX = 2, 3  # text bands a random card draws
 # The default template store: its seed and perturbed samples per class.
 FONT_STORE_SEED = 7
 FONT_STORE_SAMPLES = 12
@@ -113,18 +116,10 @@ class GroundTruth:
 
 @dataclass
 class RegionRender:
-    image: np.ndarray        # gray, noise applied if requested
-    mask: np.ndarray         # bool ink mask, post-rotation, pre-noise
-    line_spans: list         # (top, bottom) ink rows per line (pre-rotation layout)
+    image: np.ndarray        # gray, fg ink on bg, rotated if skewed
+    mask: np.ndarray         # bool ink mask: image below imaging.midpoint(fg, bg)
+    line_spans: list         # inclusive (top, bottom) ink rows per line, before rotation
     words_per_line: list     # list of word lists
-    glyph_counts: list       # glyphs per line
-
-
-def render_glyph(ch, scale):
-    """Upscale a font glyph to `scale` pixels per cell (bool mask)."""
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    return np.kron(glyph_mask(ch), np.ones((scale, scale), dtype=bool))
 
 
 def _line_cells(text):
@@ -147,47 +142,6 @@ def measure_line(text, scale):
     return _line_cells(text)[0].shape[1] * scale
 
 
-def render_line_mask(text, scale):
-    """Render one line of text.  Returns (mask, words, glyph_count)."""
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    cells, words = _line_cells(text)
-    if not words:
-        raise ValueError("line has no words")
-    return np.kron(cells, np.ones((scale, scale), dtype=bool)), words, sum(map(len, words))
-
-
-def render_region_mask(lines, scale, margin_cells=2):
-    """Stack text lines into one region mask with a margin.
-
-    Returns (mask, line_spans, words_per_line, glyph_counts) where line_spans
-    are inclusive (top, bottom) ink rows of each line inside the mask.
-    """
-    rendered = [render_line_mask(line, scale) for line in lines]
-    margin = margin_cells * scale
-    advance = (GLYPH_ROWS + LINE_GAP_CELLS) * scale
-    width = max(m.shape[1] for m, _, _ in rendered) + 2 * margin
-    height = margin * 2 + GLYPH_ROWS * scale + (len(rendered) - 1) * advance
-    mask = np.zeros((height, width), dtype=bool)
-    spans = []
-    words_per_line = []
-    glyph_counts = []
-    y = margin
-    for line_mask, words, count in rendered:
-        h, w = line_mask.shape
-        mask[y : y + h, margin : margin + w] |= line_mask
-        rows = np.flatnonzero(line_mask.any(axis=1))
-        spans.append((y + int(rows[0]), y + int(rows[-1])))
-        words_per_line.append(words)
-        glyph_counts.append(count)
-        y += advance
-    return mask, spans, words_per_line, glyph_counts
-
-
-def mask_to_gray(mask, fg, bg):
-    return np.where(mask, fg, bg).astype(np.uint8)
-
-
 def apply_noise(img, rng, sigma=0.0, salt_pepper=0.0):
     """Additive Gaussian noise then salt-and-pepper, clamped to [0, 255]."""
     out = img
@@ -202,20 +156,31 @@ def apply_noise(img, rng, sigma=0.0, salt_pepper=0.0):
     return out
 
 
-def render_region(lines, scale, skew_deg=0.0, sigma=0.0, seed=0, fg=30, bg=220,
-                  margin_cells=2):
-    """Render a standalone text region (the per-band building block): the
-    lines in `fg` on `bg`, rotated by `skew_deg` with `bg` fill, then
-    Gaussian noise of `sigma` drawn from `seed`.  Its mask is the ink
-    before noise: after a rotation, the pixels below imaging.midpoint(fg, bg)."""
-    mask, spans, words, counts = render_region_mask(lines, scale, margin_cells)
-    gray = mask_to_gray(mask, fg, bg)
+def render_region(lines, scale, skew_deg=0.0, fg=30, bg=220, margin_cells=2):
+    """Render text lines as one region, the generator's only rasterizer: the
+    lines stacked in font cells, LINE_GAP_CELLS apart inside a margin of
+    `margin_cells`, scaled once to `scale` pixels per cell and drawn in `fg`
+    on `bg`, then rotated by `skew_deg` with `bg` fill.  After a rotation
+    the mask is the pixels below imaging.midpoint(fg, bg)."""
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    laid = [_line_cells(line) for line in lines]
+    advance = GLYPH_ROWS + LINE_GAP_CELLS
+    cells = np.zeros((2 * margin_cells + GLYPH_ROWS + (len(laid) - 1) * advance,
+                      2 * margin_cells + max(c.shape[1] for c, _ in laid)), dtype=bool)
+    spans = []
+    for k, (line, _) in enumerate(laid):
+        y = margin_cells + k * advance
+        cells[y : y + GLYPH_ROWS, margin_cells : margin_cells + line.shape[1]] = line
+        rows = np.flatnonzero(line.any(axis=1))
+        spans.append(((y + int(rows[0])) * scale, (y + int(rows[-1]) + 1) * scale - 1))
+    mask = np.kron(cells, np.ones((scale, scale), dtype=bool))
+    image = np.where(mask, fg, bg).astype(np.uint8)
     if skew_deg != 0.0:
-        gray = imaging.rotate(gray, skew_deg, fill=bg)
-        mask = gray < imaging.midpoint(fg, bg)
-    image = apply_noise(gray, np.random.default_rng(seed), sigma) if sigma > 0 else gray
-    return RegionRender(image=image, mask=mask, line_spans=spans, words_per_line=words,
-                        glyph_counts=counts)
+        image = imaging.rotate(image, skew_deg, fill=bg)
+        mask = image < imaging.midpoint(fg, bg)
+    return RegionRender(image=image, mask=mask, line_spans=spans,
+                        words_per_line=[words for _, words in laid])
 
 
 def render_card(spec, seed=0):
@@ -277,23 +242,14 @@ def render_card(spec, seed=0):
 # ---------------------------------------------------------------------------
 # glyph samples for template stores and recognition experiments
 
-def rotate_mask(mask, angle_deg):
-    """Rotate a bool mask via the gray-image path and re-threshold."""
-    if angle_deg == 0.0:
-        return mask
-    gray = mask_to_gray(mask, 0, 255)
-    rotated = imaging.rotate(gray, angle_deg, fill=255)
-    return rotated < imaging.midpoint(0, 255)
-
-
 def perturbed_glyph_mask(ch, rng):
-    """One perturbed rendering of a font glyph: random scale, small rotation,
-    and a few pixel flips inside the bounding box (so even solid glyphs like
-    '-' yield distinct patterns)."""
+    """One perturbed rendering of a font glyph: a one-glyph region at a
+    random scale and small rotation, cropped to its ink, with a few pixel
+    flips inside that box (so even solid glyphs like '-' yield distinct
+    patterns)."""
     scale = GLYPH_SCALES[int(rng.integers(0, len(GLYPH_SCALES)))]
-    mask = render_glyph(ch, scale)
     angle = float(rng.uniform(-GLYPH_ROTATE_DEG, GLYPH_ROTATE_DEG))
-    mask = rotate_mask(mask, angle)
+    mask = render_region([ch], scale, skew_deg=angle, fg=0, bg=255, margin_cells=0).mask
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     tight = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
@@ -302,8 +258,6 @@ def perturbed_glyph_mask(ch, rng):
     ys = rng.integers(0, h, flips)
     xs = rng.integers(0, w, flips)
     tight[ys, xs] = ~tight[ys, xs]
-    if not tight.any():
-        tight = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
     return tight
 
 
@@ -331,8 +285,6 @@ class SuiteParams:
     count: int = 100
     width: int = 1024
     height: int = 768
-    bands_min: int = 2
-    bands_max: int = 3
     decoys_min: int = 0
     decoys_max: int = 1
     scales: tuple = (3, 4, 5)
@@ -365,7 +317,7 @@ class SuiteParams:
             raise ValueError("noise sigma must be finite and >= 0")
         if not (0.0 <= self.salt_pepper_min <= 1.0 and 0.0 <= self.salt_pepper_max <= 1.0):
             raise ValueError("salt-and-pepper fractions must be in [0, 1]")
-        for name in ("skew", "sigma", "salt_pepper", "bands", "decoys"):
+        for name in ("skew", "sigma", "salt_pepper", "decoys"):
             low, high = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if low > high:
                 raise ValueError(f"{name}_min {low} is above {name}_max {high}")
@@ -424,7 +376,7 @@ def random_card_spec(rng, params):
         noise_sigma=float(rng.uniform(params.sigma_min, params.sigma_max)),
         salt_pepper=float(rng.uniform(params.salt_pepper_min, params.salt_pepper_max)),
     )
-    n_bands = int(rng.integers(params.bands_min, params.bands_max + 1))
+    n_bands = int(rng.integers(BANDS_MIN, BANDS_MAX + 1))
     n_decoys = int(rng.integers(params.decoys_min, params.decoys_max + 1))
     margin = CARD_MARGIN
     y = margin

@@ -2,16 +2,17 @@
 
 The digests cover the transcript and every `run --dump-stages` file of the
 criterion-9 card, of a card whose regions hold two lines each and of the
-first cards of six synthetic suites, the `eval` report of one of those
-suites, the band and glyph dumps of two rendered regions in which a thin
-candidate band merges into a neighbour, and the files of the default
-template store.  tests/test_golden.py recomputes them and compares with
-tests/golden.txt, so any change to a transcript, a stage dump, an `eval`
-report or the generator's output (the store, and the cards whose crops are
-dumped) fails tier-1 until the file is rewritten.  The generator rotates
-through imaging.rotate, the pipeline's only rotation kernel, so a change to
-that kernel moves the store and the skewed cards as well as the deskewed
-crops.
+first cards of six synthetic suites, every file `generate_suite` writes for
+those suites (cards, ink masks, truth regions, transcripts, manifest), the
+`eval` report of one of them, the band and glyph dumps of two rendered
+regions in which a thin candidate band merges into a neighbour, and the
+files of the default template store.  tests/test_golden.py recomputes them
+and compares with tests/golden.txt, so any change to a transcript, a stage
+dump, an `eval` report or the generator's output (the store, the suite
+files, and the cards whose crops are dumped) fails tier-1 until the file is
+rewritten.  The generator rotates through imaging.rotate, the pipeline's
+only rotation kernel, so a change to that kernel moves the store and the
+skewed cards as well as the deskewed crops.
 
 Rewrite the file after an intended behaviour change with
 
@@ -81,6 +82,15 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _dir_digests(name, directory):
+    """{'<name>/<file>': sha256} of every file in `directory`."""
+    digests = {}
+    for file in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, file), "rb") as fh:
+            digests[f"{name}/{file}"] = _sha256(fh.read())
+    return digests
+
+
 def _card_digests(name, image, cfg, store, workdir):
     """{'<name>/<file>': sha256} of the card's transcript, as `cardocr run`
     prints it, and of its stage dump files."""
@@ -88,11 +98,7 @@ def _card_digests(name, image, cfg, store, workdir):
     out = os.path.join(workdir, name)
     pipeline.dump_stages(result, out)
     stdout = result.transcript + ("\n" if result.transcript else "")
-    digests = {f"{name}/transcript": _sha256(stdout.encode())}
-    for file in sorted(os.listdir(out)):
-        with open(os.path.join(out, file), "rb") as fh:
-            digests[f"{name}/{file}"] = _sha256(fh.read())
-    return digests
+    return {f"{name}/transcript": _sha256(stdout.encode())} | _dir_digests(name, out)
 
 
 def _region_digests(name, lines, scale):
@@ -108,11 +114,7 @@ def _store_digests(store, workdir):
     """{'store/<file>': sha256} of the store's files, as save_store writes them."""
     out = os.path.join(workdir, "store")
     recognize.save_store(store, out)
-    digests = {}
-    for file in sorted(os.listdir(out)):
-        with open(os.path.join(out, file), "rb") as fh:
-            digests[f"store/{file}"] = _sha256(fh.read())
-    return digests
+    return _dir_digests("store", out)
 
 
 def compute_digests(store, workdir):
@@ -129,6 +131,7 @@ def compute_digests(store, workdir):
     for suite, params in SUITES.items():
         suite_dir = os.path.join(workdir, "suites", suite)
         synth.generate_suite(suite_dir, params)
+        digests.update(_dir_digests(f"{suite}/suite", suite_dir))
         paths = synth.suite_card_paths(suite_dir)
         for k, base in enumerate(paths):
             image = imaging.load_pnm_file(base + ".ppm")

@@ -7,11 +7,12 @@ import statistics
 
 import numpy as np
 
-from cardocr import regions
+from cardocr import imaging, regions
 from cardocr.evaluate import EvalCounts
 from cardocr.imaging import HEADER_TOKEN_BYTES, MAX_ROTATION_DEG, ROTATE_FRAC_BITS, PnmError
 from cardocr.recognize import PATTERN_SIZE
 from cardocr.regions import NR, TR
+from cardocr.synth import apply_noise
 
 
 def dissimilarity(a, b):
@@ -198,6 +199,21 @@ def resample_mask(mask, fy, fx=None):
     yy = np.minimum((np.arange(nh) * h) // nh, h - 1)
     xx = np.minimum((np.arange(nw) * w) // nw, w - 1)
     return mask[np.ix_(yy, xx)]
+
+
+def rotate_mask(mask, angle_deg):
+    """Rotate a bool mask via the gray-image path and re-threshold."""
+    if angle_deg == 0.0:
+        return mask
+    gray = np.where(mask, 0, 255).astype(np.uint8)
+    rotated = imaging.rotate(gray, angle_deg, fill=255)
+    return rotated < imaging.midpoint(0, 255)
+
+
+def noisy(render, sigma, seed):
+    """A rendered region's image with Gaussian noise of `sigma` drawn from
+    `seed`."""
+    return apply_noise(render.image, np.random.default_rng(seed), sigma)
 
 
 def to_gray(rgb):

@@ -19,7 +19,7 @@ from cardocr import skew
 from cardocr import synth
 from cardocr.synth import Band, CardSpec, SuiteParams
 
-from reference import char_accuracy, dissimilarity, pixel_eval, resample_mask
+from reference import char_accuracy, dissimilarity, noisy, pixel_eval, resample_mask, rotate_mask
 
 MERGED, FULL = rec.ClassScheme("merged"), rec.ClassScheme("full")
 
@@ -54,9 +54,8 @@ def test_c02_skew_accuracy():
         true_deg = float(rng.uniform(-10.0, 10.0))
         sigma = float(rng.uniform(0.0, 8.0))
         text = card_line(rng, n_words=5)
-        render = synth.render_region([text], 3, skew_deg=true_deg,
-                                     sigma=sigma, seed=1000 + i)
-        _, estimate = skew.deskew(render.image)
+        render = synth.render_region([text], 3, skew_deg=true_deg)
+        _, estimate = skew.deskew(noisy(render, sigma, 1000 + i))
         errors.append(abs(estimate - true_deg))
     elapsed = time.process_time() - t0
     within = float(np.mean(np.array(errors) <= 3.0))
@@ -120,8 +119,8 @@ def test_c04_binarization():
         n_lines = int(rng.integers(1, 4))
         scale = int(rng.integers(3, 6))
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
-        render = synth.render_region(lines, scale, sigma=10.0, seed=900 + i)
-        binary = bz.binarize_region(render.image)
+        render = synth.render_region(lines, scale)
+        binary = bz.binarize_region(noisy(render, 10.0, 900 + i))
         counts = counts + pixel_eval(binary, render.mask)
     metrics = ev.metrics_from_counts(counts)
 
@@ -147,8 +146,8 @@ def _line_count_run(sigma, count, seed):
         n_lines = int(rng.integers(1, 6))
         scale = int(rng.integers(3, 6))
         lines = [card_line(rng, n_words=int(rng.integers(1, 4))) for _ in range(n_lines)]
-        render = synth.render_region(lines, scale, sigma=sigma, seed=seed * 100 + i)
-        binary = bz.binarize_region(render.image)
+        render = synth.render_region(lines, scale)
+        binary = bz.binarize_region(noisy(render, sigma, seed * 100 + i))
         bands = sg.segment_lines(binary).tolist()
         if len(bands) != n_lines:
             continue
@@ -185,11 +184,11 @@ def test_c06_character_segmentation():
     for i in range(total):
         scale = int(rng.integers(4, 6))  # 3 MP-equivalent glyph size
         text = card_line(rng, n_words=int(rng.integers(1, 4)))
-        render = synth.render_region([text], scale, sigma=10.0, seed=500 + i)
-        binary = bz.binarize_region(render.image)
+        render = synth.render_region([text], scale)
+        binary = bz.binarize_region(noisy(render, 10.0, 500 + i))
         top, bottom = sg.segment_lines(binary)[0]
         glyphs = sg.segment_characters(binary[top : bottom + 1])
-        if len(glyphs) == render.glyph_counts[0]:
+        if len(glyphs) == len("".join(render.words_per_line[0])):
             correct += 1
     rate = correct / total
     assert rate >= 0.97
@@ -240,11 +239,11 @@ def _perturbed_eval(store, count, seed):
     raw_predictions = []
     for _ in range(count):
         ch = rec.ALPHABET[int(rng.integers(0, len(rec.ALPHABET)))]
-        mask = synth.render_glyph(ch, int(rng.integers(4, 7)))
+        mask = synth.render_region([ch], int(rng.integers(4, 7)), margin_cells=0).mask
         mask = resample_mask(
             mask, float(rng.uniform(0.8, 1.2)), float(rng.uniform(0.8, 1.2))
         )
-        mask = synth.rotate_mask(mask, float(rng.uniform(-2.0, 2.0)))
+        mask = rotate_mask(mask, float(rng.uniform(-2.0, 2.0)))
         if not mask.any():
             continue
         pattern = rec.normalize_pattern(mask)

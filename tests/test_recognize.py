@@ -307,7 +307,7 @@ class TestPrunedSearch:
 
 class TestBuildStore:
     def glyph_samples(self, label, n, rng, distinct=True):
-        base = synth.render_glyph(label, 5)
+        base = synth.render_region([label], 5, margin_cells=0).mask
         out = []
         for i in range(n):
             mask = base.copy()
@@ -323,7 +323,7 @@ class TestBuildStore:
         assert store.labels == ["A"] * 10
 
     def test_identical_samples_keep_ten(self):
-        samples = [("B", synth.render_glyph("B", 5))] * 12
+        samples = [("B", synth.render_region(["B"], 5, margin_cells=0).mask)] * 12
         store = rec.build_store(samples)
         assert len(store) == 10
 
@@ -465,7 +465,7 @@ class TestStoreIO:
 
 def tight_glyph(ch):
     """A font glyph cropped to its bounding box, as segmentation cuts it."""
-    mask = synth.render_glyph(ch, 4)
+    mask = synth.render_region([ch], 4, margin_cells=0).mask
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     return mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]

@@ -12,39 +12,43 @@ from reference import region_dump, resample_mask, to_gray, truth_region_rows
 
 
 class TestGlyphRendering:
+    def glyph(self, ch, scale):
+        return synth.render_region([ch], scale, margin_cells=0).mask
+
     def test_scale_blows_up_cells(self):
-        g1 = synth.render_glyph("L", 1)
-        g3 = synth.render_glyph("L", 3)
+        g1 = self.glyph("L", 1)
+        g3 = self.glyph("L", 3)
         assert g3.shape == (g1.shape[0] * 3, g1.shape[1] * 3)
         assert g3.sum() == g1.sum() * 9
 
     def test_unknown_character(self):
         with pytest.raises(KeyError):
-            synth.render_glyph("?", 2)
+            self.glyph("?", 2)
 
     def test_measure_matches_render(self):
         for text in ("OCR", "a b", "Kolkata 700032"):
-            mask, _, _ = synth.render_line_mask(text, 3)
+            mask = synth.render_region([text], 3, margin_cells=0).mask
             assert mask.shape[1] == synth.measure_line(text, 3)
 
     def test_line_words_and_counts(self):
-        mask, words, glyphs = synth.render_line_mask("OCR 2010", 2)
-        assert words == ["OCR", "2010"]
-        assert glyphs == 7
+        words = synth.render_region(["OCR 2010"], 2).words_per_line
+        assert words == [["OCR", "2010"]]
+        assert len("".join(words[0])) == 7
 
     @pytest.mark.parametrize("scale", [0, -1])
     def test_line_scale_below_one(self, scale):
         with pytest.raises(ValueError, match="scale must be >= 1"):
-            synth.render_line_mask("OCR", scale)
+            synth.render_region(["OCR"], scale)
 
     def test_region_line_spans(self):
-        mask, spans, words, counts = synth.render_region_mask(["Top", "Bottom"], 3)
+        r = synth.render_region(["Top", "Bottom"], 3)
+        spans = r.line_spans
         assert len(spans) == 2
         assert spans[0][1] < spans[1][0]
-        assert counts == [3, 6]
+        assert [len("".join(words)) for words in r.words_per_line] == [3, 6]
         # each span brackets real ink
         for top, bottom in spans:
-            assert mask[top].any() and mask[bottom].any()
+            assert r.mask[top].any() and r.mask[bottom].any()
 
 
 class TestRenderCard:
@@ -162,7 +166,7 @@ class TestRegionRender:
 
     def test_glyph_counts(self):
         r = synth.render_region(["ab cd", "efg"], 3)
-        assert r.glyph_counts == [4, 3]
+        assert [len("".join(words)) for words in r.words_per_line] == [4, 3]
 
 
 class TestPerturbedGlyphs:
@@ -175,6 +179,20 @@ class TestPerturbedGlyphs:
         rng = np.random.default_rng(4)
         for ch in synth.GLYPHS:
             assert synth.perturbed_glyph_mask(ch, rng).any()
+
+    @pytest.mark.parametrize("angle", [-synth.GLYPH_ROTATE_DEG, 0.0, synth.GLYPH_ROTATE_DEG])
+    def test_flips_cannot_empty_a_glyph(self, angle):
+        # a perturbed glyph's tight box holds more ink pixels than it gets
+        # flips, so the flips never leave it blank
+        for ch in synth.ALPHABET:
+            for scale in synth.GLYPH_SCALES:
+                mask = synth.render_region([ch], scale, skew_deg=angle, fg=0, bg=255,
+                                           margin_cells=0).mask
+                rows = np.flatnonzero(mask.any(axis=1))
+                cols = np.flatnonzero(mask.any(axis=0))
+                h, w = rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1
+                flips = max(3, int(round(synth.GLYPH_FLIP_FRACTION * h * w)))
+                assert np.count_nonzero(mask) > flips, (ch, scale)
 
     def test_store_samples_count(self):
         samples = synth.font_store_samples(samples_per_class=12, seed=7)
@@ -244,7 +262,7 @@ class TestSuite:
 
     @pytest.mark.parametrize("name, low, high", [
         ("skew", 6.0, -6.0), ("sigma", 7.0, 5.0), ("salt_pepper", 0.2, 0.1),
-        ("bands", 3, 2), ("decoys", 2, 1),
+        ("decoys", 2, 1),
     ])
     def test_inverted_range_rejected(self, name, low, high):
         with pytest.raises(ValueError, match=f"{name}_min {low} is above {name}_max {high}"):
