@@ -9,21 +9,21 @@ Exit codes: 0 ok, 2 unreadable input, any other filesystem error (a
 missing path, a file where a directory belongs), an image smaller than one
 block or a synth/store-build/bench argument out of range, 3 invalid or
 unreadable template store, 4 no text found (for eval: no text region of the
-suite matched, so region recall and precision are undefined), 5 bad or
-unreadable configuration.
+suite matched, so region recall and precision are undefined).  Exit 5,
+once a bad config file, is no longer produced.  Settings are flags only:
+--scheme picks the class scheme and --templates names the store.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import evaluate as ev
 from . import imaging
 from . import pipeline
 from . import recognize as rec
 from . import synth
-from .config import ConfigError, PipelineConfig, format_config, load_config
+from .config import PipelineConfig
 from .imaging import PnmError
 from .recognize import StoreError
 from .regions import ImageTooSmallError
@@ -32,24 +32,16 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STORE = 3
 EXIT_NO_TEXT = 4
-EXIT_CONFIG = 5
 
 
 class ArgumentRangeError(ValueError):
     """A synth, store-build or bench argument outside its accepted range."""
 
 
-def _build_config(args):
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    flags = {"templates": args.templates, "scheme": args.scheme}
-    return replace(cfg, **{key: value for key, value in flags.items() if value})
-
-
 def _config_and_store(args):
-    cfg = _build_config(args)
-    if not cfg.templates:
-        raise StoreError("no template store given (use --templates or the config)")
-    return cfg, rec.load_store(cfg.templates)
+    if not args.templates:
+        raise StoreError("no template store given (use --templates)")
+    return PipelineConfig(args.scheme), rec.load_store(args.templates)
 
 
 def _load_card(args):
@@ -128,12 +120,6 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def cmd_config(args):
-    cfg = _build_config(args)
-    sys.stdout.write(format_config(cfg))
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cardocr",
@@ -142,10 +128,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--templates", help="template store directory")
         p.add_argument("--scheme", choices=list(rec.SCHEMES),
-                       help=f"class scheme (default {PipelineConfig.scheme})")
+                       default=PipelineConfig.scheme,
+                       help="class scheme (default %(default)s)")
 
     p_run = sub.add_parser("run", help="recognize one PGM/PPM image")
     p_run.add_argument("input")
@@ -189,10 +175,6 @@ def build_parser():
     p_bench.add_argument("--runs", type=int, default=1)
     p_bench.set_defaults(fn=cmd_bench)
 
-    p_cfg = sub.add_parser("config", help="print the effective configuration")
-    add_common(p_cfg)
-    p_cfg.set_defaults(fn=cmd_config)
-
     return parser
 
 
@@ -201,9 +183,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except StoreError as exc:
         print(f"template store error: {exc}", file=sys.stderr)
         return EXIT_STORE

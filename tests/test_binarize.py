@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cardocr import binarize as bz
-from cardocr.config import ConfigError, PipelineConfig, parse_config_text
 
 
 def reference_binarize(region, promotion=True):
@@ -174,22 +173,7 @@ class TestAgainstReference:
             assert np.array_equal(second, first)
 
 
-class TestConfig:
-    # binarization has one method and no setting: the keys of the removed
-    # local-window mode are unknown keys now
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError, match="unknown key 'binarize_mode'"):
-            parse_config_text("binarize_mode = local\n")
-        with pytest.raises(TypeError):
-            PipelineConfig(binarize_mode="local")
-
-    def test_bad_window(self):
-        with pytest.raises(ConfigError, match="unknown key 'binarize_window'"):
-            parse_config_text("binarize_window = 31\n")
-        with pytest.raises(TypeError):
-            PipelineConfig(binarize_window=31)
-
+class TestEmptyRegion:
     def test_empty_region(self):
         with pytest.raises(ValueError):
             bz.binarize_region(np.zeros((0, 3), dtype=np.uint8))
-

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cardocr import cli, imaging, pipeline, skew, synth
+from cardocr import cli, imaging, pipeline, recognize, skew, synth
 from cardocr.synth import Band, CardSpec
 from test_imaging import LOAD_SLACK_BYTES
 from test_pipeline import FRAME_RELEASE
@@ -110,43 +110,6 @@ class TestRun:
         card = tmp_path / "card.ppm"
         write_card(card)
         assert cli.main(["run", str(card)]) == 3
-
-    def test_bad_config_exit_5(self, store_dir, tmp_path, capsys):
-        card = tmp_path / "card.ppm"
-        write_card(card)
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("no_such_key = 1\n")
-        code = cli.main(["run", str(card), "--templates", store_dir,
-                         "--config", str(cfg)])
-        assert code == 5
-        # a former setting: the paper's thresholds are stage constants now
-        cfg.write_text("t_var = 40\n")
-        capsys.readouterr()
-        code = cli.main(["run", str(card), "--templates", store_dir,
-                         "--config", str(cfg)])
-        assert code == 5
-        assert "unknown key 't_var'" in capsys.readouterr().err
-
-    def test_config_not_utf8_exit_5(self, store_dir, tmp_path, capsys):
-        card = tmp_path / "card.ppm"
-        write_card(card)
-        cfg = tmp_path / "latin1.cfg"
-        cfg.write_bytes(b"\xffscheme = full\n")
-        code = cli.main(["run", str(card), "--templates", store_dir,
-                         "--config", str(cfg)])
-        assert code == 5
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-
-    def test_config_file_respected(self, store_dir, tmp_path, capsys):
-        card = tmp_path / "card.ppm"
-        write_card(card)
-        cfg = tmp_path / "full.cfg"
-        cfg.write_text("scheme = full\n")
-        code = cli.main(["run", str(card), "--templates", store_dir,
-                         "--config", str(cfg)])
-        assert code == 0
-        assert capsys.readouterr().out == "OCR 2010\n"
 
     def test_dump_stages(self, store_dir, tmp_path, capsys):
         card = tmp_path / "card.ppm"
@@ -350,8 +313,6 @@ FILESYSTEM_CASES = [
     (["run", "PATH", "--templates", "STORE"], "dir", 2),
     (["run", "CARD", "--templates", "PATH"], "missing", 3),
     (["run", "CARD", "--templates", "PATH"], "file", 3),
-    (["run", "CARD", "--templates", "STORE", "--config", "PATH"], "missing", 5),
-    (["run", "CARD", "--templates", "STORE", "--config", "PATH"], "dir", 5),
     (["run", "CARD", "--templates", "STORE", "--dump-stages", "PATH"], "missing", 0),
     (["run", "CARD", "--templates", "STORE", "--dump-stages", "PATH"], "file", 2),
     (["synth", "PATH", "--count", "1"], "missing", 0),
@@ -362,16 +323,10 @@ FILESYSTEM_CASES = [
     (["eval", "PATH", "--templates", "STORE"], "file", 2),
     (["eval", "DIR", "--templates", "PATH"], "missing", 3),
     (["eval", "DIR", "--templates", "PATH"], "file", 3),
-    (["eval", "DIR", "--templates", "STORE", "--config", "PATH"], "missing", 5),
-    (["eval", "DIR", "--templates", "STORE", "--config", "PATH"], "dir", 5),
     (["bench", "PATH", "--templates", "STORE"], "missing", 2),
     (["bench", "PATH", "--templates", "STORE"], "dir", 2),
     (["bench", "CARD", "--templates", "PATH"], "missing", 3),
     (["bench", "CARD", "--templates", "PATH"], "file", 3),
-    (["bench", "CARD", "--templates", "STORE", "--config", "PATH"], "missing", 5),
-    (["bench", "CARD", "--templates", "STORE", "--config", "PATH"], "dir", 5),
-    (["config", "--config", "PATH"], "missing", 5),
-    (["config", "--config", "PATH"], "dir", 5),
 ]
 
 
@@ -387,7 +342,7 @@ class TestFilesystemContract:
     path.  Unreadable-permission cases are left out: they do not fail for
     the root user."""
 
-    PREFIX = {2: "input error:", 3: "template store error:", 5: "config error:"}
+    PREFIX = {2: "input error:", 3: "template store error:"}
 
     @pytest.mark.parametrize(
         "argv, kind, expected", FILESYSTEM_CASES,
@@ -418,6 +373,35 @@ class TestFilesystemContract:
         else:
             assert err.startswith(self.PREFIX[code]) and err.count("\n") == 1
             assert str(path) in err
+
+
+# argv of the retired config file and config command, with F a config
+# file that the former parser accepted
+RETIRED_CONFIG_CASES = [
+    ["run", "CARD", "--templates", "STORE", "--config", "F"],
+    ["eval", "DIR", "--templates", "STORE", "--config", "F"],
+    ["bench", "CARD", "--templates", "STORE", "--config", "F"],
+    ["config"],
+]
+
+
+@pytest.mark.parametrize("argv", RETIRED_CONFIG_CASES, ids=lambda argv: argv[0])
+def test_config_file_is_refused(store_dir, tmp_path, monkeypatch, argv):
+    # settings are flags only: argparse refuses the file and the command
+    # before any store is loaded or card recognized
+    def fail(*args, **kwargs):
+        raise AssertionError("work started for a refused command line")
+
+    monkeypatch.setattr(recognize, "load_store", fail)
+    monkeypatch.setattr(pipeline, "run_pipeline", fail)
+    card, empty, cfg = tmp_path / "card.ppm", tmp_path / "empty", tmp_path / "pipeline.cfg"
+    write_card(card)
+    empty.mkdir()
+    cfg.write_text("scheme = full\n")
+    slots = {"CARD": str(card), "STORE": store_dir, "DIR": str(empty), "F": str(cfg)}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([slots.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
 
 
 class TestEval:
@@ -520,17 +504,3 @@ class TestBench:
         assert 700 * 220 <= int(values["load_peak_bytes"]) <= (
             700 * 220 + imaging.GRAY_STRIP_BYTES + LOAD_SLACK_BYTES)
         assert float(values["load_ms"]) > 0
-
-
-class TestConfigCommand:
-    def test_prints_effective_config(self, capsys):
-        # the flags override the defaults
-        assert cli.main(["config", "--scheme", "full", "--templates", "store"]) == 0
-        assert capsys.readouterr().out == "scheme = full\ntemplates = store\n"
-
-    def test_default_output_golden(self, capsys):
-        assert cli.main(["config"]) == 0
-        assert capsys.readouterr().out == (
-            "scheme = merged\n"
-            "templates = \n"
-        )

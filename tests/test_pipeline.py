@@ -25,7 +25,7 @@ FRAME_RELEASE = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def cfg():
-    return PipelineConfig().validate()
+    return PipelineConfig()
 
 
 def simple_spec(text="OCR 2010", scale=5, **spec_kw):
@@ -55,7 +55,7 @@ class TestRunPipeline:
         assert result.transcript == "OCR 2OIO"
 
     def test_full_scheme_transcript(self, store):
-        cfg = PipelineConfig(scheme="full").validate()
+        cfg = PipelineConfig(scheme="full")
         gray, _ = simple_card()
         result = pipeline.run_pipeline(gray, cfg, store)
         assert result.transcript == "OCR 2010"

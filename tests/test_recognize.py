@@ -5,7 +5,7 @@ import pytest
 
 from cardocr import cli, imaging, pipeline, synth
 from cardocr import segment as sg
-from cardocr.config import ConfigError, PipelineConfig
+from cardocr.config import PipelineConfig
 from cardocr import recognize as rec
 from cardocr.recognize import ClassScheme, StoreError, TemplateStore
 from reference import dissimilarity, nearest_templates, resample_48, to_gray, zone_counts
@@ -118,13 +118,13 @@ class TestScheme:
         assert list(rec.SCHEMES) == ["merged", "full"]
         for name in rec.SCHEMES:
             assert PipelineConfig(scheme=name).class_scheme() == ClassScheme(name)
-        with pytest.raises(ConfigError, match="^scheme must be 'merged' or 'full'$"):
+        with pytest.raises(ValueError, match="^unknown class scheme 'fuzzy'$"):
             PipelineConfig(scheme="fuzzy")
         parser = cli.build_parser()
         for name in rec.SCHEMES:
-            assert parser.parse_args(["config", "--scheme", name]).scheme == name
+            assert parser.parse_args(["run", "CARD", "--scheme", name]).scheme == name
         with pytest.raises(SystemExit):
-            parser.parse_args(["config", "--scheme", "fuzzy"])
+            parser.parse_args(["run", "CARD", "--scheme", "fuzzy"])
 
 
 class TestClassify:

@@ -4,7 +4,7 @@ import pytest
 from cardocr import imaging, pipeline
 from cardocr import segment as sg
 from cardocr import synth
-from cardocr.config import ConfigError, PipelineConfig, parse_config_text
+from cardocr.config import PipelineConfig
 
 from reference import merge_thin_bands, segment_glyphs, to_gray
 from test_skew import CRITERION_9_SPEC
@@ -96,13 +96,6 @@ class TestCandidateBands:
         assert sg.segment_lines(region).tolist() == [[0, 1], [3, 4]]
         monkeypatch.setattr(sg, "LINE_THRESHOLD", 2)
         assert sg.segment_lines(region).tolist() == [[1, 1], [4, 4]]
-
-    def test_negative_threshold(self):
-        # no config reaches segment_lines: a file that sets the threshold is
-        # refused, so segment_lines sees LINE_THRESHOLD only, never a negative one
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("line_threshold = -1\n")
-        assert sg.LINE_THRESHOLD >= 0
 
 
 class TestRejectFalseSeparators:

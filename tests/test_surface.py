@@ -3,14 +3,13 @@ the package itself or by the benchmark: a helper that only tests call
 belongs with the tests (see tests/reference.py), not in the shipped package.
 The same holds for every method of a class, other than dunder methods.
 Every PipelineConfig field is read by the package: a setting that nothing
-reads is a dead knob.  Every field is also a flag of each subcommand that
-takes a config: a field that only a file or a test sets is a constant
-spelled as a setting.  So is a parameter default that no call in the
-package or the benchmark overrides (a test is no caller), and so is a
-function argument that a call fills with one of the paper's fixed
-parameters (see tests/test_config.py).  Imports sit at module
-level, never in a function body, so a module's dependencies are all in its
-header.
+reads is a dead knob.  Every field is also a flag of run, eval and bench,
+the subcommands that build a PipelineConfig: a field that only a test sets
+is a constant spelled as a setting.  So is a parameter default that no
+call in the package or the benchmark overrides (a test is no caller), and
+so is a function argument that a call fills with one of the paper's fixed
+parameters (see tests/test_config.py).  Imports sit at module level, never
+in a function body, so a module's dependencies are all in its header.
 """
 
 import ast
@@ -128,27 +127,19 @@ def test_every_method_is_read_outside_tests():
 
 
 def attributes_read(tree):
-    """Attribute names loaded anywhere in a module, except inside
-    PipelineConfig.validate, which checks every field without using it."""
-    skipped = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "PipelineConfig":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "validate":
-                    skipped.update(id(sub) for sub in ast.walk(item))
+    """Attribute names loaded anywhere in a module."""
     return {
         node.attr
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        and id(node) not in skipped
     }
 
 
 def test_every_config_field_is_read():
     tree = ast.parse(
         "class PipelineConfig:\n"
-        "    def validate(self):\n        return self.checked\n"
         "    def use(self):\n        return self.used\n"
+        "    def set(self):\n        self.stored = 1\n"
     )
     assert attributes_read(tree) == {"used"}
     reads = set()
@@ -161,7 +152,7 @@ def test_every_config_field_is_a_flag():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     missing = [f"{name} --{f.name}"
-               for name in ("run", "eval", "bench", "config")
+               for name in ("run", "eval", "bench")
                for f in fields(PipelineConfig)
                if f"--{f.name}" not in commands[name]._option_string_actions]
     assert missing == []
