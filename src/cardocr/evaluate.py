@@ -65,10 +65,11 @@ MATCH_THRESHOLD = 0.5
 def region_eval(predicted, truth):
     """Region-level confusion counts.
 
-    `predicted` and `truth` are Region-like objects with .bbox and .kind.
-    A predicted TR matches a truth TR at overlap/union >= MATCH_THRESHOLD,
-    assigned greedily one-to-one by overlap.  Truth NRs are not counted: a
-    predicted TR over one is a false positive.
+    `predicted` and `truth` are Regions tables or any iterable of Region
+    (perfbench passes a list of the pipeline's text regions); only their
+    TRs are matched.  A predicted TR matches a truth TR at overlap/union >=
+    MATCH_THRESHOLD, assigned greedily one-to-one by overlap.  Truth NRs are
+    not counted: a predicted TR over one is a false positive.
     """
     pred_tr = [r.bbox for r in predicted if r.kind == TR]
     truth_tr = [r.bbox for r in truth if r.kind == TR]
@@ -110,9 +111,7 @@ def evaluate_suite(paths, cfg, store):
         truth_regions, transcript = synth.load_suite_truth(base)
         # handed over as the only reference, the image is freed once cropped
         result = pipeline.run_pipeline(imaging.load_pnm_file(base + ".ppm"), cfg, store)
-        counts = counts + region_eval(
-            [r.region for r in result.regions], truth_regions
-        )
+        counts = counts + region_eval(result.all_regions, truth_regions)
         truth = [scheme.apply(ch) for ch in transcript if not ch.isspace()]
         predicted = result.labels
         del result  # its crops would stay alive through the next card's load

@@ -3,10 +3,12 @@
 Cards are composed from the bundled bitmap font: text bands (optionally
 multi-line), filled decoy shapes standing in for logos, a global skew
 rotation per card, and additive Gaussian plus salt-and-pepper noise.  The
-ground truth (region boxes, skew angle, ink mask, transcript) is recorded
-before noise, so it is exact by construction.  render_region draws all text:
-a region is laid out once in font cells and scaled once, and a store glyph
-is a one-glyph region.  A rotated region's ink is what falls below
+ground truth is recorded before noise, so it is exact by construction: one
+Regions table of the card's boxes and kinds, the pipeline's own region
+record, each text region's lines as word lists, and the text ink mask.  The
+card's skew angle is its spec's.  render_region draws all text: a region is
+laid out once in font cells and scaled once, and a store glyph is a
+one-glyph region.  A rotated region's ink is what falls below
 imaging.midpoint of its two gray levels, the pipeline's own dark rule.
 Noise is apply_noise's alone, drawn over the whole card.
 """
@@ -22,7 +24,7 @@ from . import imaging
 from .fontdata import ALPHABET, GLYPH_ROWS, GLYPHS, TALL_CHARS, glyph_mask
 from .imaging import Rect
 from .recognize import build_store
-from .regions import BLOCK_SIZE, NR, TR, Regions, format_region_dump, parse_region_dump
+from .regions import BLOCK_SIZE, Regions, format_region_dump, parse_region_dump
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -97,21 +99,17 @@ class CardSpec:
 
 
 @dataclass
-class TruthRegion:
-    bbox: Rect
-    kind: str  # TR or NR
-    skew_deg: float = 0.0
-    lines: list = field(default_factory=list)  # list of word lists
-
-
-@dataclass
 class GroundTruth:
-    regions: list = field(default_factory=list)
-    mask: np.ndarray = None  # bool, text ink only, pre-noise
+    """A rendered card's truth.  `regions` is one Regions table, every band
+    (TR) then every decoy (NR) in spec order; only the boxes and kinds are
+    truth, the other columns are informational: the BLOCK_SIZE blocks a
+    box spans, its aspect ratio, the ink share of the box and 1.  `lines`
+    holds each TR's lines as word lists, in table order, and `mask` the
+    bool text ink, before noise."""
 
-    @property
-    def text_regions(self):
-        return [r for r in self.regions if r.kind == TR]
+    regions: Regions
+    lines: list
+    mask: np.ndarray
 
 
 @dataclass
@@ -187,11 +185,11 @@ def render_card(spec, seed=0):
     """Render a card from its spec.  Returns (color image, GroundTruth)."""
     canvas = np.full((spec.height, spec.width), spec.background, dtype=np.uint8)
     mask = np.zeros((spec.height, spec.width), dtype=bool)
-    truth = GroundTruth(regions=[], mask=None)
+    boxes, lines = [], []  # (x, y, w, h) of every band, then of every decoy
 
     for band in spec.bands:
-        lines = [ln for ln in band.text.split("\n") if ln.strip()]
-        render = render_region(lines, band.scale, skew_deg=spec.skew_deg,
+        text = [ln for ln in band.text.split("\n") if ln.strip()]
+        render = render_region(text, band.scale, skew_deg=spec.skew_deg,
                                fg=spec.foreground, bg=spec.background,
                                margin_cells=1)
         stamp = render.image
@@ -211,10 +209,8 @@ def render_card(spec, seed=0):
         y1 = max(0, band.y + int(rows[0]) - pad)
         x2 = min(spec.width, band.x + int(cols[-1]) + 1 + pad)
         y2 = min(spec.height, band.y + int(rows[-1]) + 1 + pad)
-        rect = Rect(x1, y1, x2 - x1, y2 - y1)
-        truth.regions.append(TruthRegion(bbox=rect, kind=TR,
-                                         skew_deg=spec.skew_deg,
-                                         lines=render.words_per_line))
+        boxes.append((x1, y1, x2 - x1, y2 - y1))
+        lines.append(render.words_per_line)
 
     for decoy in spec.decoys:
         r = decoy.rect
@@ -229,9 +225,18 @@ def render_card(spec, seed=0):
             canvas[r.y : r.y2, r.x : r.x2][inside] = DECOY_INTENSITY
         else:
             raise ValueError(f"unknown decoy shape {decoy.shape!r}")
-        truth.regions.append(TruthRegion(bbox=r, kind=NR))
+        boxes.append((r.x, r.y, r.w, r.h))
 
-    truth.mask = mask
+    x, y, w, h = np.array(boxes, dtype=np.intp).reshape(-1, 4).T
+    truth = GroundTruth(regions=Regions(
+        x=x, y=y, w=w, h=h,
+        area=-(-w // BLOCK_SIZE) * -(-h // BLOCK_SIZE),
+        aspect_ratio=w / h,
+        info_pixel_density=np.array([mask[by : by + bh, bx : bx + bw].mean()
+                                     for bx, by, bw, bh in boxes]),
+        coverage_ratio=np.ones(len(boxes)),
+        text=np.arange(len(boxes)) < len(lines),
+    ), lines=lines, mask=mask)
     if spec.noise_sigma > 0 or spec.salt_pepper > 0:
         rng = np.random.default_rng(seed)
         canvas = apply_noise(canvas, rng, spec.noise_sigma, spec.salt_pepper)
@@ -420,7 +425,7 @@ def generate_suite(out_dir, params):
         imaging.save_pnm_file(base + ".ppm", color)
         imaging.save_pnm_file(base + ".mask.pgm", truth.mask)
         with open(base + ".regions.txt", "w") as fh:
-            fh.write(format_truth_regions(truth))
+            fh.write(format_region_dump(truth.regions))
         with open(base + ".truth.txt", "w") as fh:
             fh.write(truth_transcript(truth))
     manifest = {
@@ -443,29 +448,10 @@ def generate_suite(out_dir, params):
     return manifest
 
 
-def format_truth_regions(truth):
-    """Ground-truth regions in the region dump format.  Only the boxes and
-    kinds are truth; the other fields are informational: the BLOCK_SIZE
-    blocks the box spans, its aspect ratio, the ink share of the box and 1."""
-    boxes = [r.bbox for r in truth.regions]
-    x, y, w, h = (np.array([getattr(b, k) for b in boxes], dtype=np.intp) for k in "xywh")
-    windows = [truth.mask[b.y : b.y2, b.x : b.x2] for b in boxes]
-    return format_region_dump(Regions(
-        x=x, y=y, w=w, h=h,
-        area=-(-w // BLOCK_SIZE) * -(-h // BLOCK_SIZE),
-        aspect_ratio=w / h,
-        info_pixel_density=np.array([win.mean() if win.size else 0.0 for win in windows]),
-        coverage_ratio=np.ones(len(boxes)),
-        text=np.array([r.kind == TR for r in truth.regions], dtype=bool),
-    ))
-
-
 def truth_transcript(truth):
     """Transcript of the text regions: words joined by spaces, lines by
     newlines, regions by blank lines."""
-    blocks = []
-    for region in truth.text_regions:
-        blocks.append("\n".join(" ".join(words) for words in region.lines))
+    blocks = ["\n".join(" ".join(words) for words in lines) for lines in truth.lines]
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 

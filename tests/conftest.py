@@ -6,7 +6,7 @@ from cardocr import recognize, synth
 @pytest.fixture(scope="session")
 def store():
     """The default font-derived template store (73 classes x 10 templates)."""
-    return synth.build_font_store(seed=7)
+    return synth.build_font_store()
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,12 @@
 
 The digests cover the transcript and every `run --dump-stages` file of the
 criterion-9 card, of a card whose regions hold two lines each and of the
-first cards of six synthetic suites, every file `generate_suite` writes for
-those suites (cards, ink masks, truth regions, transcripts, manifest), the
-`eval` report of one of them, the band and glyph dumps of two rendered
-regions in which a thin candidate band merges into a neighbour, and the
-files of the default template store.  tests/test_golden.py recomputes them
+first cards of six synthetic suites, the truth regions and transcript that
+`render_card` returns for those two cards, every file `generate_suite`
+writes for the suites (cards, ink masks, truth regions, transcripts,
+manifest), the `eval` report of one of them, the band and glyph dumps of
+two rendered regions in which a thin candidate band merges into a
+neighbour, and the files of the default template store.  tests/test_golden.py recomputes them
 and compares with tests/golden.txt, so any change to a transcript, a stage
 dump, an `eval` report or the generator's output (the store, the suite
 files, and the cards whose crops are dumped) fails tier-1 until the file is
@@ -31,6 +32,7 @@ import tempfile
 import numpy as np
 
 from cardocr import binarize, evaluate, imaging, pipeline, recognize, segment, synth
+from cardocr import regions as rg
 from cardocr.config import PipelineConfig
 from cardocr.synth import Band, CardSpec
 from reference import to_gray
@@ -110,6 +112,13 @@ def _region_digests(name, lines, scale):
             f"{name}.glyphs.txt": _sha256(segment.format_glyph_dump(glyphs).encode())}
 
 
+def _truth_digests(name, truth):
+    """{'<name>/truth.regions.txt' and '<name>/truth.txt': sha256} of a
+    rendered card's ground truth, as `generate_suite` writes it."""
+    return {f"{name}/truth.regions.txt": _sha256(rg.format_region_dump(truth.regions).encode()),
+            f"{name}/truth.txt": _sha256(synth.truth_transcript(truth).encode())}
+
+
 def _store_digests(store, workdir):
     """{'store/<file>': sha256} of the store's files, as save_store writes them."""
     out = os.path.join(workdir, "store")
@@ -119,13 +128,15 @@ def _store_digests(store, workdir):
 
 def compute_digests(store, workdir):
     """Every golden digest, keyed by file name, computed under `workdir`;
-    `store` is the default one, synth.build_font_store(seed=7)."""
+    `store` is the default one, synth.build_font_store()."""
     cfg = PipelineConfig()
-    color, _ = synth.render_card(CRITERION_9_SPEC, seed=3)
+    color, truth = synth.render_card(CRITERION_9_SPEC, seed=3)
     digests = _card_digests("criterion9", to_gray(color), cfg, store, workdir)
+    digests.update(_truth_digests("criterion9", truth))
     digests.update(_store_digests(store, workdir))
-    color, _ = synth.render_card(TWO_LINE_SPEC, seed=5)
+    color, truth = synth.render_card(TWO_LINE_SPEC, seed=5)
     digests.update(_card_digests("two_line", to_gray(color), cfg, store, workdir))
+    digests.update(_truth_digests("two_line", truth))
     for name, (lines, scale) in MERGE_REGIONS.items():
         digests.update(_region_digests(name, lines, scale))
     for suite, params in SUITES.items():
@@ -157,7 +168,7 @@ def parse_golden(text):
 
 def main():
     with tempfile.TemporaryDirectory() as workdir:
-        digests = compute_digests(synth.build_font_store(seed=7), workdir)
+        digests = compute_digests(synth.build_font_store(), workdir)
     GOLDEN.write_text(format_golden(digests))
     print(f"wrote {len(digests)} digests to {GOLDEN} ({versions()})")
 

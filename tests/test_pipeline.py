@@ -74,7 +74,7 @@ class TestRunPipeline:
         result = pipeline.run_pipeline(to_gray(color), cfg, store)
         assert len(result.regions) == 2
         assert "\n\n" in result.transcript
-        counts = ev.region_eval([r.region for r in result.regions], truth.regions)
+        counts = ev.region_eval(result.all_regions, truth.regions)
         assert counts.fp == 0 and counts.fn == 0
 
     def test_gray_input_accepted(self, cfg, store, card_file):

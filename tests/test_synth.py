@@ -57,7 +57,8 @@ class TestRenderCard:
         color, truth = synth.render_card(spec)
         assert color.shape == (64, 64, 3)
         assert (color == spec.background).all()
-        assert truth.regions == []
+        assert len(truth.regions) == 0
+        assert truth.lines == []
         assert not truth.mask.any()
 
     def test_mask_equals_ink_union(self):
@@ -67,13 +68,7 @@ class TestRenderCard:
         gray = to_gray(color)
         assert np.array_equal(truth.mask, gray == spec.foreground)
         assert truth.regions[0].kind == "TR"
-        assert truth.regions[0].lines == [["OCR", "2010"]]
-
-    def test_skew_angle_recorded(self):
-        spec = CardSpec(width=500, height=200, skew_deg=7.0,
-                        bands=[Band(text="Skewed", x=30, y=30, scale=4)])
-        _, truth = synth.render_card(spec)
-        assert truth.regions[0].skew_deg == 7.0
+        assert truth.lines[0] == [["OCR", "2010"]]
 
     def test_band_outside_canvas(self):
         spec = CardSpec(width=60, height=40,
@@ -152,6 +147,24 @@ class TestRenderCard:
         _, noisy = synth.render_card(CardSpec(**base, noise_sigma=15.0), seed=3)
         assert np.array_equal(clean.mask, noisy.mask)
         assert clean.regions[0].bbox == noisy.regions[0].bbox
+
+
+class TestTruthTranscript:
+    def test_words_lines_and_text_regions(self):
+        # words are joined by spaces, lines by newlines and text regions by
+        # a blank line; a decoy adds nothing
+        spec = CardSpec(width=600, height=400,
+                        bands=[Band(text="OCR  2010\nKolkata", x=20, y=20, scale=3),
+                               Band(text="Phone 22\nJU", x=20, y=150, scale=3)],
+                        decoys=[Decoy(shape="rect", rect=Rect(400, 250, 100, 100))])
+        _, truth = synth.render_card(spec)
+        assert synth.truth_transcript(truth) == "OCR 2010\nKolkata\n\nPhone 22\nJU\n"
+
+    def test_no_bands(self):
+        spec = CardSpec(width=300, height=300,
+                        decoys=[Decoy(shape="ellipse", rect=Rect(40, 40, 120, 80))])
+        _, truth = synth.render_card(spec)
+        assert synth.truth_transcript(truth) == ""
 
 
 class TestRegionRender:
@@ -299,7 +312,7 @@ def test_truth_regions_match_per_region_formula():
     for k, seed in enumerate(seeds):
         spec = synth.random_card_spec(np.random.default_rng(seed), params)
         _, truth = synth.render_card(spec, seed=k)
-        text = synth.format_truth_regions(truth)
+        text = synth.format_region_dump(truth.regions)
         assert text == region_dump(truth_region_rows(truth))
         back = synth.parse_region_dump(text)
         assert [(r.bbox, r.kind) for r in back] == [(r.bbox, r.kind) for r in truth.regions]
