@@ -246,20 +246,6 @@ def _rotation_frame(h, w, angle_deg):
     return c, s, h + 2 * pad_y, w + 2 * pad_x
 
 
-def rotate_points(shape, angle_deg, rows, cols):
-    """Where rotate(img, angle_deg) puts the centres of the pixels at
-    (rows, cols) of an image of `shape`: the forward map of the geometry
-    rotate inverts.  Returns ((out_h, out_w), rows, cols), the mapped
-    coordinates as float64 arrays; angle 0 maps every pixel onto itself."""
-    h, w = shape
-    c, s, out_h, out_w = _rotation_frame(h, w, angle_deg)
-    u = cols - (w - 1) / 2.0
-    v = rows - (h - 1) / 2.0
-    out_cols = (out_w - 1) / 2.0 + c * u + s * v
-    out_rows = (out_h - 1) / 2.0 - s * u + c * v
-    return (out_h, out_w), out_rows, out_cols
-
-
 def rotate(img, angle_deg, fill=255):
     """Rotate a gray image by `angle_deg` counter-clockwise (as displayed).
 

@@ -237,6 +237,6 @@ def dump_stages(result, directory):
         imaging.save_pnm_file(path(f"region_{i}.pgm"), r.crop)
         imaging.save_pnm_file(path(f"region_{i}.deskewed.pgm"), r.deskewed)
         imaging.save_pnm_file(path(f"region_{i}.bin.pgm"), r.binary)
-        write(f"region_{i}.profile.txt", skew.format_profile_dump(r.crop, r.angle))
+        write(f"region_{i}.profile.txt", skew.format_profile_dump(r.crop))
         write(f"region_{i}.bands.txt", sg.format_band_dump(result.bands[band_tr == i, 1:]))
         write(f"region_{i}.glyphs.txt", sg.format_glyph_dump(result.glyphs[glyph_tr == i]))

@@ -52,16 +52,17 @@ SUITES = {
     "scale2": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2, scales=(2,)),
     "scale8": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2, scales=(8,),
                                 width=2048, height=1536),
-    # Not a table suite: 1% salt-and-pepper makes cards 2 and 4 each refuse
-    # a second skew pass at the clamp, a branch the suites above never reach.
+    # Not a table suite: under 1% salt-and-pepper, card 2's one text region
+    # runs the skew search into the clamp (+20.0, its stages cut to 7 and 11
+    # angles).
     "saltpepper1": synth.SuiteParams(count=CARDS_PER_SUITE, skew_min=-2, skew_max=2,
                                      salt_pepper_min=0.01, salt_pepper_max=0.01),
 }
 EVAL_SUITE = "skew10"
 
-# Two text regions of two lines each, the card of the xfailed
-# test_two_line_regions_keep_both_bands (seed 5).  Its second region keeps
-# both bands, so the line merge loop sees more than one candidate band.
+# Two text regions of two lines each, the card of
+# test_two_line_regions_keep_both_bands (seed 5).  Both regions keep both
+# bands, so the line merge loop sees more than one candidate band.
 TWO_LINE_SPEC = CardSpec(width=1000, height=600, skew_deg=1.5, noise_sigma=2.0, bands=[
     Band("Ayatullah Faruk Mollah\nSchool of Mobile Computing", 60, 80, 4),
     Band("Phone: +91 33 2414 6666\nwww.jaduniv.edu.in", 80, 330, 4),

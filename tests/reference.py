@@ -99,26 +99,19 @@ def merge_thin_bands(bands, r_min):
     return bands
 
 
-def _pair_angle(col_a, h_a, col_b, h_b):
-    return math.degrees(math.atan((h_b - h_a) / (col_b - col_a)))
-
-
-def three_anchor_skew(cols, heights):
-    """Skew in degrees of a profile with strictly increasing columns, one
-    anchor at a time: the end columns and the first column nearest their
-    midpoint, and the mean of the anchors' three pairwise angles."""
-    cols, heights = [int(c) for c in cols], [float(h) for h in heights]
-    c1, h1, c2, h2 = cols[0], heights[0], cols[-1], heights[-1]
-    mid = (c1 + c2) / 2.0
-    i3 = min(range(len(cols)), key=lambda i: abs(cols[i] - mid))
-    c3, h3 = cols[i3], heights[i3]
-    if len({c1, c2, c3}) != 3:
-        raise ValueError("anchor columns are not pairwise distinct")
-    return (
-        _pair_angle(c1, h1, c3, h3)
-        + _pair_angle(c3, h3, c2, h2)
-        + _pair_angle(c1, h1, c2, h2)
-    ) / 3.0
+def projection_energy(dark, angle_deg):
+    """Energy of the horizontal projection profile of a bool mask at
+    `angle_deg`, one dark pixel at a time: each dark pixel at (row, col) is
+    counted in bin row + floor(col tan a + 0.5), and the energy is the sum
+    of the squared bin counts.  The tangent is taken as skew takes it, of an
+    array of angles."""
+    rows, cols = np.nonzero(dark)
+    if len(rows) == 0:
+        return 0
+    tan = np.tan(np.radians(np.array([angle_deg], dtype=np.float64)))[0]
+    bins = rows + np.floor(cols * tan + 0.5).astype(np.int64)
+    counts = np.bincount(bins - bins.min()).astype(np.int64)
+    return int((counts * counts).sum())
 
 
 def classify_region(row):
@@ -308,6 +301,20 @@ def _canvas(img, angle_deg):
     pad_x = max(0, int(math.ceil((w * abs(c) + h * abs(s) - w) / 2 - 1e-9)))
     pad_y = max(0, int(math.ceil((w * abs(s) + h * abs(c) - h) / 2 - 1e-9)))
     return c, s, h + 2 * pad_y, w + 2 * pad_x
+
+
+def rotate_points(shape, angle_deg, rows, cols):
+    """Where imaging.rotate(img, angle_deg) puts the centres of the pixels
+    at (rows, cols) of an image of `shape`: the forward map of the geometry
+    rotate inverts.  Returns ((out_h, out_w), rows, cols), the mapped
+    coordinates as float64 arrays; angle 0 maps every pixel onto itself."""
+    h, w = shape
+    c, s, out_h, out_w = _canvas(np.zeros(shape, np.uint8), angle_deg)
+    u = cols - (w - 1) / 2.0
+    v = rows - (h - 1) / 2.0
+    out_cols = (out_w - 1) / 2.0 + c * u + s * v
+    out_rows = (out_h - 1) / 2.0 - s * u + c * v
+    return (out_h, out_w), out_rows, out_cols
 
 
 def fixed_rotate(img, angle_deg, fill=255):

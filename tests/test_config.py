@@ -19,8 +19,10 @@ FIXED = [
     (regions, "DENS_MAX", 0.6),
     (regions, "COV_MIN", 0.5),
     (skew, "SKEW_CLAMP", 20.0),
-    (skew, "SKEW_PASSES", 3),
-    (skew, "CONVERGENCE_DEG", 0.05),
+    (skew, "COARSE_STEP", 0.5),
+    (skew, "COARSE_HALF_WIDTH", 3.0),
+    (skew, "FINE_STEP", 0.05),
+    (skew, "FINE_HALF_WIDTH", 0.5),
     (segment, "LINE_THRESHOLD", 0),
     (segment, "R_MIN", 0.5),
     (segment, "WORD_GAP_FACTOR", 2.0),

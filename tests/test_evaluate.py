@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,35 @@ class TestEvaluateSuite:
             imaging.load_pnm_file(base + ".ppm"), cfg, store))[1] for base in paths)
         assert card > 3_145_728  # the 2048x1536 gray image
         assert suite <= card + (1 << 16)
+
+
+class TestMisalignedCard:
+    def test_every_char_of_a_misaligned_card_is_wrong(self, store, tmp_path, monkeypatch):
+        # the second card reads one glyph more than its truth holds: none of
+        # its characters is compared, all of them count as wrong, and
+        # chars_aligned leaves them out
+        synth.generate_suite(tmp_path, synth.SuiteParams(count=2, seed=3))
+        paths = synth.suite_card_paths(tmp_path)
+        cfg = PipelineConfig()
+        sizes = [sum(not ch.isspace() for ch in synth.load_suite_truth(base)[1])
+                 for base in paths]
+        first = dict(ev.evaluate_suite(paths[:1], cfg, store))
+        assert first["chars_aligned"] == sizes[0]
+        run, calls = pipeline.run_pipeline, []
+
+        def one_glyph_more_on_card_2(image, cfg, store):
+            result = run(image, cfg, store)
+            calls.append(None)
+            if len(calls) == 2:
+                return dataclasses.replace(result, labels=result.labels + ["X"])
+            return result
+
+        monkeypatch.setattr(pipeline, "run_pipeline", one_glyph_more_on_card_2)
+        report = dict(ev.evaluate_suite(paths, cfg, store))
+        assert report["chars_total"] == sum(sizes)
+        assert report["chars_aligned"] == sizes[0]
+        correct = first["accuracy"] * sizes[0] / 100
+        assert report["accuracy"] == pytest.approx(100 * correct / sum(sizes))
 
 
 class TestCounts:

@@ -9,7 +9,7 @@ from cardocr import imaging
 from cardocr.fontdata import glyph_mask
 from cardocr.imaging import PnmError, Rect
 
-from reference import fixed_rotate, load_pnm, to_gray
+from reference import fixed_rotate, load_pnm, rotate_points, to_gray
 
 # Longer than the buffer of a file opened for binary reads.
 LONG_RUN = io.DEFAULT_BUFFER_SIZE + 100
@@ -528,7 +528,7 @@ class TestRotate:
     def test_empty_source(self, shape, angle):
         # an empty source gives the canvas of its bounding box, all fill
         out = imaging.rotate(np.zeros(shape, np.uint8), angle, 90)
-        assert out.shape == imaging.rotate_points(shape, angle, np.zeros(0), np.zeros(0))[0]
+        assert out.shape == imaging._rotation_frame(*shape, angle)[2:]
         assert np.array_equal(out, fixed_rotate(np.zeros(shape, np.uint8), angle, 90))
         assert (out == 90).all()
 
@@ -538,7 +538,7 @@ class TestRotate:
         # taps of far-outside points past the padding; the clip bound is the
         # largest float32 below w + 1
         out = imaging.rotate(np.zeros(shape, np.uint8), angle)
-        assert out.shape == imaging.rotate_points(shape, angle, np.zeros(0), np.zeros(0))[0]
+        assert out.shape == imaging._rotation_frame(*shape, angle)[2:]
         assert out[0, 0] == out[-1, -1] == 255
         oh, ow = out.shape
         assert out[oh // 2, ow // 2] == 0
@@ -619,11 +619,14 @@ class TestRotateStrips:
 
 
 class TestRotatePoints:
+    """The forward map of rotate's geometry (tests/reference.py) against
+    rotate itself."""
+
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(30)
         rows = rng.integers(0, 15, 50)
         cols = rng.integers(0, 33, 50)
-        shape, out_rows, out_cols = imaging.rotate_points((15, 33), 0.0, rows, cols)
+        shape, out_rows, out_cols = rotate_points((15, 33), 0.0, rows, cols)
         assert shape == (15, 33)
         assert np.array_equal(out_rows, rows) and np.array_equal(out_cols, cols)
 
@@ -632,7 +635,8 @@ class TestRotatePoints:
         for _ in range(50):
             h, w = (int(v) for v in rng.integers(1, 80, size=2))
             angle = float(rng.uniform(-45, 45))
-            shape, _, _ = imaging.rotate_points((h, w), angle, np.zeros(0), np.zeros(0))
+            shape, _, _ = rotate_points((h, w), angle, np.zeros(0), np.zeros(0))
+            assert shape == imaging._rotation_frame(h, w, angle)[2:]
             assert shape == imaging.rotate(np.zeros((h, w), np.uint8), angle).shape
 
     def test_inverse_map_of_rotate_returns_the_points(self):
@@ -642,7 +646,7 @@ class TestRotatePoints:
         for angle in (-44.0, -7.5, 0.3, 12.0, 45.0):
             h, w = 37, 90
             rows, cols = rng.integers(0, h, 40), rng.integers(0, w, 40)
-            (oh, ow), y, x = imaging.rotate_points((h, w), angle, rows, cols)
+            (oh, ow), y, x = rotate_points((h, w), angle, rows, cols)
             c, s = np.cos(np.radians(angle)), np.sin(np.radians(angle))
             dx, dy = x - (ow - 1) / 2, y - (oh - 1) / 2
             assert np.allclose((w - 1) / 2 + dx * c - dy * s, cols, atol=1e-9)
@@ -653,6 +657,6 @@ class TestRotatePoints:
             img = np.zeros((25, 60), np.uint8)
             img[4, 50] = 255
             out = imaging.rotate(img, angle, fill=0)
-            _, y, x = imaging.rotate_points(img.shape, angle, np.array([4]), np.array([50]))
+            _, y, x = rotate_points(img.shape, angle, np.array([4]), np.array([50]))
             peak = np.unravel_index(np.argmax(out), out.shape)
             assert abs(peak[0] - y[0]) <= 1.0 and abs(peak[1] - x[0]) <= 1.0

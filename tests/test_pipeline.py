@@ -122,11 +122,9 @@ class TestRunPipeline:
         assert len(result.glyphs) == len(result.glyph_band) == 7
         assert result.labels == list("OCR2OIO")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: at small card skew the bottom-profile estimate of a "
-        "two-line region is off (-0.76 and -0.93 deg here for +1.5), so the "
-        "first region's two lines merge into one band"))
     def test_two_line_regions_keep_both_bands(self, cfg, store):
+        # at +1.5 degrees the two lines of a region stay two bands only
+        # once the region is turned level
         spec = CardSpec(width=1000, height=600, skew_deg=1.5, noise_sigma=2.0, bands=[
             Band("Ayatullah Faruk Mollah\nSchool of Mobile Computing", 60, 80, 4),
             Band("Phone: +91 33 2414 6666\nwww.jaduniv.edu.in", 80, 330, 4),
@@ -357,11 +355,10 @@ class TestDumps:
         glyph_rows = (out / "region_0.glyphs.txt").read_text().strip().splitlines()
         assert len(glyph_rows) == 7
 
-    @pytest.mark.parametrize("dark_cols", [0, 2])
+    @pytest.mark.parametrize("dark_cols", [0])
     def test_degenerate_profile_dump_is_empty(self, tmp_path, dark_cols):
-        # a constant crop has no dark pixel, and two dark columns are fewer
-        # than the three a profile fit retains: either way profile.txt is
-        # written, and empty
+        # a constant crop has no dark pixel, so the skew search tries no
+        # angle: profile.txt is written, and empty
         crop = np.full((20, 30), 200, dtype=np.uint8)
         crop[15, :dark_cols] = 20
         region = rg.Region(bbox=Rect(0, 0, 30, 20))
