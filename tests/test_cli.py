@@ -424,10 +424,11 @@ class TestEval:
         assert float(values["accuracy"]) >= 95.0
         assert values["chars_aligned"] == values["chars_total"]
 
-    def test_small_skew_suite_aligns_every_char(self, store_dir, tmp_path, capsys):
-        # with +/-2 degree skew every card reads as many glyphs as its truth
-        # holds, so all 111 characters are compared (a misaligned card is
-        # covered by test_evaluate.py)
+    def test_misaligned_suite_golden(self, store_dir, tmp_path, capsys):
+        # the report of a suite of cards set at up to +/-2 degrees: every
+        # card reads as many glyphs as its truth holds, so all 111
+        # characters are compared (a card whose glyph count is off the
+        # truth's is covered by test_evaluate.py)
         suite = tmp_path / "suite"
         assert cli.main(["synth", str(suite), "--count", "4", "--seed", "3",
                          "--skew-min", "-2", "--skew-max", "2"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,21 @@ def counting_rotations(monkeypatch):
     monkeypatch.setattr(skew.imaging, "rotate",
                         lambda *a, **k: rotations.append(a) or rotate(*a, **k))
     return rotations
+
+
+def recording_searches(monkeypatch):
+    """Patch skew.estimate_region_skew to record the dark mask of every
+    call and the angle it read; returns the list they go into."""
+    calls = []
+    search = skew.estimate_region_skew
+
+    def recording(dark):
+        result = search(dark)
+        calls.append((dark, result[0]))
+        return result
+
+    monkeypatch.setattr(skew, "estimate_region_skew", recording)
+    return calls
 
 
 def random_masks(rng, count):
@@ -93,6 +109,48 @@ class TestProfileEnergies:
     def test_column_sums(self):
         dark = np.array([[1, 0, 1], [0, 1, 1]], bool)
         assert skew.column_sums(dark).tolist() == [[0, 0], [1, 0], [1, 1], [2, 2]]
+
+
+class TestProfileStats:
+    """The energy, the one statistic the search reads off a projection
+    profile, on profiles small enough to add up by hand."""
+
+    def energies(self, dark, angles):
+        return skew.profile_energies(skew.column_sums(dark), angles).tolist()
+
+    def test_hand_case(self):
+        # rows of 2, 2, 2 and 10 dark pixels: 4 + 4 + 4 + 100 at 0 degrees
+        dark = np.zeros((4, 10), bool)
+        dark[:3, :2] = True
+        dark[3, :] = True
+        assert self.energies(dark, [0.0]) == [112]
+        # a level row of 4 at +/-20 degrees (tan 0.364): offsets 0, 0, 1, 1
+        # and 0, 0, -1, -1 split it into two bins of 2
+        assert self.energies(np.ones((1, 4), bool), [0.0, 20.0, -20.0]) == [16, 8, 8]
+
+    def test_constant(self):
+        # every row of 5: until 4 tan a reaches 0.5 (7.1 degrees) no column
+        # leaves its row's bin, and the energy stays 3 * 25
+        dark = np.ones((3, 5), bool)
+        assert self.energies(dark, [-7.0, -3.0, 0.0, 3.0, 7.0]) == [75] * 5
+        # at 7.5 degrees column 4 moves one bin down: bins of 4, 5, 5 and 1
+        assert self.energies(dark, [7.5]) == [16 + 25 + 25 + 1]
+
+    def test_two_values(self):
+        # rows alternating 0 and 10 dark pixels: 2 * 100 at 0 degrees; at
+        # 6.5 degrees (tan 0.114) columns 5-9 move one bin down and each
+        # row splits into two bins of 5
+        dark = np.zeros((4, 10), bool)
+        dark[1::2] = True
+        assert self.energies(dark, [0.0, 6.5]) == [200, 100]
+
+    def test_empty(self):
+        # no dark pixel: zero energy at every angle, and the search tries
+        # none
+        dark = np.zeros((6, 9), bool)
+        assert self.energies(dark, [-20.0, 0.0, 0.05, 20.0]) == [0, 0, 0, 0]
+        angle, angles, energies = skew.estimate_region_skew(dark)
+        assert (angle, angles.tolist(), energies.tolist()) == (0.0, [], [])
 
 
 class TestEstimate:
@@ -152,6 +210,24 @@ class TestEstimate:
         # columns' rounding
         img = synth.render_region(["School of Mobile Computing"], 3, skew_deg=6.0).image
         assert estimate(img[:, ::-1]) == pytest.approx(-estimate(img), abs=0.1)
+
+    def test_linear_profile_pairwise_angles_agree(self):
+        # dots on a 0.2 line (11.31 degrees) at columns 0 to 40: every pair
+        # of them shares a bin from 10.62 to 12.0 degrees, so the search
+        # reads that plateau's smallest fine angle, 10.65, with or without
+        # the dots between the ends
+        def dots(cols, heights):
+            present = [c in cols for c in range(cols[-1] + 1)]
+            col_heights = [heights[cols.index(c)] if c in cols else 0
+                           for c in range(cols[-1] + 1)]
+            return region_from_heights(col_heights, height=20, present=present)
+
+        line = math.degrees(math.atan(0.2))
+        assert projection_energy(imaging.dark_mask(dots([0, 20, 40], [0, 4, 8])), line) == 9
+        assert estimate(dots([0, 10, 20, 30, 40], [0, 2, 4, 6, 8])) == pytest.approx(10.65)
+        assert estimate(dots([0, 20, 40], [0, 4, 8])) == pytest.approx(10.65)
+        # moving the middle dot off the line moves the estimate
+        assert estimate(dots([0, 20, 40], [0, 5, 8])) != pytest.approx(10.65, abs=1.0)
 
     def test_too_few_entries(self):
         # one dark pixel projects to one bin at every angle: exactly 0
@@ -265,6 +341,39 @@ class TestDeskew:
             assert np.abs(angles).max() == skew.SKEW_CLAMP
             assert 19.0 <= abs(angle) <= skew.SKEW_CLAMP
 
+    def test_converged_total_is_not_rotated_again(self, monkeypatch):
+        # a band deskew has turned upright reads exactly 0 on a second
+        # deskew, which hands it back without a second rotation
+        for skew_deg in (3.0, -4.0, 7.0):
+            img = self.band("Business Card Reader 2010", skew_deg=skew_deg, sigma=4.0, seed=7)
+            corrected, angle = skew.deskew(img)
+            assert angle == pytest.approx(skew_deg, abs=0.1)
+            rotations = counting_rotations(monkeypatch)
+            out, again = skew.deskew(corrected)
+            assert again == 0.0
+            assert out is corrected
+            assert rotations == []
+            monkeypatch.undo()
+
+    def test_every_pass_estimates_at_the_running_total(self, monkeypatch):
+        # deskew is one pass: one search, on the dark mask of the crop
+        # itself (a running total of 0), whose angle it returns
+        img = self.band("Center for Microprocessor Application 2010",
+                        skew_deg=7.0, sigma=4.0, seed=3)
+        calls = recording_searches(monkeypatch)
+        _, angle = skew.deskew(img)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], imaging.dark_mask(img))
+        assert angle == calls[0][1]
+
+    def test_single_pass_mode(self, monkeypatch):
+        # the one pass reads a 3 degree band within a fine step
+        img = self.band("Business Card Reader 2010", skew_deg=3.0, seed=6)
+        calls = recording_searches(monkeypatch)
+        _, angle = skew.deskew(img)
+        assert len(calls) == 1
+        assert angle == pytest.approx(3.0, abs=0.1)
+
     def test_fill_is_the_light_pixel_mean(self, monkeypatch):
         # the fill from integer sums over the dark mask equals the float
         # mean of the not-dark pixels, on seeded skewed, noisy bands
@@ -303,6 +412,18 @@ class TestDump:
         assert [int(e) for _, e in rows[:-1]] == energies.tolist()
         assert rows[-1] == ["%.2f" % angle]
 
+    def test_absent_columns_have_no_row(self):
+        # the curve has one row per angle tried, none per column, and
+        # columns with no dark pixel right of the ink change no row
+        heights = [2, 0, 2, 2, 2, 3, 3, 3, 3, 3]
+        present = [True, False] + [True] * 8
+        text = skew.format_profile_dump(region_from_heights(heights, height=20, present=present))
+        assert len(text.splitlines()) == 13 + 21 + 1
+        for absent in (1, 7, 40):
+            wider = region_from_heights(heights + [0] * absent, height=20,
+                                        present=present + [False] * absent)
+            assert skew.format_profile_dump(wider) == text
+
     @pytest.mark.parametrize("heights", [[]])
     def test_degenerate_fit_is_empty(self, heights):
         # no dark pixel (a constant region): no curve
@@ -338,3 +459,13 @@ class TestCriterion9Card:
         assert [angle for _, angle in outs] == [0.0] * 5
         assert all(out is crop for (out, _), crop in zip(outs, crops))
         assert rotations == []
+
+    def test_single_pass_keeps_total_and_output(self, crops, monkeypatch):
+        # one search per crop: each keeps the total 0 and the crop's bytes
+        calls = recording_searches(monkeypatch)
+        outs = [skew.deskew(crop) for crop in crops]
+        assert [angle for _, angle in calls] == [0.0] * 5
+        assert all(np.array_equal(dark, imaging.dark_mask(crop))
+                   for (dark, _), crop in zip(calls, crops))
+        assert [hashlib.sha256(out.tobytes()).hexdigest() for out, _ in outs] == [
+            hashlib.sha256(crop.tobytes()).hexdigest() for crop in crops]
