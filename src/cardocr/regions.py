@@ -3,7 +3,9 @@
 The gray image is tiled into fixed-size blocks, each block is labeled as
 information or background by its intensity variation, 8-connected groups of
 information blocks become regions, and every region is classified as text
-(TR) or non-text (NR) from cheap geometric features.  A set of regions is
+(TR) or non-text (NR) from cheap geometric features: first by its shape
+(area, aspect ratio and coverage), which reads no pixel, then, for the
+regions that pass, by the density of its dark pixels.  A set of regions is
 one table of parallel arrays (Regions): extraction builds, measures and
 gates it in one pass over the grid's runs of information blocks, and the
 region dump, which is also the suite truth format, writes and reads it.  A
@@ -66,11 +68,12 @@ class Region:
 class Regions:
     """A set of regions as parallel arrays: the box x, y, w, h and the
     member block count `area` (int), the float64 features aspect_ratio
-    (w / h), info_pixel_density (dark share of the member pixels) and
-    coverage_ratio (member pixels over box pixels), and `text`, True for a
-    TR.  A card's table is ordered top-to-bottom then left-to-right by
-    bounding-box origin.  Indexing and iterating build one Region at a
-    time."""
+    (w / h), info_pixel_density (dark share of the member pixels; NaN in an
+    extracted table where the shape gate rejected the region before its
+    pixels were read) and coverage_ratio (member pixels over box pixels),
+    and `text`, True for a TR.  A card's table is ordered top-to-bottom
+    then left-to-right by bounding-box origin.  Indexing and iterating
+    build one Region at a time."""
 
     x: np.ndarray
     y: np.ndarray
@@ -244,28 +247,48 @@ def compute_features(img, grid, boxes):
     arrays area, aspect_ratio, info_pixel_density and coverage_ratio,
     named as the Regions columns they become.
 
-    `boxes` are what assemble_regions returned for `grid`.  A pixel is dark
-    when it is below the midpoint of its region's extremes.  The IB tiles
-    of each part of _tiles are gathered a chunk of FEATURE_CHUNK_BYTES at a
-    time, each tile row as one BLOCK_SIZE-byte item (a byte-wise gather
-    costs about six times as much), and compared as an (IBs, BLOCK_SIZE**2)
-    array with their region's uint8 threshold; the mask is bit-packed per
-    IB and its set bits counted with np.bitwise_count.  So the tiles and
-    their mask never hold more than a chunk each, and the rest of the peak
-    is a few arrays with one entry per IB, among them the dark count of
-    each IB, which one np.bincount sums per region.
+    `boxes` are what assemble_regions returned for `grid`.  Area, aspect
+    ratio and coverage are computed first, from the boxes and the grid
+    alone, and the density, the one feature that reads pixels, only for
+    the regions that pass the shape gate on them (_shape_gate).  It is
+    NaN, not measured, for the rest, which no density could make text.  A
+    pixel is dark when it is below the midpoint of its region's extremes.
+    The IB tiles of the measured regions in each part of _tiles are
+    gathered a chunk of FEATURE_CHUNK_BYTES at a time, each tile row as one
+    BLOCK_SIZE-byte item (a byte-wise gather costs about six times as
+    much), and compared as an (IBs, BLOCK_SIZE**2) array with their
+    region's uint8 threshold; the mask is bit-packed per IB and its set
+    bits counted with np.bitwise_count.  So the tiles and their mask never
+    hold more than a chunk each, and the rest of the peak is a few arrays
+    with one entry per IB, among them the dark count of each IB, which one
+    np.bincount sums per region.
     """
     m = len(boxes)
     rows, cols = grid.labels.shape
     br, bc = np.divmod(np.flatnonzero(grid.labels), cols)
     region = grid.block_region
+    tile_h = np.minimum(BLOCK_SIZE, grid.image_h - BLOCK_SIZE * np.arange(rows))
+    tile_w = np.minimum(BLOCK_SIZE, grid.image_w - BLOCK_SIZE * np.arange(cols))
+    pixels = np.bincount(region, weights=tile_h[br] * tile_w[bc], minlength=m)
+    w, h = boxes[:, 2], boxes[:, 3]
+    features = dict(
+        area=np.bincount(region, minlength=m),
+        aspect_ratio=w / h,
+        coverage_ratio=pixels / (w * h),
+    )
+    measured = _shape_gate(features)
+
     # A run's IBs are consecutive in raster order and share a region, so the
-    # extremes are reduced per stretch of one region first, then per region.
-    first = np.flatnonzero(np.diff(region, prepend=-1))
+    # extremes are reduced per stretch of one region first, then per
+    # measured region.  Every stretch is reduced, because the grid's
+    # extremes cost less to reduce than the measured stretches to select.
+    first = np.flatnonzero(region != np.concatenate(([-1], region[:-1])))
+    kept = measured[region[first]]
+    at = region[first[kept]]
     vmin = np.full(m, 255, dtype=np.uint8)
     vmax = np.zeros(m, dtype=np.uint8)
-    np.minimum.at(vmin, region[first], np.minimum.reduceat(grid.block_min[br, bc], first))
-    np.maximum.at(vmax, region[first], np.maximum.reduceat(grid.block_max[br, bc], first))
+    np.minimum.at(vmin, at, np.minimum.reduceat(grid.block_min[br, bc], first)[kept])
+    np.maximum.at(vmax, at, np.maximum.reduceat(grid.block_max[br, bc], first)[kept])
     # lo + hi + 1 overflows uint8, the midpoint itself is at most 255
     threshold = midpoint(vmin.astype(np.int16), vmax).astype(np.uint8)
 
@@ -274,9 +297,9 @@ def compute_features(img, grid, boxes):
     # rows: a loaded image has them, and only a strided view is copied.
     img = np.ascontiguousarray(img)
     chunk = max(1, FEATURE_CHUNK_BYTES // BLOCK_SIZE**2)
-    dark = np.empty(len(region), dtype=np.intp)
+    dark = np.zeros(len(region), dtype=np.intp)
     for r0, c0, tiles in _tiles(img, constant_values=255):
-        inside = np.flatnonzero((br >= r0) & (br < r0 + tiles.shape[0])
+        inside = np.flatnonzero(measured[region] & (br >= r0) & (br < r0 + tiles.shape[0])
                                 & (bc >= c0) & (bc < c0 + tiles.shape[2]))
         tile_rows = tiles.view(np.dtype((np.void, BLOCK_SIZE)))[..., 0]
         # One expression a chunk, so that each temporary is freed once it
@@ -286,32 +309,33 @@ def compute_features(img, grid, boxes):
             dark[ib] = np.bitwise_count(np.packbits(
                 tile_rows[br[ib] - r0, :, bc[ib] - c0].view(np.uint8)
                 < threshold[region[ib]][:, None], axis=1)).sum(axis=1)
-    tile_h = np.minimum(BLOCK_SIZE, grid.image_h - BLOCK_SIZE * np.arange(rows))
-    tile_w = np.minimum(BLOCK_SIZE, grid.image_w - BLOCK_SIZE * np.arange(cols))
-    pixels = np.bincount(region, weights=tile_h[br] * tile_w[bc], minlength=m)
-    w, h = boxes[:, 2], boxes[:, 3]
-    return dict(
-        area=np.bincount(region, minlength=m),
-        aspect_ratio=w / h,
-        info_pixel_density=np.bincount(region, weights=dark, minlength=m) / pixels,
-        coverage_ratio=pixels / (w * h),
+    density = np.bincount(region, weights=dark, minlength=m) / pixels
+    features["info_pixel_density"] = np.where(measured, density, np.nan)
+    return features
+
+
+def _shape_gate(table):
+    """The text gates that read no pixel: a bool array, True where a
+    region's area, aspect ratio and coverage all pass; every bound is
+    inclusive.  `table` is as classify_region takes it."""
+    aspect = table["aspect_ratio"]
+    return (
+        (table["area"] >= MIN_AREA_BLOCKS)
+        & (aspect >= AR_MIN)
+        & (aspect <= AR_MAX)
+        & (table["coverage_ratio"] >= COV_MIN)
     )
 
 
 def classify_region(table):
     """The text gate: a bool array, True (TR) where every geometric gate
-    passes and False (NR) otherwise; every bound is inclusive.  `table`
-    maps the feature column names of Regions to parallel arrays:
+    passes and False (NR) otherwise; every bound is inclusive.  The shape
+    gate (_shape_gate) comes first, then the density gate, which a NaN
+    density, one compute_features did not measure, fails.  `table` maps
+    the feature column names of Regions to parallel arrays:
     compute_features' dict, or vars() of a table."""
-    aspect, density = table["aspect_ratio"], table["info_pixel_density"]
-    return (
-        (table["area"] >= MIN_AREA_BLOCKS)
-        & (aspect >= AR_MIN)
-        & (aspect <= AR_MAX)
-        & (density >= DENS_MIN)
-        & (density <= DENS_MAX)
-        & (table["coverage_ratio"] >= COV_MIN)
-    )
+    density = table["info_pixel_density"]
+    return _shape_gate(table) & (density >= DENS_MIN) & (density <= DENS_MAX)
 
 
 def extract_regions(img):
@@ -328,7 +352,7 @@ def extract_regions(img):
 def format_region_dump(regions):
     """The region dump of a Regions table: one line per region, its fields
     `x y w h TR|NR area aspect density coverage`, the features to four
-    decimals."""
+    decimals; a density that was not measured is written `nan`."""
     rows = zip(regions.x.tolist(), regions.y.tolist(), regions.w.tolist(),
                regions.h.tolist(), [TR if t else NR for t in regions.text.tolist()],
                regions.area.tolist(), regions.aspect_ratio.tolist(),

@@ -114,16 +114,22 @@ def projection_energy(dark, angle_deg):
     return int((counts * counts).sum())
 
 
+def shape_gate(row):
+    """True iff the gates that read no pixel, area, aspect ratio and
+    coverage, pass on one region's scalar features (a dict keyed by the
+    Regions column names), by the regions module's constants."""
+    return (
+        row["area"] >= regions.MIN_AREA_BLOCKS
+        and regions.AR_MIN <= row["aspect_ratio"] <= regions.AR_MAX
+        and row["coverage_ratio"] >= regions.COV_MIN
+    )
+
+
 def classify_region(row):
     """TR iff every geometric gate of the regions module's constants
     passes, NR otherwise, for one region's scalar features (a dict keyed by
     the Regions column names)."""
-    ok = (
-        row["area"] >= regions.MIN_AREA_BLOCKS
-        and regions.AR_MIN <= row["aspect_ratio"] <= regions.AR_MAX
-        and regions.DENS_MIN <= row["info_pixel_density"] <= regions.DENS_MAX
-        and row["coverage_ratio"] >= regions.COV_MIN
-    )
+    ok = shape_gate(row) and regions.DENS_MIN <= row["info_pixel_density"] <= regions.DENS_MAX
     return TR if ok else NR
 
 

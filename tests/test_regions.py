@@ -1,12 +1,13 @@
 import tracemalloc
 from collections import deque
+from itertools import compress
 
 import numpy as np
 import pytest
 
 from cardocr import imaging, regions as rg, synth
 from cardocr.imaging import Rect
-from reference import classify_region, region_dump, to_gray
+from reference import classify_region, region_dump, shape_gate, to_gray
 from test_imaging import traced_peak
 
 
@@ -49,9 +50,9 @@ def flood_fill_oracle(labels):
 def reference_extract(img):
     """Per-block reference for extract_regions on the BLOCK_SIZE grid
     labelled at T_VAR: a BFS over blocks, then two slicing passes over each
-    region's blocks for its features.  Returns the regions as rows, dicts
-    keyed by the Regions column names, and, for each, its member blocks as
-    a sorted (row, col) list."""
+    region's blocks for its features, the density measured for every
+    region.  Returns the regions as rows, dicts keyed by the Regions column
+    names, and, for each, its member blocks as a sorted (row, col) list."""
     grid = rg.classify_grid(img)
     labels = grid.labels
     rows, cols = labels.shape
@@ -381,6 +382,9 @@ class TestClassifyRegion:
     def test_low_coverage_ring_rejected(self):
         assert self.kind(coverage_ratio=0.3) == rg.NR
 
+    def test_unmeasured_density_rejected(self):
+        assert self.kind(info_pixel_density=np.nan) == rg.NR
+
     def test_empty_table(self):
         table = rg.parse_region_dump("")
         assert rg.classify_region(vars(table)).shape == (0,)
@@ -473,16 +477,26 @@ def row_region(row):
 
 def assert_table_matches(table, want):
     """A Regions table against reference rows, column by column and bit for
-    bit, as arrays, as the Regions it builds and as its dump."""
+    bit, as arrays, as the Regions it builds and as its dump.  The
+    reference measures every region's density; the table's is NaN, not
+    measured, exactly where the reference's shape gate fails, and equal to
+    the reference's everywhere else."""
     assert len(table) == len(want)
+    measured = [shape_gate(row) for row in want]
+    assert np.isnan(table.info_pixel_density).tolist() == [not ok for ok in measured]
+    shown = [row if ok else dict(row, info_pixel_density=np.nan)
+             for row, ok in zip(want, measured)]
     for name in vars(table):
-        assert getattr(table, name).tolist() == [row[name] for row in want]
+        got, expect = getattr(table, name).tolist(), [row[name] for row in shown]
+        if name == "info_pixel_density":
+            got, expect = list(compress(got, measured)), list(compress(expect, measured))
+        assert got == expect
     kinds = [getattr(table, name).dtype.kind for name in vars(table)]
     assert kinds == ["i"] * 5 + ["f"] * 3 + ["b"]
     regions = [row_region(row) for row in want]
     assert list(table) == regions
     assert [table[i] for i in range(len(table))] == regions
-    assert rg.format_region_dump(table) == region_dump(want)
+    assert rg.format_region_dump(table) == region_dump(shown)
 
 
 class TestMatchesReference:
@@ -551,11 +565,26 @@ class TestMatchesReference:
         assert blocks == [[(2, 4)]]
         assert len(table) == 1 and list(table) == [table[0]] == [table[-1]]
         assert table[0].bbox == Rect(64, 32, 16, 16) and table[0].kind == rg.NR
-        assert table.info_pixel_density[0] == 1 / 256
+        # one block fails MIN_AREA_BLOCKS, so its pixels are never read
+        assert np.isnan(table.info_pixel_density[0])
+        assert reference_extract(img)[0][0]["info_pixel_density"] == 1 / 256
 
     def test_salt_and_pepper_card(self):
         regions, _ = self.assert_matches(salt_and_pepper_card())
         assert len(regions) > 50
+
+    def test_shape_rejected_tiles_are_not_gathered(self, monkeypatch):
+        # compute_features bit-packs the dark mask of every IB whose tile it
+        # gathers, one row an IB: on this card those are the IBs of the few
+        # shape survivors, not the impulse specks
+        img = salt_and_pepper_card()
+        packed = []
+        packbits = np.packbits
+        with monkeypatch.context() as m:
+            m.setattr(np, "packbits", lambda a, axis: packed.append(len(a)) or packbits(a, axis=axis))
+            table = rg.extract_regions(img)
+        measured = ~np.isnan(table.info_pixel_density)
+        assert 0 < sum(packed) == table.area[measured].sum() < table.area.sum() / 2
 
     def test_suite_noise_cards(self, tmp_path):
         # the cards of perfbench's suite_noise workload
