@@ -50,10 +50,10 @@ class BlockGrid:
     labels: np.ndarray  # bool (rows, cols), True = information block (IB)
     block_max: np.ndarray  # uint8 (rows, cols), brightest pixel per block
     block_min: np.ndarray  # uint8 (rows, cols), darkest pixel per block
-    # intp, one per IB in raster order (the order np.flatnonzero(labels)
-    # lists them in): index of the block's region among the boxes
-    # assemble_regions returned
-    block_region: np.ndarray = None
+    # intp (4, runs), set by assemble_regions: each horizontal run of IBs
+    # as its block row, start column, exclusive end column and the index of
+    # its region among the boxes assemble_regions returned, in raster order
+    runs: np.ndarray = None
 
 
 @dataclass
@@ -192,8 +192,8 @@ def assemble_regions(grid):
     background column after each row, which keeps every run inside its
     row.  Regions are numbered by their first block in raster order (the
     root mask of _component_roots and its cumsum), then stably sorted by
-    bounding-box origin (y, x).  The region of every IB, in raster order,
-    is recorded in grid.block_region.
+    bounding-box origin (y, x).  The runs and their regions are recorded
+    in grid.runs.
     """
     rows, cols = grid.labels.shape
     width = cols + 1
@@ -231,9 +231,7 @@ def assemble_regions(grid):
     order = np.lexsort((np.arange(m), left, top))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
-    # The runs are in raster order, so each run's region repeated over its
-    # length is the region of every IB in raster order.
-    grid.block_region = np.repeat(rank[comp], key_end - key_start)
+    grid.runs = np.stack((run_row, run_start, run_end, rank[comp]))
 
     x = left[order] * BLOCK_SIZE
     y = top[order] * BLOCK_SIZE
@@ -247,11 +245,12 @@ def compute_features(img, grid, boxes):
     arrays area, aspect_ratio, info_pixel_density and coverage_ratio,
     named as the Regions columns they become.
 
-    `boxes` are what assemble_regions returned for `grid`.  Area, aspect
-    ratio and coverage are computed first, from the boxes and the grid
-    alone, and the density, the one feature that reads pixels, only for
-    the regions that pass the shape gate on them (_shape_gate).  It is
-    NaN, not measured, for the rest, which no density could make text.  A
+    `boxes` are what assemble_regions returned for `grid`, and grid.runs
+    its runs.  Area, aspect ratio and coverage are computed first, from
+    the boxes and the run lengths alone, and the density, the one feature
+    that reads pixels, only for the regions that pass the shape gate on
+    them (_shape_gate), whose runs alone are expanded into IBs.  It is NaN,
+    not measured, for the rest, which no density could make text.  A
     pixel is dark when it is below the midpoint of its region's extremes.
     The IB tiles of the measured regions in each part of _tiles are
     gathered a chunk of FEATURE_CHUNK_BYTES at a time, each tile row as one
@@ -260,56 +259,56 @@ def compute_features(img, grid, boxes):
     region's uint8 threshold; the mask is bit-packed per IB and its set
     bits counted with np.bitwise_count.  So the tiles and their mask never
     hold more than a chunk each, and the rest of the peak is a few arrays
-    with one entry per IB, among them the dark count of each IB, which one
-    np.bincount sums per region.
+    with one entry per measured IB, among them its dark count.
     """
     m = len(boxes)
-    rows, cols = grid.labels.shape
-    br, bc = np.divmod(np.flatnonzero(grid.labels), cols)
-    region = grid.block_region
-    tile_h = np.minimum(BLOCK_SIZE, grid.image_h - BLOCK_SIZE * np.arange(rows))
-    tile_w = np.minimum(BLOCK_SIZE, grid.image_w - BLOCK_SIZE * np.arange(cols))
-    pixels = np.bincount(region, weights=tile_h[br] * tile_w[bc], minlength=m)
+    b = BLOCK_SIZE
+    row, start, end, region = grid.runs
+    tile_h = np.minimum(b, grid.image_h - b * row)
+    pixels = np.bincount(region, weights=tile_h * (np.minimum(b * end, grid.image_w) - b * start),
+                         minlength=m)
     w, h = boxes[:, 2], boxes[:, 3]
     features = dict(
-        area=np.bincount(region, minlength=m),
+        area=np.bincount(region, weights=end - start, minlength=m).astype(np.intp),
         aspect_ratio=w / h,
         coverage_ratio=pixels / (w * h),
     )
     measured = _shape_gate(features)
 
-    # A run's IBs are consecutive in raster order and share a region, so the
-    # extremes are reduced per stretch of one region first, then per
-    # measured region.  Every stretch is reduced, because the grid's
-    # extremes cost less to reduce than the measured stretches to select.
-    first = np.flatnonzero(region != np.concatenate(([-1], region[:-1])))
-    kept = measured[region[first]]
-    at = region[first[kept]]
+    # The runs of measured regions are expanded into their IBs in raster
+    # order, run i's from first[i] on, so its extremes are one segment.
+    keep = measured[region]
+    row, start, region = row[keep], start[keep], region[keep]
+    n = end[keep] - start
+    first = np.cumsum(n) - n
+    bc = np.repeat(start - first, n) + np.arange(n.sum())
+    br = np.repeat(row, n)
     vmin = np.full(m, 255, dtype=np.uint8)
     vmax = np.zeros(m, dtype=np.uint8)
-    np.minimum.at(vmin, at, np.minimum.reduceat(grid.block_min[br, bc], first)[kept])
-    np.maximum.at(vmax, at, np.maximum.reduceat(grid.block_max[br, bc], first)[kept])
+    np.minimum.at(vmin, region, np.minimum.reduceat(grid.block_min[br, bc], first))
+    np.maximum.at(vmax, region, np.maximum.reduceat(grid.block_max[br, bc], first))
     # lo + hi + 1 overflows uint8, the midpoint itself is at most 255
     threshold = midpoint(vmin.astype(np.int16), vmax).astype(np.uint8)
+    ib_threshold = np.repeat(threshold[region], n)
 
     # 255 is never below a midpoint, so padding is never dark.  A tile row
     # is gathered as one BLOCK_SIZE-byte item, which needs contiguous image
     # rows: a loaded image has them, and only a strided view is copied.
     img = np.ascontiguousarray(img)
-    chunk = max(1, FEATURE_CHUNK_BYTES // BLOCK_SIZE**2)
-    dark = np.zeros(len(region), dtype=np.intp)
+    chunk = max(1, FEATURE_CHUNK_BYTES // b**2)
+    dark = np.zeros(len(br), dtype=np.uint16)
     for r0, c0, tiles in _tiles(img, constant_values=255):
-        inside = np.flatnonzero(measured[region] & (br >= r0) & (br < r0 + tiles.shape[0])
+        inside = np.flatnonzero((br >= r0) & (br < r0 + tiles.shape[0])
                                 & (bc >= c0) & (bc < c0 + tiles.shape[2]))
-        tile_rows = tiles.view(np.dtype((np.void, BLOCK_SIZE)))[..., 0]
+        tile_rows = tiles.view(np.dtype((np.void, b)))[..., 0]
         # One expression a chunk, so that each temporary is freed once it
         # is read and none outlives its chunk.
-        for start in range(0, len(inside), chunk):
-            ib = inside[start : start + chunk]
+        for i in range(0, len(inside), chunk):
+            ib = inside[i : i + chunk]
             dark[ib] = np.bitwise_count(np.packbits(
                 tile_rows[br[ib] - r0, :, bc[ib] - c0].view(np.uint8)
-                < threshold[region[ib]][:, None], axis=1)).sum(axis=1)
-    density = np.bincount(region, weights=dark, minlength=m) / pixels
+                < ib_threshold[ib][:, None], axis=1)).sum(axis=1)
+    density = np.bincount(region, weights=np.add.reduceat(dark, first), minlength=m) / pixels
     features["info_pixel_density"] = np.where(measured, density, np.nan)
     return features
 

@@ -100,15 +100,26 @@ def reference_extract(img):
 
 
 def assemble(grid):
-    """assemble_regions on a labelled grid.  Returns the region boxes as
-    Rects and, for each, its member blocks as a sorted (row, col) list, read
-    back from grid.block_region and the raster order of
-    np.nonzero(grid.labels)."""
+    """assemble_regions on a labelled grid, with its run table checked.
+    Returns the region boxes as Rects and, for each, its member blocks as a
+    sorted (row, col) list, read back from grid.runs."""
     boxes = rg.assemble_regions(grid)
     assert boxes.shape == (len(boxes), 4) and boxes.dtype.kind == "i"
+    labels = grid.labels
+    rows, cols = labels.shape
+    assert grid.runs.ndim == 2 and len(grid.runs) == 4 and grid.runs.dtype == np.intp
+    row, start, end, region = grid.runs
+    # each run lies in one block row, start < end, in raster order
+    assert ((0 <= row) & (row < rows) & (0 <= start) & (start < end) & (end <= cols)).all()
+    assert (np.diff(row * (cols + 1) + start) > 0).all()
+    assert (end - start).sum() == labels.sum()
+    assert sorted(set(region.tolist())) == list(range(len(boxes)))
     members = [[] for _ in boxes]
-    for r, c, k in zip(*np.nonzero(grid.labels), grid.block_region, strict=True):
-        members[k].append((int(r), int(c)))
+    for r, s, e, k in grid.runs.T.tolist():
+        # every block of a run is an IB, and the run is as long as it can be
+        assert labels[r, s:e].all()
+        assert not labels[r, max(s - 1, 0):s].any() and not labels[r, e : e + 1].any()
+        members[k].extend((r, c) for c in range(s, e))
     return [Rect(*box) for box in boxes.tolist()], members
 
 
@@ -343,9 +354,9 @@ class TestAssemble:
         labels = rng.random((8, 8)) < 0.5
         grid = make_grid(labels)
         boxes, members = assemble(grid)
-        # one region id per IB, and every region holds a block
-        assert grid.block_region.shape == (int(labels.sum()),)
-        assert sorted(set(grid.block_region.tolist())) == list(range(len(boxes)))
+        # the runs hold every IB once, and every region holds a block
+        assert sorted(b for blocks in members for b in blocks) == list(zip(*np.nonzero(labels)))
+        assert all(members)
         for box, blocks in zip(boxes, members):
             rects = [tile_rect(grid, r, c) for r, c in blocks]
             x1, y1 = min(b.x for b in rects), min(b.y for b in rects)
@@ -647,13 +658,15 @@ class TestFeatureMemory:
     # 2.4, after one warm-up call).  Counted a chunk of IBs at a time, its
     # 708 IBs peak at 301,411 bytes.
     COUNT_NONZERO_PEAK_BYTES = 451_676
-    # Bytes of compute_features' peak per IB beyond one chunk's tiles and
-    # mask, and beyond a fixed part: IB rows, columns, part indices and
-    # dark counts of 8 bytes each, and a few bytes of masks.  Every block
-    # of a random frame is an IB; at 1024 x 1024 and at 2048 x 1536 the
-    # peak was 35.0 bytes an IB above the chunk (numpy 2.4), against 469
-    # and 510 when all IBs were gathered at once.
-    PEAK_PER_IB_BYTES = 36
+    # Bytes of compute_features' peak per IB of a measured region beyond
+    # one chunk's tiles and mask, and beyond a fixed part: IB rows, columns
+    # and part indices of 8 bytes each, a 2-byte dark count, a 1-byte
+    # threshold and a few bytes of masks.  Every block of a random frame
+    # is an IB; at 1536 x 1024 and at 2048 x 1536 the peak was 29.9 and
+    # 28.6 bytes an IB above the chunk (numpy 2.4), against 34.4 and 33.3
+    # with a region index per IB, and 469 and 510 when all IBs were
+    # gathered at once.
+    PEAK_PER_IB_BYTES = 30
     PEAK_FIXED_BYTES = 1 << 14
 
     def test_peak_no_higher_than_before(self):
@@ -677,15 +690,29 @@ class TestFeatureMemory:
     def test_dense_frame_peak_is_one_chunk_plus_per_ib(self):
         chunk = 2 * rg.FEATURE_CHUNK_BYTES  # a chunk's tiles and their mask
         assert chunk // (2 * rg.BLOCK_SIZE ** 2) == 512
-        for h, w in [(1024, 1024), (1536, 2048)]:
+        for h, w in [(1024, 1536), (1536, 2048)]:
             img = np.random.default_rng(50).integers(0, 256, size=(h, w), dtype=np.uint8)
             grid = rg.classify_grid(img)
             assert grid.labels.all()
             boxes = rg.assemble_regions(grid)
-            rg.compute_features(img, grid, boxes)
+            features = rg.compute_features(img, grid, boxes)
+            assert not np.isnan(features["info_pixel_density"]).any()
             _, peak = traced_peak(lambda: rg.compute_features(img, grid, boxes))
             ibs = grid.labels.size
             assert peak <= chunk + self.PEAK_PER_IB_BYTES * ibs + self.PEAK_FIXED_BYTES
+
+    def test_shape_rejected_frame_peak_is_fixed(self):
+        # a square frame of IBs is one region of aspect ratio 1, below
+        # AR_MIN: none of its IBs is gathered, so nothing is held per IB;
+        # with a region index per IB the peak was 165,536 bytes
+        img = np.random.default_rng(50).integers(0, 256, size=(1024, 1024), dtype=np.uint8)
+        grid = rg.classify_grid(img)
+        assert grid.labels.all()
+        boxes = rg.assemble_regions(grid)
+        features = rg.compute_features(img, grid, boxes)
+        assert np.isnan(features["info_pixel_density"]).all()
+        _, peak = traced_peak(lambda: rg.compute_features(img, grid, boxes))
+        assert peak <= self.PEAK_FIXED_BYTES
 
 
 class TestGridMemory:
